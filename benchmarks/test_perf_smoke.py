@@ -43,18 +43,17 @@ tracked across PRs:
   rounds=2d) through the two-tier Clique+MWPM cascade with each matcher,
   asserting matching logical-failure counts everywhere, a >= 3x end-to-end
   speedup at d=13, and no regression at d=5;
-* ``scheduler`` (schema v9) — a paper-shaped six-point fig14 grid (d in
+* ``scheduler`` (schema v10) — a paper-shaped six-point fig14 grid (d in
   {3, 5, 7} x two error rates, 500 trials per decoder run in ~5 shards)
-  dispatched ``schedule="sweep"`` (one persistent pool, shards interleaved
-  across all twelve decoder runs) vs ``schedule="point"`` (a fresh pool per
-  run), recording wall-clock and pool-construction counts per side,
-  asserting identical rows, exactly one pool built by the scheduler, a
-  >= 1.5x sweep-over-point speedup on multi-core runners (>= 4 CPUs), and
-  near-zero scheduler overhead at ``workers=1``;
+  through the sweep scheduler (one persistent pool, shards interleaved
+  across all twelve decoder runs) at ``workers=1`` and at the CPU count,
+  recording wall-clock and pool-construction counts per side, asserting
+  identical rows and exactly one pool built for the whole sweep;
 * ``faults`` (schema v6) — the d=5 workload (8000 trials) with the default
-  fault policy (retry bookkeeping armed, nothing failing) vs the passive
-  zero-retry baseline, asserting the fault-free overhead of the retry path
-  stays <= 2% on a median of CPU-time ratios over interleaved pairs; plus
+  fault policy (retry bookkeeping armed, nothing failing) vs the fail-fast
+  ``FaultPolicy(max_retries=0)`` baseline on the same dispatch loop,
+  asserting the fault-free overhead of the retry path stays <= 2% on a
+  median of CPU-time ratios over interleaved pairs; plus
   one-shot timings of the two recovery paths (an injected worker exception
   retried in-process and an injected worker SIGKILL forcing a pool
   respawn).
@@ -100,7 +99,7 @@ from repro.types import StabilizerType
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_memory.json"
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 DISTANCE = 5
 ERROR_RATE = 1e-2
 TRIALS = 1_000
@@ -172,26 +171,21 @@ BLOSSOM_TIMING_REPEATS = 2
 BLOSSOM_GATE_DISTANCE = 13
 MIN_BLOSSOM_END_TO_END_SPEEDUP = 3.0
 
-#: Scheduler workload (schema v9): a paper-shaped mixed-distance fig14 grid
-#: where per-point pools waste real wall-clock — twelve sharded decoder runs
-#: of ~5 shards each, so every run pays pool construction and a last-shard
-#: tail that leaves workers idle.  The sweep scheduler amortises one pool
-#: over all twelve and backfills every tail with other points' shards.  At
-#: ``workers=1`` both paths run the same sequential loop, so the sweep side
-#: must stay within a few percent (the ratio floor, < 1.0, absorbs timer
-#: noise on a fast all-hit loop).
+#: Scheduler workload (schema v10): a paper-shaped mixed-distance fig14 grid
+#: — twelve sharded decoder runs of ~5 shards each — timed through the sweep
+#: scheduler at ``workers=1`` and at the CPU count.  One pool serves all
+#: twelve runs and backfills every run's last-shard tail with other points'
+#: shards.
 SCHEDULER_DISTANCES = (3, 5, 7)
 SCHEDULER_ERROR_RATES = (5e-3, 1e-2)
 SCHEDULER_TRIALS = 500
 SCHEDULER_CHUNK = 100
-MIN_SCHEDULER_SPEEDUP = 1.5
-MIN_SCHEDULER_SINGLE_WORKER_RATIO = 0.9
 
 #: Fault-tolerance workload (schema v6): the retry machinery must be free
 #: when nothing fails.  The default policy runs the bookkeeping path (retry
-#: accounting, backoff scheduling state, fault report) while the passive
-#: zero-retry policy takes the PR-5 fast path; best-of-N on each side bounds
-#: the armed-but-idle overhead.
+#: accounting, backoff scheduling state, fault report) while the fail-fast
+#: zero-retry policy skips the backoff gates on the same dispatch loop;
+#: best-of-N on each side bounds the armed-but-idle overhead.
 #: Enough trials that one timed run is O(100ms): at the d=5 gate workload's
 #: ~20ms the best-of-N jitter alone exceeds the 2% gate.
 FAULTS_TRIALS = 8_000
@@ -562,7 +556,7 @@ def test_engine_and_fallback_throughput_bench_record():
         "end_to_end": {"points": end_to_end_points},
     }
 
-    # --- faults: the armed-but-idle retry path vs the passive baseline ----
+    # --- faults: the armed-but-idle retry path vs the zero-retry baseline -
     def _faults_once(policy, injector=None, workers=1):
         report = FaultReport()
         wall_start = time.perf_counter()
@@ -617,7 +611,7 @@ def test_engine_and_fallback_throughput_bench_record():
                     wall, cpu, result, _ = _faults_once(policy)
                 finally:
                     gc.enable()
-                timings[policy.is_passive] = (wall, cpu, result)
+                timings[policy.max_retries == 0] = (wall, cpu, result)
             passive_wall, passive_cpu, passive_result = timings[True]
             active_wall, active_cpu, active_result = timings[False]
             passive_best = min(passive_best, passive_wall)
@@ -674,13 +668,13 @@ def test_engine_and_fallback_throughput_bench_record():
         ],
     }
 
-    # --- scheduler: persistent-pool sweep vs per-point pools (schema v9) --
+    # --- scheduler: one persistent pool per sweep (schema v10) ------------
     run_memory_experiment(  # warm-up: d=3 decoder tables for the workers=1 side
         get_code(3), PhenomenologicalNoise(ERROR_RATE), _Hierarchical(),
         trials=10, rng=1,
     )
 
-    def _schedule_run(schedule, workers):
+    def _scheduler_run(workers):
         pools_before = pool_construction_count()
         start = time.perf_counter()
         result = run_experiment(
@@ -692,22 +686,16 @@ def test_engine_and_fallback_throughput_bench_record():
             workers=workers,
             chunk_trials=SCHEDULER_CHUNK,
             seed=SEED,
-            schedule=schedule,
         )
         elapsed = time.perf_counter() - start
         return {
-            "schedule": schedule,
             "workers": workers,
             "seconds": round(elapsed, 4),
             "pools_built": pool_construction_count() - pools_before,
         }, result.rows
 
-    sweep_multi, sweep_multi_rows = _schedule_run("sweep", cpu_count)
-    point_multi, point_multi_rows = _schedule_run("point", cpu_count)
-    sweep_single, sweep_single_rows = _schedule_run("sweep", 1)
-    point_single, point_single_rows = _schedule_run("point", 1)
-    scheduler_speedup = point_multi["seconds"] / sweep_multi["seconds"]
-    scheduler_single_ratio = point_single["seconds"] / sweep_single["seconds"]
+    sweep_multi, sweep_multi_rows = _scheduler_run(cpu_count)
+    sweep_single, sweep_single_rows = _scheduler_run(1)
     scheduler_record = {
         "distances": list(SCHEDULER_DISTANCES),
         "error_rates": list(SCHEDULER_ERROR_RATES),
@@ -715,9 +703,10 @@ def test_engine_and_fallback_throughput_bench_record():
         "chunk_trials": SCHEDULER_CHUNK,
         "seed": SEED,
         "decoder_runs": 2 * len(SCHEDULER_DISTANCES) * len(SCHEDULER_ERROR_RATES),
-        "runs": [sweep_multi, point_multi, sweep_single, point_single],
-        "sweep_speedup": round(scheduler_speedup, 2),
-        "single_worker_ratio": round(scheduler_single_ratio, 2),
+        "runs": [sweep_multi, sweep_single],
+        "multi_worker_speedup": round(
+            sweep_single["seconds"] / sweep_multi["seconds"], 2
+        ),
     }
 
     # --- warm-store re-run speedup (schema v4) ----------------------------
@@ -891,27 +880,14 @@ def test_engine_and_fallback_throughput_bench_record():
         f"(> {MAX_FAULT_OVERHEAD_PCT}%)"
     )
 
-    # The scheduler is pure dispatch: identical rows at every worker count
-    # and schedule, one pool for the whole sweep vs one per decoder run, and
-    # the wall-clock gates — >= 1.5x over per-point pools with real cores,
-    # within noise of the per-point path when both run sequentially.
-    assert sweep_multi_rows == point_multi_rows
-    assert sweep_single_rows == point_single_rows
+    # The scheduler is pure dispatch: identical rows at every worker count,
+    # and one pool for the whole sweep rather than one per decoder run.
     assert sweep_multi_rows == sweep_single_rows
+    assert sweep_single["pools_built"] == 0
     if cpu_count >= 2:
         assert sweep_multi["pools_built"] == 1, (
             f"sweep scheduler built {sweep_multi['pools_built']} pools; the "
             "persistent pool is the whole point"
-        )
-        assert point_multi["pools_built"] == scheduler_record["decoder_runs"]
-    assert scheduler_single_ratio >= MIN_SCHEDULER_SINGLE_WORKER_RATIO, (
-        f"sweep scheduling regressed the sequential path: "
-        f"{scheduler_single_ratio:.2f}x of per-point wall-clock"
-    )
-    if cpu_count >= MULTI_CORE_THRESHOLD:
-        assert scheduler_speedup >= MIN_SCHEDULER_SPEEDUP, (
-            f"persistent-pool sweep speedup regressed on {cpu_count} cores: "
-            f"{scheduler_speedup:.2f}x"
         )
 
     # Throughput gates.

@@ -47,8 +47,6 @@ from repro.hardware import clique_overheads, compare_with_nisqplus
 from repro.noise import CodeCapacityNoise, PhenomenologicalNoise
 from repro.simulation import (
     run_memory_experiment,
-    run_sharded,
-    run_sharded_adaptive,
     simulate_clique_coverage,
     simulate_signature_distribution,
     until_wilson,
@@ -90,8 +88,6 @@ __all__ = [
     "simulate_signature_distribution",
     "simulate_clique_coverage",
     "run_memory_experiment",
-    "run_sharded",
-    "run_sharded_adaptive",
     "until_wilson",
     # fault tolerance
     "FaultInjector",

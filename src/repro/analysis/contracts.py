@@ -41,10 +41,12 @@ RNG_MODULE = "repro/noise/rng.py"
 #: default path to prove it dynamically.
 HEAVY_OPTIONAL_MODULES: tuple[str, ...] = ("matplotlib", "networkx")
 
-#: Entry points of the sharded engine whose ``kernel`` argument crosses
-#: process boundaries and therefore must be picklable: no lambdas, no
-#: closures, no locally defined functions (PKL001).
-SHARDED_RUNNERS: tuple[str, ...] = ("run_sharded", "run_sharded_adaptive")
+#: Callables whose ``kernel`` argument crosses process boundaries and
+#: therefore must be picklable — no lambdas, no closures, no locally defined
+#: functions (PKL001) — mapped to the kernel's positional index (it may also
+#: be passed as ``kernel=``).  Every sharded run is a
+#: :class:`repro.simulation.scheduler.SweepPoint` handed to the scheduler.
+SHARDED_KERNEL_ARGS: dict[str, int] = {"SweepPoint": 1}
 
 #: ``numpy.random`` attributes that are *not* global-state RNG: explicit
 #: generator construction and seed plumbing.  Everything else on the module
@@ -174,7 +176,7 @@ __all__ = [
     "KeyContract",
     "NP_RANDOM_ALLOWED",
     "RNG_MODULE",
-    "SHARDED_RUNNERS",
+    "SHARDED_KERNEL_ARGS",
     "TIER_REGISTRY_LOCATION",
     "TIER_REQUIRED_METHODS",
     "WALLCLOCK_CALLS",

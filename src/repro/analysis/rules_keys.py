@@ -8,6 +8,12 @@ not (then it belongs in :data:`repro.store.keys.KEY_EXCLUDED` with a stated
 reason).  A keyword in neither place is exactly the "added a kwarg, forgot
 the store key, served stale results" bug — this rule makes it fail lint at
 the signature, before any result is ever cached.
+
+The check also runs the other way: a ``KEY_EXCLUDED`` entry that is no
+longer a keyword of any contract runner is stale and is reported at the
+entry, so the manifest shrinks along with the knobs.  That direction needs
+every runner's signature, so it only fires when every contract runner is
+part of the lint run.
 """
 
 from __future__ import annotations
@@ -56,8 +62,8 @@ def _resolver_vocabulary(fn: ast.FunctionDef) -> set[str]:
     return vocabulary
 
 
-def _load_key_excluded(module: ParsedModule) -> set[str] | None:
-    """String entries of the ``KEY_EXCLUDED`` constant (dict/set/sequence)."""
+def _key_excluded_entries(module: ParsedModule) -> list[ast.Constant] | None:
+    """String entry nodes of the ``KEY_EXCLUDED`` constant (dict/set/sequence)."""
     _, constant_name = contracts.KEY_EXCLUDED_LOCATION
     for node in module.tree.body:
         value = None
@@ -81,12 +87,18 @@ def _load_key_excluded(module: ParsedModule) -> set[str] | None:
             elements = value.elts
         else:
             return None
-        return {
-            element.value
+        return [
+            element
             for element in elements
             if isinstance(element, ast.Constant) and isinstance(element.value, str)
-        }
+        ]
     return None
+
+
+def _load_key_excluded(module: ParsedModule) -> set[str] | None:
+    """String entries of the ``KEY_EXCLUDED`` constant."""
+    entries = _key_excluded_entries(module)
+    return None if entries is None else {entry.value for entry in entries}
 
 
 class StoreKeyClassificationRule(Rule):
@@ -98,17 +110,55 @@ class StoreKeyClassificationRule(Rule):
         "every keyword of run_memory_experiment / simulate_clique_coverage "
         "must appear in its key-resolution function "
         "(fig14._memory_point_config / coverage.resolve_coverage_config) or "
-        "in repro.store.keys.KEY_EXCLUDED"
+        "in repro.store.keys.KEY_EXCLUDED, and every KEY_EXCLUDED entry must "
+        "be a keyword of one of them"
     )
 
     def check_project(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
+        runners = []
         for contract in contracts.KEY_CONTRACTS:
             runner_module = project.linted(contract.runner_path)
             if runner_module is None:
                 continue
             findings.extend(self._check_contract(project, runner_module, contract))
+            runners.append(
+                (runner_module, _module_function(runner_module.tree, contract.runner_name))
+            )
+        if len(runners) == len(contracts.KEY_CONTRACTS) and all(
+            runner is not None for _, runner in runners
+        ):
+            findings.extend(self._check_stale_exclusions(project, runners))
         return findings
+
+    def _check_stale_exclusions(
+        self,
+        project: Project,
+        runners: list[tuple[ParsedModule, ast.FunctionDef]],
+    ) -> list[Finding]:
+        """Report ``KEY_EXCLUDED`` entries no contract runner accepts."""
+        excluded_path, excluded_name = contracts.KEY_EXCLUDED_LOCATION
+        keys_module = project.load(excluded_path, anchor=runners[0][0])
+        entries = _key_excluded_entries(keys_module) if keys_module is not None else None
+        if entries is None:
+            return []  # already reported per contract by _check_contract
+        keywords = {param.arg for _, runner in runners for param in _named_params(runner)}
+        names = ", ".join(contract.runner_name for contract in contracts.KEY_CONTRACTS)
+        return [
+            Finding(
+                path=keys_module.display,
+                line=entry.lineno,
+                col=entry.col_offset + 1,
+                rule=self.id,
+                message=(
+                    f"{excluded_name} entry {entry.value!r} is not a keyword of "
+                    f"any store-key contract runner ({names}); remove the "
+                    f"stale exclusion"
+                ),
+            )
+            for entry in entries
+            if entry.value not in keywords
+        ]
 
     def _check_contract(
         self,

@@ -1,10 +1,10 @@
 """PKL001 — kernels handed to the sharded engine must be picklable.
 
-``run_sharded``/``run_sharded_adaptive`` ship their kernel to worker
-processes; lambdas, closures, and locally defined functions fail to pickle —
-but only at runtime, only with ``workers > 1``, which is exactly the
-configuration CI's ``workers=1`` fast paths never exercise.  This rule makes
-the mistake fail lint instead.
+A :class:`~repro.simulation.scheduler.SweepPoint`'s kernel is shipped to
+worker processes by the sweep scheduler; lambdas, closures, and locally
+defined functions fail to pickle — but only at runtime, only with
+``workers > 1``, which is exactly the configuration CI's ``workers=1`` fast
+paths never exercise.  This rule makes the mistake fail lint instead.
 """
 
 from __future__ import annotations
@@ -15,13 +15,17 @@ from repro.analysis import contracts
 from repro.analysis.core import ModuleContext, Rule
 
 
-def _kernel_argument(node: ast.Call) -> ast.AST | None:
-    """The kernel argument of a ``run_sharded*`` call, if identifiable."""
-    if node.args and not isinstance(node.args[0], ast.Starred):
-        return node.args[0]
+def _kernel_argument(node: ast.Call, position: int) -> ast.AST | None:
+    """The kernel argument of a call — positional ``position`` or
+    ``kernel=`` — if identifiable (a ``*args`` splat hides it)."""
     for keyword in node.keywords:
         if keyword.arg == "kernel":
             return keyword.value
+    leading = node.args[: position + 1]
+    if len(leading) > position and not any(
+        isinstance(argument, ast.Starred) for argument in leading
+    ):
+        return node.args[position]
     return None
 
 
@@ -31,9 +35,9 @@ class PicklableKernelRule(Rule):
     id = "PKL001"
     title = "picklable sharded kernels"
     contract = (
-        "kernels passed to run_sharded/run_sharded_adaptive cross process "
-        "boundaries: module-level functions or dataclass instances only — "
-        "no lambdas, no locally defined functions"
+        "SweepPoint kernels cross process boundaries: module-level "
+        "functions or dataclass instances only — no lambdas, no locally "
+        "defined functions"
     )
     node_types = (ast.Call, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -53,9 +57,9 @@ class PicklableKernelRule(Rule):
             name = func.id
         elif isinstance(func, ast.Attribute):
             name = func.attr
-        if name not in contracts.SHARDED_RUNNERS:
+        if name not in contracts.SHARDED_KERNEL_ARGS:
             return
-        kernel = _kernel_argument(node)
+        kernel = _kernel_argument(node, contracts.SHARDED_KERNEL_ARGS[name])
         if kernel is not None:
             state["calls"].append(kernel)
 

@@ -8,7 +8,6 @@ Examples:
     repro-qec fig12 --param distances=3,5,7 --chunk-cycles 2000
     repro-qec run fig14 --engine loop --param trials=200
     repro-qec run fig14 --scale paper --workers 8
-    repro-qec fig14 --scale paper --workers 8 --schedule point
     repro-qec fig11 --workers 4 --chunk-cycles auto
     repro-qec fig14 --scale paper --adaptive --target-ci-width 0.02
     repro-qec run fig14 --fallback union_find
@@ -46,11 +45,9 @@ completes and makes re-runs resume (``--resume``, the default) or recompute
 directory; see README.md → "Results and resume".  ``--max-retries`` /
 ``--shard-timeout`` tune the sharded engine's fault tolerance (retried
 shards replay their RNG streams bit-identically, so neither flag ever
-changes results); see README.md → "Fault tolerance".  ``--schedule``
-picks the sharded dispatch mode for the sweeps: ``sweep`` (the default for
-sharded runs) drives every pending point's shards through one persistent
-worker pool, ``point`` builds one pool per sweep point — byte-identical
-results either way; see README.md → "Sweep scheduling".  ``--no-packed``
+changes results); see README.md → "Fault tolerance".  Sharded sweeps drive
+every pending point's shards through one persistent worker pool; see
+README.md → "Sweep scheduling".  ``--no-packed``
 switches the batch/sharded memory engines off their default uint64
 bitplane kernels onto the unpacked uint8 reference path — bit-identical
 results, lower throughput; see README.md → "Packed kernels".  ``lint``
@@ -194,17 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(fig11/fig12/fig16); with the seed it fully determines results. "
             "'auto' sizes shards per point from the budget, worker count, "
             "and code distance"
-        ),
-    )
-    run_parser.add_argument(
-        "--schedule",
-        choices=("sweep", "point"),
-        default=None,
-        help=(
-            "sharded dispatch mode for the sweep experiments: 'sweep' (the "
-            "default for sharded runs) interleaves every pending point's "
-            "shards through one persistent worker pool, 'point' builds one "
-            "pool per sweep point; results are byte-identical either way"
         ),
     )
     run_parser.add_argument(
@@ -460,7 +446,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "max_retries",
             "shard_timeout",
             "packed",
-            "schedule",
         ):
             value = getattr(args, flag)
             if value is not None:

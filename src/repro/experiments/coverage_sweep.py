@@ -6,12 +6,12 @@ spawn-key seeding, the sharded/adaptive engine knobs, and the result-store
 integration (each point stored under its resolved coverage config as it
 completes, reused on re-runs, checkpointed per Wilson wave when adaptive).
 
-With the sharded engine engaged, the sweep defaults to ``schedule="sweep"``:
-every uncached point's shards are interleaved through one persistent worker
-pool (:class:`~repro.simulation.SweepScheduler`) instead of each point
-spinning up its own; each point is persisted the moment its last shard lands,
-so kill-mid-sweep resume behaves exactly as before.  Results are
-byte-identical to the per-point path at any worker count.
+With the sharded engine engaged, every uncached point's shards are
+interleaved through one persistent worker pool
+(:class:`~repro.simulation.SweepScheduler`); each point is persisted the
+moment its last shard lands, so a sweep killed mid-run resumes with only its
+missing points.  Results are byte-identical at any worker count.  Without the
+sharded engine each point runs the in-process single-stream path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.codes.rotated_surface import get_code
-from repro.exceptions import ConfigurationError
 from repro.experiments.base import ExperimentResult
 from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import point_seed
@@ -31,11 +30,7 @@ from repro.simulation.coverage import (
     simulate_clique_coverage,
 )
 from repro.simulation.monte_carlo import until_wilson
-from repro.simulation.scheduler import (
-    SweepScheduler,
-    coverage_point,
-    validate_schedule,
-)
+from repro.simulation.scheduler import SweepScheduler, coverage_point
 
 #: Builds one table row from a sweep point's (rate, distance, result).
 CoverageRowBuilder = Callable[[float, int, CoverageResult], dict[str, object]]
@@ -62,24 +57,13 @@ def run_coverage_sweep(
     target_ci_width: float | None,
     row_of: CoverageRowBuilder,
     notes: str,
-    schedule: str | None = None,
 ) -> ExperimentResult:
     """Run the coverage grid through a sweep cache and tabulate with ``row_of``.
 
     ``cache`` is the runner's :class:`~repro.store.SweepCache` (a transparent
-    pass-through when no store is configured).  ``schedule`` selects the
-    sharded dispatch mode (``"sweep"``/``"point"``, default ``"sweep"``);
-    it is rejected when the sharded engine is not engaged.
+    pass-through when no store is configured).
     """
     sharded = _is_sharded(workers, chunk_cycles, target_ci_width)
-    if schedule is not None:
-        validate_schedule(schedule)
-        if not sharded:
-            raise ConfigurationError(
-                "schedule is only meaningful with the sharded engine: pass "
-                "workers, chunk_cycles, or target_ci_width"
-            )
-    use_sweep = sharded and (schedule or "sweep") == "sweep"
 
     def _persist_hook(config, base_seed):
         # Fired by the scheduler the moment the point's last shard lands, so
@@ -102,7 +86,7 @@ def run_coverage_sweep(
                 target_ci_width=target_ci_width,
             )
             base_seed = point_seed(seed, rate_index, distance_index)
-            if use_sweep:
+            if sharded:
                 result = cache.lookup(config, base_seed)
                 if result is None:
                     point_id = f"{rate_index}:{distance_index}"
@@ -144,18 +128,10 @@ def run_coverage_sweep(
                         cycles,
                         measurement_rounds=measurement_rounds,
                         rng=base_seed,
-                        workers=workers,
-                        chunk_cycles=chunk_cycles,
-                        target_ci_width=target_ci_width,
-                        checkpoint=(
-                            cache.checkpoint(config, base_seed)
-                            if target_ci_width is not None
-                            else None
-                        ),
                     ),
                 )
             grid.append((error_rate, distance, result))
-    scheduled = SweepScheduler(workers=workers).run(pending) if pending else {}
+    scheduled = SweepScheduler(workers=workers).run(pending)
     rows = []
     for error_rate, distance, result in grid:
         if isinstance(result, _Scheduled):

@@ -20,7 +20,6 @@ def run(
     target_ci_width: float | None = None,
     store: object | None = None,
     force: bool = False,
-    schedule: str | None = None,
 ) -> ExperimentResult:
     """Reproduce the Fig. 11 coverage curves (coverage vs distance per error rate).
 
@@ -39,10 +38,9 @@ def run(
     checkpoint per Wilson wave.  ``force`` recomputes and overwrites.
 
     ``chunk_cycles="auto"`` sizes shards per point from the budget, worker
-    count, and distance; ``schedule`` picks the sharded dispatch mode —
-    ``"sweep"`` (default) interleaves all points' shards through one
-    persistent pool, ``"point"`` keeps the legacy pool-per-point path.
-    Both knobs are wall-clock only: results are byte-identical either way.
+    count, and distance.  Sharded sweeps interleave every pending point's
+    shards through one persistent worker pool
+    (:class:`~repro.simulation.SweepScheduler`).
     """
     return run_coverage_sweep(
         sweep_cache(store, "fig11", force),
@@ -56,7 +54,6 @@ def run(
         workers=workers,
         chunk_cycles=chunk_cycles,
         target_ci_width=target_ci_width,
-        schedule=schedule,
         row_of=_fig11_row,
         notes=(
             "Paper observation: coverage stays near/above ~70% even at a 1% physical\n"

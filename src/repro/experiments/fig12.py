@@ -18,16 +18,14 @@ def run(
     target_ci_width: float | None = None,
     store: object | None = None,
     force: bool = False,
-    schedule: str | None = None,
 ) -> ExperimentResult:
     """Reproduce Fig. 12: how much real decoding work Clique does beyond zero suppression.
 
     Seeding, engine selection, and result-store semantics follow
     :func:`repro.experiments.fig11.run`: spawn-key per-point seeds, sharded
     coverage under ``workers`` / ``chunk_cycles`` (``"auto"`` sizes shards
-    per point), Wilson-adaptive sampling under ``target_ci_width``, sweep
-    scheduling under ``schedule``, and per-point persistence/resume under
-    ``store`` / ``force``.
+    per point), Wilson-adaptive sampling under ``target_ci_width``, and
+    per-point persistence/resume under ``store`` / ``force``.
     """
     return run_coverage_sweep(
         sweep_cache(store, "fig12", force),
@@ -41,7 +39,6 @@ def run(
         workers=workers,
         chunk_cycles=chunk_cycles,
         target_ci_width=target_ci_width,
-        schedule=schedule,
         row_of=_fig12_row,
         notes=(
             "Paper observation: near the surface-code threshold (highest error\n"

@@ -38,7 +38,7 @@ from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import point_seed
 from repro.simulation.memory import run_memory_experiment
 from repro.simulation.monte_carlo import WilsonStoppingRule, until_wilson
-from repro.simulation.scheduler import SweepScheduler, memory_point, validate_schedule
+from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.simulation.shard import (
     AUTO_CHUNK,
     DEFAULT_SHARD_TRIALS,
@@ -247,7 +247,6 @@ def run(
     max_retries: int | None = None,
     shard_timeout: float | None = None,
     packed: bool = True,
-    schedule: str | None = None,
 ) -> ExperimentResult:
     """Reproduce the Fig. 14 comparison (baseline vs Clique + fallback).
 
@@ -316,13 +315,11 @@ def run(
             path (default; the CLI's ``--no-packed`` turns it off).
             Bit-identical either way, so the flag is deliberately absent
             from the store key.
-        schedule: sharded-engine dispatch mode — ``"sweep"`` (the default
-            for sharded runs) interleaves every pending point's shards
-            through one persistent worker pool via
-            :class:`~repro.simulation.SweepScheduler`; ``"point"`` is the
-            legacy one-pool-per-point path.  Byte-identical results either
-            way (and deliberately absent from the store key), so the knob
-            is pure wall-clock.  Rejected on non-sharded engines.
+
+    On the sharded engine every pending (point, decoder) run's shards are
+    interleaved through one persistent worker pool
+    (:class:`~repro.simulation.SweepScheduler`), and each run is persisted
+    the moment its last shard lands.
     """
     budget, distances, engine = _resolve_scale(scale, trials, distances, engine)
     if target_ci_width is not None:
@@ -333,17 +330,11 @@ def run(
         engine = "sharded"
     cascade_tiers = _resolve_cascade(tiers, fallback)
     hierarchy_name = _cascade_label(cascade_tiers)
-    if schedule is not None:
-        validate_schedule(schedule)
-        if engine != "sharded":
-            raise ConfigurationError(
-                f"schedule={schedule!r} requires engine='sharded', got {engine!r}"
-            )
     if chunk_trials == AUTO_CHUNK and engine != "sharded":
         raise ConfigurationError(
             f"chunk_trials='auto' requires engine='sharded', got {engine!r}"
         )
-    use_sweep = engine == "sharded" and (schedule or "sweep") == "sweep"
+    sharded = engine == "sharded"
     # Deliberately absent from _memory_point_config: fault recovery replays
     # shard streams bit-identically, so the policy (like workers) never
     # affects the stored counts.
@@ -392,7 +383,7 @@ def run(
                     point_chunk,
                     escalation_cluster_size,
                 )
-                if use_sweep:
+                if sharded:
                     cached = cache.lookup(config, base_seed)
                     if cached is not None:
                         return cached
@@ -439,12 +430,6 @@ def run(
                         chunk_trials=point_chunk,
                         faults=faults,
                         packed=packed,
-                        adaptive=stop,
-                        checkpoint=(
-                            cache.checkpoint(config, base_seed)
-                            if stop is not None
-                            else None
-                        ),
                     ),
                 )
 
@@ -455,9 +440,7 @@ def run(
                 cascade_tiers,
             )
             grid.append((distance, error_rate, point_trials, baseline, hierarchical))
-    scheduled = (
-        SweepScheduler(workers=workers, faults=faults).run(pending) if pending else {}
-    )
+    scheduled = SweepScheduler(workers=workers, faults=faults).run(pending)
 
     def _resolve(ref):
         return scheduled[ref.point_id] if isinstance(ref, _Scheduled) else ref

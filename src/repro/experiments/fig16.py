@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.bandwidth.allocation import provision_for_percentile
 from repro.bandwidth.stalling import StallSimulator
 from repro.codes.rotated_surface import get_code
-from repro.exceptions import ConfigurationError
 from repro.experiments.base import ExperimentResult, sweep_cache
 from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import point_seed
@@ -15,11 +14,7 @@ from repro.simulation.coverage import (
     simulate_clique_coverage,
 )
 from repro.simulation.monte_carlo import until_wilson
-from repro.simulation.scheduler import (
-    SweepScheduler,
-    coverage_point,
-    validate_schedule,
-)
+from repro.simulation.scheduler import SweepScheduler, coverage_point
 
 #: Three operating points in the spirit of the paper's three curves.
 DEFAULT_OPERATING_POINTS = ((1e-2, 11), (5e-3, 13), (1e-3, 9))
@@ -38,7 +33,6 @@ def run(
     target_ci_width: float | None = None,
     store: object | None = None,
     force: bool = False,
-    schedule: str | None = None,
 ) -> ExperimentResult:
     """Reproduce the Fig. 16 trade-off curves.
 
@@ -58,25 +52,16 @@ def run(
     so an interrupted sweep resumes and re-runs are cache hits; ``force``
     recomputes and overwrites.
 
-    With the sharded engine engaged, ``schedule="sweep"`` (the default)
-    measures all operating points' coverage in one scheduler pre-pass —
-    their shards share a single persistent pool — before the cheap in-process
-    stall simulations run; ``schedule="point"`` keeps one pool per point.
-    ``chunk_cycles="auto"`` sizes shards per operating point.  Both knobs
-    are wall-clock only: results are byte-identical either way.
+    With the sharded engine engaged, all operating points' coverage is
+    measured in one :class:`~repro.simulation.SweepScheduler` pre-pass —
+    their shards share a single persistent pool — before the cheap
+    in-process stall simulations run.  ``chunk_cycles="auto"`` sizes shards
+    per operating point.
     """
     sharded = _is_sharded(workers, chunk_cycles, target_ci_width)
-    if schedule is not None:
-        validate_schedule(schedule)
-        if not sharded:
-            raise ConfigurationError(
-                "schedule is only meaningful with the sharded engine: pass "
-                "workers, chunk_cycles, or target_ci_width"
-            )
-    use_sweep = sharded and (schedule or "sweep") == "sweep"
     cache = sweep_cache(store, "fig16", force)
     coverages: dict[int, object] = {}
-    if use_sweep:
+    if sharded:
         # Scheduler pre-pass: every uncached operating point's coverage
         # measurement shares one persistent pool; each is persisted the
         # moment its last shard lands.
@@ -126,9 +111,8 @@ def run(
                     on_complete=_persist(coverage_config, coverage_seed),
                 )
             )
-        if pending:
-            for pid, result in SweepScheduler(workers=workers).run(pending).items():
-                coverages[int(pid)] = result
+        for pid, result in SweepScheduler(workers=workers).run(pending).items():
+            coverages[int(pid)] = result
     rows = []
     for point_index, (error_rate, distance) in enumerate(operating_points):
         code = get_code(distance)
@@ -142,25 +126,14 @@ def run(
             target_ci_width=target_ci_width,
         )
         coverage_seed = point_seed(seed, point_index)
-        if use_sweep:
+        if sharded:
             coverage = coverages[point_index]
         else:
             coverage = cache.point(
                 coverage_config,
                 coverage_seed,
                 lambda: simulate_clique_coverage(
-                    code,
-                    noise,
-                    coverage_cycles,
-                    rng=coverage_seed,
-                    workers=workers,
-                    chunk_cycles=chunk_cycles,
-                    target_ci_width=target_ci_width,
-                    checkpoint=(
-                        cache.checkpoint(coverage_config, coverage_seed)
-                        if target_ci_width is not None
-                        else None
-                    ),
+                    code, noise, coverage_cycles, rng=coverage_seed
                 ),
             )
         offchip_rate = max(coverage.offchip_fraction, 1.0 / coverage.cycles)

@@ -5,8 +5,9 @@ Three cooperating pieces:
 * :class:`FaultPolicy` / :class:`FaultReport` — how hard to try (retries,
   deterministic backoff, shard timeouts, pool respawns) and what actually
   happened;
-* :class:`ShardExecutor` — the dispatch engine under ``run_sharded`` /
-  ``run_sharded_adaptive`` implementing the recovery ladder;
+* :class:`ShardExecutor` — the dispatch engine under the sweep scheduler
+  (:class:`repro.simulation.scheduler.SweepScheduler`) implementing the
+  recovery ladder;
 * :class:`FaultInjector` + the ``REPRO_FAULT_PLAN`` grammar — a deterministic
   chaos harness for proving that a faulted run's output is byte-identical to
   a fault-free one.

@@ -1,13 +1,12 @@
 """Fault-tolerant shard dispatch: retries, timeouts, pool recovery, degrade.
 
-:class:`ShardExecutor` is the execution engine under
-:func:`repro.simulation.shard.run_sharded`,
-:func:`~repro.simulation.shard.run_sharded_adaptive`, and the sweep
-scheduler (:mod:`repro.simulation.scheduler`).  It owns the
-``ProcessPoolExecutor`` lifecycle and dispatches shard tasks — ``(kernel,
-shard_trials, seed, shard_index)`` tuples under PR 2's seeding contract,
-optionally extended with a fifth ``point_index`` element when many sweep
-points share one executor — with the recovery ladder of
+:class:`ShardExecutor` is the execution engine under the sweep scheduler
+(:class:`repro.simulation.scheduler.SweepScheduler`), which drives it through
+:meth:`ShardExecutor.run_dynamic`.  It owns the ``ProcessPoolExecutor``
+lifecycle and dispatches shard tasks — ``(kernel, shard_trials, seed,
+shard_index)`` tuples under the shard layer's seeding contract, optionally
+extended with a fifth ``point_index`` element when many sweep points share
+one executor — with the recovery ladder of
 :class:`~repro.faults.FaultPolicy`:
 
 * a **worker exception** re-dispatches the same shard (same ``(seed,
@@ -29,12 +28,8 @@ At most ``workers`` shards are in flight at once, so a shard's timeout clock
 only ever runs while a worker is actually executing it (a shard queued behind
 a full pool is not "hung").  Results come back in task order; shards dropped
 by ``on_exhausted="skip"`` yield the :data:`SKIPPED` sentinel and their
-provenance is recorded on the report.
-
-A passive policy (``max_retries=0``, no timeout) with no fault injector takes
-a zero-bookkeeping ``pool.map`` fast path — the exact pre-fault-tolerance
-dispatch, kept both as the overhead baseline and for callers that want the
-old fail-fast semantics.
+provenance is recorded on the report.  ``FaultPolicy(max_retries=0)`` is
+fail-fast: the first failure exhausts the shard.
 """
 
 from __future__ import annotations
@@ -121,11 +116,6 @@ def _execute_shard(
     return kernel(shard_trials, shard_rng(seed, shard_index))
 
 
-def _execute_shard_args(args: tuple) -> Any:
-    """``pool.map`` adapter for the passive fast path (top-level so it pickles)."""
-    return _execute_shard(*args)
-
-
 @dataclass
 class _TaskState:
     """Mutable per-shard dispatch bookkeeping (parent process only)."""
@@ -140,11 +130,10 @@ class _TaskState:
 class ShardExecutor:
     """Run shard tasks under a :class:`~repro.faults.FaultPolicy`.
 
-    Use as a context manager; one executor may serve several :meth:`run`
-    calls (e.g. the waves of an adaptive run) and keeps its pool warm across
-    them.  ``injector=None`` picks up the ambient ``REPRO_FAULT_PLAN``
-    injector (test mode); pass an explicit injector to scope a chaos plan to
-    one run.
+    Use as a context manager; one executor may serve several
+    :meth:`run_dynamic` calls and keeps its pool warm across them.
+    ``injector=None`` picks up the ambient ``REPRO_FAULT_PLAN`` injector
+    (test mode); pass an explicit injector to scope a chaos plan to one run.
     """
 
     workers: int
@@ -218,19 +207,6 @@ class ShardExecutor:
         pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
-    def run(self, tasks: list[tuple]) -> list[Any]:
-        """Execute ``tasks`` and return their outcomes in task order.
-
-        Each task is ``(kernel, shard_trials, seed, shard_index)``, optionally
-        extended with a fifth ``point_index`` element.  Entries for shards
-        dropped by ``on_exhausted="skip"`` are :data:`SKIPPED`.
-        """
-        if not tasks:
-            return []
-        if self.policy.is_passive and self.injector is None:
-            return self._run_passive(tasks)
-        return self.run_dynamic(tasks)
-
     def run_dynamic(
         self,
         tasks: list[tuple],
@@ -238,6 +214,9 @@ class ShardExecutor:
     ) -> list[Any]:
         """Execute ``tasks``, notifying ``on_complete`` as each outcome lands.
 
+        Each task is ``(kernel, shard_trials, seed, shard_index)``, optionally
+        extended with a fifth ``point_index`` element; outcomes of shards
+        dropped by ``on_exhausted="skip"`` are :data:`SKIPPED`.
         ``on_complete(index, outcome)`` fires exactly once per task, the
         moment its outcome is final (a result, or :data:`SKIPPED`), and may
         return follow-up tasks to enqueue on the same still-warm pool — this
@@ -269,20 +248,6 @@ class ShardExecutor:
             return results
         self._run_pooled(tasks, states, results, queue, finish)
         return results
-
-    # ------------------------------------------------------------------
-    def _run_passive(self, tasks: list[tuple]) -> list[Any]:
-        """The pre-fault-tolerance dispatch: no retries, fail-fast, ``pool.map``."""
-        args = [
-            (kernel, shard_trials, seed, shard_index, 0, None, True, None, point)
-            for kernel, shard_trials, seed, shard_index, point in map(
-                _task_parts, tasks
-            )
-        ]
-        pool = self._ensure_pool()
-        if pool is None:
-            return [_execute_shard(*arg) for arg in args]
-        return list(pool.map(_execute_shard_args, args))
 
     # ------------------------------------------------------------------
     def _run_sequential(

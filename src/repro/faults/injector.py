@@ -20,14 +20,13 @@ Plan grammar (clauses separated by ``;``, keywords case-insensitive)::
 ``attempts`` defaults to ``0`` (first attempt only); ``attempt`` is accepted
 as a synonym.  The optional ``point <p>`` qualifier restricts a shard clause
 to the ``p``-th point of a scheduled sweep (the scheduler's enumeration
-order); unqualified clauses match the shard index of *every* point — which
-is exactly what the same plan did when each point ran its own executor.
+order); unqualified clauses match the shard index of *every* point.
 Shard/point/attempt/line/save indices are zero-based.  Example::
 
     REPRO_FAULT_PLAN="shard 1 attempt 0 raise; shard 2 attempts 0-1 kill; \\
                       shard 0 attempt 0 hang 5; store line 3 corrupt"
 
-The sharded runners and the result store pick the plan up from the
+The shard executor and the result store pick the plan up from the
 ``REPRO_FAULT_PLAN`` environment variable automatically (test mode), or take
 an explicit :class:`FaultInjector` argument.  In-process (``workers=1`` /
 degraded) execution cannot SIGKILL or preempt itself, so ``kill`` is
@@ -72,8 +71,8 @@ class ShardFault:
     """One ``shard ...`` clause: fail a shard on a range of attempts.
 
     ``point_index`` is ``None`` for unqualified clauses (match the shard
-    index within every sweep point, as per-point executors always did) or the
-    zero-based scheduler point a ``point <p>`` qualifier pins the clause to.
+    index within every sweep point) or the zero-based scheduler point a
+    ``point <p>`` qualifier pins the clause to.
     """
 
     shard_index: int

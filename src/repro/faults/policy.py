@@ -33,9 +33,7 @@ class FaultPolicy:
 
     Attributes:
         max_retries: failed attempts re-dispatched per shard before the shard
-            is declared exhausted (``0`` disables retries — and, with
-            ``shard_timeout`` unset, selects the zero-overhead fast path that
-            is the pre-fault-tolerance ``pool.map`` behaviour).
+            is declared exhausted (``0`` disables retries: fail-fast).
         backoff_base: first-retry backoff delay in seconds; retry ``k`` waits
             ``min(backoff_cap, backoff_base * 2**(k-1))`` scaled by a
             deterministic jitter factor in ``[0.5, 1.0)`` drawn from the
@@ -89,11 +87,6 @@ class FaultPolicy:
                 f"max_pool_respawns must be non-negative, got {self.max_pool_respawns}"
             )
 
-    @property
-    def is_passive(self) -> bool:
-        """True when the policy never intervenes (no retries, no timeout)."""
-        return self.max_retries == 0 and self.shard_timeout is None
-
     def backoff_delay(self, seed: int, shard_index: int, retry: int) -> float:
         """Deterministic jittered exponential backoff before retry ``retry``.
 
@@ -121,9 +114,9 @@ class FaultPolicy:
 class SkippedShard:
     """Provenance of one shard dropped by ``on_exhausted="skip"``.
 
-    ``point_index`` identifies the sweep point the shard belonged to when the
-    run was dispatched by the sweep scheduler (tasks from many points share
-    one executor there); per-point executor runs leave it ``None``.
+    ``point_index`` identifies the sweep point the shard belonged to (tasks
+    from many points share one executor); it is ``None`` for a task
+    dispatched without a point index.
     """
 
     shard_index: int

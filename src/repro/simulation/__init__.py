@@ -25,15 +25,7 @@ from repro.simulation.scheduler import (
     coverage_point,
     memory_point,
 )
-from repro.simulation.shard import (
-    AdaptiveShardRun,
-    MemoryKernel,
-    resolve_auto_chunk,
-    run_memory_experiment_adaptive,
-    run_memory_experiment_sharded,
-    run_sharded,
-    run_sharded_adaptive,
-)
+from repro.simulation.shard import MemoryKernel, resolve_auto_chunk
 
 __all__ = [
     "PointOutcome",
@@ -52,11 +44,6 @@ __all__ = [
     "MemoryKernel",
     "run_memory_experiment",
     "run_memory_experiment_batch",
-    "run_memory_experiment_sharded",
-    "run_memory_experiment_adaptive",
-    "run_sharded",
-    "run_sharded_adaptive",
-    "AdaptiveShardRun",
     "WilsonStoppingRule",
     "until_wilson",
     "wilson_interval",

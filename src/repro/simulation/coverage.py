@@ -25,12 +25,8 @@ from repro.exceptions import ConfigurationError
 from repro.noise.models import NoiseModel
 from repro.noise.rng import make_rng
 from repro.simulation.monte_carlo import until_wilson, wilson_interval
-from repro.simulation.shard import (
-    AUTO_CHUNK,
-    resolve_auto_chunk,
-    run_sharded,
-    run_sharded_adaptive,
-)
+from repro.simulation.scheduler import SweepScheduler, coverage_point
+from repro.simulation.shard import AUTO_CHUNK, resolve_auto_chunk
 from repro.types import StabilizerType
 
 #: Cycles per shard of a sharded/adaptive coverage run: small enough that a
@@ -134,10 +130,10 @@ def _count_coverage(
 
 @dataclass(frozen=True)
 class CoverageKernel:
-    """Picklable coverage shard kernel for the generic sharded runner.
+    """Picklable coverage shard kernel (see :func:`~repro.simulation.coverage_point`).
 
     Partial results are ``(onchip_cycles, all_zero_cycles, cycles)`` count
-    tuples, merged by the runner's default elementwise sum.  The Clique
+    tuples, merged by the default elementwise sum.  The Clique
     decoder is rebuilt per shard so the kernel stays cheap to pickle.
     """
 
@@ -274,7 +270,6 @@ def simulate_clique_coverage(
     target_ci_width: float | None = None,
     min_cycles: int | None = None,
     checkpoint: object | None = None,
-    schedule: str | None = None,
 ) -> CoverageResult:
     """Estimate Clique coverage by sampling independent decode cycles.
 
@@ -286,25 +281,22 @@ def simulate_clique_coverage(
     Engine selection: with ``workers``, ``chunk_cycles``, and
     ``target_ci_width`` all ``None`` (the default), the historical in-process
     single-stream path runs and ``rng`` may be a ready generator.  Passing
-    any of them selects the sharded engine (:mod:`repro.simulation.shard`):
-    ``rng`` must then be an integer seed, and the counts are deterministic
-    per ``(seed, chunk_cycles)`` independent of ``workers`` — equal to
-    running :class:`CoverageKernel` once per shard under the
-    ``shard_rng(seed, i)`` contract and summing.
+    any of them selects the sharded engine: the point runs as a one-point
+    sweep of :class:`~repro.simulation.scheduler.SweepScheduler`, ``rng``
+    must then be an integer seed, and the counts are deterministic per
+    ``(seed, chunk_cycles)`` independent of ``workers`` — equal to running
+    :class:`CoverageKernel` once per shard under the ``shard_rng(seed, i)``
+    contract and summing.
 
     Adaptive allocation: ``target_ci_width`` stops spawning shards once the
     Wilson interval on the coverage proportion is at most that wide
     (``min_cycles`` floor, ``num_cycles`` budget cap); the result's
     ``cycles`` field records what was actually consumed.  ``checkpoint``
     (adaptive only) enables per-wave mid-point resume — see
-    :func:`repro.simulation.shard.run_sharded_adaptive`.
+    :class:`repro.simulation.scheduler.SweepPoint`.
 
     ``chunk_cycles="auto"`` resolves the shard size from the budget, worker
     count, and distance (:func:`repro.simulation.shard.resolve_auto_chunk`).
-    ``schedule="sweep"`` (sharded only) routes the point through the sweep
-    scheduler (:mod:`repro.simulation.scheduler`) — byte-identical counts,
-    near-zero overhead for a single point, used by the experiment sweeps to
-    keep one pool saturated across many points.
     """
     if num_cycles <= 0:
         raise ConfigurationError(f"num_cycles must be positive, got {num_cycles}")
@@ -323,33 +315,7 @@ def simulate_clique_coverage(
             "sampling): fixed-budget sweeps resume at sweep-point granularity"
         )
 
-    sharded = _is_sharded(workers, chunk_cycles, target_ci_width)
-    if schedule is not None:
-        from repro.simulation.scheduler import validate_schedule
-
-        validate_schedule(schedule)
-        if not sharded:
-            raise ConfigurationError(
-                "schedule is only meaningful with the sharded engine: pass "
-                "workers, chunk_cycles, or target_ci_width"
-            )
-    if not sharded:
-        generator = make_rng(rng)
-        clique = decoder or CliqueDecoder(code, stype)
-        parity_check = code.parity_check(stype).astype(np.int64)
-        onchip, all_zero = _count_coverage(
-            code,
-            noise,
-            stype,
-            measurement_rounds,
-            clique,
-            parity_check,
-            num_cycles,
-            generator,
-            batch_size,
-        )
-        cycles = num_cycles
-    else:
+    if _is_sharded(workers, chunk_cycles, target_ci_width):
         if decoder is not None:
             raise ConfigurationError(
                 "a pre-built decoder cannot be used with the sharded coverage "
@@ -367,49 +333,40 @@ def simulate_clique_coverage(
             if target_ci_width is not None
             else None
         )
-        if schedule == "sweep":
-            from repro.simulation.scheduler import SweepScheduler, coverage_point
+        point = coverage_point(
+            "point",
+            code,
+            noise,
+            cycles=num_cycles,
+            seed=rng,
+            measurement_rounds=measurement_rounds,
+            stype=stype,
+            batch_size=batch_size,
+            chunk_cycles=chunk,
+            stop=stop,
+            checkpoint=checkpoint,
+        )
+        return SweepScheduler(workers=workers).run([point])["point"]
 
-            point = coverage_point(
-                "point",
-                code,
-                noise,
-                cycles=num_cycles,
-                seed=rng,
-                measurement_rounds=measurement_rounds,
-                stype=stype,
-                batch_size=batch_size,
-                chunk_cycles=chunk,
-                stop=stop,
-                checkpoint=checkpoint,
-            )
-            return SweepScheduler(workers=workers).run([point])["point"]
-        kernel = CoverageKernel(code, noise, stype, measurement_rounds, batch_size)
-        if stop is not None:
-            run = run_sharded_adaptive(
-                kernel,
-                stop=stop,
-                successes_of=_coverage_successes,
-                seed=rng,
-                chunk_trials=chunk,
-                workers=workers,
-                checkpoint=checkpoint,
-            )
-            onchip, all_zero, cycles = run.value
-        else:
-            onchip, all_zero, cycles = run_sharded(
-                kernel,
-                trials=num_cycles,
-                seed=rng,
-                chunk_trials=chunk,
-                workers=workers,
-            )
-
+    generator = make_rng(rng)
+    clique = decoder or CliqueDecoder(code, stype)
+    parity_check = code.parity_check(stype).astype(np.int64)
+    onchip, all_zero = _count_coverage(
+        code,
+        noise,
+        stype,
+        measurement_rounds,
+        clique,
+        parity_check,
+        num_cycles,
+        generator,
+        batch_size,
+    )
     return CoverageResult(
         physical_error_rate=noise.data_error_rate,
         code_distance=code.distance,
         measurement_rounds=measurement_rounds,
-        cycles=cycles,
+        cycles=num_cycles,
         onchip_cycles=onchip,
         all_zero_cycles=all_zero,
     )

@@ -23,11 +23,13 @@ argument of :func:`run_memory_experiment`:
 * ``"batch"`` (default) — the vectorised engine of
   :mod:`repro.simulation.batch`, bit-identical to the loop under a fixed
   seed;
-* ``"sharded"`` — the multiprocess engine of :mod:`repro.simulation.shard`,
-  which fans fixed-size shards of the trial budget over worker processes.
-  It is deterministic for a fixed ``(seed, chunk_trials)`` independent of
-  the worker count, but follows its own per-shard RNG streams (see that
-  module's seeding contract) rather than the loop/batch stream.
+* ``"sharded"`` — the multiprocess engine: the run becomes a one-point
+  sweep of :class:`~repro.simulation.scheduler.SweepScheduler`, which fans
+  fixed-size shards of the trial budget over worker processes.  It is
+  deterministic for a fixed ``(seed, chunk_trials)`` independent of the
+  worker count, but follows its own per-shard RNG streams (see the seeding
+  contract of :mod:`repro.simulation.shard`) rather than the loop/batch
+  stream.
 """
 
 from __future__ import annotations
@@ -199,7 +201,6 @@ def run_memory_experiment(
     fault_report: object | None = None,
     fault_injector: object | None = None,
     packed: bool = True,
-    schedule: str | None = None,
 ) -> MemoryExperimentResult:
     """Estimate the logical error rate of a decoder with Monte-Carlo trials.
 
@@ -220,9 +221,10 @@ def run_memory_experiment(
         engine: ``"batch"`` (default) runs the vectorised engine of
             :mod:`repro.simulation.batch`; ``"loop"`` runs the per-trial
             reference path (both bit-identical under the same seed);
-            ``"sharded"`` fans the trial budget over worker processes via
-            :mod:`repro.simulation.shard` (deterministic per
-            ``(seed, chunk_trials)`` independent of ``workers``).
+            ``"sharded"`` fans the trial budget over worker processes as a
+            one-point :class:`~repro.simulation.scheduler.SweepScheduler`
+            sweep (deterministic per ``(seed, chunk_trials)`` independent of
+            ``workers``).
         workers: process count for the sharded engine (defaults to the CPU
             count; ``1`` runs the shards sequentially in-process).
         chunk_trials: trials per shard for the sharded engine.  The string
@@ -239,10 +241,11 @@ def run_memory_experiment(
             ``trials`` field records what was actually consumed.
         checkpoint: per-wave mid-point resume slot for adaptive runs (e.g.
             :class:`repro.store.AdaptiveCheckpoint`); see
-            :func:`repro.simulation.shard.run_sharded_adaptive`.
+            :class:`repro.simulation.scheduler.SweepPoint`.
         faults: a :class:`repro.faults.FaultPolicy` for the sharded engine
             (retries, shard timeouts, pool recovery); recovery never changes
-            the merged counts.  See :func:`repro.simulation.shard.run_sharded`.
+            the merged counts.  See
+            :class:`repro.simulation.scheduler.SweepScheduler`.
         fault_report: optional :class:`repro.faults.FaultReport` to
             accumulate recovery counters into.
         fault_injector: optional :class:`repro.faults.FaultInjector`
@@ -255,12 +258,6 @@ def run_memory_experiment(
             results, only throughput and peak memory.  The ``"loop"`` engine
             decodes trial by trial and has no packed representation, so the
             flag is accepted and ignored there.
-        schedule: ``"sweep"`` (sharded only) routes the run through the
-            sweep scheduler (:mod:`repro.simulation.scheduler`) — the same
-            dispatcher the multi-point experiment sweeps share one pool on.
-            Counts are byte-identical either way; for a single point this is
-            just the near-zero-overhead degenerate case.  ``"point"`` (or
-            ``None``) keeps the direct per-point engine.
     """
     if checkpoint is not None and adaptive is None:
         raise ConfigurationError(
@@ -282,91 +279,41 @@ def run_memory_experiment(
         raise ConfigurationError(
             f"adaptive allocation requires engine='sharded', got engine={engine!r}"
         )
-    if schedule is not None:
-        from repro.simulation.scheduler import validate_schedule
-
-        validate_schedule(schedule)
-        if engine != "sharded":
-            raise ConfigurationError(
-                f"schedule is only meaningful for engine='sharded', got engine={engine!r}"
-            )
     if chunk_trials == "auto" and engine != "sharded":
         raise ConfigurationError(
             "chunk_trials='auto' is only meaningful for engine='sharded': "
             "only the shard planner resolves it"
         )
     if engine == "sharded":
-        from repro.simulation.shard import (
-            AUTO_CHUNK,
-            resolve_auto_chunk,
-            run_memory_experiment_adaptive,
-            run_memory_experiment_sharded,
-        )
+        from repro.simulation.scheduler import SweepScheduler, memory_point
+        from repro.simulation.shard import AUTO_CHUNK, resolve_auto_chunk
 
         if chunk_trials == AUTO_CHUNK:
             budget = adaptive.max_trials if adaptive is not None else trials
             chunk_trials = resolve_auto_chunk(budget, workers, code.distance)
-        if schedule == "sweep":
-            from repro.simulation.scheduler import SweepScheduler, memory_point
-
-            point_kwargs = (
-                {} if chunk_trials is None else {"chunk_trials": chunk_trials}
-            )
-            point = memory_point(
-                "point",
-                code,
-                noise,
-                decoder_factory,
-                trials=trials,
-                seed=rng,
-                rounds=rounds,
-                stype=stype,
-                stop=adaptive,
-                checkpoint=checkpoint,
-                packed=packed,
-                decoder_name=decoder_name,
-                **point_kwargs,
-            )
-            scheduler = SweepScheduler(
-                workers=workers,
-                faults=faults,
-                fault_report=fault_report,
-                fault_injector=fault_injector,
-            )
-            return scheduler.run([point])["point"]
-        kwargs = {} if chunk_trials is None else {"chunk_trials": chunk_trials}
-        kwargs.update(
-            faults=faults,
-            fault_report=fault_report,
-            fault_injector=fault_injector,
-            packed=packed,
-        )
-        if adaptive is not None:
-            return run_memory_experiment_adaptive(
-                code,
-                noise,
-                decoder_factory,
-                stop=adaptive,
-                rounds=rounds,
-                stype=stype,
-                rng=rng,
-                decoder_name=decoder_name,
-                workers=workers,
-                checkpoint=checkpoint,
-                **kwargs,
-            )
-        return run_memory_experiment_sharded(
+        point_kwargs = {} if chunk_trials is None else {"chunk_trials": chunk_trials}
+        point = memory_point(
+            "point",
             code,
             noise,
             decoder_factory,
             trials=trials,
+            seed=rng,
             rounds=rounds,
             stype=stype,
-            rng=rng,
+            stop=adaptive,
+            checkpoint=checkpoint,
+            packed=packed,
             decoder_name=decoder_name,
-            workers=workers,
-            **kwargs,
+            **point_kwargs,
         )
+        scheduler = SweepScheduler(
+            workers=workers,
+            faults=faults,
+            fault_report=fault_report,
+            fault_injector=fault_injector,
+        )
+        return scheduler.run([point])["point"]
     if engine == "batch":
         # Imported lazily to avoid a circular import (batch.py builds this
         # module's MemoryExperimentResult).

@@ -45,8 +45,9 @@ def wilson_width(successes: int, trials: int, z: float = 1.96) -> float:
 class WilsonStoppingRule:
     """Adaptive trial-allocation rule: stop when the Wilson interval is tight.
 
-    The rule is consulted by :func:`repro.simulation.shard.run_sharded_adaptive`
-    after each wave of shards.  A run stops once the Wilson interval on the
+    The rule is consulted by
+    :class:`repro.simulation.scheduler.SweepScheduler` after each wave of an
+    adaptive point's shards.  A run stops once the Wilson interval on the
     tracked proportion is no wider than ``target_width`` — but never before
     ``min_trials`` trials have been observed, and always by ``max_trials``
     (the budget cap), whether or not the target was reached.

@@ -1,37 +1,37 @@
-"""Persistent-pool sweep scheduling: one executor, many points, shards interleaved.
+"""Sweep scheduling: the one dispatcher of every sharded Monte-Carlo run.
 
-A figure sweep (fig11/fig12/fig14/fig16) is dozens of independent Monte-Carlo
-points, and the per-point runners each spin up — and tear down — their own
-``ProcessPoolExecutor`` inside :class:`~repro.faults.ShardExecutor`.  That
-serialises the sweep twice over: a point's slow last shard (a d=11 blossom
-tail, say) leaves every other worker idle until the point finishes, and each
-adaptive Wilson wave queues its small trailing shard batch behind fresh
-pool-construction overhead.  :class:`SweepScheduler` owns **one** executor
-(hence one pool) for the lifetime of a sweep and keeps it saturated with
-shard tasks from *all* pending points at once: fixed-budget points enqueue
-their whole shard plan up front, adaptive points enqueue wave-by-wave through
-a per-point Wilson driver — so a converging point's tail overlaps the next
-point's first wave.
+A figure sweep (fig11/fig12/fig14/fig16) is dozens of independent
+Monte-Carlo points, each split into shards (:mod:`repro.simulation.shard`).
+:class:`SweepScheduler` owns **one** :class:`~repro.faults.ShardExecutor`
+(hence at most one process pool) for the lifetime of a sweep and keeps it
+saturated with shard tasks from *all* pending points at once: fixed-budget
+points enqueue their whole shard plan up front, adaptive points enqueue
+wave-by-wave through a per-point Wilson driver — so a converging point's
+tail overlaps the next point's first wave, and a slow last shard (a d=11
+blossom tail, say) never leaves the other workers idle.  A single sharded
+run (``run_memory_experiment(engine="sharded")``, the sharded branch of
+``simulate_clique_coverage``) is simply a one-point sweep.
 
-Determinism is untouched **by construction**.  Each shard remains a pure
-function of ``(point_seed, shard_index, chunk_trials)`` under the PR 2
-seeding contract; the scheduler merely changes *when* shards execute, never
-which shards exist or which streams they draw.  Every point's partials are
-merged in shard-index order (waves in index order, shards within a wave by
-offset), the adaptive wave schedule stays the same pure function of that
-point's consumed-trial count, and checkpoints are saved through the same
-:func:`~repro.simulation.shard._checkpoint_state` layout — so a scheduled
-sweep is byte-identical to the sequential per-point sweep at any worker
-count, stores, checkpoints, and all.
+Determinism holds **by construction**.  Each shard is a pure function of
+``(point_seed, shard_index, chunk_trials)`` under the shard layer's seeding
+contract; the scheduler only decides *when* shards execute, never which
+shards exist or which streams they draw.  Every point's partials are merged
+in shard-index order (waves in index order, shards within a wave by offset),
+so a point's result equals the manual per-shard merge
+``kernel(size, shard_rng(seed, i))`` at any worker count.  The adaptive wave
+schedule — cover ``min_trials``, then double the consumed trials, clamped to
+``max_trials`` — is a pure function of that point's consumed-trial count,
+and the state an adaptive point's ``checkpoint`` saves after every wave lets
+a killed point resume mid-point and finish bit-identical to an uninterrupted
+run.
 
-Fault tolerance rides the existing ladder unchanged: retries, timeouts, pool
+Fault tolerance is the executor's recovery ladder: retries, timeouts, pool
 respawns, and degradation are per-shard concerns of the shared
-:class:`~repro.faults.ShardExecutor` (with the one semantic shift that
-respawn/degrade budgets now span the sweep rather than a single point, since
-there is a single pool).  Tasks are dispatched tagged ``(point_index,
-shard_index)``, so chaos plans can pin a fault to one point of a scheduled
-sweep via the ``point <p>`` qualifier (see :mod:`repro.faults.injector`) and
-skipped-shard provenance stays attributable per point.  Each point is
+:class:`~repro.faults.ShardExecutor`, whose respawn/degrade budgets span the
+sweep (there is a single pool).  Tasks are dispatched tagged
+``(point_index, shard_index)``, so chaos plans can pin a fault to one point
+of a sweep via the ``point <p>`` qualifier (see :mod:`repro.faults.injector`)
+and skipped-shard provenance stays attributable per point.  Each point is
 finalised — and persisted, via its ``on_complete`` hook — the moment its
 last shard lands, preserving kill-mid-sweep resume: points completed before
 a crash are already durable in the :class:`~repro.store.ResultStore`.
@@ -57,7 +57,6 @@ from repro.simulation.shard import (
     _checkpoint_state,
     _load_checkpoint_state,
     _memory_successes,
-    _resolve_fault_args,
     _resolve_rounds,
     _resolve_seed,
     _resolve_workers,
@@ -66,20 +65,6 @@ from repro.simulation.shard import (
     plan_shards,
 )
 from repro.types import StabilizerType
-
-#: The two dispatch modes experiment runners accept: ``"sweep"`` feeds every
-#: point's shards through one persistent pool, ``"point"`` is the legacy
-#: one-pool-per-point path.  Results are byte-identical either way.
-SCHEDULE_MODES = ("sweep", "point")
-
-
-def validate_schedule(schedule: str) -> str:
-    """Reject anything but the two documented dispatch modes."""
-    if schedule not in SCHEDULE_MODES:
-        raise ConfigurationError(
-            f"schedule must be one of {SCHEDULE_MODES}, got {schedule!r}"
-        )
-    return schedule
 
 
 @dataclass
@@ -92,6 +77,21 @@ class SweepPoint:
     ``finalize`` maps the raw :class:`PointOutcome` to the caller's result
     type; ``on_complete`` fires with that finalised result the moment the
     point's last shard lands — the persistence hook.
+
+    ``kernel`` is a ``(n_trials, rng) -> partial_result`` callable that
+    crosses process boundaries, so it must pickle: a module-level function
+    or a picklable instance (e.g. a frozen dataclass) — lambdas and locally
+    defined functions fail in the workers, and lint rule ``PKL001`` rejects
+    them statically.  ``seed`` is an integer (or ``None`` for fresh entropy,
+    drawn once and shared by all shards); a ready-made generator is
+    rejected, since its state cannot be split deterministically across
+    processes.  ``checkpoint`` (adaptive only) is any ``load()`` /
+    ``save(state)`` / ``clear()`` slot, e.g.
+    :class:`repro.store.AdaptiveCheckpoint`; it is deliberately *not* cleared
+    on completion — the owner clears it once the result is durably
+    persisted (``SweepCache.finish`` does), and a leftover state is
+    harmless: a re-run finds the stopping rule already satisfied and
+    finishes without spawning a shard.
     """
 
     point_id: str
@@ -152,10 +152,27 @@ class _PointDriver:
 class SweepScheduler:
     """Run many sweep points on one persistent :class:`ShardExecutor` pool.
 
-    ``workers`` / ``faults`` / ``fault_report`` / ``fault_injector`` carry
-    the same semantics as :func:`repro.simulation.shard.run_sharded`, except
-    that the policy's pool-respawn and degradation budgets span the whole
-    sweep (one pool) instead of resetting per point.
+    Attributes:
+        workers: process count; defaults to ``os.cpu_count()``.  ``1`` runs
+            every shard sequentially in-process.  The value never affects
+            results, only wall-clock time (which is why ``workers`` sits in
+            :data:`repro.store.keys.KEY_EXCLUDED` rather than in any store
+            key).  A sweep of fixed-budget points sizes its pool at
+            ``min(workers, total shards)``, so a one-shard run builds no
+            pool at all; adaptive sweeps keep ``workers``, since their later
+            waves grow.
+        faults: the :class:`~repro.faults.FaultPolicy` governing retries,
+            timeouts, and pool recovery (default: retry each failed shard up
+            to twice with deterministic backoff).  Recovery never changes a
+            merged result — retried shards replay their streams
+            bit-identically.  The policy's pool-respawn and degradation
+            budgets span the whole sweep.
+        fault_report: optional :class:`~repro.faults.FaultReport`
+            accumulating recovery counters (retries, timeouts, pool respawns,
+            degradations, skipped shards) across every point.
+        fault_injector: optional :class:`~repro.faults.FaultInjector` with a
+            deterministic chaos plan; defaults to the ambient
+            ``REPRO_FAULT_PLAN`` environment plan, if set.
     """
 
     workers: int | None = None
@@ -182,7 +199,8 @@ class SweepScheduler:
                     f"adaptive sweep point {point.point_id!r} needs successes_of"
                 )
         workers = _resolve_workers(self.workers)
-        policy, report = _resolve_fault_args(self.faults, self.fault_report)
+        policy = self.faults if self.faults is not None else FaultPolicy()
+        report = self.fault_report if self.fault_report is not None else FaultReport()
         drivers = [_PointDriver(index, point) for index, point in enumerate(points)]
         task_meta: list[tuple[_PointDriver, int]] = []  # task index -> (driver, offset)
 
@@ -240,8 +258,8 @@ class SweepScheduler:
             ):
                 complete(driver)
                 return []
-            # Same schedule as run_sharded_adaptive, fresh or resumed: cover
-            # min_trials first, then double the consumed total, clamped.
+            # Same schedule fresh or resumed: cover min_trials first, then
+            # double the consumed total, clamped to the budget cap.
             if driver.trials_done < stop.min_trials:
                 wave = stop.min_trials - driver.trials_done
             else:
@@ -255,9 +273,9 @@ class SweepScheduler:
             point = driver.point
             sizes, outcomes = driver.wave_sizes, driver.wave_outcomes
             done_trials = 0
-            # Merge strictly by shard offset: identical associativity order
-            # to the sequential per-point path, hence byte-identical results
-            # even for non-commutative merges.
+            # Merge strictly by shard offset: the associativity order of the
+            # manual per-shard merge, hence byte-identical results at any
+            # worker count even for non-commutative merges.
             for size, outcome in zip(sizes, outcomes):
                 if outcome is SKIPPED:
                     driver.skipped_shards += 1
@@ -325,6 +343,11 @@ class SweepScheduler:
             # completes here without contributing a single shard.
             initial.extend(open_point(driver))
         if initial:
+            if all(point.stop is None for point in points):
+                # Every shard is already known: workers beyond the shard
+                # count would only be started (fork starts them all up
+                # front) to sit idle.
+                workers = min(workers, len(initial))
             with ShardExecutor(
                 workers=workers,
                 policy=policy,
@@ -360,10 +383,15 @@ def memory_point(
     decoder_name: str | None = None,
     on_complete: Callable[[Any], None] | None = None,
 ) -> SweepPoint:
-    """A memory-experiment :class:`SweepPoint` finalising to the same
-    :class:`~repro.simulation.memory.MemoryExperimentResult` the per-point
-    runners (:func:`~repro.simulation.shard.run_memory_experiment_sharded` /
-    ``_adaptive``) produce — field for field."""
+    """A memory-experiment :class:`SweepPoint` finalising to a
+    :class:`~repro.simulation.memory.MemoryExperimentResult`.
+
+    Recovery provenance lands on the result: ``engine_degraded`` when the
+    pool could not be constructed, and ``skipped_shards`` /
+    ``skipped_trials`` (with ``trials`` reduced accordingly) when
+    ``on_exhausted="skip"`` dropped shards.  Adaptive points (``stop`` set)
+    track the logical-failure rate and record the trials actually consumed.
+    """
     rounds = _resolve_rounds(code, rounds)
     kernel = MemoryKernel(code, noise, decoder_factory, rounds, stype, packed=packed)
 
@@ -426,9 +454,12 @@ def coverage_point(
     checkpoint: Any | None = None,
     on_complete: Callable[[Any], None] | None = None,
 ) -> SweepPoint:
-    """A clique-coverage :class:`SweepPoint` finalising to the same
-    :class:`~repro.simulation.coverage.CoverageResult` that
-    :func:`~repro.simulation.coverage.simulate_clique_coverage` produces."""
+    """A clique-coverage :class:`SweepPoint` finalising to a
+    :class:`~repro.simulation.coverage.CoverageResult`.
+
+    Adaptive points (``stop`` set) track the on-chip proportion; the
+    result's ``cycles`` records the cycles actually consumed.
+    """
     from repro.simulation.coverage import (
         DEFAULT_SHARD_CYCLES,
         CoverageKernel,
@@ -466,11 +497,9 @@ def coverage_point(
 
 
 __all__ = [
-    "SCHEDULE_MODES",
     "PointOutcome",
     "SweepPoint",
     "SweepScheduler",
     "coverage_point",
     "memory_point",
-    "validate_schedule",
 ]

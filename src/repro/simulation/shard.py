@@ -1,18 +1,22 @@
-"""Generic sharded Monte-Carlo runner: any batch kernel scaled across processes.
+"""Shard plans, merges, and kernels: the building blocks of sharded runs.
 
 Once a vectorised kernel (the batch memory engine of
 :mod:`repro.simulation.batch`, the coverage counter of
 :mod:`repro.simulation.coverage`, ...) saturates a core, the remaining orders
-of magnitude come from parallel scaling.  This module splits a trial budget
-into fixed-size shards, runs each shard's kernel call in a
-``ProcessPoolExecutor`` worker, and merges the per-shard partial results with
-an associative ``merge``.
+of magnitude come from parallel scaling.  A sharded run splits a trial budget
+into fixed-size shards (:func:`plan_shards`), runs each shard's kernel call
+in a worker process, and merges the per-shard partial results with an
+associative ``merge``.  The dispatch itself — one persistent
+``ProcessPoolExecutor`` fed with the shards of every point of a sweep — is
+:class:`repro.simulation.scheduler.SweepScheduler`; this module holds what
+the scheduler is built from.
 
 A *kernel* is any picklable callable ``(n_trials, rng) -> partial_result``
 (configuration — code, noise model, decoder choice — is carried on the kernel
-object itself, e.g. a frozen dataclass), and ``merge`` is an associative,
-commutative combiner of two partials.  The default merge sums numeric count
-tuples, which covers every counting experiment in the repo.
+object itself, e.g. a frozen dataclass such as :class:`MemoryKernel`), and
+``merge`` is an associative, commutative combiner of two partials.  The
+default merge (:func:`merge_counts`) sums numeric count tuples, which covers
+every counting experiment in the repo.
 
 Seeding contract
 ----------------
@@ -21,54 +25,24 @@ depends only on ``(seed, shard_index)`` — it is derived via
 ``SeedSequence(seed, spawn_key=(i,))``, i.e. exactly what
 ``SeedSequence(seed).spawn(n)[i]`` would produce for any ``n``.  The shard
 plan itself depends only on ``(trials, chunk_trials)``.  Together these make
-the runner **deterministic for a fixed** ``(seed, chunk_trials)``
+a sharded run **deterministic for a fixed** ``(seed, chunk_trials)``
 **independent of** ``workers`` — the same merged counts fall out whether the
 shards run in one process, in eight, or in a different assignment order.
 
 A sharded run is *not* bit-identical to one single-stream kernel call over
 the whole budget (each shard owns an independent child stream rather than a
 slice of the root stream), but it is exactly equal to calling the kernel once
-per shard with ``rng=shard_rng(seed, i)`` and merging — which is what the
-equivalence tests in ``tests/simulation/test_shard_engine.py`` pin.
+per shard with ``rng=shard_rng(seed, i)`` and merging in shard-index order —
+which is the oracle ``tests/simulation/test_shard_engine.py`` checks the
+scheduler against.
 
-``workers=1`` (or an unavailable ``ProcessPoolExecutor``, e.g. a sandbox
-without POSIX semaphores) runs the same shard plan sequentially in-process,
-so restricted CI environments still exercise every code path with identical
-results.  A pool that cannot be constructed degrades with a
-:class:`~repro.faults.DegradedExecutionWarning` and flags ``engine_degraded``
-on the run's :class:`~repro.faults.FaultReport` — never silently.
-
-Fault tolerance
----------------
-Dispatch goes through :class:`repro.faults.ShardExecutor`: because each
-shard's partial result is a pure function of ``(seed, shard_index)``, a
-failed, timed-out, or killed shard is simply re-dispatched and the retried
-attempt is **bit-identical** to the one that died.  ``faults=`` takes a
-:class:`~repro.faults.FaultPolicy` (default: up to 2 retries per shard,
-deterministic jittered backoff, no timeout); ``fault_report=`` exposes what
-recovery actually happened; ``fault_injector=`` (or the ambient
-``REPRO_FAULT_PLAN`` environment variable) injects deterministic chaos for
-testing.  Shards dropped under ``on_exhausted="skip"`` are excluded from the
-merge and recorded on the report — the merged counts then cover fewer trials
-than requested, and callers must propagate that provenance.
-
-Adaptive allocation
--------------------
-:func:`run_sharded_adaptive` spawns shard *waves* by index until a
-:class:`~repro.simulation.monte_carlo.WilsonStoppingRule` reports the tracked
-proportion's confidence interval tight enough.  The wave schedule (cover
-``min_trials``, then double the consumed trials each round, clamped to
-``max_trials``) is a pure function of the observed counts, so adaptive runs
-inherit the same worker-independent determinism.
-
-Checkpointing: pass ``checkpoint=`` (any object with ``load()``/``save()``/
-``clear()``, e.g. :class:`repro.store.AdaptiveCheckpoint`) and the merged
-counts plus the shard cursor are saved after every wave.  A killed run
-resumes from the last completed wave with its observed counts intact, and —
-because the wave schedule is a pure function of the consumed trial count —
-the resumed run finishes with *exactly* the counts the uninterrupted run
-would have produced.  A checkpoint whose ``(seed, chunk_trials)`` does not
-match the current run is ignored: its shard streams would not line up.
+Adaptive checkpoints
+--------------------
+Adaptive points save their merged counts plus the shard cursor after every
+Wilson wave through :func:`_checkpoint_state`; :func:`_load_checkpoint_state`
+validates a saved state against the run's ``(seed, chunk_trials)`` before
+resuming (a mismatched state's shard streams would not line up, so it is
+ignored).
 """
 
 from __future__ import annotations
@@ -81,17 +55,9 @@ import numpy as np
 
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder
-from repro.exceptions import ConfigurationError, FaultToleranceError
-from repro.faults import (
-    SKIPPED,
-    FaultInjector,
-    FaultPolicy,
-    FaultReport,
-    ShardExecutor,
-)
+from repro.exceptions import ConfigurationError
 from repro.noise.models import NoiseModel
 from repro.noise.rng import resolve_entropy
-from repro.simulation.monte_carlo import WilsonStoppingRule, wilson_interval
 from repro.types import StabilizerType
 
 #: Trials per shard.  Small enough that a paper-scale budget yields plenty of
@@ -99,16 +65,13 @@ from repro.types import StabilizerType
 #: batch-engine vectorisation and per-process decoder construction amortise.
 DEFAULT_SHARD_TRIALS = 500
 
-#: A picklable ``(n_trials, rng) -> partial_result`` shard workload.
-ShardKernel = Callable[[int, np.random.Generator], Any]
-
 
 def plan_shards(trials: int, chunk_trials: int) -> list[int]:
     """Split ``trials`` into the per-shard trial counts.
 
     The plan depends only on ``(trials, chunk_trials)`` — never on the worker
-    count — which is half of the runner's determinism guarantee (the other
-    half is :func:`repro.noise.rng.shard_rng`).
+    count — which is half of the sharded engine's determinism guarantee (the
+    other half is :func:`repro.noise.rng.shard_rng`).
     """
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive, got {trials}")
@@ -124,7 +87,7 @@ def merge_counts(left: tuple, right: tuple) -> tuple:
 
 
 #: Sentinel accepted by the ``chunk_trials`` / ``chunk_cycles`` knobs of the
-#: sharded runners: resolve the shard size from the budget, the worker count,
+#: sharded engine: resolve the shard size from the budget, the worker count,
 #: and the code distance (see :func:`resolve_auto_chunk`).
 AUTO_CHUNK = "auto"
 
@@ -182,133 +145,6 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _resolve_fault_args(
-    faults: FaultPolicy | None, fault_report: FaultReport | None
-) -> tuple[FaultPolicy, FaultReport]:
-    policy = faults if faults is not None else FaultPolicy()
-    report = fault_report if fault_report is not None else FaultReport()
-    return policy, report
-
-
-def _merge_outcomes(
-    outcomes: list, merge: Callable[[Any, Any], Any]
-) -> tuple[Any, int]:
-    """Merge executor outcomes, excluding skipped shards.
-
-    Returns ``(merged, completed_count)``; ``merged`` is ``None`` when every
-    shard was skipped.
-    """
-    merged: Any = None
-    completed = 0
-    for outcome in outcomes:
-        if outcome is SKIPPED:
-            continue
-        merged = outcome if merged is None else merge(merged, outcome)
-        completed += 1
-    return merged, completed
-
-
-def run_sharded(
-    kernel: ShardKernel,
-    trials: int,
-    seed: int | None = None,
-    chunk_trials: int = DEFAULT_SHARD_TRIALS,
-    workers: int | None = None,
-    merge: Callable[[Any, Any], Any] = merge_counts,
-    faults: FaultPolicy | None = None,
-    fault_report: FaultReport | None = None,
-    fault_injector: FaultInjector | None = None,
-) -> Any:
-    """Run ``kernel`` over a deterministic shard plan and merge the partials.
-
-    Args:
-        kernel: picklable ``(n_trials, rng) -> partial_result`` callable
-            (module-level function or picklable instance — lambdas and
-            locally defined functions fail to pickle into workers; lint rule
-            ``PKL001`` rejects them statically).
-        trials: total trial budget, split by :func:`plan_shards`.
-        seed: integer seed (or ``None`` for fresh entropy, drawn once and
-            shared by all shards).  A ready-made generator is *not* accepted:
-            its state cannot be split deterministically across processes.
-        chunk_trials: trials per shard; with the seed it fully determines the
-            result (see the module docstring).
-        workers: process count; defaults to ``os.cpu_count()``.  ``1`` runs
-            the shards sequentially in-process.  The value never affects the
-            merged result, only wall-clock time (which is why ``workers`` sits
-            in :data:`repro.store.keys.KEY_EXCLUDED` rather than in any
-            store key).
-        merge: associative, commutative combiner of two partial results.
-        faults: the :class:`~repro.faults.FaultPolicy` governing retries,
-            timeouts, and pool recovery (default: retry each failed shard up
-            to twice with deterministic backoff).  Recovery never changes the
-            merged result — retried shards replay their streams bit-identically
-            — so the policy is execution provenance, not part of the result's
-            identity.  ``FaultPolicy(max_retries=0)`` restores fail-fast
-            dispatch.
-        fault_report: optional :class:`~repro.faults.FaultReport` to
-            accumulate recovery counters (retries, timeouts, pool respawns,
-            degradations, skipped shards) into.
-        fault_injector: optional :class:`~repro.faults.FaultInjector` with a
-            deterministic chaos plan; defaults to the ambient
-            ``REPRO_FAULT_PLAN`` environment plan, if set.
-
-    Raises:
-        ShardRetriesExhaustedError: a shard kept failing past its retry
-            budget and ``faults.on_exhausted`` is ``"raise"``.
-        FaultToleranceError: ``on_exhausted="skip"`` dropped *every* shard,
-            leaving nothing to merge.
-    """
-    seed = _resolve_seed(seed)
-    workers = _resolve_workers(workers)
-    shards = plan_shards(trials, chunk_trials)
-    tasks = [
-        (kernel, shard_trials, seed, index)
-        for index, shard_trials in enumerate(shards)
-    ]
-    policy, report = _resolve_fault_args(faults, fault_report)
-    with ShardExecutor(
-        workers=min(workers, len(shards)),
-        policy=policy,
-        injector=fault_injector,
-        report=report,
-    ) as executor:
-        outcomes = executor.run(tasks)
-    merged, _ = _merge_outcomes(outcomes, merge)
-    if merged is None:
-        raise FaultToleranceError(
-            f"all {len(shards)} shard(s) were skipped after exhausting their "
-            "retry budgets; nothing to merge"
-        )
-    return merged
-
-
-@dataclass(frozen=True)
-class AdaptiveShardRun:
-    """Outcome of :func:`run_sharded_adaptive`.
-
-    Attributes:
-        value: the merged kernel partials.
-        trials: trials actually consumed (``min_trials`` .. ``max_trials``).
-        successes: tracked-proportion successes in the merged partials.
-        interval: final Wilson interval of the tracked proportion.
-        shards: number of shards (RNG stream indices) consumed.
-    """
-
-    value: Any
-    trials: int
-    successes: int
-    interval: tuple[float, float]
-    shards: int
-
-    @property
-    def width(self) -> float:
-        return self.interval[1] - self.interval[0]
-
-    @property
-    def proportion(self) -> float:
-        return self.successes / self.trials if self.trials else 0.0
-
-
 #: Format tag of the adaptive checkpoint state; bump on layout changes so a
 #: stale file from an older build is ignored rather than misread.
 #: v2: memory-kernel partials grew per-tier cascade counts (nested tuples).
@@ -325,11 +161,10 @@ def _deep_tuple(value: Any) -> Any:
 def _checkpoint_state(
     seed: int, chunk_trials: int, trials_done: int, next_index: int, merged: Any
 ) -> dict:
-    """The adaptive checkpoint payload — one layout for every writer.
+    """The adaptive checkpoint payload saved after every Wilson wave.
 
-    Both :func:`run_sharded_adaptive` and the sweep scheduler save through
-    this builder, so a point's checkpoint file is byte-identical whichever
-    engine wrote it and either can resume the other's.
+    The layout is versioned by :data:`CHECKPOINT_STATE_VERSION`; a state
+    from an older layout loads as ``None`` and the point recomputes.
     """
     return {
         "version": CHECKPOINT_STATE_VERSION,
@@ -366,125 +201,8 @@ def _load_checkpoint_state(
     return _deep_tuple(merged), trials_done, next_index
 
 
-def run_sharded_adaptive(
-    kernel: ShardKernel,
-    stop: WilsonStoppingRule,
-    successes_of: Callable[[Any], int],
-    seed: int | None = None,
-    chunk_trials: int = DEFAULT_SHARD_TRIALS,
-    workers: int | None = None,
-    merge: Callable[[Any, Any], Any] = merge_counts,
-    checkpoint: Any | None = None,
-    faults: FaultPolicy | None = None,
-    fault_report: FaultReport | None = None,
-    fault_injector: FaultInjector | None = None,
-) -> AdaptiveShardRun:
-    """Spawn shard waves by index until ``stop`` is satisfied.
-
-    The first wave covers ``stop.min_trials`` trials; each later wave doubles
-    the consumed trial count (``stop.next_wave``), clamped to
-    ``stop.max_trials``.  Shards are consumed strictly by index under the
-    module's seeding contract and the wave schedule is a pure function of the
-    observed counts, so the run is deterministic for a fixed
-    ``(seed, chunk_trials)`` independent of ``workers`` and across reruns.
-
-    Args:
-        stop: the Wilson-convergence rule (see
-            :func:`repro.simulation.monte_carlo.until_wilson`).
-        successes_of: extracts the tracked proportion's success count from a
-            merged partial result (called in the parent process only).
-        checkpoint: optional ``load()``/``save(state)``/``clear()`` slot
-            (e.g. :class:`repro.store.AdaptiveCheckpoint`).  State is saved
-            after every wave, so a killed run resumes mid-point with its
-            observed counts intact — and, the wave schedule being a pure
-            function of those counts, finishes bit-identical to an
-            uninterrupted run.  The final state is deliberately *not*
-            cleared here: the owner clears it once the returned result is
-            durably persisted (``SweepCache.point`` does), otherwise a kill
-            between completion and persistence would discard the whole run.
-            Until then the leftover state is harmless — a re-run loads it,
-            finds the stopping rule already satisfied, and returns the same
-            result without spawning a single shard.  Only JSON-compatible
-            merged partials (numbers/strings in flat tuples) are
-            checkpointable.
-        faults: per-shard :class:`~repro.faults.FaultPolicy` (see
-            :func:`run_sharded`); one executor — and hence one pool and one
-            set of recovery budgets per incident — spans all waves.  Under
-            ``on_exhausted="skip"`` a skipped shard's trials do not count
-            toward ``trials_done``, so the stopping rule only ever sees
-            trials that actually ran.
-        fault_report: optional :class:`~repro.faults.FaultReport`
-            accumulating recovery counters across all waves.
-        fault_injector: optional :class:`~repro.faults.FaultInjector`;
-            defaults to the ambient ``REPRO_FAULT_PLAN`` plan, if set.
-
-    Returns:
-        An :class:`AdaptiveShardRun` with the merged value, the trials
-        actually consumed, and the final Wilson interval.
-    """
-    seed = _resolve_seed(seed)
-    workers = _resolve_workers(workers)
-    merged: Any = None
-    trials_done = 0
-    next_index = 0
-    if checkpoint is not None:
-        resumed = _load_checkpoint_state(checkpoint, seed, chunk_trials)
-        if resumed is not None:
-            merged, trials_done, next_index = resumed
-    policy, report = _resolve_fault_args(faults, fault_report)
-    with ShardExecutor(
-        workers=workers, policy=policy, injector=fault_injector, report=report
-    ) as executor:
-        while merged is None or not stop.satisfied(successes_of(merged), trials_done):
-            # Same schedule whether fresh or resumed: cover min_trials first,
-            # then double the consumed total, clamped to the budget cap.
-            if trials_done < stop.min_trials:
-                wave = stop.min_trials - trials_done
-            else:
-                wave = stop.next_wave(trials_done)
-            if wave <= 0:
-                break
-            sizes = plan_shards(wave, chunk_trials)
-            tasks = [
-                (kernel, shard_trials, seed, next_index + offset)
-                for offset, shard_trials in enumerate(sizes)
-            ]
-            outcomes = executor.run(tasks)
-            next_index += len(sizes)
-            wave_done = sum(
-                size
-                for size, outcome in zip(sizes, outcomes)
-                if outcome is not SKIPPED
-            )
-            if wave_done == 0:
-                # Every shard of the wave was dropped: the consumed-trial
-                # cursor cannot advance and the wave schedule would spin.
-                raise FaultToleranceError(
-                    f"all {len(sizes)} shard(s) of an adaptive wave were "
-                    "skipped after exhausting their retry budgets; the run "
-                    "cannot make progress"
-                )
-            trials_done += wave_done
-            for outcome in outcomes:
-                if outcome is SKIPPED:
-                    continue
-                merged = outcome if merged is None else merge(merged, outcome)
-            if checkpoint is not None:
-                checkpoint.save(
-                    _checkpoint_state(seed, chunk_trials, trials_done, next_index, merged)
-                )
-    successes = successes_of(merged)
-    return AdaptiveShardRun(
-        value=merged,
-        trials=trials_done,
-        successes=successes,
-        interval=wilson_interval(successes, trials_done, stop.z),
-        shards=next_index,
-    )
-
-
 # ----------------------------------------------------------------------
-# Memory-experiment kernel (the original consumer of the shard layer)
+# Memory-experiment kernel
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MemoryKernel:
@@ -565,154 +283,13 @@ def _resolve_rounds(code: RotatedSurfaceCode, rounds: int | None) -> int:
     return rounds
 
 
-def run_memory_experiment_sharded(
-    code: RotatedSurfaceCode,
-    noise: NoiseModel,
-    decoder_factory: Callable[[RotatedSurfaceCode, StabilizerType], Decoder],
-    trials: int,
-    rounds: int | None = None,
-    stype: StabilizerType = StabilizerType.X,
-    rng: int | None = None,
-    decoder_name: str | None = None,
-    chunk_trials: int = DEFAULT_SHARD_TRIALS,
-    workers: int | None = None,
-    faults: FaultPolicy | None = None,
-    fault_report: FaultReport | None = None,
-    fault_injector: FaultInjector | None = None,
-    packed: bool = True,
-):
-    """Sharded counterpart of :func:`repro.simulation.memory.run_memory_experiment`.
-
-    Args:
-        rng: integer seed (or ``None`` for fresh entropy, drawn once and
-            shared by all shards).  A ready-made generator is *not* accepted.
-        chunk_trials: trials per shard; with the seed it fully determines the
-            result (see the module docstring).
-        workers: process count; defaults to ``os.cpu_count()``.  ``1`` runs
-            the shards sequentially in-process.  The value never affects the
-            merged counts, only wall-clock time.
-        faults / fault_report / fault_injector: see :func:`run_sharded`.
-            Recovery provenance lands on the returned result:
-            ``engine_degraded`` when the pool could not be constructed, and
-            ``skipped_shards`` / ``skipped_trials`` (with ``trials`` reduced
-            accordingly) when ``on_exhausted="skip"`` dropped shards.
-        packed: run each shard's batch kernel on the uint64 bitplane hot
-            path (default).  Bit-identical to ``packed=False`` per shard, so
-            the knob never changes the merged counts.
-    """
-    # Imported lazily: memory.py re-exports this engine behind its
-    # ``engine="sharded"`` switch, so a module-level import would be circular.
-    from repro.simulation.memory import MemoryExperimentResult
-
-    rounds = _resolve_rounds(code, rounds)
-    policy, report = _resolve_fault_args(faults, fault_report)
-    failures, onchip_rounds, total_rounds, kernel_name, tier_names, tier_trials, tier_rounds = run_sharded(
-        MemoryKernel(code, noise, decoder_factory, rounds, stype, packed=packed),
-        trials=trials,
-        seed=rng,
-        chunk_trials=chunk_trials,
-        workers=workers,
-        merge=merge_memory_counts,
-        faults=policy,
-        fault_report=report,
-        fault_injector=fault_injector,
-    )
-    return MemoryExperimentResult(
-        physical_error_rate=noise.data_error_rate,
-        code_distance=code.distance,
-        rounds=rounds,
-        trials=trials - report.skipped_trials,
-        logical_failures=failures,
-        decoder_name=decoder_name or kernel_name,
-        onchip_rounds=onchip_rounds,
-        total_rounds=total_rounds,
-        tier_names=tier_names,
-        tier_trials=tier_trials,
-        tier_rounds=tier_rounds,
-        engine_degraded=report.engine_degraded,
-        skipped_shards=len(report.skipped_shards),
-        skipped_trials=report.skipped_trials,
-    )
-
-
-def run_memory_experiment_adaptive(
-    code: RotatedSurfaceCode,
-    noise: NoiseModel,
-    decoder_factory: Callable[[RotatedSurfaceCode, StabilizerType], Decoder],
-    stop: WilsonStoppingRule,
-    rounds: int | None = None,
-    stype: StabilizerType = StabilizerType.X,
-    rng: int | None = None,
-    decoder_name: str | None = None,
-    chunk_trials: int = DEFAULT_SHARD_TRIALS,
-    workers: int | None = None,
-    checkpoint: Any | None = None,
-    faults: FaultPolicy | None = None,
-    fault_report: FaultReport | None = None,
-    fault_injector: FaultInjector | None = None,
-    packed: bool = True,
-):
-    """Adaptive memory experiment: shards until the failure-rate CI converges.
-
-    The tracked proportion is the logical-failure rate; ``stop`` bounds the
-    budget (``stop.max_trials``) and the returned result's ``trials`` field
-    records what was actually consumed.  ``checkpoint`` enables per-wave
-    mid-point resume (see :func:`run_sharded_adaptive`); ``faults`` /
-    ``fault_report`` / ``fault_injector`` configure per-shard fault
-    tolerance (see :func:`run_sharded`), with recovery provenance attached
-    to the returned result as in :func:`run_memory_experiment_sharded`.
-    ``packed`` selects each shard's bitplane hot path (default on) and never
-    changes counts, waves, or checkpoints — packed and unpacked shards are
-    bit-identical, so a checkpoint written by either resumes under the other.
-    """
-    from repro.simulation.memory import MemoryExperimentResult
-
-    rounds = _resolve_rounds(code, rounds)
-    policy, report = _resolve_fault_args(faults, fault_report)
-    run = run_sharded_adaptive(
-        MemoryKernel(code, noise, decoder_factory, rounds, stype, packed=packed),
-        stop=stop,
-        successes_of=_memory_successes,
-        seed=rng,
-        chunk_trials=chunk_trials,
-        workers=workers,
-        merge=merge_memory_counts,
-        checkpoint=checkpoint,
-        faults=policy,
-        fault_report=report,
-        fault_injector=fault_injector,
-    )
-    failures, onchip_rounds, total_rounds, kernel_name, tier_names, tier_trials, tier_rounds = run.value
-    return MemoryExperimentResult(
-        physical_error_rate=noise.data_error_rate,
-        code_distance=code.distance,
-        rounds=rounds,
-        trials=run.trials,
-        logical_failures=failures,
-        decoder_name=decoder_name or kernel_name,
-        onchip_rounds=onchip_rounds,
-        total_rounds=total_rounds,
-        tier_names=tier_names,
-        tier_trials=tier_trials,
-        tier_rounds=tier_rounds,
-        engine_degraded=report.engine_degraded,
-        skipped_shards=len(report.skipped_shards),
-        skipped_trials=report.skipped_trials,
-    )
-
-
 __all__ = [
     "AUTO_CHUNK",
     "CHECKPOINT_STATE_VERSION",
     "DEFAULT_SHARD_TRIALS",
-    "AdaptiveShardRun",
     "MemoryKernel",
     "merge_counts",
     "merge_memory_counts",
     "plan_shards",
     "resolve_auto_chunk",
-    "run_sharded",
-    "run_sharded_adaptive",
-    "run_memory_experiment_adaptive",
-    "run_memory_experiment_sharded",
 ]

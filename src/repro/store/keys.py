@@ -41,7 +41,9 @@ CODE_VERSION_SALT = "repro-results-v2"
 #: function — i.e. it is folded into the key — or be listed here.  A new
 #: knob in neither place fails ``repro-qec lint`` until someone decides
 #: which side it belongs on, which kills the "added a kwarg, forgot the
-#: store key, served stale results" bug class at the signature.  When a
+#: store key, served stale results" bug class at the signature.  The check
+#: runs both ways: an entry here that is no longer a keyword of either
+#: runner fails lint too, so the list shrinks along with the knobs.  When a
 #: keyword graduates from key-neutral to result-affecting, move it out of
 #: this dict *and* bump :data:`CODE_VERSION_SALT` if old stored numbers are
 #: no longer comparable.
@@ -58,8 +60,6 @@ KEY_EXCLUDED: dict[str, str] = {
     "fault_report": "output-only execution-provenance sink",
     "fault_injector": "test-only injection; recovered runs are bit-identical",
     "packed": "bitplane and uint8 kernels are bit-identical under one seed",
-    "schedule": "dispatch interleaving only: scheduled and per-point sweeps "
-    "merge identical shard streams in identical order",
 }
 
 

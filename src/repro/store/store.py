@@ -81,8 +81,8 @@ def _state_crc(state: Mapping[str, Any]) -> int:
 class AdaptiveCheckpoint:
     """Atomic save/load/clear of one adaptive run's mid-point state.
 
-    The state is an opaque JSON-compatible dict owned by
-    :func:`~repro.simulation.shard.run_sharded_adaptive` (observed counts,
+    The state is an opaque JSON-compatible dict owned by the adaptive points
+    of :class:`~repro.simulation.scheduler.SweepScheduler` (observed counts,
     shard cursor, seed); this class guarantees that a kill at any moment
     leaves either the previous complete state or the new complete state on
     disk, never a torn file — and, via the CRC envelope, that a file damaged

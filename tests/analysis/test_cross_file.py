@@ -128,12 +128,36 @@ class TestKey001:
         assert "_memory_point_config" in findings[0].message
         assert "cannot be verified" in findings[0].message
 
+    def test_stale_exclusion_entry_fails_lint(self, scratch_tree):
+        # An excluded keyword no runner accepts any more (a deleted knob)
+        # is reported at its KEY_EXCLUDED entry once both runners are linted.
+        keys = scratch_tree / "store/keys.py"
+        edit(
+            keys,
+            '    "packed": ',
+            '    "retired_knob": "a knob both runners have since dropped",\n'
+            '    "packed": ',
+        )
+        runners = [
+            scratch_tree / "simulation/memory.py",
+            scratch_tree / "simulation/coverage.py",
+        ]
+        findings = lint_paths(runners)
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("KEY001", keys.as_posix(), line_of(keys, "retired_knob"))
+        ]
+        assert "'retired_knob'" in findings[0].message
+        assert "stale" in findings[0].message
+        # With only one runner linted the other's signature is unknown, so
+        # staleness cannot be judged.
+        assert lint_paths(runners[:1]) == []
+
     def test_coverage_contract_is_checked_too(self, scratch_tree):
         runner = scratch_tree / "simulation/coverage.py"
         edit(
             runner,
-            "    schedule: str | None = None,\n) -> CoverageResult:",
-            "    schedule: str | None = None,\n"
+            "    checkpoint: object | None = None,\n) -> CoverageResult:",
+            "    checkpoint: object | None = None,\n"
             f"{FAKE_KWARG}\n"
             ") -> CoverageResult:",
         )

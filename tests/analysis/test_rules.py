@@ -212,8 +212,8 @@ class TestDty001ExplicitDtype:
 class TestPkl001PicklableKernels:
     def test_lambda_kernel_is_flagged(self):
         assert_one(
-            "from repro.simulation.shard import run_sharded\n"
-            "run_sharded(lambda rng: 0, trials=10)\n",
+            "from repro.simulation.scheduler import SweepPoint\n"
+            "SweepPoint(\"p\", lambda n, rng: 0, trials=10)\n",
             OUTSIDE,
             "PKL001",
             2,
@@ -221,8 +221,8 @@ class TestPkl001PicklableKernels:
 
     def test_lambda_via_kernel_keyword_is_flagged(self):
         assert_one(
-            "from repro.simulation.shard import run_sharded\n"
-            "run_sharded(trials=10, kernel=lambda rng: 0)\n",
+            "from repro.simulation.scheduler import SweepPoint\n"
+            "SweepPoint(point_id=\"p\", trials=10, kernel=lambda n, rng: 0)\n",
             OUTSIDE,
             "PKL001",
             2,
@@ -230,12 +230,12 @@ class TestPkl001PicklableKernels:
 
     def test_locally_defined_kernel_is_flagged(self):
         assert_one(
-            "from repro.simulation.shard import run_sharded\n"
+            "from repro.simulation.scheduler import SweepPoint\n"
             "\n"
             "def outer():\n"
-            "    def kernel(rng):\n"
+            "    def kernel(n, rng):\n"
             "        return 0\n"
-            "    return run_sharded(kernel, trials=10)\n",
+            "    return SweepPoint(\"p\", kernel, trials=10)\n",
             OUTSIDE,
             "PKL001",
             6,
@@ -244,13 +244,13 @@ class TestPkl001PicklableKernels:
     def test_partial_wrapping_a_local_function_is_flagged(self):
         assert_one(
             "import functools\n"
-            "from repro.simulation.shard import run_sharded_adaptive\n"
+            "from repro.simulation.scheduler import SweepPoint\n"
             "\n"
             "def outer():\n"
-            "    def kernel(rng, scale):\n"
+            "    def kernel(n, rng, scale):\n"
             "        return 0\n"
             "    bound = functools.partial(kernel, scale=2)\n"
-            "    return run_sharded_adaptive(functools.partial(kernel, 2), trials=9)\n",
+            "    return SweepPoint(\"p\", functools.partial(kernel, 2), trials=9)\n",
             OUTSIDE,
             "PKL001",
             8,
@@ -258,20 +258,47 @@ class TestPkl001PicklableKernels:
 
     def test_module_level_kernel_passes(self):
         assert_clean(
-            "from repro.simulation.shard import run_sharded\n"
+            "from repro.simulation.scheduler import SweepPoint\n"
             "\n"
-            "def kernel(rng):\n"
+            "def kernel(n, rng):\n"
             "    return 0\n"
             "\n"
             "def main():\n"
-            "    return run_sharded(kernel, trials=10)\n",
+            "    return SweepPoint(\"p\", kernel, trials=10)\n",
             OUTSIDE,
         )
 
-    def test_attribute_spelled_runner_is_recognised(self):
+    def test_parent_side_hooks_may_be_local(self):
+        # finalize / on_complete / successes_of run in the parent process
+        # and never pickle: only the kernel argument is checked.
+        assert_clean(
+            "from repro.simulation.scheduler import SweepPoint\n"
+            "\n"
+            "def kernel(n, rng):\n"
+            "    return 0\n"
+            "\n"
+            "def main(cache):\n"
+            "    def finalize(outcome):\n"
+            "        return outcome\n"
+            "    return SweepPoint(\n"
+            "        \"p\", kernel, 10, finalize=finalize, on_complete=lambda r: r\n"
+            "    )\n",
+            OUTSIDE,
+        )
+
+    def test_splatted_arguments_are_given_the_benefit_of_the_doubt(self):
+        assert_clean(
+            "from repro.simulation.scheduler import SweepPoint\n"
+            "\n"
+            "def main(args):\n"
+            "    return SweepPoint(*args, trials=10)\n",
+            OUTSIDE,
+        )
+
+    def test_attribute_spelled_constructor_is_recognised(self):
         assert_one(
-            "from repro.simulation import shard\n"
-            "shard.run_sharded(lambda rng: 0, trials=10)\n",
+            "from repro.simulation import scheduler\n"
+            "scheduler.SweepPoint(\"p\", lambda n, rng: 0, trials=10)\n",
             OUTSIDE,
             "PKL001",
             2,

@@ -3,7 +3,7 @@
 Covers the two headline behaviours:
 
 * a fig14 paper-scale-shaped sweep killed mid-run and re-invoked with the
-  same store recomputes only the missing points (kernel invocations are
+  same store recomputes only the missing points (scheduled points are
   counted);
 * a fully-warm fig11 re-run produces byte-identical rows to the cold run
   while invoking zero Monte-Carlo kernels;
@@ -19,8 +19,8 @@ import repro.experiments.coverage_sweep as coverage_sweep_module
 import repro.experiments.fig14 as fig14_module
 import repro.experiments.fig16 as fig16_module
 from repro.experiments.registry import run_experiment
+from repro.simulation import SweepPoint, SweepScheduler
 from repro.simulation.monte_carlo import until_wilson
-from repro.simulation.shard import run_sharded_adaptive
 from repro.store import ResultStore
 
 
@@ -42,6 +42,22 @@ class _BernoulliKernel:
 def bernoulli_successes(counts):
     return counts[0]
 
+
+def run_adaptive(kernel, stop, checkpoint=None, seed=17, chunk_trials=50, workers=1):
+    """One adaptive point through the sweep scheduler; returns its outcome."""
+    point = SweepPoint(
+        "point",
+        kernel,
+        stop.max_trials,
+        seed=seed,
+        chunk_trials=chunk_trials,
+        stop=stop,
+        successes_of=bernoulli_successes,
+        checkpoint=checkpoint,
+    )
+    return SweepScheduler(workers=workers).run([point])["point"]
+
+
 FIG14_PARAMS = dict(
     scale="paper",
     trials=24,
@@ -49,11 +65,6 @@ FIG14_PARAMS = dict(
     error_rates=(1e-2, 2e-2),
     workers=1,
     seed=11,
-    # Pin the per-point dispatch path: these tests count
-    # ``run_memory_experiment`` invocations, which the default sweep
-    # schedule replaces with scheduler tasks (its resume behaviour is
-    # pinned in test_schedule_identity.py).
-    schedule="point",
 )
 FIG14_POINTS = 2 * 2 * 2  # distances x rates x decoders
 
@@ -69,14 +80,12 @@ class _Killed(RuntimeError):
     """Stands in for SIGKILL/Ctrl-C in the mid-run kill tests."""
 
 
-def _counting(monkeypatch, module, name, kill_after=None):
-    """Wrap ``module.name`` to count invocations, optionally raising first."""
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` to count invocations."""
     calls = []
     original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        if kill_after is not None and len(calls) >= kill_after:
-            raise _Killed(f"killed after {kill_after} {name} calls")
         calls.append(1)
         return original(*args, **kwargs)
 
@@ -84,23 +93,46 @@ def _counting(monkeypatch, module, name, kill_after=None):
     return calls
 
 
+def _counting_points(monkeypatch, kill_after=None):
+    """Wrap fig14's ``memory_point`` to count the points a sweep schedules.
+
+    With ``kill_after``, the persistence hook of every scheduled point dies
+    once that many points have been stored — a kill between two points of
+    a running sweep.  Returns ``(scheduled, stored)`` counters.
+    """
+    scheduled, stored = [], []
+    original = fig14_module.memory_point
+
+    def wrapper(*args, on_complete, **kwargs):
+        scheduled.append(1)
+
+        def persist(result):
+            if kill_after is not None and len(stored) >= kill_after:
+                raise _Killed(f"killed after {kill_after} stored points")
+            stored.append(1)
+            on_complete(result)
+
+        return original(*args, on_complete=persist, **kwargs)
+
+    monkeypatch.setattr(fig14_module, "memory_point", wrapper)
+    return scheduled, stored
+
+
 class TestFig14KilledSweepResume:
     def test_rerun_recomputes_only_missing_points(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "store"
         killed_after = 3
 
-        first_calls = _counting(
-            monkeypatch, fig14_module, "run_memory_experiment", kill_after=killed_after
-        )
+        _, stored = _counting_points(monkeypatch, kill_after=killed_after)
         with pytest.raises(_Killed):
             run_experiment("fig14", store=str(store_dir), **FIG14_PARAMS)
-        assert len(first_calls) == killed_after
+        assert len(stored) == killed_after
         assert len(ResultStore(store_dir)) == killed_after
 
         monkeypatch.undo()
-        second_calls = _counting(monkeypatch, fig14_module, "run_memory_experiment")
+        scheduled, _ = _counting_points(monkeypatch)
         resumed = run_experiment("fig14", store=str(store_dir), **FIG14_PARAMS)
-        assert len(second_calls) == FIG14_POINTS - killed_after
+        assert len(scheduled) == FIG14_POINTS - killed_after
         assert len(resumed.rows) == FIG14_POINTS // 2
 
         # The resumed sweep is indistinguishable from a never-interrupted one.
@@ -111,9 +143,9 @@ class TestFig14KilledSweepResume:
     def test_force_recomputes_every_point(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "store"
         run_experiment("fig14", store=str(store_dir), **FIG14_PARAMS)
-        calls = _counting(monkeypatch, fig14_module, "run_memory_experiment")
+        scheduled, _ = _counting_points(monkeypatch)
         run_experiment("fig14", store=str(store_dir), force=True, **FIG14_PARAMS)
-        assert len(calls) == FIG14_POINTS
+        assert len(scheduled) == FIG14_POINTS
 
 
 class TestPackedStoreCompatibility:
@@ -129,11 +161,11 @@ class TestPackedStoreCompatibility:
         cold = run_experiment(
             "fig14", store=str(store_dir), packed=False, **FIG14_PARAMS
         )
-        calls = _counting(monkeypatch, fig14_module, "run_memory_experiment")
+        scheduled, _ = _counting_points(monkeypatch)
         warm = run_experiment(
             "fig14", store=str(store_dir), packed=True, **FIG14_PARAMS
         )
-        assert calls == []
+        assert scheduled == []
         assert warm.rows == cold.rows
         assert warm.format_table() == cold.format_table()
 
@@ -232,44 +264,35 @@ class TestAdaptiveWaveCheckpointing:
         return until_wilson(**self.STOP)
 
     def test_killed_adaptive_run_resumes_with_identical_counts(self, tmp_path):
-        uninterrupted = run_sharded_adaptive(
-            self.KERNEL, self._stop(), bernoulli_successes, **self.RUN
-        )
+        uninterrupted = run_adaptive(self.KERNEL, self._stop(), **self.RUN)
         assert uninterrupted.trials > self.STOP["min_trials"]  # multiple waves
 
         checkpoint = ResultStore(tmp_path).checkpoint("point")
         with pytest.raises(_Killed):
-            run_sharded_adaptive(
+            run_adaptive(
                 self.KERNEL,
                 self._stop(),
-                bernoulli_successes,
                 checkpoint=_KillingCheckpoint(checkpoint, kill_after_saves=1),
                 **self.RUN,
             )
         assert checkpoint.load() is not None  # wave 1 survived the kill
 
         counting = _CountingKernel(self.KERNEL)
-        resumed = run_sharded_adaptive(
-            counting, self._stop(), bernoulli_successes, checkpoint=checkpoint, **self.RUN
-        )
+        resumed = run_adaptive(counting, self._stop(), checkpoint=checkpoint, **self.RUN)
         assert resumed == uninterrupted
         # Only the post-kill waves ran: strictly fewer trials than the total.
         assert 0 < sum(counting.calls) < uninterrupted.trials
 
     def test_completed_checkpoint_is_resume_idempotent(self, tmp_path):
-        # The adaptive runner deliberately leaves the final state behind
+        # An adaptive point deliberately leaves the final state behind
         # (the owner clears it only after persisting the result, so a kill
         # in between costs nothing): re-running from a completed checkpoint
         # must return the identical result without spawning a single shard.
         checkpoint = ResultStore(tmp_path).checkpoint("point")
-        first = run_sharded_adaptive(
-            self.KERNEL, self._stop(), bernoulli_successes, checkpoint=checkpoint, **self.RUN
-        )
+        first = run_adaptive(self.KERNEL, self._stop(), checkpoint=checkpoint, **self.RUN)
         assert checkpoint.load() is not None
         counting = _CountingKernel(self.KERNEL)
-        rerun = run_sharded_adaptive(
-            counting, self._stop(), bernoulli_successes, checkpoint=checkpoint, **self.RUN
-        )
+        rerun = run_adaptive(counting, self._stop(), checkpoint=checkpoint, **self.RUN)
         assert rerun == first
         assert counting.calls == []
 
@@ -284,10 +307,9 @@ class TestAdaptiveWaveCheckpointing:
         config = {"kind": "bernoulli"}
 
         def compute():
-            run = run_sharded_adaptive(
+            run = run_adaptive(
                 self.KERNEL,
                 self._stop(),
-                bernoulli_successes,
                 checkpoint=cache.checkpoint(config, self.RUN["seed"]),
                 **self.RUN,
             )
@@ -304,41 +326,31 @@ class TestAdaptiveWaveCheckpointing:
     def test_checkpoint_with_wrong_seed_is_ignored(self, tmp_path):
         checkpoint = ResultStore(tmp_path).checkpoint("point")
         with pytest.raises(_Killed):
-            run_sharded_adaptive(
+            run_adaptive(
                 self.KERNEL,
                 self._stop(),
-                bernoulli_successes,
                 checkpoint=_KillingCheckpoint(checkpoint, kill_after_saves=1),
                 **self.RUN,
             )
         other_run = dict(self.RUN, seed=self.RUN["seed"] + 1)
         counting = _CountingKernel(self.KERNEL)
-        fresh = run_sharded_adaptive(
-            counting, self._stop(), bernoulli_successes, checkpoint=checkpoint, **other_run
-        )
-        reference = run_sharded_adaptive(
-            self.KERNEL, self._stop(), bernoulli_successes, **other_run
-        )
+        fresh = run_adaptive(counting, self._stop(), checkpoint=checkpoint, **other_run)
+        reference = run_adaptive(self.KERNEL, self._stop(), **other_run)
         assert fresh == reference
         assert sum(counting.calls) == reference.trials  # started from scratch
 
     def test_checkpoint_with_wrong_chunk_is_ignored(self, tmp_path):
         checkpoint = ResultStore(tmp_path).checkpoint("point")
         with pytest.raises(_Killed):
-            run_sharded_adaptive(
+            run_adaptive(
                 self.KERNEL,
                 self._stop(),
-                bernoulli_successes,
                 checkpoint=_KillingCheckpoint(checkpoint, kill_after_saves=1),
                 **self.RUN,
             )
         other_run = dict(self.RUN, chunk_trials=25)
-        fresh = run_sharded_adaptive(
-            self.KERNEL, self._stop(), bernoulli_successes, checkpoint=checkpoint, **other_run
-        )
-        reference = run_sharded_adaptive(
-            self.KERNEL, self._stop(), bernoulli_successes, **other_run
-        )
+        fresh = run_adaptive(self.KERNEL, self._stop(), checkpoint=checkpoint, **other_run)
+        reference = run_adaptive(self.KERNEL, self._stop(), **other_run)
         assert fresh == reference
 
     def test_fig14_adaptive_store_rerun_reuses_points(self, tmp_path):

@@ -9,17 +9,11 @@ from repro.faults import FaultPolicy, FaultReport, SkippedShard
 
 
 class TestFaultPolicyValidation:
-    def test_defaults_are_valid_and_not_passive(self):
+    def test_defaults_are_valid(self):
         policy = FaultPolicy()
         assert policy.max_retries == 2
         assert policy.shard_timeout is None
         assert policy.on_exhausted == "raise"
-        assert not policy.is_passive
-
-    def test_zero_retries_without_timeout_is_passive(self):
-        assert FaultPolicy(max_retries=0).is_passive
-        assert not FaultPolicy(max_retries=0, shard_timeout=5.0).is_passive
-        assert not FaultPolicy(max_retries=1).is_passive
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,6 +1,7 @@
 """Property tests for Wilson-converged adaptive trial allocation.
 
-The contract under test (``until_wilson`` + ``run_sharded_adaptive``):
+The contract under test (``until_wilson`` driving an adaptive
+:class:`~repro.simulation.SweepPoint` through the sweep scheduler):
 
 * a run halts with the Wilson interval no wider than the target — unless the
   ``max_trials`` budget ran out first, in which case exactly the budget was
@@ -22,20 +23,29 @@ from repro.simulation.monte_carlo import (
     until_wilson,
     wilson_width,
 )
-from repro.simulation.shard import run_sharded_adaptive
 
-from shard_kernels import BernoulliKernel, bernoulli_successes
+from shard_kernels import (
+    BernoulliKernel,
+    adaptive_oracle,
+    bernoulli_successes,
+    run_point,
+)
 
 
 def _run(rate, rule, seed, chunk=100, workers=1):
-    return run_sharded_adaptive(
+    return run_point(
         BernoulliKernel(rate),
+        rule.max_trials,
+        seed,
+        chunk,
+        workers=workers,
         stop=rule,
         successes_of=bernoulli_successes,
-        seed=seed,
-        chunk_trials=chunk,
-        workers=workers,
     )
+
+
+def _width(run):
+    return run.interval[1] - run.interval[0]
 
 
 class TestUntilWilson:
@@ -88,15 +98,15 @@ class TestAdaptiveRunner:
         rule = until_wilson(target, min_trials=100, max_trials=20_000)
         run = _run(rate, rule, seed)
         assert rule.min_trials <= run.trials <= rule.max_trials
-        assert run.width == wilson_width(run.successes, run.trials)
-        assert run.width <= target or run.trials == rule.max_trials
+        assert _width(run) == wilson_width(run.successes, run.trials)
+        assert _width(run) <= target or run.trials == rule.max_trials
 
     def test_budget_cap_is_never_exceeded(self):
         # Width 0.001 at p=0.5 needs ~4M trials; the cap must bind instead.
         rule = until_wilson(0.001, min_trials=100, max_trials=700)
         run = _run(0.5, rule, seed=7)
         assert run.trials == 700
-        assert run.width > rule.target_width
+        assert _width(run) > rule.target_width
 
     def test_deterministic_across_reruns(self):
         rule = until_wilson(0.1, min_trials=100, max_trials=10_000)
@@ -120,7 +130,7 @@ class TestAdaptiveRunner:
         rule = until_wilson(0.05, min_trials=400, max_trials=50_000)
         run = _run(rate, rule, seed=17)
         assert run.trials == rule.min_trials
-        assert run.width <= rule.target_width
+        assert _width(run) <= rule.target_width
         assert run.successes == (0 if rate == 0.0 else run.trials)
 
     def test_never_stops_below_min_trials_even_when_converged(self):
@@ -140,7 +150,13 @@ class TestAdaptiveRunner:
         assert same_chunk[0].trials == same_chunk[1].trials
         assert same_chunk[0].successes == same_chunk[1].successes
 
-    def test_proportion_property(self):
+    def test_matches_manual_wave_oracle(self):
         rule = until_wilson(0.2, min_trials=100, max_trials=1000)
         run = _run(0.4, rule, seed=29)
-        assert run.proportion == run.successes / run.trials
+        merged, trials, shards, _ = adaptive_oracle(
+            BernoulliKernel(0.4), rule, bernoulli_successes, 29, 100
+        )
+        assert run.value == merged
+        assert run.trials == trials == merged[1]
+        assert run.shards == shards
+        assert run.successes == merged[0]

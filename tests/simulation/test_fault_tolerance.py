@@ -31,28 +31,17 @@ from repro.faults import (
     ShardFault,
 )
 from repro.noise.models import PhenomenologicalNoise
+from repro.simulation.memory import run_memory_experiment
 from repro.simulation.monte_carlo import until_wilson
-from repro.simulation.shard import (
-    run_memory_experiment_sharded,
-    run_sharded,
-    run_sharded_adaptive,
-)
 from repro.store import AdaptiveCheckpoint, to_dict
-from shard_kernels import BernoulliKernel, bernoulli_successes
+from shard_kernels import BernoulliKernel, bernoulli_successes, run_point
 
 #: No-sleep policy for tests: retries are instant, results unaffected.
 FAST = dict(backoff_base=0.0)
 
 
 def run_counts(workers, **kwargs):
-    return run_sharded(
-        BernoulliKernel(0.3),
-        trials=200,
-        seed=99,
-        chunk_trials=25,
-        workers=workers,
-        **kwargs,
-    )
+    return run_point(BernoulliKernel(0.3), 200, 99, 25, workers=workers, **kwargs).value
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +101,11 @@ class TestRetryEquivalence:
 
         report = FaultReport()
         with pytest.raises(ConfigurationError):
-            run_sharded(
+            run_point(
                 MisconfiguredKernel(),
-                trials=10,
-                seed=1,
-                chunk_trials=10,
-                workers=1,
+                10,
+                1,
+                10,
                 faults=FaultPolicy(max_retries=5, **FAST),
                 fault_report=report,
             )
@@ -141,12 +129,11 @@ class TestSkipProvenance:
 
     def test_all_shards_skipped_raises(self):
         with pytest.raises(FaultToleranceError):
-            run_sharded(
+            run_point(
                 BernoulliKernel(0.3),
-                trials=20,
-                seed=99,
-                chunk_trials=10,
-                workers=1,
+                20,
+                99,
+                10,
                 faults=FaultPolicy(max_retries=0, on_exhausted="skip", **FAST),
                 fault_injector=FaultInjector.from_text(
                     "shard 0 attempts 0-9 raise; shard 1 attempts 0-9 raise"
@@ -155,12 +142,13 @@ class TestSkipProvenance:
 
     def test_skipped_trials_ride_the_memory_result_and_reduce_trials(self, code_d3):
         noise = PhenomenologicalNoise(1e-2)
-        result = run_memory_experiment_sharded(
+        result = run_memory_experiment(
             code_d3,
             noise,
             _mwpm_factory,
             trials=60,
             rng=11,
+            engine="sharded",
             chunk_trials=20,
             workers=1,
             faults=FaultPolicy(max_retries=0, on_exhausted="skip", **FAST),
@@ -169,8 +157,15 @@ class TestSkipProvenance:
         assert result.skipped_shards == 1
         assert result.skipped_trials == 20
         assert result.trials == 40
-        clean = run_memory_experiment_sharded(
-            code_d3, noise, _mwpm_factory, trials=60, rng=11, chunk_trials=20, workers=1
+        clean = run_memory_experiment(
+            code_d3,
+            noise,
+            _mwpm_factory,
+            trials=60,
+            rng=11,
+            engine="sharded",
+            chunk_trials=20,
+            workers=1,
         )
         assert clean.skipped_shards == 0
         assert clean.trials == 60
@@ -244,12 +239,13 @@ class TestPoolRecovery:
         assert report.engine_degraded
         # The degradation also lands on the memory result's metadata.
         with pytest.warns(DegradedExecutionWarning):
-            result = run_memory_experiment_sharded(
+            result = run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
                 _mwpm_factory,
                 trials=20,
                 rng=5,
+                engine="sharded",
                 chunk_trials=10,
                 workers=2,
                 faults=FaultPolicy(**FAST),
@@ -261,13 +257,14 @@ class TestAdaptiveFaultTolerance:
     STOP = dict(min_trials=100, max_trials=400)
 
     def run_adaptive(self, checkpoint=None, **kwargs):
-        return run_sharded_adaptive(
+        stop = until_wilson(0.08, **self.STOP)
+        return run_point(
             BernoulliKernel(0.2),
-            stop=until_wilson(0.08, **self.STOP),
+            stop.max_trials,
+            77,
+            25,
+            stop=stop,
             successes_of=bernoulli_successes,
-            seed=77,
-            chunk_trials=25,
-            workers=1,
             checkpoint=checkpoint,
             **kwargs,
         )
@@ -328,12 +325,13 @@ def fault_plan_strategy(max_shards):
 
 def memory_run(distance, code, plan=None):
     trials, chunk = (60, 20) if distance == 5 else (40, 20)
-    return run_memory_experiment_sharded(
+    return run_memory_experiment(
         code,
         PhenomenologicalNoise(1e-2),
         _mwpm_factory,
         trials=trials,
         rng=13,
+        engine="sharded",
         chunk_trials=chunk,
         workers=1,
         # Plans schedule at most 3 consecutive failures per shard (first

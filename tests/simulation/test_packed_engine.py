@@ -25,7 +25,6 @@ from repro.decoders.mwpm import MWPMDecoder
 from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.batch import run_memory_experiment_batch
 from repro.simulation.memory import run_memory_experiment
-from repro.simulation.shard import run_memory_experiment_sharded
 from repro.types import StabilizerType
 
 
@@ -114,13 +113,13 @@ class TestPackedEquivalence:
     def test_sharded_engine_is_bit_identical_packed_vs_unpacked(self, factory):
         code = get_code(5)
         noise = PhenomenologicalNoise(1e-2)
-        packed = run_memory_experiment_sharded(
-            code, noise, factory, trials=130, rng=13, chunk_trials=50,
-            workers=1, packed=True,
+        packed = run_memory_experiment(
+            code, noise, factory, trials=130, rng=13, engine="sharded",
+            chunk_trials=50, workers=1, packed=True,
         )
-        unpacked = run_memory_experiment_sharded(
-            code, noise, factory, trials=130, rng=13, chunk_trials=50,
-            workers=1, packed=False,
+        unpacked = run_memory_experiment(
+            code, noise, factory, trials=130, rng=13, engine="sharded",
+            chunk_trials=50, workers=1, packed=False,
         )
         _assert_results_identical(packed, unpacked)
 

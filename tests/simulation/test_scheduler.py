@@ -1,20 +1,25 @@
-"""Sweep scheduler: byte-equality with the per-point runners, by construction.
+"""Sweep scheduler: byte-equality with the manual shard merge, by construction.
 
 The core claim under test: :class:`~repro.simulation.SweepScheduler` only
 changes *when* shards execute — never which shards exist, which RNG streams
-they draw, or the order partials merge — so every scheduled point equals its
-per-point :func:`~repro.simulation.run_sharded` /
-:func:`~repro.simulation.run_sharded_adaptive` run exactly, at any worker
-count, checkpoints included.  Plus the satellite contracts: one pool per
-sweep (not per point), ``chunk="auto"`` resolution, the executor's dynamic
-task feed, and the point-qualified fault-plan grammar.
+they draw, or the order partials merge — so every scheduled point equals the
+manual per-shard ``kernel(size, shard_rng(seed, i))`` merge (wave by wave
+for adaptive points) exactly, at any worker count, checkpoints included.
+Plus the satellite contracts: one pool per sweep (not per point), a pool
+capped at the shard count for fixed-budget sweeps, ``chunk="auto"``
+resolution, the executor's dynamic task feed, and the point-qualified
+fault-plan grammar.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
+from repro.codes.rotated_surface import get_code
 from repro.exceptions import ConfigurationError
+from repro.experiments.fig14 import _mwpm_factory
 from repro.faults import (
     FaultInjector,
     FaultPolicy,
@@ -22,16 +27,23 @@ from repro.faults import (
     parse_fault_plan,
     pool_construction_count,
 )
+from repro.noise.models import PhenomenologicalNoise
+from repro.noise.rng import shard_rng
 from repro.simulation import (
     SweepPoint,
     SweepScheduler,
     resolve_auto_chunk,
-    run_sharded,
-    run_sharded_adaptive,
+    run_memory_experiment,
+    simulate_clique_coverage,
     until_wilson,
+    wilson_interval,
 )
-from repro.simulation.scheduler import validate_schedule
-from shard_kernels import BernoulliKernel, bernoulli_successes
+from shard_kernels import (
+    BernoulliKernel,
+    adaptive_oracle,
+    bernoulli_successes,
+    shard_oracle,
+)
 
 
 class RecordingCheckpoint:
@@ -77,10 +89,8 @@ def adaptive_point(point_id, rate, stop, seed, chunk, checkpoint=None):
 
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_fixed_point_matches_run_sharded(self, workers):
-        expected = run_sharded(
-            BernoulliKernel(0.3), trials=370, seed=11, chunk_trials=40, workers=1
-        )
+    def test_fixed_point_matches_manual_shard_merge(self, workers):
+        expected = shard_oracle(BernoulliKernel(0.3), 370, 11, 40)
         outcome = SweepScheduler(workers=workers).run(
             [fixed_point("p", 0.3, 370, 11, 40)]
         )["p"]
@@ -90,24 +100,19 @@ class TestSchedulerEquivalence:
         assert outcome.skipped_shards == 0
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_adaptive_point_matches_run_sharded_adaptive(self, workers):
+    def test_adaptive_point_matches_manual_wave_merge(self, workers):
         stop = until_wilson(0.08, min_trials=60, max_trials=2000)
-        expected = run_sharded_adaptive(
-            BernoulliKernel(0.2),
-            stop=stop,
-            successes_of=bernoulli_successes,
-            seed=5,
-            chunk_trials=25,
-            workers=1,
+        merged, trials, shards, _ = adaptive_oracle(
+            BernoulliKernel(0.2), stop, bernoulli_successes, 5, 25
         )
         outcome = SweepScheduler(workers=workers).run(
             [adaptive_point("p", 0.2, stop, 5, 25)]
         )["p"]
-        assert outcome.value == expected.value
-        assert outcome.trials == expected.trials
-        assert outcome.successes == expected.successes
-        assert outcome.interval == expected.interval
-        assert outcome.shards == expected.shards
+        assert outcome.value == merged
+        assert outcome.trials == trials
+        assert outcome.successes == merged[0]
+        assert outcome.interval == wilson_interval(merged[0], trials, stop.z)
+        assert outcome.shards == shards
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_interleaved_mixed_sweep_matches_sequential_points(self, workers):
@@ -118,42 +123,28 @@ class TestSchedulerEquivalence:
             fixed_point("c", 0.05, 155, 3, 50),
         ]
         results = SweepScheduler(workers=workers).run(points)
-        assert results["a"].value == run_sharded(
-            BernoulliKernel(0.4), trials=300, seed=1, chunk_trials=30, workers=1
+        assert results["a"].value == shard_oracle(BernoulliKernel(0.4), 300, 1, 30)
+        expected_b, trials_b, _, _ = adaptive_oracle(
+            BernoulliKernel(0.15), stop, bernoulli_successes, 2, 20
         )
-        expected_b = run_sharded_adaptive(
-            BernoulliKernel(0.15),
-            stop=stop,
-            successes_of=bernoulli_successes,
-            seed=2,
-            chunk_trials=20,
-            workers=1,
-        )
-        assert results["b"].value == expected_b.value
-        assert results["b"].trials == expected_b.trials
-        assert results["c"].value == run_sharded(
-            BernoulliKernel(0.05), trials=155, seed=3, chunk_trials=50, workers=1
-        )
+        assert results["b"].value == expected_b
+        assert results["b"].trials == trials_b
+        assert results["c"].value == shard_oracle(BernoulliKernel(0.05), 155, 3, 50)
 
-    def test_adaptive_checkpoint_states_match_per_point_runner(self):
-        # The scheduler must save byte-for-byte the states the per-point
-        # runner saves: same layout, same wave boundaries, same merged counts.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_adaptive_checkpoint_states_match_manual_waves(self, workers):
+        # One state per wave, in the shared checkpoint layout, carrying the
+        # manual merge's counts and shard cursor at every wave boundary.
         stop = until_wilson(0.08, min_trials=60, max_trials=2000)
-        reference = RecordingCheckpoint()
-        run_sharded_adaptive(
-            BernoulliKernel(0.2),
-            stop=stop,
-            successes_of=bernoulli_successes,
-            seed=5,
-            chunk_trials=25,
-            workers=1,
-            checkpoint=reference,
+        _, _, _, states = adaptive_oracle(
+            BernoulliKernel(0.2), stop, bernoulli_successes, 5, 25
         )
         scheduled = RecordingCheckpoint()
-        SweepScheduler(workers=2).run(
+        SweepScheduler(workers=workers).run(
             [adaptive_point("p", 0.2, stop, 5, 25, checkpoint=scheduled)]
         )
-        assert scheduled.saves == reference.saves
+        assert len(states) > 1
+        assert scheduled.saves == states
 
     def test_adaptive_point_resumes_from_checkpoint(self):
         stop = until_wilson(0.08, min_trials=60, max_trials=2000)
@@ -181,16 +172,74 @@ class TestSchedulerPoolReuse:
         SweepScheduler(workers=2).run(points)
         assert pool_construction_count() - before == 1
 
-    def test_per_point_runners_build_one_pool_each(self):
+    def test_separate_scheduler_runs_build_one_pool_each(self):
         before = pool_construction_count()
         for i in range(3):
-            run_sharded(BernoulliKernel(0.2), trials=120, seed=i, chunk_trials=30, workers=2)
+            SweepScheduler(workers=2).run([fixed_point("p", 0.2, 120, i, 30)])
         assert pool_construction_count() - before == 3
 
     def test_sequential_path_builds_no_pool(self):
         before = pool_construction_count()
         SweepScheduler(workers=1).run([fixed_point("p", 0.2, 120, 7, 30)])
         assert pool_construction_count() - before == 0
+
+
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    """Process pool that records the ``max_workers`` it was built with."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
+
+
+class TestSchedulerPoolSizing:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        RecordingPool.sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return RecordingPool.sizes
+
+    def test_one_shard_memory_run_builds_no_pool(self):
+        before = pool_construction_count()
+        result = run_memory_experiment(
+            get_code(5),
+            PhenomenologicalNoise(1e-2),
+            _mwpm_factory,
+            trials=100,
+            rng=3,
+            engine="sharded",
+            workers=4,
+            chunk_trials=500,
+        )
+        assert pool_construction_count() - before == 0
+        assert result.trials == 100
+
+    def test_one_shard_coverage_run_builds_no_pool(self):
+        before = pool_construction_count()
+        result = simulate_clique_coverage(
+            get_code(5),
+            PhenomenologicalNoise(1e-2),
+            1000,
+            rng=3,
+            workers=4,
+            chunk_cycles=5000,
+        )
+        assert pool_construction_count() - before == 0
+        assert result.cycles == 1000
+
+    def test_fixed_budget_pool_is_capped_at_total_shards(self, pool_sizes):
+        points = [fixed_point("a", 0.2, 60, 1, 30), fixed_point("b", 0.2, 30, 2, 30)]
+        results = SweepScheduler(workers=8).run(points)
+        assert pool_sizes == [3]
+        assert results["a"].value == shard_oracle(BernoulliKernel(0.2), 60, 1, 30)
+
+    def test_adaptive_sweep_keeps_the_full_pool(self, pool_sizes):
+        # The first wave is one shard, but later waves grow: no cap.
+        stop = until_wilson(0.05, min_trials=30, max_trials=240)
+        SweepScheduler(workers=3).run([adaptive_point("p", 0.3, stop, 4, 30)])
+        assert pool_sizes == [3]
 
 
 class TestSchedulerValidation:
@@ -213,12 +262,6 @@ class TestSchedulerValidation:
 
     def test_empty_sweep_is_a_no_op(self):
         assert SweepScheduler(workers=4).run([]) == {}
-
-    def test_validate_schedule(self):
-        assert validate_schedule("sweep") == "sweep"
-        assert validate_schedule("point") == "point"
-        with pytest.raises(ConfigurationError, match="schedule"):
-            validate_schedule("turbo")
 
 
 class TestAutoChunk:
@@ -273,11 +316,8 @@ class TestRunDynamic:
         assert len(results) == 3
         assert sorted(index for index, _ in followed) == [0, 1, 2]
         # Every task's result is the same pure function of (seed, shard index)
-        # the static runner computes.
-        expected = [
-            run_sharded(kernel, trials=40, seed=9, chunk_trials=40, workers=1)
-        ]
-        assert results[0] == expected[0]
+        # the manual shard call computes.
+        assert results == [kernel(40, shard_rng(9, index)) for index in range(3)]
 
     def test_sequential_and_pooled_feeds_agree(self):
         kernel = BernoulliKernel(0.2)

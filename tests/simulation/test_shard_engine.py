@@ -4,8 +4,10 @@ The sharded engine's contract is weaker than batch-vs-loop bit-identity (each
 shard owns an independent child RNG stream) but just as exact: for a fixed
 ``(seed, chunk_trials)`` the merged counts are fully determined — independent
 of the worker count, of whether the shards run in-process or in a pool, and
-equal to running the batch engine once per shard with
-``shard_rng(seed, shard_index)`` and summing.
+equal to running the kernel (the batch engine, for memory experiments) once
+per shard with ``shard_rng(seed, shard_index)`` and summing.  Every sharded
+run goes through :class:`~repro.simulation.SweepScheduler`; the manual
+per-shard merge is the oracle.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ from repro.noise.rng import resolve_entropy, shard_rng
 from repro.simulation.batch import run_memory_experiment_batch
 from repro.simulation.coverage import CoverageKernel, simulate_clique_coverage
 from repro.simulation.memory import run_memory_experiment
-from repro.simulation.shard import (
-    plan_shards,
-    run_memory_experiment_sharded,
-    run_sharded,
-)
+from repro.simulation.shard import plan_shards
 from repro.types import StabilizerType
 
-from shard_kernels import BernoulliKernel
+from shard_kernels import BernoulliKernel, run_point, shard_oracle
 
 
 # Sharded workers rebuild the decoder, so factories must be module-level
@@ -45,34 +43,30 @@ class TestGenericRunner:
     def test_merged_counts_equal_manual_per_shard_runs(self):
         kernel = BernoulliKernel(0.3)
         seed, chunk = 13, 250
-        successes, trials = run_sharded(
-            kernel, trials=1100, seed=seed, chunk_trials=chunk, workers=1
-        )
+        outcome = run_point(kernel, 1100, seed, chunk)
         manual = sum(
             kernel(size, shard_rng(seed, index))[0]
             for index, size in enumerate(plan_shards(1100, chunk))
         )
-        assert trials == 1100
-        assert successes == manual
+        assert outcome.trials == outcome.value[1] == 1100
+        assert outcome.value[0] == manual
+        assert outcome.value == shard_oracle(kernel, 1100, seed, chunk)
 
     def test_workers_do_not_affect_merged_result(self):
         results = [
-            run_sharded(
-                BernoulliKernel(0.2), trials=900, seed=5, chunk_trials=200, workers=w
-            )
+            run_point(BernoulliKernel(0.2), 900, 5, 200, workers=w).value
             for w in (1, 2, 4)
         ]
         assert results[1:] == results[:-1]
 
     def test_custom_merge_is_used(self):
-        best = run_sharded(
+        best = run_point(
             BernoulliKernel(0.5),
-            trials=600,
-            seed=3,
-            chunk_trials=200,
-            workers=1,
+            600,
+            3,
+            200,
             merge=lambda a, b: a if a[0] >= b[0] else b,
-        )
+        ).value
         per_shard = [
             BernoulliKernel(0.5)(size, shard_rng(3, index))
             for index, size in enumerate(plan_shards(600, 200))
@@ -81,7 +75,7 @@ class TestGenericRunner:
 
     def test_generator_seed_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_sharded(BernoulliKernel(0.1), trials=100, seed=np.random.default_rng(1))
+            run_point(BernoulliKernel(0.1), 100, np.random.default_rng(1), 50)
 
 
 class TestShardedCoverage:
@@ -207,12 +201,13 @@ class TestShardedDeterminism:
         # shard with the contract's generators and summing the counts.
         noise = PhenomenologicalNoise(1e-2)
         seed, chunk = 23, 300
-        sharded = run_memory_experiment_sharded(
+        sharded = run_memory_experiment(
             code_d5,
             noise,
             _hierarchical,
             trials=1000,
             rng=seed,
+            engine="sharded",
             chunk_trials=chunk,
             workers=1,
         )
@@ -272,12 +267,13 @@ class TestShardedDeterminism:
 class TestShardedValidation:
     def test_generator_rng_is_rejected(self, code_d3):
         with pytest.raises(ConfigurationError):
-            run_memory_experiment_sharded(
+            run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
                 _hierarchical,
                 trials=100,
                 rng=np.random.default_rng(1),
+                engine="sharded",
             )
 
     def test_workers_only_for_sharded(self, code_d3):
@@ -293,12 +289,13 @@ class TestShardedValidation:
 
     def test_invalid_workers_rejected(self, code_d3):
         with pytest.raises(ConfigurationError):
-            run_memory_experiment_sharded(
+            run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
                 _hierarchical,
                 trials=100,
                 rng=1,
+                engine="sharded",
                 workers=0,
             )
 
