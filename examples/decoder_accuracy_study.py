@@ -18,7 +18,7 @@ import os
 
 from repro import (
     ClusteringDecoder,
-    HierarchicalDecoder,
+    DecoderCascade,
     MWPMDecoder,
     PhenomenologicalNoise,
     RotatedSurfaceCode,
@@ -31,7 +31,7 @@ TRIALS = int(os.environ.get("REPRO_EXAMPLE_TRIALS", "800"))
 
 DECODERS = {
     "MWPM (baseline)": lambda code, stype: MWPMDecoder(code, stype),
-    "Clique + MWPM": lambda code, stype: HierarchicalDecoder(code, stype),
+    "Clique + MWPM": lambda code, stype: DecoderCascade(code, stype, tiers="clique,mwpm"),
     "Clustering": lambda code, stype: ClusteringDecoder(code, stype),
 }
 

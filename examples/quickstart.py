@@ -2,9 +2,9 @@
 """Quickstart: decode one logical qubit with the BTWC hierarchy.
 
 Builds a distance-5 rotated surface code, injects phenomenological noise,
-and decodes a short memory experiment with the Clique + MWPM hierarchy,
-printing where each measurement round was resolved and whether the logical
-qubit survived.
+and decodes a short memory experiment with the two-tier Clique + MWPM
+decoder cascade, printing where each measurement round was resolved and
+whether the logical qubit survived.
 
 Run with:  python examples/quickstart.py
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
-    HierarchicalDecoder,
+    DecoderCascade,
     PhenomenologicalNoise,
     RotatedSurfaceCode,
     StabilizerType,
@@ -30,7 +30,7 @@ def main() -> None:
 
     code = RotatedSurfaceCode(distance)
     noise = PhenomenologicalNoise(physical_error_rate)
-    decoder = HierarchicalDecoder(code, StabilizerType.X)
+    decoder = DecoderCascade(code, StabilizerType.X, tiers="clique,mwpm")
     rng = np.random.default_rng(7)
 
     print(f"Rotated surface code d={distance}: {code.num_data_qubits} data qubits, "

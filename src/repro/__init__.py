@@ -11,12 +11,12 @@ Quickstart::
 
     from repro import (
         RotatedSurfaceCode, PhenomenologicalNoise, CliqueDecoder,
-        MWPMDecoder, HierarchicalDecoder, StabilizerType,
+        MWPMDecoder, DecoderCascade, StabilizerType,
     )
 
     code = RotatedSurfaceCode(distance=5)
     noise = PhenomenologicalNoise(1e-2)
-    decoder = HierarchicalDecoder(code, StabilizerType.X)
+    decoder = DecoderCascade(code, StabilizerType.X, tiers="clique,mwpm")
 """
 
 from repro._version import __version__
@@ -24,7 +24,6 @@ from repro.clique import (
     CliqueDecision,
     CliqueDecoder,
     DecoderCascade,
-    HierarchicalDecoder,
     PersistenceFilter,
 )
 from repro.codes import (
@@ -79,7 +78,6 @@ __all__ = [
     "CliqueDecoder",
     "CliqueDecision",
     "PersistenceFilter",
-    "HierarchicalDecoder",
     "DecoderCascade",
     # hardware
     "clique_overheads",

@@ -33,8 +33,8 @@ KERNEL_MODULES: tuple[str, ...] = ("repro/bitplane.py",)
 RNG_MODULE = "repro/noise/rng.py"
 
 #: Heavy optional dependencies that must never be imported at module top
-#: level anywhere in the package: ``networkx`` is demoted to a differential
-#: test oracle (PR 8) and ``matplotlib`` is plotting-only.  A top-level
+#: level anywhere in the package: ``networkx`` survives only as the test
+#: suite's differential matching oracle and ``matplotlib`` is plotting-only.  A top-level
 #: import would put them back on the default decode path's import closure.
 #: IMP001 is the static check; ``tests/test_dependency_hygiene.py`` installs
 #: a ``sys.meta_path`` hook built from this same tuple and *runs* the

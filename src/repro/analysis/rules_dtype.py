@@ -1,9 +1,9 @@
 """DTY001 — hot-path array allocations carry an explicit dtype.
 
-PR 7's dtype discipline: the packed/unpacked kernels are bit-identical only
-because every array's dtype is chosen, not inferred — an implicit float64
-allocation in the hot path silently octuples memory traffic and can shift
-comparison semantics.  Kernel-scope ``np.zeros/empty/ones/full/array`` calls
+The dtype discipline of the bit-packed kernels: they are bit-identical to
+the loop oracle only because every array's dtype is chosen, not inferred —
+an implicit float64 allocation in the hot path silently octuples memory
+traffic and can shift comparison semantics.  Kernel-scope ``np.zeros/empty/ones/full/array`` calls
 must therefore spell their dtype (positionally or as ``dtype=``).
 """
 

@@ -10,24 +10,24 @@ Examples:
     repro-qec run fig14 --scale paper --workers 8
     repro-qec fig11 --workers 4 --chunk-cycles auto
     repro-qec fig14 --scale paper --adaptive --target-ci-width 0.02
-    repro-qec run fig14 --fallback union_find
+    repro-qec run fig14 --tiers clique,union_find
     repro-qec run fig14 --tiers clique,union_find,mwpm
     repro-qec run fig14_fallbacks --param trials=300
     repro-qec fig14_fallbacks --tiers clique,union_find,mwpm --param distances=9,
     repro-qec fig14 --scale paper --store results/   # resume on re-run
     repro-qec fig14 --scale paper --store results/ --force
     repro-qec fig14 --scale paper --max-retries 4 --shard-timeout 300
-    repro-qec run fig14 --no-packed                  # unpacked reference path
     repro-qec store compact results/                 # GC a long-lived store
     repro-qec lint src/repro                         # static contract checks
     repro-qec lint --format json src/ benchmarks/    # stable output for CI
     repro-qec lint --list-rules
 
 ``--engine`` selects the Monte-Carlo engine for memory experiments (fig14):
-``batch`` (the default inside the library) vectorises trial triage — all
-noise sampling, syndrome computation, and trivial-round decoding run as
-whole-batch array operations — ``loop`` runs the per-trial reference path
-kept as the correctness oracle (bit-identical to batch under a fixed seed),
+``batch`` (the default inside the library) vectorises trial triage on
+uint64 trial bitplanes — all noise sampling, syndrome computation, and
+trivial-round decoding run as whole-batch word operations — ``loop``
+runs the per-trial reference path kept as the correctness oracle
+(bit-identical to batch under a fixed seed),
 and ``sharded`` fans fixed-size trial shards over worker processes
 (``--workers``), deterministic per seed independent of the worker count.
 The coverage experiments (fig11/fig12/fig16) shard the same way under
@@ -35,10 +35,10 @@ The coverage experiments (fig11/fig12/fig16) shard the same way under
 points to Wilson-converged adaptive sampling, and ``--adaptive`` does the
 same for fig14's logical-error-rate points (budget-capped by the scale's
 trial budgets).  ``--scale paper`` extends fig14 to the paper's d=3–11 grid
-with per-distance trial budgets; ``--fallback`` picks the hierarchy's
-off-chip decoder, and ``--tiers`` generalises it to a full N-tier decoder
-cascade spec (``clique,union_find,mwpm`` runs MWPM only on the union-find
-tier's disagreement set — see README.md → "Decoder cascades").  ``--store
+with per-distance trial budgets; ``--tiers`` picks the decoder cascade:
+``clique,union_find`` swaps the hierarchy's off-chip decoder, and
+``clique,union_find,mwpm`` runs MWPM only on the union-find tier's
+disagreement set — see README.md → "Decoder cascades".  ``--store
 DIR`` persists every sweep point of the fig11/fig12/fig14/fig16 sweeps as it
 completes and makes re-runs resume (``--resume``, the default) or recompute
 (``--force``); ``store compact DIR`` garbage-collects a long-lived store
@@ -47,10 +47,7 @@ directory; see README.md → "Results and resume".  ``--max-retries`` /
 shards replay their RNG streams bit-identically, so neither flag ever
 changes results); see README.md → "Fault tolerance".  Sharded sweeps drive
 every pending point's shards through one persistent worker pool; see
-README.md → "Sweep scheduling".  ``--no-packed``
-switches the batch/sharded memory engines off their default uint64
-bitplane kernels onto the unpacked uint8 reference path — bit-identical
-results, lower throughput; see README.md → "Packed kernels".  ``lint``
+README.md → "Sweep scheduling".  ``lint``
 statically enforces the repo's contract rules (seeding/determinism, store
 keys, lazy heavy imports, dtype discipline, sharded-kernel picklability,
 tier protocol) with ``ruff``-style findings, ``--select/--ignore``, a
@@ -240,24 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--fallback",
-        default=None,
-        metavar="NAME",
-        help=(
-            "off-chip fallback for the two-tier Clique hierarchy "
-            "(fig14/fig14_fallbacks): 'mwpm' (blossom, default) or "
-            "'union_find' (near-linear clustering)"
-        ),
-    )
-    run_parser.add_argument(
         "--tiers",
         default=None,
         metavar="T0,T1,...",
         help=(
-            "full decoder-cascade spec for fig14/fig14_fallbacks, "
-            "generalising --fallback: comma-separated tier names starting "
-            "with 'clique', e.g. 'clique,union_find,mwpm' (MWPM decodes only "
-            "the union-find tier's disagreement set)"
+            "decoder-cascade spec for fig14/fig14_fallbacks: comma-separated "
+            "tier names starting with 'clique' (default 'clique,mwpm'), e.g. "
+            "'clique,union_find' for the union-find off-chip decoder or "
+            "'clique,union_find,mwpm' (MWPM decodes only the union-find "
+            "tier's disagreement set)"
         ),
     )
     run_parser.add_argument(
@@ -270,19 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
             "intermediate tier resolves in place before escalating just that "
             "cluster's events to the next tier (default: adaptive per "
             "distance; see repro.decoders.default_escalation_cluster_size)"
-        ),
-    )
-    run_parser.add_argument(
-        "--no-packed",
-        action="store_false",
-        dest="packed",
-        default=None,
-        help=(
-            "memory experiments (fig14/fig14_fallbacks): run the batch/"
-            "sharded engines on the unpacked uint8 reference path instead of "
-            "the default uint64 bitplane kernels (bit-identical results "
-            "under the same seed; packed only changes throughput and peak "
-            "memory — see README.md -> 'Packed kernels')"
         ),
     )
     run_parser.add_argument(
@@ -431,13 +406,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "run":
         if args.force and args.store is None:
             parser.error("--force is only meaningful with --store DIR")
-        if args.tiers is not None and args.fallback is not None:
-            parser.error("--tiers and --fallback are mutually exclusive")
         params = dict(args.param)
         for flag in (
             "engine",
             "workers",
-            "fallback",
             "tiers",
             "escalation_cluster_size",
             "scale",
@@ -445,7 +417,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "target_ci_width",
             "max_retries",
             "shard_timeout",
-            "packed",
         ):
             value = getattr(args, flag)
             if value is not None:

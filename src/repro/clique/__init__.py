@@ -11,7 +11,6 @@ syndrome must be shipped to the off-chip complex decoder.
 from repro.clique.cascade import CascadeResult, DecoderCascade
 from repro.clique.cliques import Clique, build_cliques
 from repro.clique.decoder import CliqueDecision, CliqueDecoder, clique_rule
-from repro.clique.hierarchical import HierarchicalDecoder, HierarchicalResult
 from repro.clique.measurement_filter import PersistenceFilter
 
 __all__ = [
@@ -23,6 +22,4 @@ __all__ = [
     "clique_rule",
     "DecoderCascade",
     "PersistenceFilter",
-    "HierarchicalDecoder",
-    "HierarchicalResult",
 ]

@@ -23,26 +23,33 @@ Tier contract
   declines — ``escalated`` is a sorted int64 array of positions into the
   input arrays (empty when fully resolved).  Escalation is per cluster, not
   per trial: only the members of each oversized cluster travel to the next
-  tier.  The PR 5 all-or-nothing form — ``(bitmap | None, bool)`` — is still
-  accepted from custom decoder instances and normalised by the cascade.
+  tier.
 * Tier ``N`` (final) must resolve everything it receives, through
   ``decode_events_bitmap(rounds, ancillas)`` when available (MWPM,
   clustering) or a per-trial ``decode`` call on the escalated events'
   reconstructed sub-mask otherwise.
 
-Event subsets flow tier-to-tier as index arrays: the batched path performs a
-single ``np.nonzero`` pass over the stacked off-chip masks, then each
-off-chip trial descends the tiers with its surviving event subset — no
-per-trial Python bookkeeping beyond the unavoidable per-trial decode calls of
-the rare off-chip minority.  ``tier_rounds[k]`` for ``k >= 1`` counts the
-distinct detection rounds actually shipped *into* tier ``k`` (the off-chip
-bandwidth figure): per-cluster escalation shrinks deeper tiers' share even
-when a trial technically escalates.
+Every tier — named or passed as a ready instance — must be built for the
+cascade's own code distance and stabilizer type; a mismatch is a
+:class:`~repro.exceptions.ConfigurationError` at construction.
 
-:class:`repro.clique.hierarchical.HierarchicalDecoder` is the two-tier alias
-of this class and stays bit-compatible with the pre-cascade implementation;
-the equivalence is pinned against frozen seeded outputs in
-``tests/clique/test_cascade.py``.
+Two decode paths share one off-chip descent
+(:meth:`DecoderCascade._cascade_trial`): per-trial
+:meth:`DecoderCascade.decode_history`, the reference oracle, and the
+production :meth:`DecoderCascade.decode_batch_packed`, which triages 64
+trials per machine word.  Event subsets flow tier-to-tier as index arrays:
+the batched path performs a single ``np.nonzero`` pass over the stacked
+off-chip masks, then each off-chip trial descends the tiers with its
+surviving event subset — no per-trial Python bookkeeping beyond the
+unavoidable per-trial decode calls of the rare off-chip minority.
+``tier_rounds[k]`` for ``k >= 1`` counts the distinct detection rounds
+actually shipped *into* tier ``k`` (the off-chip bandwidth figure):
+per-cluster escalation shrinks deeper tiers' share even when a trial
+technically escalates.
+
+The paper's two-tier hierarchy of Fig. 2 is ``tiers=("clique", "mwpm")``
+(the default); its seeded outputs from before the N-tier refactor are pinned
+in ``tests/clique/test_cascade.py``.
 """
 
 from __future__ import annotations
@@ -56,14 +63,9 @@ from repro import bitplane
 from repro.clique.decoder import CliqueDecoder
 from repro.clique.measurement_filter import PersistenceFilter
 from repro.codes.rotated_surface import RotatedSurfaceCode
-from repro.decoders.base import (
-    BatchDecodeResult,
-    Decoder,
-    DecodeResult,
-    PackedBatchDecodeResult,
-)
+from repro.decoders.base import Decoder, DecodeResult, PackedBatchDecodeResult
 from repro.decoders.matching_graph import MatchingGraph
-from repro.decoders.mwpm import DEFAULT_BOUNDARY_CLIQUE_CACHE_LIMIT, MWPMDecoder
+from repro.decoders.mwpm import MWPMDecoder
 from repro.decoders.registry import CLIQUE_TIER, resolve_tier_name
 from repro.decoders.union_find import (
     ClusteringDecoder,
@@ -71,21 +73,6 @@ from repro.decoders.union_find import (
 )
 from repro.exceptions import ConfigurationError
 from repro.types import Coord, DecodeLocation, StabilizerType
-
-
-def _normalize_escalation(escalated, num_events: int) -> np.ndarray:
-    """Normalise a tier's escalation result to an event-index array.
-
-    The PR 5 contract was all-or-nothing per trial: ``True`` meant "ship the
-    whole trial", ``False`` meant "fully resolved".  Custom decoder instances
-    may still return that bool; in-tree tiers return the index subset
-    directly.
-    """
-    if isinstance(escalated, (bool, np.bool_)):
-        if escalated:
-            return np.arange(num_events, dtype=np.int64)
-        return np.empty(0, dtype=np.int64)
-    return np.asarray(escalated, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -149,9 +136,10 @@ class DecoderCascade(Decoder):
             is ``"clique"`` (or a ready :class:`CliqueDecoder`) and whose
             remaining entries are registered decoder names
             (:data:`repro.decoders.registry.TIER_DECODERS`) or ready
-            :class:`~repro.decoders.base.Decoder` instances.  Named tiers
-            share one :class:`~repro.decoders.matching_graph.MatchingGraph`
-            (and, for MWPM tiers, one boundary-clique edge cache); every tier
+            :class:`~repro.decoders.base.Decoder` instances.  Instances must
+            be built for this cascade's ``code`` distance and ``stype``.
+            Named tiers share one
+            :class:`~repro.decoders.matching_graph.MatchingGraph`; every tier
             except the last must be able to escalate (expose
             ``decode_events_tiered``).
         measurement_rounds: window size of the Clique persistence filter
@@ -165,10 +153,6 @@ class DecoderCascade(Decoder):
             tuned offline against measured blossom cost — never a runtime
             timing, so seeded results stay machine-independent).  Instances
             passed directly keep their own policy.
-        boundary_clique_cache_limit: bound on the shared boundary-clique edge
-            cache of named ``"mwpm"`` tiers (see
-            :class:`~repro.decoders.mwpm.MWPMDecoder`; only their
-            ``matcher="networkx"`` oracle path uses it).
     """
 
     def __init__(
@@ -178,7 +162,6 @@ class DecoderCascade(Decoder):
         tiers: str | Sequence["str | Decoder"] = (CLIQUE_TIER, "mwpm"),
         measurement_rounds: int = 2,
         escalation_cluster_size: int | str = "auto",
-        boundary_clique_cache_limit: int = DEFAULT_BOUNDARY_CLIQUE_CACHE_LIMIT,
     ) -> None:
         super().__init__(code, stype)
         if escalation_cluster_size == "auto":
@@ -199,6 +182,7 @@ class DecoderCascade(Decoder):
             raise ConfigurationError("a cascade needs at least two tiers")
         front = tiers[0]
         if isinstance(front, CliqueDecoder):
+            self._check_tier_target(front, CLIQUE_TIER, 0)
             self._clique = front
         elif front == CLIQUE_TIER:
             self._clique = CliqueDecoder(code, stype)
@@ -214,11 +198,10 @@ class DecoderCascade(Decoder):
             )
         self._filter = PersistenceFilter(measurement_rounds)
 
-        # Named tiers share one matching graph and, for MWPM, one
-        # boundary-clique cache: the edge lists depend only on the event
-        # count, so separate per-tier caches would just duplicate warm-up.
+        # Named tiers share one matching graph: it is deterministic per
+        # (code, stype), so separate per-tier copies would just repeat the
+        # all-pairs distance precomputation.
         shared_graph: MatchingGraph | None = None
-        shared_boundary_cache: dict[int, list] = {}
         offchip: list[Decoder] = []
         names: list[str] = [CLIQUE_TIER]
         for position, spec in enumerate(tiers[1:]):
@@ -229,11 +212,7 @@ class DecoderCascade(Decoder):
                     shared_graph = MatchingGraph(code, stype)
                 if tier_cls is MWPMDecoder:
                     tier: Decoder = MWPMDecoder(
-                        code,
-                        stype,
-                        matching_graph=shared_graph,
-                        boundary_clique_cache_limit=boundary_clique_cache_limit,
-                        boundary_clique_cache=shared_boundary_cache,
+                        code, stype, matching_graph=shared_graph
                     )
                 elif tier_cls is ClusteringDecoder:
                     tier = ClusteringDecoder(
@@ -248,6 +227,7 @@ class DecoderCascade(Decoder):
                     tier = tier_cls(code, stype)
                 names.append(spec)
             elif isinstance(spec, Decoder):
+                self._check_tier_target(spec, spec.name, position + 1)
                 tier = spec
                 names.append(spec.name)
             else:
@@ -264,6 +244,24 @@ class DecoderCascade(Decoder):
             offchip.append(tier)
         self._offchip_tiers = tuple(offchip)
         self._tier_names = tuple(names)
+
+    def _check_tier_target(self, tier: Decoder, name: str, position: int) -> None:
+        """Reject a ready-made tier built for another code or stabilizer type.
+
+        Such a tier would silently decode the wrong species (a Z tier in an
+        X cascade) or index past its tables (another distance), so it fails
+        here, naming the tier, instead of deep inside a decode call.
+        """
+        if (
+            tier.code.distance != self._code.distance
+            or tier.stabilizer_type is not self._stype
+        ):
+            raise ConfigurationError(
+                f"cascade tier {name!r} at position {position} was built for "
+                f"distance {tier.code.distance}, {tier.stabilizer_type.name} "
+                f"stabilizers; this cascade decodes distance "
+                f"{self._code.distance}, {self._stype.name} stabilizers"
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -372,7 +370,7 @@ class DecoderCascade(Decoder):
         """Send one trial's off-chip events down the off-chip tiers.
 
         The single shared descent used by both :meth:`decode_history` and
-        the batched paths — which is what keeps them bit-identical.  Each
+        the batched path — which is what keeps them bit-identical.  Each
         intermediate tier XORs its partial correction into the trial's
         bitmap and hands the surviving event subset (oversized clusters'
         members) to the next tier; the final tier resolves whatever reaches
@@ -405,7 +403,7 @@ class DecoderCascade(Decoder):
                         bitmap[data_index[qubit]] ^= 1
                 break
             partial, escalated = tier.decode_events_tiered(rounds, ancillas)
-            escalated = _normalize_escalation(escalated, rounds.size)
+            escalated = np.asarray(escalated, dtype=np.int64)
             if partial is not None:
                 bitmap ^= partial
             if escalated.size == 0:
@@ -415,102 +413,25 @@ class DecoderCascade(Decoder):
         return bitmap, handled, shipped
 
     # ------------------------------------------------------------------
-    def decode_batch(self, histories: np.ndarray) -> BatchDecodeResult:
-        """Vectorised batch decoding: triage all trials' rounds at once.
-
-        This is the paper's own triage insight applied to the simulator: the
-        overwhelming majority of rounds are trivially explainable by the
-        Clique logic, so their filtering, decision, and correction assembly
-        run as whole-batch array operations (a Python loop over *rounds*, not
-        over ``trials x rounds``).  Only the rare off-chip minority pays a
-        per-trial tier decode, and each deeper tier sees only its
-        predecessor's escalation subset.  The round-by-round dynamics below
-        mirror :meth:`decode_history` statement for statement, so the result
-        is bit-identical to the per-trial reference path.
-        """
-        batch = self._as_detection_batch(histories)
-        trials, num_rounds, _ = batch.shape
-        window = self._filter.rounds
-        active = batch.astype(bool)
-        consumed = np.zeros_like(active)
-        offchip_mask = np.zeros_like(batch)
-        offchip_round_counts = np.zeros(trials, dtype=np.int64)
-        corrections = np.zeros((trials, self._code.num_data_qubits), dtype=np.uint8)
-
-        for round_index in range(num_rounds):
-            # Only the filter window [round_index, round_index + window) is
-            # ever read, so the masked view is sliced to it.
-            window_end = min(round_index + window, num_rounds)
-            masked = (
-                active[:, round_index:window_end] & ~consumed[:, round_index:window_end]
-            )
-            visible = masked[:, 0]
-            if masked.shape[1] > 1:
-                repeats = masked[:, 1:].any(axis=1)
-            else:
-                repeats = np.zeros_like(visible)
-            sticky = visible & ~repeats
-            transient = visible & repeats
-            trivial = self._clique.is_trivial_batch(sticky)
-
-            # On-chip branch: corrections accumulate with XOR-across-rounds
-            # semantics, and each transient event consumes its first future
-            # partner flip so it is never decoded twice.
-            corrections ^= self._clique.correction_bitmap(sticky & trivial[:, None])
-            remaining = transient & trivial[:, None]
-            for offset in range(1, window_end - round_index):
-                if not remaining.any():
-                    break
-                hit = remaining & masked[:, offset]
-                consumed[:, round_index + offset] |= hit
-                remaining &= ~hit
-
-            # Off-chip branch: the round's whole visible signature is queued
-            # for the off-chip tiers.
-            complex_rows = ~trivial
-            offchip_mask[complex_rows, round_index] = visible[complex_rows]
-            offchip_round_counts += complex_rows
-
-            # Both branches consume everything visible this round.
-            consumed[:, round_index] |= visible
-
-        tier_trials = np.zeros(self.num_tiers, dtype=np.int64)
-        tier_rounds = np.zeros(self.num_tiers, dtype=np.int64)
-        offchip_trials = np.flatnonzero(offchip_round_counts)
-        tier_trials[0] = trials - offchip_trials.size
-        tier_rounds[0] = trials * num_rounds - int(offchip_round_counts.sum())
-        if offchip_trials.size:
-            corrections[offchip_trials] ^= self._offchip_corrections(
-                offchip_mask[offchip_trials],
-                tier_trials,
-                tier_rounds,
-            )
-
-        return BatchDecodeResult(
-            corrections=corrections,
-            onchip_rounds=num_rounds - offchip_round_counts,
-            total_rounds=np.full(trials, num_rounds, dtype=np.int64),
-            tier_trials=tier_trials,
-            tier_rounds=tier_rounds,
-        )
-
-    # ------------------------------------------------------------------
     def decode_batch_packed(
         self, detections: np.ndarray, trials: int
     ) -> PackedBatchDecodeResult:
         """Native packed triage: the whole batch as uint64 trial bitplanes.
 
-        Word-level mirror of :meth:`decode_batch`: every boolean per
-        ``(trial, ancilla)`` entry there becomes one bit of a
-        ``(num_ancillas, words)`` plane pair here, with AND/OR/XOR/NOT
-        standing in for the boolean algebra 64 trials at a time.  Trivial
+        This is the paper's own triage insight applied to the simulator: the
+        overwhelming majority of rounds are trivially explainable by the
+        Clique logic, so their filtering, decision, and correction assembly
+        run as whole-batch word operations (a Python loop over *rounds*, not
+        over ``trials x rounds``), with AND/OR/XOR/NOT standing in for the
+        boolean algebra 64 trials at a time.  The round-by-round dynamics
+        mirror :meth:`decode_history` statement for statement.  Trivial
         rounds never leave word space; the escalated minority is extracted
         (in increasing trial order, so the shared ``np.nonzero``-fixed
-        tie-breaks are preserved) and runs through the identical unpacked
-        off-chip tier path, keeping results and per-tier statistics
-        bit-identical to :meth:`decode_batch`.  Padding bits of the ragged
-        last word stay zero throughout, so they are never sticky, complex,
-        or counted.
+        tie-breaks are preserved) and descends the same off-chip tier path
+        as :meth:`decode_history`, keeping results and per-tier statistics
+        bit-identical to the per-trial reference.  Padding bits of the
+        ragged last word stay zero throughout, so they are never sticky,
+        complex, or counted.
         """
         planes = self._as_packed_detection_batch(detections, trials)
         num_rounds = planes.shape[0]

@@ -342,15 +342,15 @@ class CliqueDecoder(Decoder):
         """Decoder-interface wrapper: single-round signatures only.
 
         Multi-round histories are the responsibility of
-        :class:`repro.clique.hierarchical.HierarchicalDecoder`, which combines
-        this decoder with the measurement-persistence filter and an off-chip
-        fallback.
+        :class:`repro.clique.cascade.DecoderCascade`, which combines this
+        decoder with the measurement-persistence filter and the off-chip
+        tiers.
         """
         matrix = self._as_detection_matrix(detections)
         if matrix.shape[0] != 1:
             raise ValueError(
                 "CliqueDecoder.decode expects a single round; use "
-                "HierarchicalDecoder for multi-round histories"
+                "DecoderCascade for multi-round histories"
             )
         decision = self.decide(matrix[0])
         return DecodeResult(

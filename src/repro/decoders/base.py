@@ -127,10 +127,7 @@ class Decoder(abc.ABC):
       sorted int64 array of event positions it declines (``escalated``,
       indices into the input arrays; empty when fully resolved).  Escalation
       is per cluster, not per trial — only oversized clusters' members
-      travel on.  The cascade also still accepts the legacy PR 5
-      all-or-nothing form ``(bitmap | None, bool)`` from custom decoder
-      instances (``True`` = ship every event, ``False`` = fully resolved).
-      A tier without this hook can only sit last in a
+      travel on.  A tier without this hook can only sit last in a
       :class:`~repro.clique.cascade.DecoderCascade`.
     """
 
@@ -184,11 +181,10 @@ class Decoder(abc.ABC):
             histories: tensor of shape ``(trials, rounds, num_ancillas)``
                 (a single 2-D history is accepted as a batch of one).
 
-        The base implementation decodes trial by trial through :meth:`decode`
-        and repackages the results; decoders with a vectorised fast path (the
-        Clique hierarchy) override it.  Subclass overrides must stay
-        bit-identical to this reference semantics — the batched Monte-Carlo
-        engine's equivalence guarantee depends on it.
+        The generic implementation: decodes trial by trial through
+        :meth:`decode` and repackages the results.  It is what the base
+        :meth:`decode_batch_packed` falls back to for decoders without a
+        native packed path (flat MWPM, union-find, custom decoders).
         """
         batch = self._as_detection_batch(histories)
         trials = batch.shape[0]
@@ -246,10 +242,11 @@ class Decoder(abc.ABC):
 
         The base implementation unpacks, delegates to :meth:`decode_batch`,
         and re-packs the corrections — semantics, including RNG-free
-        tie-breaks, are therefore exactly :meth:`decode_batch`'s.  Decoders
-        with a native packed path (:class:`repro.clique.cascade.DecoderCascade`)
-        override it and must stay bit-identical to this reference; the packed
-        Monte-Carlo engine's equivalence guarantee depends on it.
+        tie-breaks, are therefore exactly per-trial :meth:`decode`'s.
+        Decoders with a native packed path
+        (:class:`repro.clique.cascade.DecoderCascade`) override it and must
+        stay bit-identical to per-trial decoding; the batch Monte-Carlo
+        engine's equivalence with the loop engine depends on it.
         """
         planes = self._as_packed_detection_batch(detections, trials)
         result = self.decode_batch(bitplane.unpack_trials(planes, trials))

@@ -8,24 +8,15 @@ syndrome (Dennis et al., "Topological quantum memory").
 Large event sets are solved by the in-tree O(n^3) blossom matcher
 (:mod:`repro.decoders.blossom`): boundary copies are handled *implicitly*
 through a profit transformation, so the matcher runs on ``n`` event nodes
-instead of the ``2n``-node auxiliary graph the networkx formulation needed.
+instead of a ``2n``-node auxiliary graph with explicit boundary copies.
 
-Small event sets — the common case for the hierarchy's off-chip fallback,
-which only ever sees the rare complex rounds — skip general matching
-entirely: an exact subset-DP over pair/boundary assignments finds the same
+Small event sets — the common case for the cascade's off-chip tier, which
+only ever sees the rare complex rounds — skip general matching entirely: an
+exact subset-DP over pair/boundary assignments finds the same
 minimum-total-distance solution in microseconds.
 
-networkx is *not* a runtime dependency anymore.  ``matcher="networkx"``
-keeps the legacy auxiliary-graph path available (lazy import) as a
-differential-test oracle and as the pre-blossom baseline for benchmarking:
-
-* one node per detection event, plus one *boundary copy* per event;
-* event-event edges weighted by (negative) space-time distance;
-* event-to-own-boundary-copy edges weighted by (negative) boundary distance;
-* boundary-copy-to-boundary-copy edges of weight zero (cached per event
-  count, LRU), so unused copies can pair among themselves;
-
-solved with ``networkx.max_weight_matching(maxcardinality=True)``.
+The decoder has no heavy dependencies.  The networkx auxiliary-graph
+formulation lives on only as a differential-test oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -36,12 +27,8 @@ from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders import blossom
 from repro.decoders.base import Decoder, DecodeResult
 from repro.decoders.matching_graph import MatchingGraph, SpaceTimeEvent
-from repro.exceptions import ConfigurationError, DecodingError
+from repro.exceptions import ConfigurationError
 from repro.types import StabilizerType
-
-#: Default bound on how many distinct event counts keep their boundary-clique
-#: edge lists cached (see ``boundary_clique_cache_limit``).
-DEFAULT_BOUNDARY_CLIQUE_CACHE_LIMIT = 16
 
 #: Hard cap on the subset-DP's event count.  The DP tables are O(2^n), so a
 #: caller-supplied threshold in the mid-30s would attempt a multi-GB
@@ -124,22 +111,6 @@ class MWPMDecoder(Decoder):
         stype: which stabilizer type's detection events this decoder handles.
         matching_graph: optionally share a precomputed :class:`MatchingGraph`
             (they are deterministic per ``(code, stype)``).
-        boundary_clique_cache_limit: how many distinct event counts retain
-            their zero-weight boundary-clique edge lists (LRU; only the
-            ``matcher="networkx"`` oracle path builds cliques); rarer counts
-            are rebuilt on demand so the cache cannot grow unboundedly over
-            a long sharded run.
-        boundary_clique_cache: optionally share one cache dict across several
-            decoder instances — the edge lists depend only on the event
-            count, so tiers of a :class:`~repro.clique.cascade.DecoderCascade`
-            built on the same :class:`MatchingGraph` share a single cache
-            instead of each warming its own.
-        matcher: which solver handles event sets beyond the subset-DP limit.
-            ``"blossom"`` (the default) is the in-tree O(n^3) matcher with
-            implicit boundary handling; ``"networkx"`` is the legacy
-            auxiliary-graph path, kept as an optional differential-test
-            oracle and pre-blossom benchmark baseline (imports networkx
-            lazily, on first use).
     """
 
     def __init__(
@@ -147,32 +118,9 @@ class MWPMDecoder(Decoder):
         code: RotatedSurfaceCode,
         stype: StabilizerType,
         matching_graph: MatchingGraph | None = None,
-        boundary_clique_cache_limit: int = DEFAULT_BOUNDARY_CLIQUE_CACHE_LIMIT,
-        boundary_clique_cache: dict[int, list] | None = None,
-        matcher: str = "blossom",
     ) -> None:
         super().__init__(code, stype)
         self._graph = matching_graph or MatchingGraph(code, stype)
-        if boundary_clique_cache_limit < 0:
-            raise ConfigurationError(
-                f"boundary_clique_cache_limit must be >= 0, "
-                f"got {boundary_clique_cache_limit}"
-            )
-        if matcher not in ("blossom", "networkx"):
-            raise ConfigurationError(
-                f"matcher must be 'blossom' or 'networkx', got {matcher!r}"
-            )
-        self._matcher = matcher
-        self._boundary_clique_cache_limit = boundary_clique_cache_limit
-        # The zero-weight boundary-copy clique depends only on the event
-        # count, so the edge lists are built once per count and reused.
-        self._boundary_clique_cache: dict[int, list] = (
-            {} if boundary_clique_cache is None else boundary_clique_cache
-        )
-
-    @property
-    def matcher(self) -> str:
-        return self._matcher
 
     @property
     def matching_graph(self) -> MatchingGraph:
@@ -200,8 +148,8 @@ class MWPMDecoder(Decoder):
     def decode_events_bitmap(self, rounds: np.ndarray, ancillas: np.ndarray) -> np.ndarray:
         """Decode one trial's detection events given as flat index arrays.
 
-        This is the batched-fallback entry point used by
-        :meth:`repro.clique.hierarchical.HierarchicalDecoder.decode_batch`:
+        This is the final-tier entry point used by
+        :meth:`repro.clique.cascade.DecoderCascade._offchip_corrections`:
         the caller extracts all off-chip trials' events with a single
         ``np.nonzero`` pass and hands each trial's ``(rounds, ancillas)``
         slice here, skipping per-trial matrix validation, ``SpaceTimeEvent``
@@ -248,32 +196,6 @@ class MWPMDecoder(Decoder):
     ) -> tuple[list[tuple[int, int]], list[int]]:
         return match_events_small(distance, boundary_distance)
 
-    def _boundary_clique_edges(self, num: int) -> list:
-        """Zero-weight clique among the ``num`` boundary copies (nodes
-        ``num .. 2 * num - 1``), LRU-cached for the most common event counts.
-
-        Only the ``matcher="networkx"`` oracle path builds boundary cliques;
-        the blossom matcher handles the boundary implicitly.  A hit moves the
-        count to the back of the insertion order, an insert at capacity
-        evicts the least-recently-used count, so a long sweep whose
-        event-count distribution drifts cannot pin cold entries forever.
-        """
-        cache = self._boundary_clique_cache
-        edges = cache.get(num)
-        if edges is not None:
-            cache[num] = cache.pop(num)  # move-to-end: mark most recently used
-            return edges
-        edges = [
-            (num + i, num + j, 0)
-            for i in range(num)
-            for j in range(i + 1, num)
-        ]
-        if self._boundary_clique_cache_limit > 0:
-            while len(cache) >= self._boundary_clique_cache_limit:
-                cache.pop(next(iter(cache)))  # evict least recently used
-            cache[num] = edges
-        return edges
-
     def _match_indices(
         self, ancillas: np.ndarray, rounds: np.ndarray
     ) -> tuple[list[tuple[int, int]], list[int]]:
@@ -292,67 +214,7 @@ class MWPMDecoder(Decoder):
 
         if num <= self._SMALL_CASE_LIMIT:
             return self._match_small(distance.tolist(), boundary_distance.tolist())
-        if self._matcher == "networkx":
-            return self._match_indices_networkx(
-                distance.tolist(), boundary_distance.tolist(), ancillas, rounds
-            )
         return blossom.match_events(distance, boundary_distance)
-
-    def _match_indices_networkx(
-        self,
-        distance: list[list[int]],
-        boundary_distance: list[int],
-        ancillas: np.ndarray,
-        rounds: np.ndarray,
-    ) -> tuple[list[tuple[int, int]], list[int]]:
-        """Legacy auxiliary-graph path via ``networkx.max_weight_matching``.
-
-        Kept as an optional differential-test oracle and as the pre-blossom
-        baseline for benchmarking; networkx is imported lazily so the default
-        decode path never touches it.
-        """
-        try:
-            import networkx as nx
-        except ImportError as exc:  # pragma: no cover - env without networkx
-            raise ConfigurationError(
-                "matcher='networkx' requires the optional networkx package; "
-                "the default matcher='blossom' has no such dependency"
-            ) from exc
-
-        num = len(boundary_distance)
-        # Auxiliary blossom graph on integer nodes: event ``i`` is node ``i``,
-        # its boundary copy is node ``num + i``.
-        edges = [(i, num + i, -boundary_distance[i]) for i in range(num)]
-        for i in range(num):
-            row = distance[i]
-            edges.extend((i, j, -row[j]) for j in range(i + 1, num))
-        graph = nx.Graph()
-        graph.add_weighted_edges_from(edges)
-        graph.add_weighted_edges_from(self._boundary_clique_edges(num))
-
-        matching = nx.max_weight_matching(graph, maxcardinality=True)
-        matched_nodes = {node for pair in matching for node in pair}
-        if len(matched_nodes) != 2 * num:
-            coords = list(zip(rounds.tolist(), np.asarray(ancillas).tolist()))
-            raise DecodingError(
-                f"matching is not perfect: {len(matched_nodes)} of "
-                f"{2 * num} nodes matched; decoder="
-                f"{type(self).__name__}(distance={self._code.distance}, "
-                f"stype={self._stype.name}, matcher={self._matcher!r}); "
-                f"events as (round, ancilla_index) pairs: {coords}"
-            )
-
-        pairs: list[tuple[int, int]] = []
-        boundary_matches: list[int] = []
-        for node_a, node_b in matching:
-            if node_a < num and node_b < num:
-                pairs.append((node_a, node_b))
-            elif node_a < num <= node_b:
-                boundary_matches.append(node_a)
-            elif node_b < num <= node_a:
-                boundary_matches.append(node_b)
-            # boundary-boundary pairs need no correction
-        return pairs, boundary_matches
 
     def _match(
         self, events: list[SpaceTimeEvent]
@@ -373,7 +235,6 @@ class MWPMDecoder(Decoder):
 
 
 __all__ = [
-    "DEFAULT_BOUNDARY_CLIQUE_CACHE_LIMIT",
     "MWPMDecoder",
     "SUBSET_DP_MAX_EVENTS",
     "match_events_small",

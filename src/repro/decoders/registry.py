@@ -27,8 +27,7 @@ from repro.exceptions import ConfigurationError
 #: Name of the mandatory on-chip front-end tier.
 CLIQUE_TIER = "clique"
 
-#: Off-chip decoder classes selectable by name in a cascade tier spec (and as
-#: ``HierarchicalDecoder(fallback=...)``, which aliases a two-tier cascade).
+#: Off-chip decoder classes selectable by name in a cascade tier spec.
 TIER_DECODERS: dict[str, type[Decoder]] = {
     "mwpm": MWPMDecoder,
     "union_find": ClusteringDecoder,

@@ -151,8 +151,8 @@ class ClusteringDecoder(Decoder):
     def decode_events_bitmap(self, rounds: np.ndarray, ancillas: np.ndarray) -> np.ndarray:
         """Decode one trial's detection events given as flat index arrays.
 
-        Batched-fallback entry point (see
-        :meth:`repro.clique.hierarchical.HierarchicalDecoder.decode_batch`).
+        Final-tier entry point (see
+        :meth:`repro.clique.cascade.DecoderCascade._offchip_corrections`).
         Events must arrive in row-major ``(round, ancilla)`` order — the
         order ``np.nonzero`` produces — so greedy pairing ties break exactly
         as in :meth:`decode`; the returned uint8 bitmap is then bit-identical

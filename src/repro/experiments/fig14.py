@@ -1,4 +1,4 @@
-"""Fig. 14 — logical error rate of Clique+fallback vs the MWPM baseline.
+"""Fig. 14 — logical error rate of the Clique cascade vs the MWPM baseline.
 
 Two scales are supported via ``scale=``:
 
@@ -112,26 +112,6 @@ def _resolve_escalation_threshold(
     return int(escalation_cluster_size)
 
 
-def _resolve_cascade(
-    tiers: str | tuple[str, ...] | None, fallback: str | None
-) -> tuple[str, ...]:
-    """Resolve the ``tiers``/``fallback`` pair into validated tier names.
-
-    ``tiers`` generalises (and supersedes) ``fallback``; passing both is
-    rejected rather than silently preferring one.  Unknown names fail here —
-    eagerly, with the registry's clean error listing the valid decoders —
-    instead of surfacing from inside a decode call or a pooled worker.
-    """
-    if tiers is not None and fallback is not None:
-        raise ConfigurationError(
-            "pass either tiers=... (cascade spec) or fallback=... (two-tier "
-            "shorthand), not both"
-        )
-    if tiers is None:
-        return resolve_tier_spec(("clique", fallback if fallback is not None else "mwpm"))
-    return resolve_tier_spec(tiers)
-
-
 def _resolve_scale(
     scale: str,
     trials: int | None,
@@ -175,24 +155,21 @@ def _memory_point_config(
     defaults are resolved (rounds to the code distance, the sharded engine's
     chunk size to :data:`~repro.simulation.shard.DEFAULT_SHARD_TRIALS`) so
     implicit and explicit spellings key identically, and ``workers`` is
-    excluded because it never affects the counts.  ``packed`` is excluded
-    for the same reason: the bitplane hot path is bit-identical to the
-    unpacked one under the same seed, so a sweep computed either way is a
-    warm hit for the other (pinned in
-    ``tests/experiments/test_store_resume.py``).  Every excluded runner
+    excluded because it never affects the counts.  Every excluded runner
     keyword is listed, with its reason, in the central
     :data:`repro.store.keys.KEY_EXCLUDED`; lint rule ``KEY001`` enforces
     that this function and that list jointly cover the full
     ``run_memory_experiment`` signature.
 
     Cascade topology participates in the key through the resolved tier
-    names: a two-tier cascade keeps the historical ``"fallback"`` spelling
-    (so stores populated before the N-tier refactor stay warm — the numbers
-    are bit-identical), while deeper cascades add an explicit ``"tiers"``
-    entry plus the *resolved* intermediate-tier escalation threshold (the
-    ``"auto"`` spelling and its per-distance value key identically; the
-    threshold shifts the escalation split, so it must key), making every
-    distinct topology a distinct key.
+    names: a two-tier cascade keys its off-chip tier under the historical
+    ``"fallback"`` entry (so stores populated before the ``tiers`` spec
+    became the only spelling stay warm — the numbers are bit-identical, and
+    ``tests/experiments/test_store_resume.py`` pins one such key), while
+    deeper cascades add an explicit ``"tiers"`` entry plus the *resolved*
+    intermediate-tier escalation threshold (the ``"auto"`` spelling and its
+    per-distance value key identically; the threshold shifts the escalation
+    split, so it must key), making every distinct topology a distinct key.
     """
     config = {
         "kind": "memory",
@@ -234,8 +211,7 @@ def run(
     rounds: int | None = None,
     engine: str | None = None,
     scale: str = "laptop",
-    fallback: str | None = None,
-    tiers: str | tuple[str, ...] | None = None,
+    tiers: str | tuple[str, ...] = ("clique", "mwpm"),
     escalation_cluster_size: "int | str" = "auto",
     workers: int | None = None,
     chunk_trials: "int | str | None" = None,
@@ -246,9 +222,8 @@ def run(
     force: bool = False,
     max_retries: int | None = None,
     shard_timeout: float | None = None,
-    packed: bool = True,
 ) -> ExperimentResult:
-    """Reproduce the Fig. 14 comparison (baseline vs Clique + fallback).
+    """Reproduce the Fig. 14 comparison (baseline vs the Clique cascade).
 
     Args:
         trials: flat per-point trial budget; ``None`` (default) picks the
@@ -263,12 +238,12 @@ def run(
             (``adaptive`` forces sharded).
         scale: ``"laptop"`` (seconds, d<=7) or ``"paper"`` (d=3-11 with
             per-distance budgets — the Fig. 14 divergence regime).
-        fallback: two-tier shorthand — the hierarchy's single off-chip tier
-            (``"mwpm"``, the default, or ``"union_find"``).
-        tiers: full cascade spec generalising ``fallback`` — a
-            comma-separated string or name tuple starting with ``"clique"``,
-            e.g. ``"clique,union_find,mwpm"`` for the paper's Section 8.1
-            three-tier cascade.  Mutually exclusive with ``fallback``.
+        tiers: the cascade spec — a comma-separated string or name tuple
+            starting with ``"clique"``; the default is the paper's two-tier
+            Clique+MWPM design.  ``"clique,union_find"`` swaps the
+            off-chip decoder, ``"clique,union_find,mwpm"`` is the paper's
+            Section 8.1 three-tier cascade.  Unknown names fail eagerly,
+            before any sweep work.
         escalation_cluster_size: intermediate-tier per-cluster escalation
             threshold for cascades with three or more tiers; the default
             ``"auto"`` resolves per distance (see
@@ -311,10 +286,6 @@ def run(
         shard_timeout: wall-clock budget per shard attempt in seconds for
             the sharded engine; a hung worker pool is killed and the shard
             re-dispatched.  Rejected on non-sharded engines.
-        packed: run the batch/sharded engines on the uint64 bitplane hot
-            path (default; the CLI's ``--no-packed`` turns it off).
-            Bit-identical either way, so the flag is deliberately absent
-            from the store key.
 
     On the sharded engine every pending (point, decoder) run's shards are
     interleaved through one persistent worker pool
@@ -328,7 +299,7 @@ def run(
         target_ci_width = 0.02
     if adaptive:
         engine = "sharded"
-    cascade_tiers = _resolve_cascade(tiers, fallback)
+    cascade_tiers = resolve_tier_spec(tiers)
     hierarchy_name = _cascade_label(cascade_tiers)
     if chunk_trials == AUTO_CHUNK and engine != "sharded":
         raise ConfigurationError(
@@ -408,7 +379,6 @@ def run(
                                 if stop is not None
                                 else None
                             ),
-                            packed=packed,
                             decoder_name=decoder_label,
                             on_complete=_persist_hook(config, base_seed),
                         )
@@ -429,7 +399,6 @@ def run(
                         workers=workers,
                         chunk_trials=point_chunk,
                         faults=faults,
-                        packed=packed,
                     ),
                 )
 
@@ -502,10 +471,8 @@ def compare_fallbacks(
     rounds: int | None = None,
     engine: str = "batch",
     workers: int | None = None,
-    fallback: str | None = None,
     tiers: str | tuple[str, ...] | None = None,
     escalation_cluster_size: "int | str" = "auto",
-    packed: bool = True,
 ) -> ExperimentResult:
     """Accuracy/throughput of the hierarchy's off-chip cascades side by side.
 
@@ -521,20 +488,13 @@ def compare_fallbacks(
     rounds per trial entering tier 1 (``offchip_rounds_per_trial``) and the
     final tier (``final_tier_rounds_per_trial``).
 
-    ``fallback`` restricts the comparison to a single two-tier hierarchy
-    (the CLI's ``--fallback`` flag); ``tiers`` (the CLI's ``--tiers``)
-    compares one full cascade spec against the two-tier MWPM reference.
+    ``tiers`` (the CLI's ``--tiers``) compares one cascade spec against the
+    two-tier MWPM reference (``"clique,mwpm"`` alone runs just that
+    reference).
     """
-    if tiers is not None and fallback is not None:
-        raise ConfigurationError(
-            "pass either tiers=... (cascade spec) or fallback=... (two-tier "
-            "shorthand), not both"
-        )
     if tiers is not None:
         spec = resolve_tier_spec(tiers)
         specs = [("clique", "mwpm"), spec] if spec != ("clique", "mwpm") else [spec]
-    elif fallback is not None:
-        specs = [resolve_tier_spec(("clique", fallback))]
     else:
         specs = [resolve_tier_spec(spec) for spec in DEFAULT_FALLBACK_SPECS]
     rows = []
@@ -554,7 +514,6 @@ def compare_fallbacks(
                 decoder_name=_cascade_label(spec),
                 engine=engine,
                 workers=workers,
-                packed=packed,
             )
             elapsed = time.perf_counter() - start
             rows.append(

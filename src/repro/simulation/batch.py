@@ -3,23 +3,23 @@
 The loop engine in :mod:`repro.simulation.memory` pays the expensive path's
 bookkeeping on every trial: per-round RNG calls, per-round parity-check
 products, and a per-trial decode.  This module applies the paper's own triage
-insight to the simulator itself:
+insight to the simulator itself, 64 trials per machine word on the uint64
+bitplanes of :mod:`repro.bitplane`:
 
-1. all trial error histories are sampled in one shot as a
-   ``(trials, rounds, qubits)`` uint8 tensor (one RNG call per chunk, through
-   :meth:`repro.noise.models.NoiseModel.sample_history`);
-2. all true syndromes come from a single reshaped
-   ``(trials * rounds, data) @ H.T % 2`` product;
-3. the decoder's :meth:`~repro.decoders.base.Decoder.decode_batch` hook
-   triages the whole batch — for the Clique hierarchy, trials whose rounds are
-   all trivial are corrected by fully vectorised index-table gathers and only
-   the rare complex minority pays a per-trial fallback decode;
-4. logical failures are judged by one matrix product against the logical
-   operator's support bitmap.
+1. all trial error histories are sampled in one shot straight into packed
+   planes (one RNG call per chunk, through
+   :meth:`repro.noise.models.NoiseModel.sample_history_packed`);
+2. true syndromes are XOR-parities over precomputed stabilizer supports;
+3. the decoder's :meth:`~repro.decoders.base.Decoder.decode_batch_packed`
+   hook triages the whole batch — for the Clique cascade, trials whose rounds
+   are all trivial are corrected by word-wise table lookups and only the
+   rare complex minority pays a per-trial off-chip decode;
+4. logical failures are popcounts of the XOR-reduced logical-support planes.
 
 The engine is **bit-identical** to the loop engine under a fixed seed: the
-noise tensor consumes the RNG stream exactly as the loop's per-round calls
-would (see :meth:`NoiseModel.sample_history`), and ``decode_batch``
+packed sampler consumes the RNG stream exactly as the loop's per-round calls
+would (see :meth:`NoiseModel.sample_history`), every kernel is an exact GF(2)
+counterpart of the loop's arithmetic, and ``decode_batch_packed``
 implementations are required to match per-trial decoding exactly.  The loop
 engine therefore remains the correctness oracle (``engine="loop"``), while
 this engine is the default gate to paper-scale trial counts.
@@ -74,7 +74,6 @@ def run_memory_experiment_batch(
     rng: np.random.Generator | int | None = None,
     decoder_name: str | None = None,
     chunk_trials: int = DEFAULT_CHUNK_TRIALS,
-    packed: bool = True,
 ):
     """Batched counterpart of :func:`repro.simulation.memory.run_memory_experiment`.
 
@@ -82,18 +81,6 @@ def run_memory_experiment_batch(
     module docstring for how the speedup is obtained.  ``chunk_trials`` caps
     how many trials are vectorised at once (chunking preserves the RNG stream
     and therefore the equivalence guarantee).
-
-    ``packed=True`` (the default) runs each chunk through the uint64
-    bitplane kernels of :mod:`repro.bitplane`: histories are sampled straight
-    into packed planes, syndromes come from XOR-parity over precomputed
-    stabilizer supports instead of the int64 matmul, the decoder triages
-    packed words through
-    :meth:`~repro.decoders.base.Decoder.decode_batch_packed`, and logical
-    failures are popcounts of XOR-reduced logical-support planes.  The packed
-    path consumes the RNG stream identically and every kernel is an exact
-    GF(2) counterpart, so results are bit-identical to ``packed=False`` —
-    the unpacked path remains the correctness oracle and escape hatch
-    (``--no-packed`` on the CLI).
     """
     # Imported lazily: memory.py re-exports this engine behind its
     # ``engine="batch"`` switch, so a module-level import would be circular.
@@ -110,12 +97,8 @@ def run_memory_experiment_batch(
 
     generator = make_rng(rng)
     decoder = decoder_factory(code, stype)
-    parity_check = code.parity_check(stype).astype(np.int64)
-    logical_bitmap = logical_support_bitmap(code, stype)
-    num_data = code.num_data_qubits
-    num_ancillas = code.num_ancillas_of_type(stype)
-    packed_check = bitplane.PackedParityCheck(parity_check) if packed else None
-    logical_planes = np.flatnonzero(logical_bitmap)
+    packed_check = bitplane.PackedParityCheck(code.parity_check(stype).astype(np.int64))
+    logical_planes = np.flatnonzero(logical_support_bitmap(code, stype))
 
     tier_names = tuple(getattr(decoder, "tier_names", ()) or ())
     tier_trials = np.zeros(len(tier_names), dtype=np.int64)
@@ -126,16 +109,10 @@ def run_memory_experiment_batch(
     remaining = trials
     while remaining > 0:
         chunk = min(chunk_trials, remaining)
-        if packed:
-            batch_result, chunk_failures = _run_packed_chunk(
-                code, noise, decoder, packed_check, logical_planes,
-                chunk, rounds, stype, generator,
-            )
-        else:
-            batch_result, chunk_failures = _run_unpacked_chunk(
-                code, noise, decoder, parity_check, logical_bitmap,
-                chunk, rounds, stype, generator, num_data, num_ancillas,
-            )
+        batch_result, chunk_failures = _run_packed_chunk(
+            code, noise, decoder, packed_check, logical_planes,
+            chunk, rounds, stype, generator,
+        )
         failures += chunk_failures
         onchip_rounds += int(batch_result.onchip_rounds.sum())
         total_rounds += int(batch_result.total_rounds.sum())
@@ -159,56 +136,18 @@ def run_memory_experiment_batch(
     )
 
 
-def _run_unpacked_chunk(
-    code, noise, decoder, parity_check, logical_bitmap,
-    chunk, rounds, stype, generator, num_data, num_ancillas,
-):
-    """One chunk through the uint8 reference pipeline (the packed oracle).
-
-    One canonical dtype per stage: uint8 from the sampler through the
-    decoder and the residual, int64 only where the parity products widen
-    internally.  The single explicit conversion per chunk is the uint8 cast
-    of the (narrow) syndrome tensor coming out of the matmul; everything
-    downstream XORs uint8 against uint8 with no ``astype`` copies
-    (``tests/simulation/test_packed_engine.py`` bounds the allocations).
-    """
-    data_errors, flips = noise.sample_history(code, stype, chunk, rounds, generator)
-
-    # Cumulative XOR along the round axis gives the accumulated error
-    # state after each round, staying in uint8.
-    accumulated = np.bitwise_xor.accumulate(data_errors, axis=1)
-    true_syndromes = (
-        ((accumulated.reshape(chunk * rounds, num_data) @ parity_check.T) & 1)
-        .reshape(chunk, rounds, num_ancillas)
-        .astype(np.uint8)
-    )
-
-    # Observed syndromes: measurement flips on every noisy round plus the
-    # final perfectly-read round; detection events are the difference
-    # syndrome (round 0 against the all-zero reference frame).
-    observed = np.concatenate(
-        [true_syndromes ^ flips, true_syndromes[:, -1:]], axis=1
-    )
-    detections = observed.copy()
-    detections[:, 1:] ^= observed[:, :-1]
-
-    batch_result = decoder.decode_batch(detections)
-    residual = accumulated[:, -1] ^ batch_result.corrections
-    failures = int(((residual @ logical_bitmap) & 1).sum())
-    return batch_result, failures
-
-
 def _run_packed_chunk(
     code, noise, decoder, packed_check, logical_planes,
     chunk, rounds, stype, generator,
 ):
     """One chunk through the uint64 bitplane pipeline.
 
-    Statement-for-statement mirror of :func:`_run_unpacked_chunk` in word
-    space: XOR-accumulate along rounds, XOR-parity syndromes, packed decode,
-    and a popcount of the XOR-reduced logical-support planes for the failure
-    count.  The tail mask guards the ragged last word against decoders that
-    do not keep padding bits zero.
+    XOR-accumulate along rounds, XOR-parity syndromes, observed syndromes
+    with measurement flips plus the final perfectly-read round, difference
+    syndromes as detection events (round 0 against the all-zero reference
+    frame), packed decode, and a popcount of the XOR-reduced logical-support
+    planes for the failure count.  The tail mask guards the ragged last word
+    against decoders that do not keep padding bits zero.
     """
     data_planes, flip_planes = noise.sample_history_packed(
         code, stype, chunk, rounds, generator

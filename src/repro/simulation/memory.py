@@ -12,15 +12,16 @@ convention that lets every detection event be matched):
 4. the trial fails when the residual error (accumulated XOR correction)
    anticommutes with the logical operator.
 
-The same harness runs the MWPM baseline and the Clique+MWPM hierarchy, which
-is exactly the comparison in Fig. 14.
+The same harness runs the MWPM baseline and the Clique+MWPM cascade
+(:class:`~repro.clique.cascade.DecoderCascade`), which is exactly the
+comparison in Fig. 14.
 
 Three engines share this harness's contract, selected with the ``engine``
 argument of :func:`run_memory_experiment`:
 
 * ``"loop"`` — the per-trial reference path below, kept as the correctness
   oracle;
-* ``"batch"`` (default) — the vectorised engine of
+* ``"batch"`` (default) — the bit-packed vectorised engine of
   :mod:`repro.simulation.batch`, bit-identical to the loop under a fixed
   seed;
 * ``"sharded"`` — the multiprocess engine: the run becomes a one-point
@@ -200,7 +201,6 @@ def run_memory_experiment(
     faults: object | None = None,
     fault_report: object | None = None,
     fault_injector: object | None = None,
-    packed: bool = True,
 ) -> MemoryExperimentResult:
     """Estimate the logical error rate of a decoder with Monte-Carlo trials.
 
@@ -251,13 +251,6 @@ def run_memory_experiment(
         fault_injector: optional :class:`repro.faults.FaultInjector`
             carrying a deterministic chaos plan (test mode); defaults to the
             ambient ``REPRO_FAULT_PLAN`` plan, if set.
-        packed: run the batched engines' hot path on uint64 bitplane kernels
-            (:mod:`repro.bitplane`) — the default.  ``packed=False`` is the
-            unpacked escape hatch (``--no-packed`` on the CLI); both paths
-            are bit-identical under the same seed, so this knob never changes
-            results, only throughput and peak memory.  The ``"loop"`` engine
-            decodes trial by trial and has no packed representation, so the
-            flag is accepted and ignored there.
     """
     if checkpoint is not None and adaptive is None:
         raise ConfigurationError(
@@ -303,7 +296,6 @@ def run_memory_experiment(
             stype=stype,
             stop=adaptive,
             checkpoint=checkpoint,
-            packed=packed,
             decoder_name=decoder_name,
             **point_kwargs,
         )
@@ -329,7 +321,6 @@ def run_memory_experiment(
             stype=stype,
             rng=rng,
             decoder_name=decoder_name,
-            packed=packed,
             **kwargs,
         )
     if engine != "loop":

@@ -379,7 +379,6 @@ def memory_point(
     chunk_trials: int = DEFAULT_SHARD_TRIALS,
     stop: WilsonStoppingRule | None = None,
     checkpoint: Any | None = None,
-    packed: bool = True,
     decoder_name: str | None = None,
     on_complete: Callable[[Any], None] | None = None,
 ) -> SweepPoint:
@@ -393,7 +392,7 @@ def memory_point(
     track the logical-failure rate and record the trials actually consumed.
     """
     rounds = _resolve_rounds(code, rounds)
-    kernel = MemoryKernel(code, noise, decoder_factory, rounds, stype, packed=packed)
+    kernel = MemoryKernel(code, noise, decoder_factory, rounds, stype)
 
     def finalize(outcome: PointOutcome):
         from repro.simulation.memory import MemoryExperimentResult

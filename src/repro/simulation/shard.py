@@ -212,13 +212,6 @@ class MemoryKernel:
     decoder_name, tier_names, tier_trials, tier_rounds)`` tuples — the tier
     entries are per-cascade-tier count tuples, empty for flat decoders —
     merged with :func:`merge_memory_counts`.
-
-    ``packed`` selects the batch engine's uint64 bitplane hot path inside
-    each worker (default on).  Packed and unpacked shards are bit-identical
-    under the PR 2 seeding contract — each shard replays the same
-    ``shard_rng(seed, index)`` stream either way — so the flag changes
-    neither the partial tuples nor the checkpoint layout
-    (:data:`CHECKPOINT_STATE_VERSION` is unaffected).
     """
 
     code: RotatedSurfaceCode
@@ -226,7 +219,6 @@ class MemoryKernel:
     decoder_factory: Callable[[RotatedSurfaceCode, StabilizerType], Decoder]
     rounds: int
     stype: StabilizerType
-    packed: bool = True
 
     def __call__(
         self, shard_trials: int, rng: np.random.Generator
@@ -241,7 +233,6 @@ class MemoryKernel:
             rounds=self.rounds,
             stype=self.stype,
             rng=rng,
-            packed=self.packed,
         )
         return (
             result.logical_failures,

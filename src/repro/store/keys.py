@@ -59,7 +59,6 @@ KEY_EXCLUDED: dict[str, str] = {
     "faults": "fault recovery replays shard streams bit-identically",
     "fault_report": "output-only execution-provenance sink",
     "fault_injector": "test-only injection; recovered runs are bit-identical",
-    "packed": "bitplane and uint8 kernels are bit-identical under one seed",
 }
 
 

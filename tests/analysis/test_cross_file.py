@@ -52,8 +52,8 @@ class LookupDecoder(Decoder):
 def inject_fake_kwarg(scratch_tree):
     edit(
         scratch_tree / "simulation/memory.py",
-        "    packed: bool = True,\n",
-        f"    packed: bool = True,\n{FAKE_KWARG}\n",
+        "    fault_injector: object | None = None,\n",
+        f"    fault_injector: object | None = None,\n{FAKE_KWARG}\n",
     )
 
 
@@ -83,9 +83,9 @@ class TestKey001:
         inject_fake_kwarg(scratch_tree)
         edit(
             scratch_tree / "store/keys.py",
-            '    "packed": ',
+            '    "fault_injector": ',
             '    "fake_knob": "test-only knob; never touches the numbers",\n'
-            '    "packed": ',
+            '    "fault_injector": ',
         )
         assert lint_paths([scratch_tree / "simulation/memory.py"]) == []
 
@@ -134,9 +134,9 @@ class TestKey001:
         keys = scratch_tree / "store/keys.py"
         edit(
             keys,
-            '    "packed": ',
+            '    "fault_injector": ',
             '    "retired_knob": "a knob both runners have since dropped",\n'
-            '    "packed": ',
+            '    "fault_injector": ',
         )
         runners = [
             scratch_tree / "simulation/memory.py",

@@ -1,10 +1,11 @@
 """Tests for the N-tier decoder cascade (Clique -> ... -> final matcher).
 
 Covers the tier contract (escalation masks, construction validation), the
-bit-identity of the batched cascade path against the per-trial reference, and
-— the refactor's load-bearing guarantee — the two-tier alias's bit-identity
-with the *pre-refactor* ``HierarchicalDecoder`` under fixed seeds on all
-three Monte-Carlo engines, pinned against frozen seeded outputs.
+bit-identity of the packed batch cascade path against the per-trial
+``decode_history`` reference, and — the refactor's load-bearing guarantee —
+the two-tier cascade's bit-identity with the *pre-refactor* two-tier
+hierarchy under fixed seeds on all three Monte-Carlo engines, pinned against
+frozen seeded outputs.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.cascade import CascadeResult, DecoderCascade
+from repro import bitplane
+from repro.clique.cascade import DecoderCascade
 from repro.clique.decoder import CliqueDecoder
-from repro.clique.hierarchical import HierarchicalDecoder, HierarchicalResult
 from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
 from repro.decoders.registry import resolve_tier_spec, tier_decoder_names
@@ -41,12 +42,21 @@ class _CascadeFactory:
         return DecoderCascade(code, stype, tiers=self.tiers)
 
 
-class _HierarchicalFactory:
-    def __init__(self, fallback):
-        self.fallback = fallback
+class _OtherSpeciesFinalTier:
+    """Picklable factory of a cascade whose final tier decodes the *other*
+    stabilizer type — the misconfiguration construction must reject."""
 
     def __call__(self, code, stype):
-        return HierarchicalDecoder(code, stype, fallback=self.fallback)
+        other = StabilizerType.Z if stype is StabilizerType.X else StabilizerType.X
+        return DecoderCascade(code, stype, tiers=("clique", MWPMDecoder(code, other)))
+
+
+def _decode_packed(cascade, batch):
+    """Run an unpacked ``(trials, rounds, ancillas)`` batch through the
+    production packed path; corrections come back unpacked."""
+    trials = batch.shape[0]
+    result = cascade.decode_batch_packed(bitplane.pack_trials(batch), trials)
+    return result, bitplane.unpack_trials(result.corrections, trials)
 
 
 class TestTierSpecResolution:
@@ -99,23 +109,6 @@ class TestConstruction:
         cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
         assert cascade.offchip_tiers[0]._graph is cascade.offchip_tiers[1]._graph
 
-    def test_boundary_clique_cache_limit_threads_through(self, code_d5):
-        cascade = DecoderCascade(
-            code_d5, StabilizerType.X, tiers=THREE_TIER, boundary_clique_cache_limit=3
-        )
-        mwpm = cascade.offchip_tiers[1]
-        for num in range(2, 12):
-            mwpm._boundary_clique_edges(num)
-        assert len(mwpm._boundary_clique_cache) == 3
-
-    def test_hierarchical_cache_limit_kwarg(self, code_d5):
-        decoder = HierarchicalDecoder(
-            code_d5, StabilizerType.X, boundary_clique_cache_limit=2
-        )
-        for num in range(2, 9):
-            decoder.fallback._boundary_clique_edges(num)
-        assert len(decoder.fallback._boundary_clique_cache) == 2
-
     def test_non_escalating_mid_tier_is_rejected(self, code_d5):
         # MWPM has no escalation path, so it can only sit last.
         with pytest.raises(ConfigurationError, match="escalate"):
@@ -137,8 +130,73 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="first cascade tier"):
             DecoderCascade(code_d5, StabilizerType.X, tiers=("mwpm", "union_find"))
 
-    def test_hierarchical_result_is_cascade_result(self):
-        assert HierarchicalResult is CascadeResult
+    def test_default_is_the_two_tier_clique_mwpm_hierarchy(self, code_d5):
+        cascade = DecoderCascade(code_d5, StabilizerType.X)
+        assert cascade.tier_names == ("clique", "mwpm")
+        assert isinstance(cascade.offchip_tiers[0], MWPMDecoder)
+        assert cascade.measurement_rounds == 2
+
+
+class TestTierTargetValidation:
+    """Ready-made tiers must be built for the cascade's own code distance and
+    stabilizer type; a mismatch is rejected at construction, naming the
+    tier, instead of silently decoding the wrong species or crashing inside
+    a decode call."""
+
+    def test_final_tier_of_the_other_stabilizer_type_is_rejected(self, code_d5):
+        wrong = MWPMDecoder(code_d5, StabilizerType.Z)
+        with pytest.raises(ConfigurationError, match=r"'MWPMDecoder' at position 1"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", wrong))
+
+    def test_final_tier_of_another_distance_is_rejected(self, code_d5, code_d7):
+        wrong = MWPMDecoder(code_d7, StabilizerType.X)
+        with pytest.raises(ConfigurationError, match="distance 7"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", wrong))
+
+    def test_intermediate_tier_mismatch_is_rejected(self, code_d5):
+        wrong = ClusteringDecoder(
+            code_d5, StabilizerType.Z, escalation_cluster_size=2
+        )
+        with pytest.raises(ConfigurationError, match="position 1"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", wrong, "mwpm"))
+
+    def test_clique_front_of_another_distance_is_rejected(self, code_d5, code_d7):
+        wrong = CliqueDecoder(code_d7, StabilizerType.X)
+        with pytest.raises(ConfigurationError, match="'clique' at position 0"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=(wrong, "mwpm"))
+
+    def test_clique_front_of_the_other_stabilizer_type_is_rejected(self, code_d5):
+        wrong = CliqueDecoder(code_d5, StabilizerType.Z)
+        with pytest.raises(ConfigurationError, match="Z stabilizers"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=(wrong, "mwpm"))
+
+    @pytest.mark.parametrize("engine", ["loop", "batch", "sharded"])
+    def test_mismatched_tier_fails_before_any_trial_runs(self, code_d5, engine):
+        # The reported failure mode: a Z-type final tier in an X cascade used
+        # to run silently on every engine and roughly triple the logical
+        # failures.  Now the factory call itself fails.
+        with pytest.raises(ConfigurationError, match="Z stabilizers"):
+            run_memory_experiment(
+                code_d5,
+                PhenomenologicalNoise(2e-2),
+                _OtherSpeciesFinalTier(),
+                trials=50,
+                rng=1,
+                engine=engine,
+                workers=1 if engine == "sharded" else None,
+            )
+
+    def test_matching_instances_on_an_equal_code_are_accepted(self, code_d5):
+        # Distance and stabilizer type decide, not object identity: a tier
+        # built on a separately constructed code of the same distance fits.
+        other = type(code_d5)(5)
+        final = MWPMDecoder(other, StabilizerType.Z)
+        cascade = DecoderCascade(
+            code_d5,
+            StabilizerType.Z,
+            tiers=(CliqueDecoder(other, StabilizerType.Z), final),
+        )
+        assert cascade.offchip_tiers == (final,)
 
 
 class TestEscalationMask:
@@ -204,53 +262,104 @@ class TestEscalationMask:
             ClusteringDecoder(code_d5, StabilizerType.X, escalation_cluster_size=0)
 
 
+def _assert_packed_matches_decode_history(cascade, batch):
+    """Trial by trial, the packed batch result must equal ``decode_history``:
+    corrections, on-chip rounds, the deepest tier reached, and the rounds
+    shipped into every off-chip tier."""
+    code = cascade.code
+    data_index = code.data_index
+    result, corrections = _decode_packed(cascade, batch)
+    tier_trials = np.zeros(cascade.num_tiers, dtype=np.int64)
+    tier_rounds = np.zeros(cascade.num_tiers, dtype=np.int64)
+    for trial in range(batch.shape[0]):
+        reference = cascade.decode_history(batch[trial])
+        bitmap = np.zeros(code.num_data_qubits, dtype=np.uint8)
+        for qubit in reference.correction:
+            bitmap[data_index[qubit]] ^= 1
+        assert np.array_equal(corrections[trial], bitmap)
+        onchip = reference.num_rounds - reference.num_offchip_rounds
+        assert result.onchip_rounds[trial] == onchip
+        assert result.total_rounds[trial] == reference.num_rounds
+        tier_trials[reference.handled_tier] += 1
+        tier_rounds[0] += onchip
+        for tier, count in enumerate(reference.tier_shipped_rounds, start=1):
+            tier_rounds[tier] += count
+    assert np.array_equal(result.tier_trials, tier_trials)
+    assert np.array_equal(result.tier_rounds, tier_rounds)
+    assert int(result.tier_trials.sum()) == batch.shape[0]
+
+
 class TestBatchedCascadeBitIdentity:
-    """The batched cascade path must stay bit-identical to the per-trial
-    decode_history reference — including which tier resolves each trial."""
+    """The packed batch cascade path must stay bit-identical to the
+    per-trial decode_history reference — including which tier resolves each
+    trial and the rounds shipped into each tier."""
 
     @pytest.mark.parametrize("distance", [5, 7])
     def test_three_tier_decode_batch_matches_decode_history(self, distance):
         code = get_code(distance)
         cascade = DecoderCascade(code, StabilizerType.X, tiers=THREE_TIER)
-        width = _width(code)
-        data_index = code.data_index
         rng = np.random.default_rng(37)
         # Densities straddle the triage point so plenty of trials exercise
         # every tier boundary.
         for density in (0.05, 0.18):
-            batch = (rng.random((40, distance + 1, width)) < density).astype(np.uint8)
-            result = cascade.decode_batch(batch)
-            tier_tally = np.zeros(cascade.num_tiers, dtype=np.int64)
-            for trial in range(batch.shape[0]):
-                reference = cascade.decode_history(batch[trial])
-                bitmap = np.zeros(code.num_data_qubits, dtype=np.uint8)
-                for qubit in reference.correction:
-                    bitmap[data_index[qubit]] ^= 1
-                assert np.array_equal(result.corrections[trial], bitmap)
-                assert result.onchip_rounds[trial] == (
-                    reference.num_rounds - reference.num_offchip_rounds
-                )
-                tier_tally[reference.handled_tier] += 1
-            assert np.array_equal(result.tier_trials, tier_tally)
-            assert int(result.tier_trials.sum()) == batch.shape[0]
+            batch = (rng.random((40, distance + 1, _width(code))) < density).astype(
+                np.uint8
+            )
+            _assert_packed_matches_decode_history(cascade, batch)
 
-    def test_two_tier_cascade_matches_hierarchical_alias(self, code_d5):
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "mwpm"))
-        alias = HierarchicalDecoder(code_d5, StabilizerType.X)
-        rng = np.random.default_rng(41)
+    @pytest.mark.parametrize("distance", [5, 7])
+    @pytest.mark.parametrize("final", ["mwpm", "union_find"])
+    def test_two_tier_decode_batch_matches_decode_history(self, distance, final):
+        code = get_code(distance)
+        cascade = DecoderCascade(code, StabilizerType.X, tiers=("clique", final))
+        rng = np.random.default_rng(29)
+        for density in (0.05, 0.18):
+            batch = (rng.random((40, distance + 1, _width(code))) < density).astype(
+                np.uint8
+            )
+            _assert_packed_matches_decode_history(cascade, batch)
+
+    def test_final_tier_without_bitmap_hook_still_matches(self, code_d5):
+        # A final tier that only implements decode() exercises the per-trial
+        # sub-mask path inside _cascade_trial.
+        class PlainMWPM(MWPMDecoder):
+            decode_events_bitmap = None  # hide the batched hook
+
+        via_plain = DecoderCascade(
+            code_d5, StabilizerType.X, tiers=("clique", PlainMWPM(code_d5, StabilizerType.X))
+        )
+        via_bitmap = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "mwpm"))
+        rng = np.random.default_rng(31)
         batch = (rng.random((30, 6, _width(code_d5))) < 0.15).astype(np.uint8)
-        a = cascade.decode_batch(batch)
-        b = alias.decode_batch(batch)
-        assert np.array_equal(a.corrections, b.corrections)
-        assert np.array_equal(a.onchip_rounds, b.onchip_rounds)
-        assert np.array_equal(a.tier_trials, b.tier_trials)
-        assert np.array_equal(a.tier_rounds, b.tier_rounds)
+        _assert_packed_matches_decode_history(via_plain, batch)
+        plain, plain_corrections = _decode_packed(via_plain, batch)
+        bitmap, bitmap_corrections = _decode_packed(via_bitmap, batch)
+        assert np.array_equal(plain_corrections, bitmap_corrections)
+        assert np.array_equal(plain.onchip_rounds, bitmap.onchip_rounds)
+        assert np.array_equal(plain.tier_trials, bitmap.tier_trials)
+
+    def test_generic_decode_batch_matches_decode_history(self, code_d5):
+        # With no unpacked fast path of its own, the cascade's decode_batch
+        # is the base per-trial loop over decode(); it must still report the
+        # same corrections and round split as decode_history.
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
+        rng = np.random.default_rng(47)
+        batch = (rng.random((20, 6, _width(code_d5))) < 0.15).astype(np.uint8)
+        result = cascade.decode_batch(batch)
+        _, packed_corrections = _decode_packed(cascade, batch)
+        assert np.array_equal(result.corrections, packed_corrections)
+        for trial in range(batch.shape[0]):
+            reference = cascade.decode_history(batch[trial])
+            assert result.onchip_rounds[trial] == (
+                reference.num_rounds - reference.num_offchip_rounds
+            )
+            assert result.total_rounds[trial] == reference.num_rounds
 
     def test_tier_rounds_accounting(self, code_d5):
         cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
         rng = np.random.default_rng(43)
         batch = (rng.random((40, 6, _width(code_d5))) < 0.15).astype(np.uint8)
-        result = cascade.decode_batch(batch)
+        result, _ = _decode_packed(cascade, batch)
         total_rounds = int(result.total_rounds.sum())
         onchip_rounds = int(result.onchip_rounds.sum())
         assert result.tier_rounds[0] == onchip_rounds
@@ -259,8 +368,8 @@ class TestBatchedCascadeBitIdentity:
         assert result.tier_rounds[2] <= result.tier_rounds[1]
 
 
-#: Frozen seeded outputs captured from the pre-refactor two-tier
-#: ``HierarchicalDecoder`` implementation (commit 645e6b2) — trials=300,
+#: Frozen seeded outputs captured from the pre-refactor two-tier hierarchy
+#: implementation (commit 645e6b2) — trials=300,
 #: p=2e-2, seed=1234, rounds=distance; sharded at workers=1 with the default
 #: chunk.  The cascade refactor must reproduce every number bit for bit.
 PRE_REFACTOR_SEEDED = {
@@ -281,39 +390,21 @@ PRE_REFACTOR_SEEDED = {
 
 
 class TestPreRefactorEquivalence:
-    """``DecoderCascade(("clique", f))`` and the ``HierarchicalDecoder``
-    alias must both be bit-identical to the pre-refactor hierarchy under
-    fixed seeds on the loop, batch, and sharded engines."""
+    """``DecoderCascade(("clique", f))`` must be bit-identical to the
+    pre-refactor two-tier hierarchy under fixed seeds on the loop, batch,
+    and sharded engines."""
 
+    @pytest.mark.parametrize("distance", [3, 5])
     @pytest.mark.parametrize("fallback", ["mwpm", "union_find"])
     @pytest.mark.parametrize("engine", ["loop", "batch", "sharded"])
-    def test_two_tier_cascade_reproduces_frozen_outputs(self, fallback, engine):
-        distance = 5
+    def test_two_tier_cascade_reproduces_frozen_outputs(
+        self, distance, fallback, engine
+    ):
         expected = PRE_REFACTOR_SEEDED[(fallback, distance, engine)]
         result = run_memory_experiment(
             get_code(distance),
             PhenomenologicalNoise(2e-2),
             _CascadeFactory(("clique", fallback)),
-            trials=300,
-            rng=1234,
-            engine=engine,
-            workers=1 if engine == "sharded" else None,
-        )
-        assert (
-            result.logical_failures,
-            result.onchip_rounds,
-            result.total_rounds,
-        ) == expected
-
-    @pytest.mark.parametrize("fallback", ["mwpm", "union_find"])
-    @pytest.mark.parametrize("engine", ["loop", "batch", "sharded"])
-    def test_hierarchical_alias_reproduces_frozen_outputs(self, fallback, engine):
-        distance = 3
-        expected = PRE_REFACTOR_SEEDED[(fallback, distance, engine)]
-        result = run_memory_experiment(
-            get_code(distance),
-            PhenomenologicalNoise(2e-2),
-            _HierarchicalFactory(fallback),
             trials=300,
             rng=1234,
             engine=engine,

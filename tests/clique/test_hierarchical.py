@@ -1,11 +1,16 @@
-"""Tests for the hierarchical (Clique on-chip + MWPM off-chip) decoder."""
+"""Tests for the paper's two-tier hierarchy: Clique on-chip + MWPM off-chip.
+
+The hierarchy is the default :class:`~repro.clique.cascade.DecoderCascade`
+(``tiers=("clique", "mwpm")``); the N-tier machinery itself is covered in
+``test_cascade.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro.clique.cascade import DecoderCascade
 from repro.decoders.mwpm import MWPMDecoder
 from repro.types import Coord, DecodeLocation, StabilizerType
 
@@ -14,7 +19,7 @@ from repro.types import Coord, DecodeLocation, StabilizerType
 def hierarchical_d5():
     from repro.codes.rotated_surface import get_code
 
-    return HierarchicalDecoder(get_code(5), StabilizerType.X)
+    return DecoderCascade(get_code(5), StabilizerType.X, tiers=("clique", "mwpm"))
 
 
 def _width(code):
@@ -102,8 +107,8 @@ class TestOffChipPath:
 
 
 class TestConfiguration:
-    def test_custom_fallback_is_used(self, code_d5):
-        # The cascade routes decoder-instance fallbacks through the batched
+    def test_custom_final_tier_is_used(self, code_d5):
+        # The cascade routes decoder-instance final tiers through the batched
         # decode_events_bitmap hook when they provide one (falling back to
         # matrix-level decode() otherwise), so record both entry points.
         calls = []
@@ -117,15 +122,15 @@ class TestConfiguration:
                 calls.append(("decode_events_bitmap", rounds.copy()))
                 return super().decode_events_bitmap(rounds, ancillas)
 
-        fallback = RecordingMWPM(code_d5, StabilizerType.X)
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X, fallback=fallback)
+        final = RecordingMWPM(code_d5, StabilizerType.X)
+        decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", final))
         detections = np.zeros((2, _width(code_d5)), dtype=np.uint8)
         detections[0] = _complex_round_signature(code_d5)
         decoder.decode_history(detections)
         assert len(calls) == 1
         assert calls[0][0] == "decode_events_bitmap"
 
-    def test_fallback_not_called_when_everything_is_trivial(self, code_d5):
+    def test_final_tier_not_called_when_everything_is_trivial(self, code_d5):
         calls = []
 
         class RecordingMWPM(MWPMDecoder):
@@ -137,8 +142,10 @@ class TestConfiguration:
                 calls.append(rounds.copy())
                 return super().decode_events_bitmap(rounds, ancillas)
 
-        decoder = HierarchicalDecoder(
-            code_d5, StabilizerType.X, fallback=RecordingMWPM(code_d5, StabilizerType.X)
+        decoder = DecoderCascade(
+            code_d5,
+            StabilizerType.X,
+            tiers=("clique", RecordingMWPM(code_d5, StabilizerType.X)),
         )
         detections = np.zeros((3, _width(code_d5)), dtype=np.uint8)
         detections[0] = code_d5.syndrome_of({Coord(4, 4)}, StabilizerType.X)
@@ -146,12 +153,13 @@ class TestConfiguration:
         assert calls == []
 
     def test_measurement_rounds_parameter_exposed(self, code_d5):
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X, measurement_rounds=3)
+        decoder = DecoderCascade(code_d5, StabilizerType.X, measurement_rounds=3)
         assert decoder.measurement_rounds == 3
 
-    def test_clique_and_fallback_accessors(self, hierarchical_d5):
+    def test_clique_and_offchip_tier_accessors(self, hierarchical_d5):
         assert hierarchical_d5.clique is not None
-        assert isinstance(hierarchical_d5.fallback, MWPMDecoder)
+        (offchip,) = hierarchical_d5.offchip_tiers
+        assert isinstance(offchip, MWPMDecoder)
 
 
 class TestAccuracyAgainstBaseline:
@@ -170,7 +178,7 @@ class TestAccuracyAgainstBaseline:
         hierarchical = run_memory_experiment(
             code_d3,
             noise,
-            lambda code, stype: HierarchicalDecoder(code, stype),
+            lambda code, stype: DecoderCascade(code, stype),
             trials=600,
             rng=5,
         )
@@ -187,72 +195,28 @@ class TestAccuracyAgainstBaseline:
         result = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(1e-3),
-            lambda code, stype: HierarchicalDecoder(code, stype),
+            lambda code, stype: DecoderCascade(code, stype),
             trials=200,
             rng=6,
         )
         assert result.onchip_round_fraction > 0.9
 
 
-class TestNamedFallbacks:
+class TestNamedOffchipTiers:
     def test_mwpm_is_the_default(self, code_d5):
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X)
-        assert isinstance(decoder.fallback, MWPMDecoder)
+        decoder = DecoderCascade(code_d5, StabilizerType.X)
+        assert decoder.tier_names == ("clique", "mwpm")
+        assert isinstance(decoder.offchip_tiers[0], MWPMDecoder)
 
     def test_union_find_is_selectable_by_name(self, code_d5):
         from repro.decoders.union_find import ClusteringDecoder
 
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X, fallback="union_find")
-        assert isinstance(decoder.fallback, ClusteringDecoder)
+        decoder = DecoderCascade(code_d5, StabilizerType.X, tiers="clique,union_find")
+        assert decoder.tier_names == ("clique", "union_find")
+        assert isinstance(decoder.offchip_tiers[0], ClusteringDecoder)
 
     def test_unknown_name_is_rejected(self, code_d5):
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            HierarchicalDecoder(code_d5, StabilizerType.X, fallback="lookup_table")
-
-
-class TestBatchedFallbackBitIdentity:
-    """decode_batch routes off-chip trials through the batched fallback; it
-    must stay bit-identical to the per-trial decode_history reference."""
-
-    @pytest.mark.parametrize("distance", [5, 7])
-    @pytest.mark.parametrize("fallback", ["mwpm", "union_find"])
-    def test_decode_batch_matches_decode_history(self, distance, fallback):
-        from repro.codes.rotated_surface import get_code
-
-        code = get_code(distance)
-        decoder = HierarchicalDecoder(code, StabilizerType.X, fallback=fallback)
-        width = _width(code)
-        data_index = code.data_index
-        rng = np.random.default_rng(29)
-        # Densities straddle the on-chip/off-chip triage point so plenty of
-        # trials exercise the batched fallback.
-        for density in (0.05, 0.18):
-            batch = (rng.random((40, distance + 1, width)) < density).astype(np.uint8)
-            result = decoder.decode_batch(batch)
-            for trial in range(batch.shape[0]):
-                reference = decoder.decode_history(batch[trial])
-                bitmap = np.zeros(code.num_data_qubits, dtype=np.uint8)
-                for qubit in reference.correction:
-                    bitmap[data_index[qubit]] ^= 1
-                assert np.array_equal(result.corrections[trial], bitmap)
-                assert result.onchip_rounds[trial] == (
-                    reference.num_rounds - reference.num_offchip_rounds
-                )
-
-    def test_generic_fallback_without_bitmap_hook_still_matches(self, code_d5):
-        # A fallback that only implements decode() exercises the per-trial
-        # compatibility path inside _offchip_corrections.
-        class PlainMWPM(MWPMDecoder):
-            decode_events_bitmap = None  # hide the batched hook
-
-        plain = PlainMWPM(code_d5, StabilizerType.X)
-        via_plain = HierarchicalDecoder(code_d5, StabilizerType.X, fallback=plain)
-        via_batched = HierarchicalDecoder(code_d5, StabilizerType.X)
-        rng = np.random.default_rng(31)
-        batch = (rng.random((30, 6, _width(code_d5))) < 0.15).astype(np.uint8)
-        a = via_plain.decode_batch(batch)
-        b = via_batched.decode_batch(batch)
-        assert np.array_equal(a.corrections, b.corrections)
-        assert np.array_equal(a.onchip_rounds, b.onchip_rounds)
+            DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "lookup_table"))

@@ -4,9 +4,9 @@ The matcher must agree on *total* assignment cost with both independent
 oracles on the same instances:
 
 * the exact subset-DP (``match_events_small``) for small event sets, and
-* networkx's ``max_weight_matching`` on the legacy auxiliary graph
-  (explicit boundary copies + zero-weight clique), when networkx is
-  available.
+* networkx's ``max_weight_matching`` on the auxiliary graph (explicit
+  boundary copies + zero-weight clique), through the test-side oracle in
+  ``networkx_oracle.py``, when networkx is available.
 
 Equal-cost solutions may pick different pairings — cost is the quantity
 that fixes decoding accuracy — but every solution must be a valid
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from networkx_oracle import networkx_total_cost
 from repro.decoders.blossom import match_events, max_weight_matching
 from repro.decoders.mwpm import match_events_small
 
@@ -36,29 +37,9 @@ def _assert_valid_assignment(num, pairs, boundary_matches):
 
 
 def _networkx_total_cost(distance, boundary):
-    """Optimal cost via the legacy auxiliary-graph formulation."""
-    nx = pytest.importorskip("networkx")
-    num = len(boundary)
-    if num == 0:
-        return 0
-    graph = nx.Graph()
-    graph.add_nodes_from(range(2 * num))
-    for i in range(num):
-        graph.add_edge(i, num + i, weight=-boundary[i])
-        for j in range(i + 1, num):
-            graph.add_edge(i, j, weight=-distance[i][j])
-            graph.add_edge(num + i, num + j, weight=0)
-    matching = nx.max_weight_matching(graph, maxcardinality=True)
-    matched_nodes = {node for pair in matching for node in pair}
-    assert len(matched_nodes) == 2 * num
-    cost = 0
-    for a, b in matching:
-        low, high = min(a, b), max(a, b)
-        if high < num:
-            cost += distance[low][high]
-        elif low < num <= high:
-            cost += boundary[low]
-    return cost
+    """Optimal cost via the auxiliary-graph formulation (test-side oracle)."""
+    pytest.importorskip("networkx")
+    return networkx_total_cost(distance, boundary)
 
 
 @st.composite

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from repro.decoders.lookup import LookupDecoder
-from repro.decoders.mwpm import (
-    DEFAULT_BOUNDARY_CLIQUE_CACHE_LIMIT,
-    SUBSET_DP_MAX_EVENTS,
-    MWPMDecoder,
-    match_events_small,
-)
-from repro.exceptions import ConfigurationError, DecodingError, SyndromeShapeError
+from repro.decoders.mwpm import SUBSET_DP_MAX_EVENTS, MWPMDecoder, match_events_small
+from repro.exceptions import ConfigurationError, SyndromeShapeError
 from repro.noise.events import errors_to_vector, vector_to_errors
 from repro.types import Coord, StabilizerType
 
@@ -181,90 +176,16 @@ class TestSmallCaseSolver:
             match_events_small(distance, boundary)
 
 
-class TestBoundaryCliqueCache:
-    def test_cache_is_bounded(self, code_d3):
-        decoder = MWPMDecoder(code_d3, StabilizerType.X)
-        for num in range(2, 2 + 3 * DEFAULT_BOUNDARY_CLIQUE_CACHE_LIMIT):
-            edges = decoder._boundary_clique_edges(num)
-            assert len(edges) == num * (num - 1) // 2
-        assert (
-            len(decoder._boundary_clique_cache)
-            <= DEFAULT_BOUNDARY_CLIQUE_CACHE_LIMIT
-        )
-
-    def test_lru_eviction_order(self, code_d3):
-        # Pin the cache's recency semantics: a hit moves the count to the
-        # back of the eviction order, an insert at capacity evicts the least
-        # recently used count — not simply the first ever inserted.
-        decoder = MWPMDecoder(code_d3, StabilizerType.X, boundary_clique_cache_limit=3)
-        for num in (2, 3, 4):
-            decoder._boundary_clique_edges(num)
-        assert list(decoder._boundary_clique_cache) == [2, 3, 4]
-        # A hit on the oldest count marks it most recently used...
-        decoder._boundary_clique_edges(2)
-        assert list(decoder._boundary_clique_cache) == [3, 4, 2]
-        # ...so the next inserts evict 3 then 4, never the freshly-hit 2.
-        decoder._boundary_clique_edges(5)
-        assert list(decoder._boundary_clique_cache) == [4, 2, 5]
-        decoder._boundary_clique_edges(6)
-        assert list(decoder._boundary_clique_cache) == [2, 5, 6]
-
-    def test_evicted_counts_rebuild_correct_edges(self, code_d3):
-        decoder = MWPMDecoder(code_d3, StabilizerType.X, boundary_clique_cache_limit=2)
-        first = decoder._boundary_clique_edges(4)
-        for num in (5, 6):  # evicts 4
-            decoder._boundary_clique_edges(num)
-        assert 4 not in decoder._boundary_clique_cache
-        rebuilt = decoder._boundary_clique_edges(4)
-        assert rebuilt == first
-        assert len(rebuilt) == 4 * 3 // 2
-        # Boundary copies occupy the node range [num, 2 * num).
-        assert all(4 <= a < 8 for a, b, w in rebuilt)
-
-    def test_zero_limit_disables_caching(self, code_d3):
-        decoder = MWPMDecoder(code_d3, StabilizerType.X, boundary_clique_cache_limit=0)
-        edges = decoder._boundary_clique_edges(10)
-        assert decoder._boundary_clique_cache == {}
-        assert len(edges) == 10 * 9 // 2
-        assert all(10 <= a < 20 for a, b, w in edges)
-
-    def test_cache_limit_is_configurable(self, code_d3):
-        decoder = MWPMDecoder(code_d3, StabilizerType.X, boundary_clique_cache_limit=3)
-        for num in range(2, 12):
-            decoder._boundary_clique_edges(num)
-        assert len(decoder._boundary_clique_cache) == 3
-
-    def test_cache_limit_rejects_negative(self, code_d3):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            MWPMDecoder(code_d3, StabilizerType.X, boundary_clique_cache_limit=-1)
-
-    def test_cache_can_be_shared_between_instances(self, code_d3):
-        shared = {}
-        first = MWPMDecoder(code_d3, StabilizerType.X, boundary_clique_cache=shared)
-        second = MWPMDecoder(code_d3, StabilizerType.X, boundary_clique_cache=shared)
-        edges = first._boundary_clique_edges(4)
-        assert second._boundary_clique_edges(4) is edges
-        assert set(shared) == {4}
-
-
-class TestMatcherSelection:
-    def test_invalid_matcher_is_rejected(self, code_d3):
-        with pytest.raises(ConfigurationError, match="matcher"):
-            MWPMDecoder(code_d3, StabilizerType.X, matcher="pymatching")
-
-    def test_default_matcher_is_blossom(self, mwpm_d5):
-        assert mwpm_d5.matcher == "blossom"
-
+class TestNetworkxOracle:
     def test_networkx_oracle_agrees_with_blossom_weight(self, code_d5, rng):
         pytest.importorskip("networkx")
+        from networkx_oracle import NetworkxMWPMDecoder
+
         blossom_decoder = MWPMDecoder(code_d5, StabilizerType.X)
-        oracle = MWPMDecoder(
+        oracle = NetworkxMWPMDecoder(
             code_d5,
             StabilizerType.X,
             matching_graph=blossom_decoder.matching_graph,
-            matcher="networkx",
         )
         graph = blossom_decoder.matching_graph
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
@@ -294,29 +215,6 @@ class TestMatcherSelection:
                 ancillas, rounds, *theirs
             )
         assert checked_large >= 10
-
-    def test_imperfect_matching_error_names_events_and_config(
-        self, code_d5, monkeypatch
-    ):
-        nx = pytest.importorskip("networkx")
-        decoder = MWPMDecoder(code_d5, StabilizerType.X, matcher="networkx")
-        monkeypatch.setattr(
-            nx, "max_weight_matching", lambda graph, maxcardinality=True: set()
-        )
-        width = code_d5.num_ancillas_of_type(StabilizerType.X)
-        detections = np.zeros((5, width), dtype=np.uint8)
-        detections[:3, :4] = 1  # 12 events, past the subset-DP limit
-        with pytest.raises(DecodingError) as excinfo:
-            decoder.decode(detections)
-        message = str(excinfo.value)
-        # The error must name the decoder configuration and the event
-        # coordinates so a failure deep inside a sharded sweep is actionable.
-        assert "MWPMDecoder" in message
-        assert "distance=5" in message
-        assert "stype=X" in message
-        assert "matcher='networkx'" in message
-        assert "(round, ancilla_index)" in message
-        assert "(0, 0)" in message and "(2, 3)" in message
 
 
 class TestLogicalPerformance:

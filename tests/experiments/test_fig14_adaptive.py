@@ -7,7 +7,7 @@ the fixed ``PAPER_TRIAL_BUDGETS`` entry, deterministically per seed.
 
 from __future__ import annotations
 
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro.clique.cascade import DecoderCascade
 from repro.experiments import fig14
 from repro.experiments.fig14 import PAPER_TRIAL_BUDGETS
 from repro.noise.models import PhenomenologicalNoise
@@ -16,7 +16,7 @@ from repro.simulation.monte_carlo import until_wilson
 
 
 def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+    return DecoderCascade(code, stype, tiers=("clique", "mwpm"))
 
 
 class TestAdaptiveMemoryExperiment:

@@ -113,6 +113,44 @@ class TestFig14:
         )
 
 
+class TestFig14Cascades:
+    """``tiers`` is the one cascade spelling of fig14 and fig14_fallbacks."""
+
+    def test_default_tiers_equal_the_explicit_two_tier_spec(self):
+        kwargs = dict(trials=30, distances=(3,), error_rates=(2e-2,), seed=3)
+        default = fig14.run(**kwargs)
+        explicit = fig14.run(tiers="clique,mwpm", **kwargs)
+        assert default.rows == explicit.rows
+        assert default.notes == explicit.notes
+
+    def test_two_tier_point_config_keys_the_offchip_tier_as_fallback(self):
+        config = fig14._memory_point_config(
+            distance=5,
+            error_rate=2e-2,
+            rounds=None,
+            trials=100,
+            engine="batch",
+            decoder="Clique+UF",
+            tiers=("clique", "union_find"),
+            stop=None,
+        )
+        assert config["fallback"] == "union_find"
+        assert "tiers" not in config
+
+    def test_compare_fallbacks_runs_a_spec_beside_the_mwpm_reference(self):
+        result = fig14.compare_fallbacks(
+            trials=40, distances=(3,), tiers="clique,union_find"
+        )
+        assert [row["tiers"] for row in result.rows] == [
+            "clique,mwpm",
+            "clique,union_find",
+        ]
+
+    def test_compare_fallbacks_reference_spec_runs_alone(self):
+        result = fig14.compare_fallbacks(trials=40, distances=(3,), tiers="clique,mwpm")
+        assert [row["tiers"] for row in result.rows] == ["clique,mwpm"]
+
+
 class TestFig15:
     def test_default_grid(self):
         result = fig15.run()

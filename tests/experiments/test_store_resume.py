@@ -148,26 +148,41 @@ class TestFig14KilledSweepResume:
         assert len(scheduled) == FIG14_POINTS
 
 
-class TestPackedStoreCompatibility:
-    def test_unpacked_sweep_is_a_warm_hit_for_packed_rerun(
-        self, tmp_path, monkeypatch
-    ):
-        # ``packed`` selects an execution strategy, not a result: like
-        # ``workers`` it is excluded from store keys (and results are
-        # bit-identical either way), so a sweep computed unpacked must be a
-        # fully-warm hit when re-run packed — zero kernel invocations,
-        # identical rows.
+#: Frozen at the commit that retired the two-tier ``fallback=`` shorthand:
+#: the store key and the whole ``results.jsonl`` of a one-point fig14 sweep
+#: through the two-tier Clique+union-find cascade.  A two-tier cascade keys
+#: its off-chip tier under the historical ``"fallback"`` entry, so stores
+#: written through the shorthand stay warm for ``tiers=``.
+TWO_TIER_UF_KEY = "cfdc426ae0fb0862ff372222f90d34a1a87a0b5a6d6167626627faddcb43069c"
+TWO_TIER_UF_STORE_SHA256 = (
+    "fa6a0b92087ebdf2b9869f81faf793af7870e5a58425e566ee7ee1d6489637c9"
+)
+
+
+class TestTwoTierKeyPin:
+    def test_two_tier_cascade_point_keeps_its_frozen_key(self, tmp_path):
+        import hashlib
+        import json
+
         store_dir = tmp_path / "store"
-        cold = run_experiment(
-            "fig14", store=str(store_dir), packed=False, **FIG14_PARAMS
+        run_experiment(
+            "fig14",
+            store=str(store_dir),
+            tiers=("clique", "union_find"),
+            trials=200,
+            distances=(5,),
+            error_rates=(0.01,),
         )
-        scheduled, _ = _counting_points(monkeypatch)
-        warm = run_experiment(
-            "fig14", store=str(store_dir), packed=True, **FIG14_PARAMS
+        results = store_dir / "results.jsonl"
+        lines = [json.loads(line) for line in results.read_text().splitlines()]
+        cascade_lines = [
+            line for line in lines if line["record"]["decoder_name"] == "Clique+UF"
+        ]
+        assert [line["key"] for line in cascade_lines] == [TWO_TIER_UF_KEY]
+        assert (
+            hashlib.sha256(results.read_bytes()).hexdigest()
+            == TWO_TIER_UF_STORE_SHA256
         )
-        assert scheduled == []
-        assert warm.rows == cold.rows
-        assert warm.format_table() == cold.format_table()
 
 
 class TestFig11WarmRerun:

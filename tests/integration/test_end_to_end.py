@@ -7,7 +7,7 @@ import pytest
 
 from repro import (
     CliqueDecoder,
-    HierarchicalDecoder,
+    DecoderCascade,
     MWPMDecoder,
     PhenomenologicalNoise,
     RotatedSurfaceCode,
@@ -32,7 +32,7 @@ class TestFullDecodePipeline:
             code, noise, lambda c, s: MWPMDecoder(c, s), trials=400, rng=21
         )
         hierarchy = run_memory_experiment(
-            code, noise, lambda c, s: HierarchicalDecoder(c, s), trials=400, rng=21
+            code, noise, lambda c, s: DecoderCascade(c, s), trials=400, rng=21
         )
         # Fig. 14's qualitative claim at small distance: the two curves track
         # each other; the hierarchy may not be dramatically worse.
@@ -82,7 +82,7 @@ class TestFullDecodePipeline:
             result = run_memory_experiment(
                 code,
                 noise,
-                lambda c, s: HierarchicalDecoder(c, s),
+                lambda c, s: DecoderCascade(c, s),
                 trials=300,
                 stype=stype,
                 rng=29,
@@ -110,7 +110,7 @@ class TestCrossDecoderConsistency:
     def test_hierarchical_decoder_never_leaves_detection_events_unmatched(self):
         code = RotatedSurfaceCode(5)
         noise = PhenomenologicalNoise(2e-2)
-        decoder = HierarchicalDecoder(code, StabilizerType.X)
+        decoder = DecoderCascade(code, StabilizerType.X)
         parity = code.parity_check(StabilizerType.X)
         rng = np.random.default_rng(31)
         mismatches = 0

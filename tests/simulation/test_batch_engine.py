@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro import bitplane
+from repro.clique.cascade import DecoderCascade
+from repro.clique.decoder import CliqueDecoder
 from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
 from repro.exceptions import ConfigurationError
@@ -23,7 +25,7 @@ from repro.types import StabilizerType
 
 
 def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+    return DecoderCascade(code, stype, tiers=("clique", "mwpm"))
 
 
 def _mwpm(code, stype):
@@ -83,19 +85,20 @@ class TestEngineEquivalence:
 
 class TestDecodeBatch:
     def test_hierarchical_decode_batch_matches_decode_history(self, code_d5):
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X)
+        decoder = _hierarchical(code_d5, StabilizerType.X)
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
         data_index = code_d5.data_index
         rng = np.random.default_rng(11)
         for density in (0.03, 0.15):
             batch = (rng.random((60, 6, width)) < density).astype(np.uint8)
-            result = decoder.decode_batch(batch)
+            result = decoder.decode_batch_packed(bitplane.pack_trials(batch), 60)
+            corrections = bitplane.unpack_trials(result.corrections, 60)
             for trial in range(batch.shape[0]):
                 reference = decoder.decode_history(batch[trial])
                 bitmap = np.zeros(code_d5.num_data_qubits, dtype=np.uint8)
                 for qubit in reference.correction:
                     bitmap[data_index[qubit]] ^= 1
-                assert np.array_equal(result.corrections[trial], bitmap)
+                assert np.array_equal(corrections[trial], bitmap)
                 assert result.onchip_rounds[trial] == (
                     reference.num_rounds - reference.num_offchip_rounds
                 )
@@ -136,7 +139,7 @@ class TestDecodeBatch:
 
 class TestCorrectionBitmap:
     def test_matches_decide_on_trivial_signatures(self, code_d5):
-        decoder = HierarchicalDecoder(code_d5, StabilizerType.X).clique
+        decoder = CliqueDecoder(code_d5, StabilizerType.X)
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
         data_index = code_d5.data_index
         rng = np.random.default_rng(21)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro.clique.cascade import DecoderCascade
 from repro.decoders.mwpm import MWPMDecoder
 from repro.exceptions import ConfigurationError
 from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
@@ -22,7 +22,7 @@ def _mwpm(code, stype):
 
 
 def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+    return DecoderCascade(code, stype, tiers=("clique", "mwpm"))
 
 
 class TestRunMemoryTrial:
@@ -37,7 +37,7 @@ class TestRunMemoryTrial:
 
     def test_hierarchical_metadata_includes_round_split(self, code_d3, rng):
         noise = PhenomenologicalNoise(0.02)
-        decoder = HierarchicalDecoder(code_d3, StabilizerType.X)
+        decoder = _hierarchical(code_d3, StabilizerType.X)
         _failed, metadata = run_memory_trial(
             code_d3, StabilizerType.X, noise, decoder, rounds=3, rng=rng
         )

@@ -1,12 +1,13 @@
 """Packed-engine equivalence and allocation-discipline tests.
 
-The packed Monte-Carlo path promises *bit-identity* with the unpacked
-reference under a fixed seed — not statistical agreement.  These tests pin
-that promise across engines (batch, sharded), decoder shapes (two- and
-three-tier cascades, flat MWPM through the base ``decode_batch_packed``
-fallback), ragged trial counts, chunking choices, and noise-model
-subclasses.  The allocation tests pin the satellite dtype-discipline work:
-one canonical dtype per pipeline stage and a bounded per-chunk working set.
+The bit-packed batch engine promises *bit-identity* with the per-trial
+``engine="loop"`` oracle under a fixed seed — not statistical agreement.
+These tests pin that promise across engines (batch, and sharded against
+per-shard loop runs), decoder shapes (two- and three-tier cascades, flat
+MWPM through the base ``decode_batch_packed`` fallback), ragged trial
+counts, chunking choices, and noise-model subclasses.  The allocation tests
+pin one canonical dtype per pipeline stage and a bounded per-chunk working
+set.
 """
 
 from __future__ import annotations
@@ -18,18 +19,19 @@ import pytest
 
 from repro import bitplane
 from repro.clique.cascade import DecoderCascade
-from repro.clique.hierarchical import HierarchicalDecoder
 from repro.codes.rotated_surface import get_code
-from repro.decoders.base import BatchDecodeResult, Decoder, DecodeResult, PackedBatchDecodeResult
+from repro.decoders.base import Decoder, DecodeResult, PackedBatchDecodeResult
 from repro.decoders.mwpm import MWPMDecoder
 from repro.noise.models import PhenomenologicalNoise
+from repro.noise.rng import shard_rng
 from repro.simulation.batch import run_memory_experiment_batch
 from repro.simulation.memory import run_memory_experiment
+from repro.simulation.shard import plan_shards
 from repro.types import StabilizerType
 
 
 def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+    return DecoderCascade(code, stype, tiers=("clique", "mwpm"))
 
 
 def _mwpm(code, stype):
@@ -65,18 +67,12 @@ class TestPackedEquivalence:
         [_hierarchical, _CascadeFactory(("clique", "union_find", "mwpm")), _mwpm],
         ids=["two-tier", "three-tier", "flat-mwpm"],
     )
-    def test_packed_matches_unpacked_and_loop(
-        self, distance, trials, error_rate, factory
-    ):
+    def test_packed_matches_loop(self, distance, trials, error_rate, factory):
         code = get_code(distance)
         noise = PhenomenologicalNoise(error_rate)
         packed = run_memory_experiment_batch(
-            code, noise, factory, trials=trials, rng=42, packed=True
+            code, noise, factory, trials=trials, rng=42
         )
-        unpacked = run_memory_experiment_batch(
-            code, noise, factory, trials=trials, rng=42, packed=False
-        )
-        _assert_results_identical(packed, unpacked)
         loop = run_memory_experiment(
             code, noise, factory, trials=trials, rng=42, engine="loop"
         )
@@ -86,21 +82,20 @@ class TestPackedEquivalence:
     def test_ragged_trial_counts_stay_bit_identical(self, code_d5, trials):
         noise = PhenomenologicalNoise(2e-2)
         packed = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=trials, rng=7, packed=True
+            code_d5, noise, _hierarchical, trials=trials, rng=7
         )
-        unpacked = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=trials, rng=7, packed=False
+        loop = run_memory_experiment(
+            code_d5, noise, _hierarchical, trials=trials, rng=7, engine="loop"
         )
-        _assert_results_identical(packed, unpacked)
+        _assert_results_identical(packed, loop)
 
     def test_packed_chunking_preserves_the_rng_stream(self, code_d5):
         noise = PhenomenologicalNoise(1e-2)
         whole = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=100, rng=5, packed=True
+            code_d5, noise, _hierarchical, trials=100, rng=5
         )
         chunked = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=100, rng=5, packed=True,
-            chunk_trials=7,
+            code_d5, noise, _hierarchical, trials=100, rng=5, chunk_trials=7
         )
         _assert_results_identical(whole, chunked)
 
@@ -110,31 +105,39 @@ class TestPackedEquivalence:
          _CascadeFactory(("clique", "union_find", "mwpm"))],
         ids=["two-tier", "three-tier"],
     )
-    def test_sharded_engine_is_bit_identical_packed_vs_unpacked(self, factory):
+    def test_sharded_engine_matches_per_shard_loop_runs(self, factory):
+        # Each shard rides the packed batch engine on its own
+        # shard_rng(seed, index) stream; the loop oracle replays those
+        # streams shard by shard.
         code = get_code(5)
         noise = PhenomenologicalNoise(1e-2)
-        packed = run_memory_experiment(
-            code, noise, factory, trials=130, rng=13, engine="sharded",
-            chunk_trials=50, workers=1, packed=True,
+        seed, chunk = 13, 50
+        sharded = run_memory_experiment(
+            code, noise, factory, trials=130, rng=seed, engine="sharded",
+            chunk_trials=chunk, workers=1,
         )
-        unpacked = run_memory_experiment(
-            code, noise, factory, trials=130, rng=13, engine="sharded",
-            chunk_trials=50, workers=1, packed=False,
-        )
-        _assert_results_identical(packed, unpacked)
-
-    def test_memory_experiment_front_door_forwards_packed(self, code_d5):
-        noise = PhenomenologicalNoise(2e-2)
-        default = run_memory_experiment(code_d5, noise, _hierarchical, trials=90, rng=3)
-        escape = run_memory_experiment(
-            code_d5, noise, _hierarchical, trials=90, rng=3, packed=False
-        )
-        _assert_results_identical(default, escape)
+        loops = [
+            run_memory_experiment(
+                code, noise, factory, trials=shard_trials,
+                rng=shard_rng(seed, index), engine="loop",
+            )
+            for index, shard_trials in enumerate(plan_shards(130, chunk))
+        ]
+        assert sharded.trials == sum(loop.trials for loop in loops)
+        for field in ("logical_failures", "onchip_rounds", "total_rounds"):
+            assert getattr(sharded, field) == sum(
+                getattr(loop, field) for loop in loops
+            )
+        for field in ("tier_trials", "tier_rounds"):
+            assert getattr(sharded, field) == tuple(
+                sum(counts) for counts in zip(*(getattr(loop, field) for loop in loops))
+            )
+        assert sharded.tier_names == loops[0].tier_names
 
     def test_noise_subclass_override_falls_back_bit_identically(self, code_d5):
         # Custom physics (an overridden per-vector sampler) must flow through
         # the sample_history fallback + pack, keeping the packed engine on
-        # the exact RNG stream the unpacked engine consumes.
+        # the exact RNG stream the loop engine consumes.
         class BurstNoise(PhenomenologicalNoise):
             def sample_data_vector(self, code, rng):
                 vector = super().sample_data_vector(code, rng)
@@ -144,12 +147,12 @@ class TestPackedEquivalence:
 
         noise = BurstNoise(2e-2)
         packed = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=120, rng=31, packed=True
+            code_d5, noise, _hierarchical, trials=120, rng=31
         )
-        unpacked = run_memory_experiment_batch(
-            code_d5, noise, _hierarchical, trials=120, rng=31, packed=False
+        loop = run_memory_experiment(
+            code_d5, noise, _hierarchical, trials=120, rng=31, engine="loop"
         )
-        _assert_results_identical(packed, unpacked)
+        _assert_results_identical(packed, loop)
 
     def test_packed_sampler_matches_packed_reference(self, code_d5):
         noise = PhenomenologicalNoise(0.05, 0.02)
@@ -169,25 +172,37 @@ class TestDecodeBatchPacked:
         ids=["two-tier", "three-tier"],
     )
     @pytest.mark.parametrize("density", [0.03, 0.15])
-    def test_cascade_packed_decode_matches_unpacked(self, code_d5, tiers, density):
+    def test_cascade_packed_decode_matches_decode_history(
+        self, code_d5, tiers, density
+    ):
         decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=tiers)
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
         rng = np.random.default_rng(11)
         trials = 70  # ragged last word
         batch = (rng.random((trials, 6, width)) < density).astype(np.uint8)
 
-        reference = decoder.decode_batch(batch)
         packed = decoder.decode_batch_packed(bitplane.pack_trials(batch), trials)
         assert isinstance(packed, PackedBatchDecodeResult)
         assert packed.num_trials == trials
-        assert np.array_equal(
-            bitplane.unpack_trials(packed.corrections, trials),
-            reference.corrections,
-        )
-        assert np.array_equal(packed.onchip_rounds, reference.onchip_rounds)
-        assert np.array_equal(packed.total_rounds, reference.total_rounds)
-        assert np.array_equal(packed.tier_trials, reference.tier_trials)
-        assert np.array_equal(packed.tier_rounds, reference.tier_rounds)
+        corrections = bitplane.unpack_trials(packed.corrections, trials)
+        data_index = code_d5.data_index
+        tier_trials = np.zeros(decoder.num_tiers, dtype=np.int64)
+        tier_rounds = np.zeros(decoder.num_tiers, dtype=np.int64)
+        for trial in range(trials):
+            reference = decoder.decode_history(batch[trial])
+            bitmap = np.zeros(code_d5.num_data_qubits, dtype=np.uint8)
+            for qubit in reference.correction:
+                bitmap[data_index[qubit]] ^= 1
+            assert np.array_equal(corrections[trial], bitmap)
+            onchip = reference.num_rounds - reference.num_offchip_rounds
+            assert packed.onchip_rounds[trial] == onchip
+            assert packed.total_rounds[trial] == reference.num_rounds
+            tier_trials[reference.handled_tier] += 1
+            tier_rounds[0] += onchip
+            for tier, count in enumerate(reference.tier_shipped_rounds, start=1):
+                tier_rounds[tier] += count
+        assert np.array_equal(packed.tier_trials, tier_trials)
+        assert np.array_equal(packed.tier_rounds, tier_rounds)
 
     def test_base_fallback_matches_decode_batch(self, code_d3):
         decoder = MWPMDecoder(code_d3, StabilizerType.X)
@@ -199,6 +214,23 @@ class TestDecodeBatchPacked:
         assert np.array_equal(
             bitplane.unpack_trials(packed.corrections, 25), reference.corrections
         )
+
+    def test_base_fallback_matches_per_trial_union_find(self, code_d5):
+        from repro.decoders.union_find import ClusteringDecoder
+
+        decoder = ClusteringDecoder(code_d5, StabilizerType.X)
+        width = code_d5.num_ancillas_of_type(StabilizerType.X)
+        data_index = code_d5.data_index
+        rng = np.random.default_rng(5)
+        trials = 70  # ragged last word
+        batch = (rng.random((trials, 5, width)) < 0.15).astype(np.uint8)
+        packed = decoder.decode_batch_packed(bitplane.pack_trials(batch), trials)
+        corrections = bitplane.unpack_trials(packed.corrections, trials)
+        for trial in range(trials):
+            bitmap = np.zeros(code_d5.num_data_qubits, dtype=np.uint8)
+            for qubit in decoder.decode(batch[trial]).correction:
+                bitmap[data_index[qubit]] ^= 1
+            assert np.array_equal(corrections[trial], bitmap)
 
     def test_packed_corrections_keep_padding_bits_zero(self, code_d5):
         decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "mwpm"))
@@ -238,15 +270,6 @@ class _ProbeDecoder(Decoder):
     def decode(self, detections):  # pragma: no cover - not reached
         return DecodeResult()
 
-    def decode_batch(self, histories):
-        self.seen.append(("unpacked", histories.dtype, histories.ndim))
-        trials = histories.shape[0]
-        return BatchDecodeResult(
-            corrections=np.zeros((trials, self._code.num_data_qubits), dtype=np.uint8),
-            onchip_rounds=np.zeros(trials, dtype=np.int64),
-            total_rounds=np.zeros(trials, dtype=np.int64),
-        )
-
     def decode_batch_packed(self, detections, trials):
         planes = self._as_packed_detection_batch(detections, trials)
         self.seen.append(("packed", planes.dtype, planes.ndim))
@@ -264,7 +287,7 @@ class _ProbeDecoder(Decoder):
 class TestAllocationDiscipline:
     """Satellite: one canonical dtype per stage, bounded working set."""
 
-    def test_engines_hand_the_decoder_canonical_dtypes(self, code_d5):
+    def test_engine_hands_the_decoder_packed_planes(self, code_d5):
         noise = PhenomenologicalNoise(1e-2)
         probes = []
 
@@ -273,22 +296,15 @@ class TestAllocationDiscipline:
             probes.append(probe)
             return probe
 
-        run_memory_experiment_batch(
-            code_d5, noise, factory, trials=70, rng=1, packed=False
-        )
-        run_memory_experiment_batch(
-            code_d5, noise, factory, trials=70, rng=1, packed=True
-        )
-        assert probes[0].seen == [("unpacked", np.dtype(np.uint8), 3)]
-        assert probes[1].seen == [("packed", np.dtype(np.uint64), 3)]
+        run_memory_experiment_batch(code_d5, noise, factory, trials=70, rng=1)
+        assert probes[0].seen == [("packed", np.dtype(np.uint64), 3)]
 
     def test_per_chunk_working_set_is_bounded(self):
         # entries = trials * rounds * (data + ancilla) bits flowing through
-        # one chunk.  The dtype-disciplined unpacked pipeline peaks under
-        # 12 bytes/entry (the pre-cleanup engine churned ~20 via redundant
-        # int64/astype copies); the packed pipeline holds word-packed planes
-        # plus the 64-trial float64 sampling tile, well under a quarter of
-        # the unpacked peak.
+        # one chunk.  The packed pipeline holds word-packed planes plus the
+        # 64-trial float64 sampling tile: about 0.74 bytes/entry on this
+        # workload, so one byte per entry catches any return of a
+        # byte-per-bit tensor.
         code = get_code(7)
         noise = PhenomenologicalNoise(1e-3)
         trials, rounds = 4096, 7
@@ -296,20 +312,14 @@ class TestAllocationDiscipline:
             code.num_data_qubits + code.num_ancillas_of_type(StabilizerType.X)
         )
 
-        def _peak(packed):
-            run_memory_experiment_batch(  # warm-up: imports, lazy tables
-                code, noise, _hierarchical, trials=64, rng=0, packed=packed
-            )
-            tracemalloc.start()
-            run_memory_experiment_batch(
-                code, noise, _hierarchical, trials=trials, rounds=rounds,
-                rng=0, chunk_trials=trials, packed=packed,
-            )
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            return peak
-
-        unpacked_peak = _peak(packed=False)
-        packed_peak = _peak(packed=True)
-        assert unpacked_peak <= 12 * entries
-        assert packed_peak <= unpacked_peak / 4
+        run_memory_experiment_batch(  # warm-up: imports, lazy tables
+            code, noise, _hierarchical, trials=64, rng=0
+        )
+        tracemalloc.start()
+        run_memory_experiment_batch(
+            code, noise, _hierarchical, trials=trials, rounds=rounds,
+            rng=0, chunk_trials=trials,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= entries

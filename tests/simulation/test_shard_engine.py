@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.hierarchical import HierarchicalDecoder
+from repro.clique.cascade import DecoderCascade
 from repro.codes.rotated_surface import get_code
 from repro.exceptions import ConfigurationError
 from repro.noise.models import PhenomenologicalNoise
@@ -32,11 +32,11 @@ from shard_kernels import BernoulliKernel, run_point, shard_oracle
 # Sharded workers rebuild the decoder, so factories must be module-level
 # (picklable) callables.
 def _hierarchical(code, stype):
-    return HierarchicalDecoder(code, stype)
+    return DecoderCascade(code, stype, tiers=("clique", "mwpm"))
 
 
 def _hierarchical_uf(code, stype):
-    return HierarchicalDecoder(code, stype, fallback="union_find")
+    return DecoderCascade(code, stype, tiers=("clique", "union_find"))
 
 
 class TestGenericRunner:
@@ -312,4 +312,4 @@ class TestShardedValidation:
         assert result.trials == 120
         assert result.code_distance == 3
         assert result.rounds == 3
-        assert result.decoder_name == "HierarchicalDecoder"
+        assert result.decoder_name == "Cascade[clique,mwpm]"

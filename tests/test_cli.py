@@ -274,17 +274,38 @@ class TestCascadeTiersCli:
         assert "mwpm" in err and "union_find" in err
         assert "Traceback" not in err
 
-    def test_unknown_fallback_name_lists_valid_decoders(self, capsys):
-        assert main(self.FIG14_ARGS + ["--fallback", "blossom"]) == 1
+    def test_unknown_two_tier_name_on_fig14_lists_valid_decoders(self, capsys):
+        assert main(["fig14", "--tiers", "clique,blossom"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "mwpm" in err and "union_find" in err
 
-    def test_unknown_fallback_via_param_lists_valid_decoders(self, capsys):
-        assert main(self.FIG14_ARGS + ["--param", "fallback=blossom"]) == 1
+    def test_unknown_tier_via_param_lists_valid_decoders(self, capsys):
+        assert main(self.FIG14_ARGS + ["--param", "tiers=clique,blossom"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "mwpm" in err and "union_find" in err
+
+    def test_two_tier_spec_swaps_the_offchip_decoder(self, capsys):
+        assert (
+            main(
+                [
+                    "fig14",
+                    "--tiers",
+                    "clique,union_find",
+                    "--param",
+                    "trials=40",
+                    "--param",
+                    "distances=3,",
+                    "--param",
+                    "error_rates=2e-2,",
+                ]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "MWPM baseline vs Clique+UF" in out
+        assert "tiers=clique,union_find)" in out
 
     def test_escalation_cluster_size_flag_threads_through(self, capsys):
         assert (
@@ -302,37 +323,16 @@ class TestCascadeTiersCli:
         out = capsys.readouterr().out
         assert "clique,union_find,mwpm" in out
 
-    def test_tiers_and_fallback_are_mutually_exclusive(self, capsys):
+    @pytest.mark.parametrize(
+        "flags", [["--fallback", "mwpm"], ["--no-packed"]], ids=["fallback", "no-packed"]
+    )
+    def test_retired_flags_are_argparse_errors(self, flags, capsys):
+        # --tiers is the one cascade spelling, and the packed kernels are the
+        # only batch path: the retired flags no longer parse.
         with pytest.raises(SystemExit) as excinfo:
-            main(self.FIG14_ARGS + ["--tiers", "clique,mwpm", "--fallback", "mwpm"])
-        assert excinfo.value.code not in (0, None)
-        assert "mutually exclusive" in capsys.readouterr().err
-
-
-class TestPackedCli:
-    FIG14_ARGS = [
-        "fig14",
-        "--param",
-        "trials=80",
-        "--param",
-        "distances=5,",
-        "--param",
-        "error_rates=1e-2,",
-    ]
-
-    def _run(self, extra, capsys):
-        assert main(self.FIG14_ARGS + extra) == 0
-        return capsys.readouterr().out
-
-    def test_no_packed_flag_is_byte_identical(self, capsys):
-        # The packed kernels' hard invariant, through the real CLI: the
-        # default (packed) sweep and the --no-packed escape hatch print
-        # byte-identical tables — which also pins that the flag is actually
-        # forwarded into the experiment runner.
-        packed = self._run([], capsys)
-        unpacked = self._run(["--no-packed"], capsys)
-        assert packed == unpacked
-        assert "logical_error_rate" in packed
+            main(self.FIG14_ARGS + flags)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestStoreCompactCli:

@@ -1,11 +1,12 @@
 """Dependency hygiene: the default decode path must never import heavy deps.
 
-The in-tree blossom matcher demoted networkx to an optional differential-test
-oracle (``MWPMDecoder(matcher="networkx")``).  This test runs a fresh
-interpreter with an import hook that *fails* any attempt to import a heavy
-optional module, then drives the default decoders through event sets large
-enough to need the general matcher — proving the dependency is truly gone
-from the hot path, not merely unused on the inputs we happened to try.
+The in-tree blossom matcher demoted networkx to a differential-test oracle
+that lives in the test suite (``tests/decoders/networkx_oracle.py``).  This
+test runs a fresh interpreter with an import hook that *fails* any attempt
+to import a heavy optional module, then drives the default decoders through
+event sets large enough to need the general matcher — proving the
+dependency is truly gone from the hot path, not merely unused on the inputs
+we happened to try.
 
 The banned-module set is NOT spelled here: it is the
 ``HEAVY_OPTIONAL_MODULES`` manifest in :mod:`repro.analysis.contracts`, the
@@ -24,8 +25,9 @@ from pathlib import Path
 
 from repro.analysis.contracts import HEAVY_OPTIONAL_MODULES
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS / "decoders")])}
 
 SCRIPT_TEMPLATE = r"""
 import sys
@@ -64,11 +66,13 @@ assert detections.sum() > 8
 decoder.decode(detections)
 
 # A three-tier cascade batch decode, escalation paths included.
+from repro import bitplane
+
 cascade = DecoderCascade(
     code, StabilizerType.X, tiers=("clique", "union_find", "mwpm")
 )
 batch = (rng.random((30, 6, width)) < 0.2).astype(np.uint8)
-cascade.decode_batch(batch)
+cascade.decode_batch_packed(bitplane.pack_trials(batch), 30)
 
 print("OK")
 """
@@ -96,12 +100,15 @@ def test_default_decode_path_never_imports_heavy_deps():
 
 
 def test_oracle_matcher_still_reaches_networkx_lazily():
-    # Sanity check for the hook logic itself: with matcher="networkx" the
-    # banned import *is* attempted (and converted to a ConfigurationError).
+    # Sanity check for the hook logic itself: the test-side networkx oracle
+    # imports networkx lazily, on its first large event set, and the hook
+    # must catch that import.
     script = SCRIPT.replace(
         "decoder = MWPMDecoder(code, StabilizerType.X)",
-        "decoder = MWPMDecoder(code, StabilizerType.X, matcher='networkx')",
+        "from networkx_oracle import NetworkxMWPMDecoder\n"
+        "decoder = NetworkxMWPMDecoder(code, StabilizerType.X)",
     )
+    assert script != SCRIPT
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,

@@ -20,7 +20,7 @@ class TestPublicApi:
     def test_core_workflow_is_constructible_from_the_top_level(self):
         code = repro.RotatedSurfaceCode(3)
         noise = repro.PhenomenologicalNoise(1e-2)
-        decoder = repro.HierarchicalDecoder(code, repro.StabilizerType.X)
+        decoder = repro.DecoderCascade(code, repro.StabilizerType.X)
         assert decoder.code is code
         assert noise.data_error_rate == 1e-2
 
