@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import bitplane
 from repro.bandwidth.allocation import BandwidthPlan
 from repro.clique.decoder import CliqueDecoder
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.exceptions import BandwidthConfigurationError, ConfigurationError
 from repro.noise.models import NoiseModel
 from repro.noise.rng import make_rng
+from repro.simulation.coverage import sample_complex_words
 from repro.types import StabilizerType
 
 
@@ -93,7 +95,9 @@ class LogicalMachine:
         self._num_qubits = num_logical_qubits
         self._rounds = measurement_rounds
         self._clique = CliqueDecoder(code, StabilizerType.X)
-        self._parity_check = code.parity_check(StabilizerType.X).astype(np.int64)
+        self._packed_check = bitplane.PackedParityCheck(
+            code.parity_check(StabilizerType.X)
+        )
 
     @property
     def num_logical_qubits(self) -> int:
@@ -112,35 +116,33 @@ class LogicalMachine:
     ) -> MachineSimulationResult:
         """Simulate ``cycles`` machine cycles and record the off-chip demand.
 
-        Each (cycle, logical qubit) pair samples an independent signature; the
-        work is batched so that at most ``batch_cycles * num_logical_qubits``
+        Each (cycle, logical qubit) pair samples an independent signature
+        through the packed coverage body
+        (:func:`repro.simulation.coverage.sample_complex_words`, so noise
+        subclasses overriding ``sample_data_matrix`` are honoured); the work
+        is batched so that at most ``batch_cycles * num_logical_qubits``
         signatures are held in memory at once.
         """
         if cycles <= 0:
             raise ConfigurationError(f"cycles must be positive, got {cycles}")
         generator = make_rng(rng)
-        persistent_rate = self._noise.measurement_error_rate**self._rounds
-        num_data = self._code.num_data_qubits
-        num_ancillas = self._code.num_ancillas_of_type(StabilizerType.X)
-
         demand = np.zeros(cycles, dtype=np.int64)
         done = 0
         while done < cycles:
             batch = min(batch_cycles, cycles - done)
             rows = batch * self._num_qubits
-            data_errors = (
-                generator.random((rows, num_data)) < self._noise.data_error_rate
-            ).astype(np.int64)
-            persistent_flips = (
-                generator.random((rows, num_ancillas)) < persistent_rate
-            ).astype(np.int64)
-            signatures = (
-                (data_errors @ self._parity_check.T + persistent_flips) % 2
-            ).astype(np.uint8)
-            offchip = ~self._clique.is_trivial_batch(signatures)
-            demand[done : done + batch] = (
-                offchip.reshape(batch, self._num_qubits).sum(axis=1)
+            complex_words, _ = sample_complex_words(
+                self._clique,
+                self._packed_check,
+                self._noise,
+                self._rounds,
+                rows,
+                generator,
             )
+            offchip = bitplane.unpack_trials(complex_words, rows)
+            demand[done : done + batch] = offchip.reshape(
+                batch, self._num_qubits
+            ).sum(axis=1, dtype=np.int64)
             done += batch
 
         return MachineSimulationResult(

@@ -327,6 +327,13 @@ class RotatedSurfaceCode:
     def __hash__(self) -> int:
         return hash(("RotatedSurfaceCode", self._distance))
 
+    def __reduce__(self) -> tuple[object, tuple[int]]:
+        # Same-distance instances are interchangeable, so a pickle carries
+        # only the distance and unpickling resolves the process-local
+        # get_code cache: a shard kernel ships a few hundred bytes, where the
+        # lattice itself pickles to ~300 kB at d=21.
+        return get_code, (self._distance,)
+
 
 @lru_cache(maxsize=64)
 def get_code(distance: int) -> RotatedSurfaceCode:

@@ -11,6 +11,12 @@ cycle is:
    active ancilla;
 3. the Clique decision logic (Fig. 5) marks the cycle on-chip if every active
    clique passes the local parity test, off-chip otherwise.
+
+The kernel (:func:`sample_complex_words`) runs that chain on uint64
+bitplanes (:mod:`repro.bitplane`): 64 cycles per word, XOR-parity syndromes
+instead of a widened matmul, the word-wise Clique decision, and popcount
+counts.  It is pinned count-for-count against the int64 reference
+formulation in ``tests/simulation/coverage_oracle.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import bitplane
 from repro.clique.decoder import CliqueDecoder
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.exceptions import ConfigurationError
@@ -87,43 +94,81 @@ class CoverageResult:
         return self.nonzero_onchip_cycles / self.onchip_cycles
 
 
-def _count_coverage(
-    code: RotatedSurfaceCode,
-    noise: NoiseModel,
-    stype: StabilizerType,
-    measurement_rounds: int,
+def sample_complex_words(
     clique: CliqueDecoder,
-    parity_check: np.ndarray,
+    packed_check: bitplane.PackedParityCheck,
+    noise: NoiseModel,
+    measurement_rounds: int,
+    cycles: int,
+    generator: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``cycles`` independent decode cycles and triage them, packed.
+
+    The one coverage body shared by :class:`CoverageKernel`, the in-process
+    path of :func:`simulate_clique_coverage` and
+    :class:`repro.bandwidth.machine.LogicalMachine`.  Fresh data errors come
+    from ``NoiseModel.sample_data_matrix`` (so subclasses overriding the
+    batched data sampler are honoured), then one ``(cycles, ancillas)``
+    uniform draw marks the persistence-filtered measurement flips (rate
+    ``p ** measurement_rounds``).  These two draws, in this order, are part
+    of the seeded-output contract.  Both are packed trials-major
+    (:mod:`repro.bitplane`); signatures are XOR-parity syndromes XOR the
+    flips, and the Clique decision runs word-wise.
+
+    Args:
+        clique: Clique decoder of the code and stabilizer type to sample.
+        packed_check: :class:`~repro.bitplane.PackedParityCheck` of the
+            same code and stabilizer type.
+
+    Returns:
+        ``(complex_words, active_words)``, each ``(num_words(cycles),)``
+        uint64: bit ``t`` of ``complex_words`` is set iff cycle ``t`` must go
+        off-chip, bit ``t`` of ``active_words`` iff its signature is not all
+        zeros.  Padding bits are 0 in both.
+    """
+    code = clique.code
+    data_errors = noise.sample_data_matrix(code, cycles, generator)
+    persistent_flips = (
+        generator.random((cycles, packed_check.num_ancillas))
+        < noise.measurement_error_rate**measurement_rounds
+    )
+    signatures = packed_check.syndromes(
+        bitplane.pack_trials(data_errors)[np.newaxis]
+    )[0] ^ bitplane.pack_trials(persistent_flips)
+    return (
+        clique.complex_any_packed(signatures),
+        np.bitwise_or.reduce(signatures, axis=0),
+    )
+
+
+def _count_coverage(
+    clique: CliqueDecoder,
+    noise: NoiseModel,
+    measurement_rounds: int,
     num_cycles: int,
     generator: np.random.Generator,
     batch_size: int,
 ) -> tuple[int, int]:
-    """Count (on-chip, all-zero) cycles — the shared batch body of both paths.
+    """Count (on-chip, all-zero) cycles in ``batch_size`` packed batches.
 
-    Rides the same batched sampling path as
-    :func:`repro.simulation.cycles.sample_cycle_signatures`
-    (``NoiseModel.sample_data_matrix``), so noise-model subclasses that
-    override the batched data sampler are honoured; the persistence-filtered
-    measurement flips are coverage-specific (rate ``p ** measurement_rounds``)
-    and consume the stream exactly as the historical inline sampling did.
+    Each batch is one :func:`sample_complex_words` call; the counts are
+    popcounts of the negated complex/active words under the batch's trial
+    mask, so padding cycles never count.
     """
-    persistent_flip_rate = noise.measurement_error_rate**measurement_rounds
+    packed_check = bitplane.PackedParityCheck(
+        clique.code.parity_check(clique.stabilizer_type)
+    )
     onchip = 0
     all_zero = 0
     remaining = num_cycles
     while remaining > 0:
         batch = min(batch_size, remaining)
-        data_errors = noise.sample_data_matrix(code, batch, generator).astype(np.int64)
-        persistent_flips = (
-            generator.random((batch, code.num_ancillas_of_type(stype)))
-            < persistent_flip_rate
-        ).astype(np.int64)
-        signatures = ((data_errors @ parity_check.T + persistent_flips) % 2).astype(
-            np.uint8
+        complex_words, active_words = sample_complex_words(
+            clique, packed_check, noise, measurement_rounds, batch, generator
         )
-        trivial = clique.is_trivial_batch(signatures)
-        onchip += int(trivial.sum())
-        all_zero += int((~signatures.any(axis=-1)).sum())
+        mask = bitplane.trial_mask_words(batch)
+        onchip += bitplane.popcount(~complex_words & mask)
+        all_zero += bitplane.popcount(~active_words & mask)
         remaining -= batch
     return onchip, all_zero
 
@@ -133,8 +178,10 @@ class CoverageKernel:
     """Picklable coverage shard kernel (see :func:`~repro.simulation.coverage_point`).
 
     Partial results are ``(onchip_cycles, all_zero_cycles, cycles)`` count
-    tuples, merged by the default elementwise sum.  The Clique
-    decoder is rebuilt per shard so the kernel stays cheap to pickle.
+    tuples, merged by the default elementwise sum.  The kernel ships as a few
+    hundred bytes: the code pickles as its distance (each worker resolves it
+    from its own :func:`~repro.codes.rotated_surface.get_code` cache) and the
+    Clique decoder is rebuilt per shard.
     """
 
     code: RotatedSurfaceCode
@@ -146,15 +193,10 @@ class CoverageKernel:
     def __call__(
         self, num_cycles: int, rng: np.random.Generator
     ) -> tuple[int, int, int]:
-        clique = CliqueDecoder(self.code, self.stype)
-        parity_check = self.code.parity_check(self.stype).astype(np.int64)
         onchip, all_zero = _count_coverage(
-            self.code,
+            CliqueDecoder(self.code, self.stype),
             self.noise,
-            self.stype,
             self.measurement_rounds,
-            clique,
-            parity_check,
             num_cycles,
             rng,
             self.batch_size,
@@ -297,6 +339,10 @@ def simulate_clique_coverage(
 
     ``chunk_cycles="auto"`` resolves the shard size from the budget, worker
     count, and distance (:func:`repro.simulation.shard.resolve_auto_chunk`).
+
+    ``decoder`` reuses a ready :class:`CliqueDecoder` on the in-process path;
+    it must be built for ``code``'s distance and ``stype``, or the call
+    raises :class:`~repro.exceptions.ConfigurationError`.
     """
     if num_cycles <= 0:
         raise ConfigurationError(f"num_cycles must be positive, got {num_cycles}")
@@ -315,6 +361,14 @@ def simulate_clique_coverage(
             "sampling): fixed-budget sweeps resume at sweep-point granularity"
         )
 
+    if decoder is not None and (
+        decoder.code.distance != code.distance or decoder.stabilizer_type is not stype
+    ):
+        raise ConfigurationError(
+            f"the Clique decoder was built for distance {decoder.code.distance}, "
+            f"{decoder.stabilizer_type.name} stabilizers; this coverage run "
+            f"measures distance {code.distance}, {stype.name} stabilizers"
+        )
     if _is_sharded(workers, chunk_cycles, target_ci_width):
         if decoder is not None:
             raise ConfigurationError(
@@ -348,18 +402,12 @@ def simulate_clique_coverage(
         )
         return SweepScheduler(workers=workers).run([point])["point"]
 
-    generator = make_rng(rng)
-    clique = decoder or CliqueDecoder(code, stype)
-    parity_check = code.parity_check(stype).astype(np.int64)
     onchip, all_zero = _count_coverage(
-        code,
+        decoder or CliqueDecoder(code, stype),
         noise,
-        stype,
         measurement_rounds,
-        clique,
-        parity_check,
         num_cycles,
-        generator,
+        make_rng(rng),
         batch_size,
     )
     return CoverageResult(
@@ -377,5 +425,6 @@ __all__ = [
     "CoverageResult",
     "DEFAULT_SHARD_CYCLES",
     "resolve_coverage_config",
+    "sample_complex_words",
     "simulate_clique_coverage",
 ]

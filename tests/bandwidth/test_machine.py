@@ -60,6 +60,18 @@ class TestSimulation:
             first.offchip_requests_per_cycle, second.offchip_requests_per_cycle
         )
 
+    def test_frozen_demand_trace(self, code_d9):
+        # Seeded pin taken when the machine ran its own int64 matmul body; it
+        # now shares the packed coverage kernel and must draw identically.
+        machine = LogicalMachine(
+            code_d9, PhenomenologicalNoise(5e-3), num_logical_qubits=200
+        )
+        result = machine.simulate(50, rng=3)
+        assert result.offchip_requests_per_cycle.tolist() == [
+            3, 3, 8, 5, 2, 4, 3, 0, 2, 4, 3, 3, 4, 2, 0, 5, 4, 3, 6, 3, 5, 3, 5, 2, 4,
+            3, 2, 2, 0, 2, 5, 1, 1, 2, 2, 6, 3, 0, 7, 6, 3, 2, 1, 2, 2, 4, 3, 3, 1, 4,
+        ]
+
     def test_batching_does_not_change_statistics(self, code_d5):
         machine = _machine(code_d5)
         coarse = machine.simulate(200, rng=4, batch_cycles=200)

@@ -99,6 +99,36 @@ class TestSimulateCoverage:
         assert first.onchip_cycles == second.onchip_cycles
 
 
+class TestPrebuiltDecoder:
+    """A ready CliqueDecoder must match the run's code and stabilizer type."""
+
+    def test_matching_decoder_is_used(self, code_d5):
+        from repro.clique.decoder import CliqueDecoder
+        from repro.types import StabilizerType
+
+        noise = PhenomenologicalNoise(2e-2)
+        decoder = CliqueDecoder(code_d5, StabilizerType.X)
+        result = simulate_clique_coverage(code_d5, noise, 20_000, rng=1, decoder=decoder)
+        assert result.onchip_cycles == 19104
+
+    @pytest.mark.parametrize(
+        "distance,stype_name", [(5, "Z"), (7, "X"), (3, "X")], ids=["Z", "d7", "d3"]
+    )
+    def test_mismatched_decoder_is_rejected(self, code_d5, distance, stype_name):
+        from repro.clique.decoder import CliqueDecoder
+        from repro.codes.rotated_surface import get_code
+        from repro.types import StabilizerType
+
+        decoder = CliqueDecoder(get_code(distance), StabilizerType[stype_name])
+        with pytest.raises(ConfigurationError) as excinfo:
+            simulate_clique_coverage(
+                code_d5, PhenomenologicalNoise(2e-2), 20_000, rng=1, decoder=decoder
+            )
+        message = str(excinfo.value)
+        assert f"distance {distance}, {stype_name} stabilizers" in message
+        assert "distance 5, X stabilizers" in message
+
+
 class TestResolveCoverageConfig:
     """The store keying contract: stream-determining knobs must all appear."""
 

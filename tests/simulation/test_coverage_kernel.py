@@ -1,0 +1,256 @@
+"""The packed coverage kernel: differential tests, frozen pins, shard payloads.
+
+* Differential: every coverage entry point (the in-process path of
+  ``simulate_clique_coverage``, ``CoverageKernel`` shards and
+  ``LogicalMachine``) must count exactly what the int64 formulation in
+  ``coverage_oracle.py`` counts on the same stream.
+* Frozen pins: seeded outputs of the in-process path (which fig09, fig13,
+  fig16 and headline use, and which the schedule-identity pins do not
+  cover), taken before the kernel moved to bitplanes.
+* Payloads: shard kernels pickle to a few hundred bytes because codes
+  pickle as their distance.
+"""
+
+from __future__ import annotations
+
+import functools
+import pickle
+
+import numpy as np
+import pytest
+from coverage_oracle import oracle_count_coverage, oracle_machine_demand
+
+from repro.bandwidth.machine import LogicalMachine
+from repro.clique.decoder import CliqueDecoder
+from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
+from repro.experiments import run_experiment
+from repro.experiments.fig14 import _CascadeFactory
+from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
+from repro.noise.rng import shard_rng
+from repro.simulation.coverage import CoverageKernel, simulate_clique_coverage
+from repro.simulation.shard import MemoryKernel
+from repro.types import StabilizerType
+
+X = StabilizerType.X
+
+
+@functools.lru_cache(maxsize=None)
+def _clique(distance: int, stype: StabilizerType = X) -> CliqueDecoder:
+    return CliqueDecoder(get_code(distance), stype)
+
+
+def _oracle(
+    distance, noise, cycles, seed, measurement_rounds=2, batch_size=50_000, stype=X
+):
+    return oracle_count_coverage(
+        _clique(distance, stype),
+        noise,
+        measurement_rounds,
+        cycles,
+        np.random.default_rng(seed),
+        batch_size,
+    )
+
+
+def _packed(
+    distance, noise, cycles, seed, measurement_rounds=2, batch_size=50_000, stype=X
+):
+    result = simulate_clique_coverage(
+        get_code(distance),
+        noise,
+        cycles,
+        stype=stype,
+        measurement_rounds=measurement_rounds,
+        rng=seed,
+        batch_size=batch_size,
+        decoder=_clique(distance, stype),
+    )
+    return result.onchip_cycles, result.all_zero_cycles
+
+
+class HalfLatticeNoise(PhenomenologicalNoise):
+    """Data errors only on the first half of the data qubits, as bools.
+
+    Overrides the batched data sampler with its own RNG draw shape and a
+    bool matrix, so both the draw order and the dtype differ from the base
+    class.
+    """
+
+    def sample_data_matrix(self, code, num_samples, rng):
+        half = code.num_data_qubits // 2
+        errors = np.zeros((num_samples, code.num_data_qubits), dtype=bool)
+        errors[:, :half] = rng.random((num_samples, half)) < self.data_error_rate
+        return errors
+
+
+CYCLE_COUNTS = (1, 63, 64, 65, 1000)
+
+
+class TestPackedMatchesOracle:
+    @pytest.mark.parametrize("measurement_rounds", [1, 2, 4])
+    @pytest.mark.parametrize("error_rate", [0.0, 1e-3, 1e-2, 0.3])
+    @pytest.mark.parametrize("distance", [3, 5, 9, 21])
+    def test_in_process_counts_equal_oracle(
+        self, distance, error_rate, measurement_rounds
+    ):
+        noise = PhenomenologicalNoise(error_rate)
+        for seed, cycles in enumerate(CYCLE_COUNTS):
+            expected = _oracle(distance, noise, cycles, seed, measurement_rounds)
+            assert _packed(distance, noise, cycles, seed, measurement_rounds) == (
+                expected
+            ), f"cycles={cycles}"
+
+    @pytest.mark.parametrize(
+        "distance,cycles,batch_size", [(5, 1000, 100), (9, 2000, 777), (21, 1000, 65)]
+    )
+    def test_ragged_batches_equal_oracle(self, distance, cycles, batch_size):
+        # batch_size < cycles and not a multiple of 64: every batch ends in
+        # a ragged word and the stream is cut into several draws.
+        noise = PhenomenologicalNoise(1e-2)
+        assert _packed(distance, noise, cycles, 3, batch_size=batch_size) == _oracle(
+            distance, noise, cycles, 3, batch_size=batch_size
+        )
+
+    @pytest.mark.parametrize("cycles", [65, 1000])
+    def test_overridden_data_sampler_is_honoured(self, cycles):
+        noise = HalfLatticeNoise(2e-2)
+        packed = _packed(7, noise, cycles, 4, batch_size=300)
+        assert packed == _oracle(7, noise, cycles, 4, batch_size=300)
+        # And the override really changed the counts.
+        baseline = PhenomenologicalNoise(2e-2)
+        assert packed != _packed(7, baseline, cycles, 4, batch_size=300)
+
+    def test_z_stabilizers_and_code_capacity_noise(self):
+        for noise in (PhenomenologicalNoise(1e-2), CodeCapacityNoise(3e-2)):
+            assert _packed(7, noise, 1000, 5, stype=StabilizerType.Z) == _oracle(
+                7, noise, 1000, 5, stype=StabilizerType.Z
+            )
+
+    @pytest.mark.parametrize("distance", [3, 21])
+    def test_shard_kernel_equals_oracle(self, distance):
+        noise = PhenomenologicalNoise(1e-2)
+        kernel = CoverageKernel(get_code(distance), noise, batch_size=400)
+        onchip, all_zero, cycles = kernel(1000, shard_rng(11, 2))
+        assert cycles == 1000
+        assert (onchip, all_zero) == oracle_count_coverage(
+            _clique(distance), noise, 2, 1000, shard_rng(11, 2), 400
+        )
+
+    @pytest.mark.parametrize(
+        "noise", [PhenomenologicalNoise(1e-2), HalfLatticeNoise(3e-2)], ids=repr
+    )
+    def test_machine_demand_equals_oracle(self, noise):
+        machine = LogicalMachine(
+            get_code(5), noise, num_logical_qubits=37, measurement_rounds=3
+        )
+        demand = machine.simulate(30, rng=6, batch_cycles=7)
+        expected = oracle_machine_demand(
+            _clique(5), noise, 3, 37, 30, np.random.default_rng(6), 7
+        )
+        assert np.array_equal(demand.offchip_requests_per_cycle, expected)
+
+
+class TestFrozenInProcessPins:
+    """Seeded outputs of the in-process coverage path, frozen before the
+    kernel moved from an int64 matmul to bitplanes."""
+
+    @pytest.mark.parametrize(
+        "distance,noise,cycles,kwargs,expected",
+        [
+            (3, PhenomenologicalNoise(1e-2), 2000, {"rng": 1}, (2000, 1833)),
+            (5, PhenomenologicalNoise(2e-2), 20_000, {"rng": 1}, (19104, 11944)),
+            (
+                9,
+                PhenomenologicalNoise(5e-3),
+                5000,
+                {"rng": 2, "measurement_rounds": 3, "batch_size": 777},
+                (4932, 3344),
+            ),
+            (21, PhenomenologicalNoise(1e-2), 3000, {"rng": 6}, (2071, 36)),
+            (
+                7,
+                PhenomenologicalNoise(1e-2),
+                4000,
+                {"rng": 4, "stype": StabilizerType.Z},
+                (3880, 2462),
+            ),
+            (5, CodeCapacityNoise(3e-2), 3000, {"rng": 5}, (2694, 1388)),
+            (
+                7,
+                PhenomenologicalNoise(1e-2, 5e-3),
+                3000,
+                {"rng": 8, "measurement_rounds": 1},
+                (2696, 1658),
+            ),
+        ],
+    )
+    def test_simulate_clique_coverage(self, distance, noise, cycles, kwargs, expected):
+        result = simulate_clique_coverage(get_code(distance), noise, cycles, **kwargs)
+        assert (result.onchip_cycles, result.all_zero_cycles) == expected
+
+    def test_fig13(self):
+        result = run_experiment(
+            "fig13", cycles=2000, distances=(3, 9), error_rates=(1e-3, 1e-2)
+        )
+        assert [row["clique_reduction_x"] for row in result.rows] == [
+            2000.0,
+            2000.0000000002203,
+            2000.0,
+            15.503875968992247,
+        ]
+
+    def test_headline(self):
+        result = run_experiment("headline", cycles=2000)
+        assert [row["bandwidth_eliminated_pct"] for row in result.rows] == [
+            69.25,
+            96.7,
+            100.0,
+            100.0,
+        ]
+
+    def test_fig09(self):
+        result = run_experiment("fig09", coverage_cycles=2000, timeline_cycles=50)
+        assert [
+            (row["offchip_rate_per_qubit"], row["provisioned_decodes_per_cycle"])
+            for row in result.rows
+        ] == [(0.09150000000000003, 91), (0.09150000000000003, 113)]
+
+    def test_fig16_in_process(self):
+        result = run_experiment(
+            "fig16",
+            coverage_cycles=2000,
+            program_cycles=300,
+            operating_points=((1e-2, 11), (1e-3, 9)),
+            percentiles=(90.0, 99.0),
+        )
+        assert [
+            (row["offchip_rate_per_qubit"], row["execution_time_increase_pct"])
+            for row in result.rows
+        ] == [
+            (0.09850000000000003, 14.000000000000002),
+            (0.09850000000000003, 0.6666666666666667),
+            (0.0005, 20.0),
+            (0.0005, 0.0),
+        ]
+
+
+class TestShardPayloads:
+    def test_code_pickles_as_its_distance(self):
+        for code in (get_code(21), RotatedSurfaceCode(21)):
+            restored = pickle.loads(pickle.dumps(code))
+            assert restored == code
+            assert restored is get_code(21)
+
+    def test_coverage_kernel_payload_is_small(self):
+        kernel = CoverageKernel(get_code(21), PhenomenologicalNoise(1e-2))
+        payload = pickle.dumps(kernel)
+        assert len(payload) < 2048
+        assert pickle.loads(payload).code is get_code(21)
+
+    def test_memory_kernel_payload_is_small(self):
+        kernel = MemoryKernel(
+            get_code(21), PhenomenologicalNoise(1e-3), _CascadeFactory(), 21, X
+        )
+        payload = pickle.dumps(kernel)
+        assert len(payload) < 2048
+        assert pickle.loads(payload).code is get_code(21)
