@@ -7,7 +7,7 @@ tracked across PRs:
 * ``engines`` — d=5, p=1e-2, 1000 trials on all three engines (loop / batch /
   sharded), asserting the batch engine's >= 5x advantage over the loop and
   the sharded engine's bit-determinism across worker counts;
-* ``fallbacks`` — the same workload through the two two-tier cascades
+* ``fallbacks`` — the same workload through both cascades
   (``clique,mwpm`` vs ``clique,union_find``);
 * ``paper_workload`` — d=7, p=1e-2, 4000 trials, batch vs sharded: the
   sharded engine must be >= 3x faster on a multi-core runner (>= 4 CPUs) and
@@ -23,22 +23,13 @@ tracked across PRs:
   sweep against a fresh result store: the warm run must reproduce the cold
   run's rows byte-identically while invoking zero Monte-Carlo kernels, so
   its wall-clock is pure store overhead;
-* ``cascade`` (schema v5) — the paper-workload (d=7, p=1e-2, 4000 trials)
-  decoded by the two-tier Clique+MWPM hierarchy vs the Section 8.1
-  three-tier ``clique,union_find,mwpm`` cascade, recording throughput and
-  per-tier trial/escalation fractions, and asserting the three-tier cascade
-  decodes no slower than two-tier MWPM (the union-find middle tier resolves
-  its clusters exactly and ships only sprawling-cluster trials to blossom);
 * ``packed`` (schema v11) — the bit-packed batch engine at the kernel-bound
   operating point (p=1e-3, d in {7, 11, 13}), recording throughput and
   tracemalloc peak bytes (record only);
-* ``blossom`` (schema v11) — the in-tree blossom matcher, twice over:
+* ``blossom`` (schema v12) — the in-tree blossom matcher, twice over:
   matcher-level timings on synthetic d=13 event sets (n in {24, 48, 96}),
   and end-to-end deep-history memory workloads (p=1e-2, rounds=2d) through
-  the two-tier Clique+MWPM cascade and the three-tier
-  ``clique,union_find,mwpm`` cascade, reporting the three-tier throughput
-  relative to two-tier blossom, the current best alternative (record
-  only);
+  the Clique+MWPM cascade (record only);
 * ``scheduler`` (schema v10) — a paper-shaped six-point fig14 grid (d in
   {3, 5, 7} x two error rates, 500 trials per decoder run in ~5 shards)
   through the sweep scheduler (one persistent pool, shards interleaved
@@ -94,7 +85,9 @@ from repro.types import StabilizerType
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_memory.json"
 
-SCHEMA_VERSION = 11
+#: v12: no ``cascade`` section, and the blossom lane's end-to-end runs time
+#: the Clique+MWPM cascade only.
+SCHEMA_VERSION = 12
 DISTANCE = 5
 ERROR_RATE = 1e-2
 TRIALS = 1_000
@@ -122,19 +115,6 @@ STORE_SWEEP = dict(
 )
 MIN_WARM_STORE_SPEEDUP = 5.0
 
-#: Cascade workload (schema v5): the d=7 paper workload through the two-tier
-#: hierarchy vs the three-tier Clique -> union-find -> MWPM cascade, still
-#: matching its logical-failure count on the identical seeded histories.
-#: Since the in-tree blossom matcher (schema v8) made the final tier ~10x
-#: cheaper, the middle tier's clustering overhead is no longer amortised on
-#: this small shallow-history workload (~0.85-0.9x on a 1-CPU runner), so
-#: the gate is a no-collapse bound; the deep-history blossom workloads below
-#: record the same ratio where the final tier is busier.  Each side is timed
-#: best-of-N so the gate compares throughput, not scheduler jitter.
-CASCADE_TIERS = ("clique", "union_find", "mwpm")
-CASCADE_TIMING_REPEATS = 3
-MIN_THREE_TIER_RATIO = 0.7
-
 #: Packed-kernel workload: the bit-packed batch engine at p=1e-3, where the
 #: Monte-Carlo kernels (sampling, syndrome parity, triage) dominate and the
 #: off-chip matcher is quiet.  Throughput and peak bytes are recorded with
@@ -146,10 +126,7 @@ PACKED_TIMING_REPEATS = 3
 #: Blossom workload: the in-tree implicit-boundary blossom matcher.
 #: Matcher-level timings run on synthetic d=13 event sets drawn from the
 #: real matching graph; end to end, deep histories (rounds = 2d) go through
-#: the two-tier Clique+MWPM cascade and the three-tier cascade, and the
-#: three-tier throughput is reported relative to two-tier blossom, the
-#: current best alternative.  Record only: three-tier is the slower of the
-#: two, and whether the middle tier stays is decided outside this lane.
+#: the Clique+MWPM cascade.  Record only.
 BLOSSOM_MATCHER_DISTANCE = 13
 BLOSSOM_MATCHER_EVENT_COUNTS = (24, 48, 96)
 BLOSSOM_MATCHER_REPEATS = 3
@@ -313,40 +290,6 @@ def test_engine_and_fallback_throughput_bench_record():
         "trials_saved_pct": round(100.0 * (1 - adaptive.trials / fixed.trials), 1),
     }
 
-    # --- cascade: two-tier vs three-tier on the d=7 paper workload --------
-    def _cascade_run(tiers):
-        code = get_code(PAPER_DISTANCE)
-        noise = PhenomenologicalNoise(ERROR_RATE)
-        elapsed = float("inf")
-        for _ in range(CASCADE_TIMING_REPEATS):
-            start = time.perf_counter()
-            result = run_memory_experiment(
-                code, noise, _Cascade(tiers), trials=PAPER_TRIALS, rng=SEED, engine="batch"
-            )
-            elapsed = min(elapsed, time.perf_counter() - start)
-        return {
-            "tiers": ",".join(result.tier_names),
-            "seconds": round(elapsed, 4),
-            "trials_per_sec": round(PAPER_TRIALS / elapsed, 1),
-            "logical_failures": result.logical_failures,
-            "tier_trial_fractions": [
-                round(f, 4) for f in result.tier_trial_fractions
-            ],
-            "escalation_rates": [round(f, 4) for f in result.escalation_rates],
-        }
-
-    two_tier = _cascade_run(("clique", "mwpm"))
-    three_tier = _cascade_run(CASCADE_TIERS)
-    cascade_speedup = three_tier["trials_per_sec"] / two_tier["trials_per_sec"]
-    cascade_record = {
-        "distance": PAPER_DISTANCE,
-        "error_rate": ERROR_RATE,
-        "trials": PAPER_TRIALS,
-        "seed": SEED,
-        "runs": [two_tier, three_tier],
-        "three_tier_speedup": round(cascade_speedup, 3),
-    }
-
     # --- packed kernels: the bit-packed batch engine at p=1e-3 ------------
     # Throughput is best-of-N with tracemalloc off; the working-set peak
     # comes from one separate instrumented run (tracemalloc slows the
@@ -424,37 +367,24 @@ def test_engine_and_fallback_throughput_bench_record():
             }
         )
 
-    # End to end: deep-history memory workloads through the two-tier and
-    # the three-tier cascade, both on the blossom matcher.
+    # End to end: deep-history memory workloads through the Clique+MWPM
+    # cascade.
     end_to_end_points = []
     for distance, blossom_trials in BLOSSOM_WORKLOADS:
         deep_rounds = BLOSSOM_ROUNDS_FACTOR * distance
-        runs = []
-        for label, factory in (
-            ("blossom", _Cascade()),
-            ("three_tier_blossom", _Cascade(CASCADE_TIERS)),
-        ):
-            elapsed = float("inf")
-            for _ in range(BLOSSOM_TIMING_REPEATS):
-                start = time.perf_counter()
-                result = run_memory_experiment(
-                    get_code(distance),
-                    PhenomenologicalNoise(ERROR_RATE),
-                    factory,
-                    trials=blossom_trials,
-                    rounds=deep_rounds,
-                    rng=SEED,
-                    engine="batch",
-                )
-                elapsed = min(elapsed, time.perf_counter() - start)
-            runs.append(
-                {
-                    "decoder": label,
-                    "seconds": round(elapsed, 4),
-                    "trials_per_sec": round(blossom_trials / elapsed, 1),
-                    "logical_failures": result.logical_failures,
-                }
+        elapsed = float("inf")
+        for _ in range(BLOSSOM_TIMING_REPEATS):
+            start = time.perf_counter()
+            result = run_memory_experiment(
+                get_code(distance),
+                PhenomenologicalNoise(ERROR_RATE),
+                _Cascade(),
+                trials=blossom_trials,
+                rounds=deep_rounds,
+                rng=SEED,
+                engine="batch",
             )
+            elapsed = min(elapsed, time.perf_counter() - start)
         end_to_end_points.append(
             {
                 "distance": distance,
@@ -462,10 +392,14 @@ def test_engine_and_fallback_throughput_bench_record():
                 "error_rate": ERROR_RATE,
                 "trials": blossom_trials,
                 "seed": SEED,
-                "runs": runs,
-                "three_tier_vs_two_tier": round(
-                    runs[1]["trials_per_sec"] / runs[0]["trials_per_sec"], 2
-                ),
+                "runs": [
+                    {
+                        "decoder": "blossom",
+                        "seconds": round(elapsed, 4),
+                        "trials_per_sec": round(blossom_trials / elapsed, 1),
+                        "logical_failures": result.logical_failures,
+                    }
+                ],
             }
         )
     blossom_record = {
@@ -679,7 +613,6 @@ def test_engine_and_fallback_throughput_bench_record():
         },
         "adaptive": adaptive_record,
         "store": store_record,
-        "cascade": cascade_record,
         "packed": packed_record,
         "blossom": blossom_record,
         "faults": faults_record,
@@ -720,18 +653,6 @@ def test_engine_and_fallback_throughput_bench_record():
     assert warm_sweep.rows == cold_sweep.rows
     assert store_speedup >= MIN_WARM_STORE_SPEEDUP, (
         f"warm-store re-run speedup regressed: {store_speedup:.1f}x"
-    )
-
-    # The three-tier cascade decodes the identical seeded histories — the
-    # tier-0 triage is shared, so the same trials leave the chip.  With the
-    # in-tree blossom matcher the two-tier final tier is cheap enough that
-    # the middle tier is pure overhead on this shallow workload; the gate
-    # only catches a collapse.
-    assert three_tier["tier_trial_fractions"][0] == two_tier["tier_trial_fractions"][0]
-    assert three_tier["escalation_rates"][0] == two_tier["escalation_rates"][0]
-    assert cascade_speedup >= MIN_THREE_TIER_RATIO, (
-        f"three-tier cascade collapsed vs two-tier MWPM: "
-        f"{cascade_speedup:.2f}x"
     )
 
     # Fault recovery is invisible in the counts (retried shards replay their

@@ -148,10 +148,7 @@ TIER_REGISTRY_LOCATION: tuple[str, str] = (
 #: Methods a registered tier decoder must define somewhere in its in-tree
 #: class hierarchy (abstract declarations do not count): ``decode`` is the
 #: per-trial fallback every decoder needs, ``decode_events_bitmap`` the
-#: batched final-tier hook the cascade's one-pass triage requires (TIER001).
-#: ``decode_events_tiered`` stays optional — decoders without it are simply
-#: final-tier-only, which :func:`repro.decoders.registry.resolve_tier_spec`
-#: enforces at config time.
+#: batched off-chip hook the cascade's one-pass triage requires (TIER001).
 TIER_REQUIRED_METHODS: tuple[str, ...] = ("decode", "decode_events_bitmap")
 
 

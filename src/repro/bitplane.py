@@ -110,7 +110,7 @@ else:  # pragma: no cover - numpy < 2.1 fallback
 def extract_trial_bits(packed: np.ndarray, trial_ids: np.ndarray) -> np.ndarray:
     """Gather whole trials out of packed planes: ``(*rest, words)`` → ``(k, *rest)`` uint8.
 
-    Used to hand the escalated minority to the unpacked off-chip tier path;
+    Used to hand the off-chip minority to the unpacked off-chip tier path;
     the byte view keeps the access endian-independent.
     """
     trial_ids = np.asarray(trial_ids, dtype=np.int64)

@@ -11,9 +11,8 @@ Examples:
     repro-qec fig11 --workers 4 --chunk-cycles auto
     repro-qec fig14 --scale paper --adaptive --target-ci-width 0.02
     repro-qec run fig14 --tiers clique,union_find
-    repro-qec run fig14 --tiers clique,union_find,mwpm
     repro-qec run fig14_fallbacks --param trials=300
-    repro-qec fig14_fallbacks --tiers clique,union_find,mwpm --param distances=9,
+    repro-qec fig14_fallbacks --tiers clique,union_find --param distances=9,
     repro-qec fig14 --scale paper --store results/   # resume on re-run
     repro-qec fig14 --scale paper --store results/ --force
     repro-qec fig14 --scale paper --max-retries 4 --shard-timeout 300
@@ -35,10 +34,9 @@ The coverage experiments (fig11/fig12/fig16) shard the same way under
 points to Wilson-converged adaptive sampling, and ``--adaptive`` does the
 same for fig14's logical-error-rate points (budget-capped by the scale's
 trial budgets).  ``--scale paper`` extends fig14 to the paper's d=3–11 grid
-with per-distance trial budgets; ``--tiers`` picks the decoder cascade:
-``clique,union_find`` swaps the hierarchy's off-chip decoder, and
-``clique,union_find,mwpm`` runs MWPM only on the union-find tier's
-disagreement set — see README.md → "Decoder cascades".  ``--store
+with per-distance trial budgets; ``--tiers`` picks the hierarchy's
+off-chip decoder: ``clique,mwpm`` (the paper's design, the default) or
+``clique,union_find`` — see README.md → "Decoder cascades".  ``--store
 DIR`` persists every sweep point of the fig11/fig12/fig14/fig16 sweeps as it
 completes and makes re-runs resume (``--resume``, the default) or recompute
 (``--force``); ``store compact DIR`` garbage-collects a long-lived store
@@ -239,25 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--tiers",
         default=None,
-        metavar="T0,T1,...",
+        metavar="clique,DECODER",
         help=(
-            "decoder-cascade spec for fig14/fig14_fallbacks: comma-separated "
-            "tier names starting with 'clique' (default 'clique,mwpm'), e.g. "
-            "'clique,union_find' for the union-find off-chip decoder or "
-            "'clique,union_find,mwpm' (MWPM decodes only the union-find "
-            "tier's disagreement set)"
-        ),
-    )
-    run_parser.add_argument(
-        "--escalation-cluster-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "deep cascades (--tiers with 3+ tiers): largest cluster an "
-            "intermediate tier resolves in place before escalating just that "
-            "cluster's events to the next tier (default: adaptive per "
-            "distance; see repro.decoders.default_escalation_cluster_size)"
+            "two-tier decoder-cascade spec for fig14/fig14_fallbacks: "
+            "'clique' then one off-chip decoder (default 'clique,mwpm'; "
+            "'clique,union_find' for the union-find off-chip decoder)"
         ),
     )
     run_parser.add_argument(
@@ -411,7 +395,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "engine",
             "workers",
             "tiers",
-            "escalation_cluster_size",
             "scale",
             "chunk_cycles",
             "target_ci_width",

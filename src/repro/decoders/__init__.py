@@ -16,10 +16,7 @@ from repro.decoders.registry import (
     resolve_tier_spec,
     tier_decoder_names,
 )
-from repro.decoders.union_find import (
-    ClusteringDecoder,
-    default_escalation_cluster_size,
-)
+from repro.decoders.union_find import ClusteringDecoder
 
 __all__ = [
     "BatchDecodeResult",
@@ -33,7 +30,6 @@ __all__ = [
     "SUBSET_DP_MAX_EVENTS",
     "TIER_DECODERS",
     "match_events",
-    "default_escalation_cluster_size",
     "resolve_tier_spec",
     "tier_decoder_names",
 ]

@@ -47,17 +47,15 @@ class BatchDecodeResult:
             (all-zero for decoders that do not track decode locations).
         total_rounds: per-trial count of rounds with location tracking
             (all-zero for decoders that do not track decode locations).
-        tier_trials: for cascade decoders, int64 vector of length ``num_tiers``
-            counting the trials whose decoding terminated at each tier (tier 0
-            is the on-chip Clique tier; the entries sum to the trial count).
+        tier_trials: for cascade decoders, the int64 pair ``(on-chip
+            trials, off-chip trials)``: trials decoded entirely by the
+            on-chip Clique tier, and trials that shipped at least one round
+            to the off-chip tier (the entries sum to the trial count).
             ``None`` for decoders without tier structure.
-        tier_rounds: for cascade decoders, int64 vector of length
-            ``num_tiers``: entry 0 is the total count of rounds resolved
-            on-chip, entry ``k >= 1`` is the total count of detection rounds
-            *shipped into* tier ``k`` — the tier boundary's bandwidth in
-            rounds (a trial escalated past tier 1 re-ships its whole off-chip
-            window, so its rounds count toward every tier it visited).
-            ``None`` for decoders without tier structure.
+        tier_rounds: for cascade decoders, the int64 pair ``(on-chip rounds,
+            off-chip rounds)``: the total count of rounds resolved on-chip,
+            and of rounds shipped off-chip — the off-chip bandwidth in
+            rounds.  ``None`` for decoders without tier structure.
     """
 
     corrections: np.ndarray
@@ -114,21 +112,12 @@ class Decoder(abc.ABC):
     :class:`DecodeResult` whose correction is expressed on data qubits.  A
     one-dimensional syndrome is accepted as shorthand for a single round.
 
-    Cascade tier contract (all optional):
-
-    * ``decode_events_bitmap(rounds, ancillas) -> uint8 bitmap`` — batched
-      final-tier decode of one trial's events given as flat index arrays in
-      row-major ``(round, ancilla)`` order (the order ``np.nonzero``
-      produces, which fixes equal-weight tie-breaks).  Decoders without it
-      are decoded per trial through :meth:`decode`.
-    * ``decode_events_tiered(rounds, ancillas) -> (bitmap, escalated)`` —
-      decode-or-escalate for *intermediate* cascade tiers: resolve what the
-      tier can in place (the partial correction ``bitmap``) and return the
-      sorted int64 array of event positions it declines (``escalated``,
-      indices into the input arrays; empty when fully resolved).  Escalation
-      is per cluster, not per trial — only oversized clusters' members
-      travel on.  A tier without this hook can only sit last in a
-      :class:`~repro.clique.cascade.DecoderCascade`.
+    Off-chip cascade tier contract (optional): ``decode_events_bitmap(rounds,
+    ancillas) -> uint8 bitmap`` — batched decode of one trial's events given
+    as flat index arrays in row-major ``(round, ancilla)`` order (the order
+    ``np.nonzero`` produces, which fixes equal-weight tie-breaks).  A
+    :class:`~repro.clique.cascade.DecoderCascade` off-chip tier without it
+    is decoded per trial through :meth:`decode`.
     """
 
     def __init__(self, code: RotatedSurfaceCode, stype: StabilizerType) -> None:

@@ -148,7 +148,7 @@ class MWPMDecoder(Decoder):
     def decode_events_bitmap(self, rounds: np.ndarray, ancillas: np.ndarray) -> np.ndarray:
         """Decode one trial's detection events given as flat index arrays.
 
-        This is the final-tier entry point used by
+        This is the off-chip-tier entry point used by
         :meth:`repro.clique.cascade.DecoderCascade._offchip_corrections`:
         the caller extracts all off-chip trials' events with a single
         ``np.nonzero`` pass and hands each trial's ``(rounds, ancillas)``

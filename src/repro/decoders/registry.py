@@ -1,14 +1,11 @@
 """Named decoder registry for cascade tier specs.
 
-A decoder cascade is configured by a *tier spec*: a sequence of tier names,
-e.g. ``("clique", "union_find", "mwpm")`` or the comma-separated CLI form
-``"clique,union_find,mwpm"``.  The first tier is always the on-chip Clique
+A decoder cascade is configured by a *tier spec*: the pair of tier names
+``("clique", <off-chip>)``, or its comma-separated CLI form
+``"clique,union_find"``.  The first tier is always the on-chip Clique
 front-end (it owns the round-by-round persistence filtering and triage and is
-constructed by :class:`repro.clique.cascade.DecoderCascade` itself); every
-later tier names an off-chip decoder class registered here.  Intermediate
-tiers must expose the per-cluster escalation hook ``decode_events_tiered``
-(see :class:`repro.decoders.base.Decoder`); the final tier only needs a
-decode path.
+constructed by :class:`repro.clique.cascade.DecoderCascade` itself); the
+second names the off-chip decoder class registered here.
 
 The registry lives in :mod:`repro.decoders` (not :mod:`repro.clique`) so the
 spec can be validated *eagerly* — at CLI-argument and experiment-config time —
@@ -52,17 +49,17 @@ def resolve_tier_name(name: str) -> type[Decoder]:
 
 
 def resolve_tier_spec(spec: str | Iterable[str]) -> tuple[str, ...]:
-    """Normalise and validate a cascade tier spec into a tuple of tier names.
+    """Normalise and validate a cascade tier spec into a pair of tier names.
 
-    Accepts the comma-separated CLI form (``"clique,union_find,mwpm"``) or any
-    iterable of names.  The spec must start with :data:`CLIQUE_TIER`, contain
-    at least one off-chip tier, every off-chip name must be registered in
-    :data:`TIER_DECODERS`, and every *intermediate* tier's decoder must be
-    able to escalate (expose ``decode_events_tiered``) — violations raise
-    :class:`~repro.exceptions.ConfigurationError` listing the valid names, so
-    a typo on the command line never becomes a traceback from inside the
-    decoder stack (or a pooled worker process), nor an error surfacing only
-    after a sweep has already burned Monte-Carlo time.
+    Accepts the comma-separated CLI form (``"clique,union_find"``) or any
+    iterable of names.  The spec must be :data:`CLIQUE_TIER` followed by
+    exactly one off-chip name registered in :data:`TIER_DECODERS` —
+    violations raise :class:`~repro.exceptions.ConfigurationError` listing
+    the valid names, so a typo on the command line never becomes a traceback
+    from inside the decoder stack (or a pooled worker process), nor an error
+    surfacing only after a sweep has already burned Monte-Carlo time.
+    :class:`repro.clique.cascade.DecoderCascade` parses its string specs
+    here too, so both entry points reject a bad spec with the same message.
     """
     if isinstance(spec, str):
         names = tuple(part.strip() for part in spec.split(","))
@@ -71,27 +68,20 @@ def resolve_tier_spec(spec: str | Iterable[str]) -> tuple[str, ...]:
     if any(not isinstance(name, str) or not name for name in names):
         raise ConfigurationError(
             f"malformed tier spec {spec!r}: expected comma-separated decoder "
-            f"names like 'clique,union_find,mwpm'"
+            f"names like 'clique,mwpm'"
         )
     if not names or names[0] != CLIQUE_TIER:
         raise ConfigurationError(
-            f"a cascade tier spec must start with the on-chip {CLIQUE_TIER!r} "
+            f"the first cascade tier must be the on-chip {CLIQUE_TIER!r} "
             f"tier, got {list(names)!r}"
         )
-    if len(names) < 2:
+    if len(names) != 2:
         raise ConfigurationError(
-            f"a cascade needs at least one off-chip tier after {CLIQUE_TIER!r}; "
-            f"valid off-chip tiers are {list(tier_decoder_names())}"
+            f"a cascade has exactly two tiers, {CLIQUE_TIER!r} and one "
+            f"off-chip decoder, got {list(names)!r}; valid off-chip tiers are "
+            f"{list(tier_decoder_names())}"
         )
-    for position, name in enumerate(names[1:]):
-        tier_cls = resolve_tier_name(name)
-        is_last = position == len(names) - 2
-        if not is_last and getattr(tier_cls, "decode_events_tiered", None) is None:
-            raise ConfigurationError(
-                f"tier {name!r} cannot sit mid-cascade: it has no escalation "
-                f"path (decode_events_tiered), so only the final tier may "
-                f"use it"
-            )
+    resolve_tier_name(names[1])
     return names
 
 

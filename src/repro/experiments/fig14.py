@@ -14,12 +14,11 @@ decoder) run stops as soon as its logical-error-rate confidence interval is
 at most ``target_ci_width`` wide, with the scale's fixed budget as the cap.
 
 ``compare_fallbacks`` (registry id ``fig14_fallbacks``) adds the off-chip
-cost/accuracy trade-off rows: the same workload decoded through different
-cascade specs (two-tier Clique+MWPM, two-tier Clique+union-find, and the
-Section 8.1 three-tier ``clique,union_find,mwpm`` cascade by default), with
-per-tier escalation rates and off-chip bandwidth alongside the logical error
-rates and throughput.  ``tiers=`` (the CLI's ``--tiers``) restricts the
-comparison to one cascade spec plus the two-tier MWPM reference.
+cost/accuracy trade-off rows: the same workload decoded through both
+cascade specs (Clique+MWPM and Clique+union-find by default), with the
+off-chip trial fraction and bandwidth alongside the logical error rates and
+throughput.  ``tiers=`` (the CLI's ``--tiers``) restricts the comparison to
+one cascade spec plus the Clique+MWPM reference.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.clique.cascade import DecoderCascade
 from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
 from repro.decoders.mwpm import MWPMDecoder
 from repro.decoders.registry import resolve_tier_spec
-from repro.decoders.union_find import default_escalation_cluster_size
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import ExperimentResult, resolve_fault_policy, sweep_cache
 from repro.noise.models import PhenomenologicalNoise
@@ -63,8 +61,8 @@ def _mwpm_factory(code: RotatedSurfaceCode, stype: StabilizerType) -> MWPMDecode
     return MWPMDecoder(code, stype)
 
 
-#: Display labels for cascade tier names (``clique,union_find,mwpm`` renders
-#: as ``Clique+UF+MWPM``).
+#: Display labels for cascade tier names (``clique,union_find`` renders as
+#: ``Clique+UF``).
 _TIER_LABELS = {"clique": "Clique", "mwpm": "MWPM", "union_find": "UF"}
 
 
@@ -77,17 +75,11 @@ class _CascadeFactory:
     """Picklable cascade factory carrying the resolved tier spec."""
 
     tiers: tuple[str, ...] = ("clique", "mwpm")
-    escalation_cluster_size: "int | str" = "auto"
 
     def __call__(
         self, code: RotatedSurfaceCode, stype: StabilizerType
     ) -> DecoderCascade:
-        return DecoderCascade(
-            code,
-            stype,
-            tiers=self.tiers,
-            escalation_cluster_size=self.escalation_cluster_size,
-        )
+        return DecoderCascade(code, stype, tiers=self.tiers)
 
 
 @dataclass(frozen=True)
@@ -95,21 +87,6 @@ class _Scheduled:
     """Placeholder for a row cell whose point is pending in the sweep scheduler."""
 
     point_id: str
-
-
-def _resolve_escalation_threshold(
-    escalation_cluster_size: "int | str", distance: int
-) -> int:
-    """Resolve ``"auto"`` to the per-distance adaptive threshold.
-
-    Used for the store key: the implicit ``"auto"`` spelling and its
-    resolved explicit value must key identically, and a changed threshold
-    must produce a distinct key (it changes the escalation split and the
-    equal-weight tie-break paths).
-    """
-    if escalation_cluster_size == "auto":
-        return default_escalation_cluster_size(distance)
-    return int(escalation_cluster_size)
 
 
 def _resolve_scale(
@@ -147,7 +124,6 @@ def _memory_point_config(
     tiers: tuple[str, ...] | None,
     stop: WilsonStoppingRule | None,
     chunk_trials: int | None = None,
-    escalation_cluster_size: "int | str" = "auto",
 ) -> dict[str, object]:
     """The fully resolved, stream-determining config of one fig14 point.
 
@@ -161,17 +137,13 @@ def _memory_point_config(
     that this function and that list jointly cover the full
     ``run_memory_experiment`` signature.
 
-    Cascade topology participates in the key through the resolved tier
-    names: a two-tier cascade keys its off-chip tier under the historical
-    ``"fallback"`` entry (so stores populated before the ``tiers`` spec
-    became the only spelling stay warm — the numbers are bit-identical, and
-    ``tests/experiments/test_store_resume.py`` pins one such key), while
-    deeper cascades add an explicit ``"tiers"`` entry plus the *resolved*
-    intermediate-tier escalation threshold (the ``"auto"`` spelling and its
-    per-distance value key identically; the threshold shifts the escalation
-    split, so it must key), making every distinct topology a distinct key.
+    The cascade participates in the key through its off-chip tier name,
+    under the historical ``"fallback"`` entry (so stores populated before
+    the ``tiers`` spec became the only spelling stay warm — the numbers are
+    bit-identical, and ``tests/experiments/test_store_resume.py`` pins one
+    such key).
     """
-    config = {
+    return {
         "kind": "memory",
         "distance": distance,
         "error_rate": error_rate,
@@ -184,7 +156,7 @@ def _memory_point_config(
             else None
         ),
         "decoder": decoder,
-        "fallback": tiers[1] if tiers is not None and len(tiers) == 2 else None,
+        "fallback": tiers[1] if tiers is not None else None,
         "stype": StabilizerType.X.value,
         "adaptive": None
         if stop is None
@@ -195,12 +167,6 @@ def _memory_point_config(
             "z": stop.z,
         },
     }
-    if tiers is not None and len(tiers) > 2:
-        config["tiers"] = list(tiers)
-        config["escalation_cluster_size"] = _resolve_escalation_threshold(
-            escalation_cluster_size, distance
-        )
-    return config
 
 
 def run(
@@ -212,7 +178,6 @@ def run(
     engine: str | None = None,
     scale: str = "laptop",
     tiers: str | tuple[str, ...] = ("clique", "mwpm"),
-    escalation_cluster_size: "int | str" = "auto",
     workers: int | None = None,
     chunk_trials: "int | str | None" = None,
     adaptive: bool = False,
@@ -238,17 +203,10 @@ def run(
             (``adaptive`` forces sharded).
         scale: ``"laptop"`` (seconds, d<=7) or ``"paper"`` (d=3-11 with
             per-distance budgets — the Fig. 14 divergence regime).
-        tiers: the cascade spec — a comma-separated string or name tuple
-            starting with ``"clique"``; the default is the paper's two-tier
-            Clique+MWPM design.  ``"clique,union_find"`` swaps the
-            off-chip decoder, ``"clique,union_find,mwpm"`` is the paper's
-            Section 8.1 three-tier cascade.  Unknown names fail eagerly,
-            before any sweep work.
-        escalation_cluster_size: intermediate-tier per-cluster escalation
-            threshold for cascades with three or more tiers; the default
-            ``"auto"`` resolves per distance (see
-            :func:`repro.decoders.union_find.default_escalation_cluster_size`).
-            Participates in the store key with its resolved value.
+        tiers: the cascade spec — ``"clique"`` and one off-chip decoder,
+            as a comma-separated string or name pair; the default is the
+            paper's Clique+MWPM design, ``"clique,union_find"`` swaps the
+            off-chip decoder.  Bad specs fail eagerly, before any sweep work.
         workers: worker processes for the sharded engine; rejected with any
             other engine (a silently ignored value would suggest the run was
             parallelised when it was not).
@@ -352,7 +310,6 @@ def run(
                     decoder_tiers,
                     stop,
                     point_chunk,
-                    escalation_cluster_size,
                 )
                 if sharded:
                     cached = cache.lookup(config, base_seed)
@@ -405,7 +362,7 @@ def run(
             baseline = _decoder_run("MWPM", _mwpm_factory)
             hierarchical = _decoder_run(
                 hierarchy_name,
-                _CascadeFactory(cascade_tiers, escalation_cluster_size),
+                _CascadeFactory(cascade_tiers),
                 cascade_tiers,
             )
             grid.append((distance, error_rate, point_trials, baseline, hierarchical))
@@ -447,20 +404,9 @@ def run(
     )
 
 
-#: Cascade specs compared by default in ``fig14_fallbacks``: both two-tier
-#: hierarchies plus the paper's Section 8.1 three-tier cascade.
-DEFAULT_FALLBACK_SPECS = (
-    ("clique", "mwpm"),
-    ("clique", "union_find"),
-    ("clique", "union_find", "mwpm"),
-)
-
-
-def _format_fractions(values: tuple[float, ...]) -> str:
-    """Render a per-tier fraction tuple as a compact ``a/b/c`` column value."""
-    if not values:
-        return "-"
-    return "/".join(f"{value:.4f}" for value in values)
+#: Cascade specs compared by default in ``fig14_fallbacks``: the paper's
+#: Clique+MWPM hierarchy and its union-find off-chip alternative.
+DEFAULT_FALLBACK_SPECS = (("clique", "mwpm"), ("clique", "union_find"))
 
 
 def compare_fallbacks(
@@ -472,24 +418,20 @@ def compare_fallbacks(
     engine: str = "batch",
     workers: int | None = None,
     tiers: str | tuple[str, ...] | None = None,
-    escalation_cluster_size: "int | str" = "auto",
 ) -> ExperimentResult:
-    """Accuracy/throughput of the hierarchy's off-chip cascades side by side.
+    """Accuracy/throughput of the hierarchy's off-chip decoders side by side.
 
     One row per (distance, cascade spec): the union-find clustering decoder
-    scales near-linearly where blossom is cubic, at some accuracy cost — and
-    the three-tier ``clique,union_find,mwpm`` cascade of the paper's Section
-    8.1 recovers most of MWPM's accuracy while shipping only the union-find
-    tier's *disagreement set* to the exact matcher.  Wall-clock throughput is
-    measured around the full memory experiment, so it reflects each tier's
-    real share of the pipeline; the per-tier columns report where trials
-    terminated (``tier_trial_split``), the fraction escalated past each tier
-    boundary (``escalation_rates``), and the off-chip bandwidth in detection
-    rounds per trial entering tier 1 (``offchip_rounds_per_trial``) and the
-    final tier (``final_tier_rounds_per_trial``).
+    scales near-linearly where blossom is cubic, at some accuracy cost.
+    Wall-clock throughput is measured around the full memory experiment, so
+    it reflects the off-chip decoder's real share of the pipeline.  The
+    triage columns — the fraction of trials that left the chip
+    (``offchip_trial_fraction``) and the off-chip bandwidth in detection
+    rounds per trial (``offchip_rounds_per_trial``) — depend only on the
+    Clique tier, so they match across specs at each distance.
 
     ``tiers`` (the CLI's ``--tiers``) compares one cascade spec against the
-    two-tier MWPM reference (``"clique,mwpm"`` alone runs just that
+    Clique+MWPM reference (``"clique,mwpm"`` alone runs just that
     reference).
     """
     if tiers is not None:
@@ -507,7 +449,7 @@ def compare_fallbacks(
             result = run_memory_experiment(
                 code,
                 noise,
-                _CascadeFactory(spec, escalation_cluster_size),
+                _CascadeFactory(spec),
                 trials=trials,
                 rounds=rounds,
                 rng=base_seed,
@@ -525,29 +467,25 @@ def compare_fallbacks(
                     "logical_error_rate": result.logical_error_rate,
                     "ci_high": result.confidence_interval[1],
                     "onchip_round_fraction": result.onchip_round_fraction,
-                    "tier_trial_split": _format_fractions(
-                        result.tier_trial_fractions
+                    "offchip_trial_fraction": round(
+                        result.offchip_trial_fraction, 4
                     ),
-                    "escalation_rates": _format_fractions(result.escalation_rates),
                     "offchip_rounds_per_trial": round(
-                        result.tier_rounds_per_trial(1), 4
-                    ),
-                    "final_tier_rounds_per_trial": round(
-                        result.tier_rounds_per_trial(result.num_tiers - 1), 4
+                        result.offchip_rounds_per_trial, 4
                     ),
                     "trials_per_sec": round(trials / elapsed, 1),
                 }
             )
     notes = (
         "Same seed per distance, so every cascade decodes identical error\n"
-        "histories; any logical-error-rate gap is purely the off-chip tiers'\n"
-        "accuracy.  escalation_rates lists, per tier boundary, the fraction of\n"
-        "trials handed past that tier; *_rounds_per_trial are the boundary\n"
-        "bandwidths in detection rounds."
+        "histories; any logical-error-rate gap is purely the off-chip\n"
+        "decoder's accuracy.  offchip_trial_fraction is the share of trials\n"
+        "that left the chip; offchip_rounds_per_trial the off-chip bandwidth\n"
+        "in detection rounds."
     )
     return ExperimentResult(
         experiment_id="fig14_fallbacks",
-        title="Off-chip cascade trade-off: MWPM vs union-find vs three-tier",
+        title="Off-chip decoder trade-off: MWPM vs union-find",
         rows=rows,
         notes=notes,
     )

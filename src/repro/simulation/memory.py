@@ -57,14 +57,14 @@ class MemoryExperimentResult:
 
     The ``tier_*`` fields are populated when the decoder under test is a
     :class:`~repro.clique.cascade.DecoderCascade` (tier 0 is the on-chip
-    Clique tier) and stay empty for flat decoders:
+    Clique tier, tier 1 the off-chip decoder) and stay empty for flat
+    decoders:
 
-    * ``tier_trials[k]`` — trials whose decoding terminated at tier ``k``
+    * ``tier_trials`` — ``(on-chip trials, off-chip trials)``: trials decoded
+      entirely on-chip, and trials that shipped at least one round off-chip
       (sums to ``trials``);
-    * ``tier_rounds[0]`` — rounds resolved on-chip, ``tier_rounds[k >= 1]``
-      — rounds shipped *into* tier ``k`` (an escalated trial re-ships its
-      whole off-chip window, so its rounds count toward every tier it
-      visited) — the per-boundary bandwidth in rounds.
+    * ``tier_rounds`` — ``(on-chip rounds, off-chip rounds)``: the off-chip
+      entry is the bandwidth in rounds.
 
     The fault-provenance fields record how the sharded engine had to degrade
     to produce the estimate (see :mod:`repro.faults`): ``engine_degraded``
@@ -115,40 +115,19 @@ class MemoryExperimentResult:
         return self.onchip_rounds / self.total_rounds
 
     @property
-    def num_tiers(self) -> int:
-        return len(self.tier_trials)
+    def offchip_trial_fraction(self) -> float:
+        """Fraction of trials that shipped any round off-chip (cascades only)."""
+        if not self.trials or not self.tier_trials:
+            return 0.0
+        return self.tier_trials[1] / self.trials
 
     @property
-    def tier_trial_fractions(self) -> tuple[float, ...]:
-        """Fraction of trials whose decoding terminated at each tier."""
-        if not self.trials:
-            return tuple(0.0 for _ in self.tier_trials)
-        return tuple(n / self.trials for n in self.tier_trials)
-
-    def escalation_rate(self, boundary: int) -> float:
-        """Fraction of trials escalated past tier ``boundary`` (0-indexed).
-
-        ``escalation_rate(0)`` is the fraction of trials that left the chip
-        at all; ``escalation_rate(1)`` the fraction the first off-chip tier
-        handed on; and so forth.
-        """
-        if not self.trials or boundary >= len(self.tier_trials):
+    def offchip_rounds_per_trial(self) -> float:
+        """Average rounds shipped off-chip per trial — the off-chip bandwidth
+        in rounds (cascades only)."""
+        if not self.trials or not self.tier_rounds:
             return 0.0
-        return sum(self.tier_trials[boundary + 1 :]) / self.trials
-
-    @property
-    def escalation_rates(self) -> tuple[float, ...]:
-        """Per-boundary escalation rates (one entry per tier boundary)."""
-        return tuple(
-            self.escalation_rate(k) for k in range(max(len(self.tier_trials) - 1, 0))
-        )
-
-    def tier_rounds_per_trial(self, tier: int) -> float:
-        """Average detection rounds shipped into ``tier`` per trial — the
-        tier boundary's off-chip bandwidth in rounds."""
-        if not self.trials or tier >= len(self.tier_rounds):
-            return 0.0
-        return self.tier_rounds[tier] / self.trials
+        return self.tier_rounds[1] / self.trials
 
 
 def run_memory_trial(
@@ -342,11 +321,10 @@ def run_memory_experiment(
     generator = make_rng(rng)
     decoder = decoder_factory(code, stype)
     tier_names = tuple(getattr(decoder, "tier_names", ()) or ())
-    tier_trials = [0] * len(tier_names)
-    tier_rounds = [0] * len(tier_names)
     failures = 0
     onchip_rounds = 0
     total_rounds = 0
+    offchip_trials = 0
     for _ in range(trials):
         failed, metadata = run_memory_trial(code, stype, noise, decoder, rounds, generator)
         failures += int(failed)
@@ -354,22 +332,7 @@ def run_memory_experiment(
             offchip = metadata["num_offchip_rounds"]
             onchip_rounds += metadata["num_rounds"] - offchip
             total_rounds += metadata["num_rounds"]
-            if tier_names and "handled_tier" in metadata:
-                handled = metadata["handled_tier"]
-                tier_trials[handled] += 1
-                tier_rounds[0] += metadata["num_rounds"] - offchip
-                shipped = metadata.get("tier_shipped_rounds")
-                if shipped is not None:
-                    # Per-cluster escalation: each off-chip tier reports the
-                    # distinct rounds actually shipped into it.
-                    for tier, count in enumerate(shipped, start=1):
-                        tier_rounds[tier] += count
-                else:
-                    # Legacy decoders without shipped counts: assume a trial
-                    # handled at tier h re-shipped its whole off-chip window
-                    # through every tier 1..h.
-                    for tier in range(1, handled + 1):
-                        tier_rounds[tier] += offchip
+            offchip_trials += int(offchip > 0)
 
     return MemoryExperimentResult(
         physical_error_rate=noise.data_error_rate,
@@ -381,8 +344,10 @@ def run_memory_experiment(
         onchip_rounds=onchip_rounds,
         total_rounds=total_rounds,
         tier_names=tier_names,
-        tier_trials=tuple(tier_trials),
-        tier_rounds=tuple(tier_rounds),
+        tier_trials=(trials - offchip_trials, offchip_trials) if tier_names else (),
+        tier_rounds=(
+            (onchip_rounds, total_rounds - onchip_rounds) if tier_names else ()
+        ),
     )
 
 

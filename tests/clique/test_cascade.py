@@ -1,11 +1,9 @@
-"""Tests for the N-tier decoder cascade (Clique -> ... -> final matcher).
+"""Tests for the two-tier decoder cascade (Clique -> one off-chip decoder).
 
-Covers the tier contract (escalation masks, construction validation), the
-bit-identity of the packed batch cascade path against the per-trial
-``decode_history`` reference, and — the refactor's load-bearing guarantee —
-the two-tier cascade's bit-identity with the *pre-refactor* two-tier
-hierarchy under fixed seeds on all three Monte-Carlo engines, pinned against
-frozen seeded outputs.
+Covers the tier-spec grammar and construction validation, the bit-identity
+of the packed batch cascade path against the per-trial ``decode_history``
+reference, and — the load-bearing guarantee — the cascade's seeded outputs
+on all three Monte-Carlo engines, pinned against frozen values.
 """
 
 from __future__ import annotations
@@ -21,11 +19,12 @@ from repro.decoders.mwpm import MWPMDecoder
 from repro.decoders.registry import resolve_tier_spec, tier_decoder_names
 from repro.decoders.union_find import ClusteringDecoder
 from repro.exceptions import ConfigurationError
+from repro.experiments.fig14 import compare_fallbacks
 from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.memory import run_memory_experiment
 from repro.types import StabilizerType
 
-THREE_TIER = ("clique", "union_find", "mwpm")
+UF_TIERS = ("clique", "union_find")
 
 
 def _width(code):
@@ -61,11 +60,11 @@ def _decode_packed(cascade, batch):
 
 class TestTierSpecResolution:
     def test_comma_string_and_tuple_agree(self):
-        assert resolve_tier_spec("clique,union_find,mwpm") == THREE_TIER
-        assert resolve_tier_spec(THREE_TIER) == THREE_TIER
+        assert resolve_tier_spec("clique,union_find") == UF_TIERS
+        assert resolve_tier_spec(UF_TIERS) == UF_TIERS
 
     def test_whitespace_is_tolerated(self):
-        assert resolve_tier_spec("clique, union_find , mwpm") == THREE_TIER
+        assert resolve_tier_spec("clique, union_find ") == UF_TIERS
 
     def test_unknown_tier_lists_valid_names(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -78,48 +77,55 @@ class TestTierSpecResolution:
         with pytest.raises(ConfigurationError, match="clique"):
             resolve_tier_spec("union_find,mwpm")
 
-    def test_non_escalating_mid_tier_rejected_eagerly(self):
-        # The eager-validation guarantee: a decoder with no escalation path
-        # in an intermediate slot fails at spec time, before any sweep work.
-        with pytest.raises(ConfigurationError, match="mid-cascade"):
-            resolve_tier_spec("clique,mwpm,union_find")
-        assert resolve_tier_spec("clique,union_find,mwpm") == THREE_TIER
-
     def test_needs_an_offchip_tier(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="exactly two tiers"):
             resolve_tier_spec("clique")
+
+    def test_three_tiers_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="exactly two tiers"):
+            resolve_tier_spec("clique,union_find,mwpm")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["clique,,mwpm", "clique", "mwpm,clique", "clique,union_find,mwpm"],
+    ids=["malformed", "no-offchip-tier", "clique-not-first", "three-tiers"],
+)
+def test_registry_and_cascade_reject_bad_specs_alike(code_d5, spec):
+    # One grammar: the cascade parses string specs through the registry, so
+    # both entry points reject a bad spec with the same message.
+    with pytest.raises(ConfigurationError) as from_registry:
+        resolve_tier_spec(spec)
+    with pytest.raises(ConfigurationError) as from_cascade:
+        DecoderCascade(code_d5, StabilizerType.X, tiers=spec)
+    assert str(from_cascade.value) == str(from_registry.value)
 
 
 class TestConstruction:
-    def test_string_spec_builds_three_tiers(self, code_d5):
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers="clique,union_find,mwpm")
-        assert cascade.tier_names == THREE_TIER
-        assert cascade.num_tiers == 3
-        assert isinstance(cascade.offchip_tiers[0], ClusteringDecoder)
-        assert isinstance(cascade.offchip_tiers[1], MWPMDecoder)
+    def test_string_spec_builds_two_tiers(self, code_d5):
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers="clique,union_find")
+        assert cascade.tier_names == UF_TIERS
+        assert cascade.num_tiers == 2
+        assert isinstance(cascade.offchip, ClusteringDecoder)
 
-    def test_intermediate_union_find_gets_escalation_policy(self, code_d5):
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
-        assert cascade.offchip_tiers[0].escalation_cluster_size is not None
-        # A *final* union-find tier must resolve everything it receives.
-        two_tier = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "union_find"))
-        assert two_tier.offchip_tiers[0].escalation_cluster_size is None
-
-    def test_named_tiers_share_matching_graph(self, code_d5):
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
-        assert cascade.offchip_tiers[0]._graph is cascade.offchip_tiers[1]._graph
-
-    def test_non_escalating_mid_tier_is_rejected(self, code_d5):
-        # MWPM has no escalation path, so it can only sit last.
-        with pytest.raises(ConfigurationError, match="escalate"):
-            DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "mwpm", "union_find"))
-
-    def test_instance_tiers_are_accepted(self, code_d5):
-        mid = ClusteringDecoder(code_d5, StabilizerType.X, escalation_cluster_size=1)
+    def test_instance_offchip_tier_is_accepted(self, code_d5):
         final = MWPMDecoder(code_d5, StabilizerType.X)
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", mid, final))
-        assert cascade.offchip_tiers == (mid, final)
-        assert cascade.tier_names[0] == "clique"
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", final))
+        assert cascade.offchip is final
+        assert cascade.tier_names == ("clique", "MWPMDecoder")
+        assert cascade.num_tiers == 2
+
+    def test_three_tiers_with_instances_are_rejected(self, code_d5):
+        middle = ClusteringDecoder(code_d5, StabilizerType.X)
+        with pytest.raises(ConfigurationError, match="exactly two tiers"):
+            DecoderCascade(
+                code_d5, StabilizerType.X, tiers=("clique", middle, "mwpm")
+            )
+
+    def test_non_decoder_offchip_tier_is_rejected(self, code_d5):
+        front = CliqueDecoder(code_d5, StabilizerType.X)
+        with pytest.raises(ConfigurationError, match="off-chip cascade tier"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=(front, 3))
 
     def test_clique_instance_front_tier(self, code_d5):
         front = CliqueDecoder(code_d5, StabilizerType.X)
@@ -129,12 +135,16 @@ class TestConstruction:
     def test_bad_front_tier_is_rejected(self, code_d5):
         with pytest.raises(ConfigurationError, match="first cascade tier"):
             DecoderCascade(code_d5, StabilizerType.X, tiers=("mwpm", "union_find"))
+        final = MWPMDecoder(code_d5, StabilizerType.X)
+        with pytest.raises(ConfigurationError, match="first cascade tier"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=("mwpm", final))
 
     def test_default_is_the_two_tier_clique_mwpm_hierarchy(self, code_d5):
         cascade = DecoderCascade(code_d5, StabilizerType.X)
         assert cascade.tier_names == ("clique", "mwpm")
-        assert isinstance(cascade.offchip_tiers[0], MWPMDecoder)
+        assert isinstance(cascade.offchip, MWPMDecoder)
         assert cascade.measurement_rounds == 2
+        assert cascade.name == "Cascade[clique,mwpm]"
 
 
 class TestTierTargetValidation:
@@ -152,13 +162,6 @@ class TestTierTargetValidation:
         wrong = MWPMDecoder(code_d7, StabilizerType.X)
         with pytest.raises(ConfigurationError, match="distance 7"):
             DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", wrong))
-
-    def test_intermediate_tier_mismatch_is_rejected(self, code_d5):
-        wrong = ClusteringDecoder(
-            code_d5, StabilizerType.Z, escalation_cluster_size=2
-        )
-        with pytest.raises(ConfigurationError, match="position 1"):
-            DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", wrong, "mwpm"))
 
     def test_clique_front_of_another_distance_is_rejected(self, code_d5, code_d7):
         wrong = CliqueDecoder(code_d7, StabilizerType.X)
@@ -196,81 +199,18 @@ class TestTierTargetValidation:
             StabilizerType.Z,
             tiers=(CliqueDecoder(other, StabilizerType.Z), final),
         )
-        assert cascade.offchip_tiers == (final,)
-
-
-class TestEscalationMask:
-    def test_small_clusters_resolve_large_escalate(self, code_d5):
-        decoder = ClusteringDecoder(
-            code_d5, StabilizerType.X, escalation_cluster_size=2
-        )
-        # One isolated event: a single boundary-matched cluster, resolved here.
-        bitmap, escalated = decoder.decode_events_tiered(
-            np.array([0]), np.array([0])
-        )
-        assert escalated.size == 0
-        assert bitmap is not None
-        # A tight same-ancilla triple grows into one 3-event cluster whose
-        # size exceeds the threshold: all three members escalate, by index.
-        bitmap, escalated = decoder.decode_events_tiered(
-            np.array([0, 1, 2]), np.array([0, 0, 0])
-        )
-        assert escalated.tolist() == [0, 1, 2]
-        assert not bitmap.any()
-
-    def test_partial_resolution_escalates_only_oversized_cluster(self, code_d5):
-        decoder = ClusteringDecoder(
-            code_d5, StabilizerType.X, escalation_cluster_size=2
-        )
-        # A far-away isolated event plus a tight same-ancilla triple: the
-        # singleton cluster resolves in place while only the triple's three
-        # member positions escalate.
-        width = code_d5.num_ancillas_of_type(StabilizerType.X)
-        rounds = np.array([0, 0, 1, 2])
-        ancillas = np.array([width - 1, 0, 0, 0])
-        bitmap, escalated = decoder.decode_events_tiered(rounds, ancillas)
-        assert escalated.tolist() == [1, 2, 3]
-        assert escalated.dtype == np.int64
-        # The resolved singleton contributed a non-trivial partial correction.
-        lone, lone_escalated = decoder.decode_events_tiered(
-            np.array([0]), np.array([width - 1])
-        )
-        assert lone_escalated.size == 0
-        assert np.array_equal(bitmap, lone)
-
-    def test_empty_event_list_never_escalates(self, code_d5):
-        decoder = ClusteringDecoder(
-            code_d5, StabilizerType.X, escalation_cluster_size=1
-        )
-        bitmap, escalated = decoder.decode_events_tiered(np.array([]), np.array([]))
-        assert escalated.size == 0
-        assert not bitmap.any()
-
-    def test_disabled_policy_resolves_everything(self, code_d5):
-        decoder = ClusteringDecoder(code_d5, StabilizerType.X)
-        bitmap, escalated = decoder.decode_events_tiered(
-            np.array([0, 1, 2, 3]), np.array([0, 0, 0, 0])
-        )
-        assert escalated.size == 0
-        assert np.array_equal(
-            bitmap,
-            decoder.decode_events_bitmap(np.array([0, 1, 2, 3]), np.array([0, 0, 0, 0])),
-        )
-
-    def test_invalid_threshold_is_rejected(self, code_d5):
-        with pytest.raises(ConfigurationError):
-            ClusteringDecoder(code_d5, StabilizerType.X, escalation_cluster_size=0)
+        assert cascade.offchip is final
 
 
 def _assert_packed_matches_decode_history(cascade, batch):
     """Trial by trial, the packed batch result must equal ``decode_history``:
-    corrections, on-chip rounds, the deepest tier reached, and the rounds
-    shipped into every off-chip tier."""
+    corrections, on-chip rounds, and the on-/off-chip trial and round
+    counts."""
     code = cascade.code
     data_index = code.data_index
     result, corrections = _decode_packed(cascade, batch)
-    tier_trials = np.zeros(cascade.num_tiers, dtype=np.int64)
-    tier_rounds = np.zeros(cascade.num_tiers, dtype=np.int64)
+    tier_trials = np.zeros(2, dtype=np.int64)
+    tier_rounds = np.zeros(2, dtype=np.int64)
     for trial in range(batch.shape[0]):
         reference = cascade.decode_history(batch[trial])
         bitmap = np.zeros(code.num_data_qubits, dtype=np.uint8)
@@ -280,10 +220,8 @@ def _assert_packed_matches_decode_history(cascade, batch):
         onchip = reference.num_rounds - reference.num_offchip_rounds
         assert result.onchip_rounds[trial] == onchip
         assert result.total_rounds[trial] == reference.num_rounds
-        tier_trials[reference.handled_tier] += 1
-        tier_rounds[0] += onchip
-        for tier, count in enumerate(reference.tier_shipped_rounds, start=1):
-            tier_rounds[tier] += count
+        tier_trials[int(reference.num_offchip_rounds > 0)] += 1
+        tier_rounds += (onchip, reference.num_offchip_rounds)
     assert np.array_equal(result.tier_trials, tier_trials)
     assert np.array_equal(result.tier_rounds, tier_rounds)
     assert int(result.tier_trials.sum()) == batch.shape[0]
@@ -291,37 +229,26 @@ def _assert_packed_matches_decode_history(cascade, batch):
 
 class TestBatchedCascadeBitIdentity:
     """The packed batch cascade path must stay bit-identical to the
-    per-trial decode_history reference — including which tier resolves each
-    trial and the rounds shipped into each tier."""
-
-    @pytest.mark.parametrize("distance", [5, 7])
-    def test_three_tier_decode_batch_matches_decode_history(self, distance):
-        code = get_code(distance)
-        cascade = DecoderCascade(code, StabilizerType.X, tiers=THREE_TIER)
-        rng = np.random.default_rng(37)
-        # Densities straddle the triage point so plenty of trials exercise
-        # every tier boundary.
-        for density in (0.05, 0.18):
-            batch = (rng.random((40, distance + 1, _width(code))) < density).astype(
-                np.uint8
-            )
-            _assert_packed_matches_decode_history(cascade, batch)
+    per-trial decode_history reference — including the on-/off-chip trial
+    and round counts."""
 
     @pytest.mark.parametrize("distance", [5, 7])
     @pytest.mark.parametrize("final", ["mwpm", "union_find"])
-    def test_two_tier_decode_batch_matches_decode_history(self, distance, final):
+    def test_decode_batch_matches_decode_history(self, distance, final):
         code = get_code(distance)
         cascade = DecoderCascade(code, StabilizerType.X, tiers=("clique", final))
         rng = np.random.default_rng(29)
+        # Densities straddle the triage point so plenty of trials go
+        # off-chip.
         for density in (0.05, 0.18):
             batch = (rng.random((40, distance + 1, _width(code))) < density).astype(
                 np.uint8
             )
             _assert_packed_matches_decode_history(cascade, batch)
 
-    def test_final_tier_without_bitmap_hook_still_matches(self, code_d5):
-        # A final tier that only implements decode() exercises the per-trial
-        # sub-mask path inside _cascade_trial.
+    def test_offchip_tier_without_bitmap_hook_still_matches(self, code_d5):
+        # An off-chip tier that only implements decode() exercises the
+        # per-trial detection-mask path of _offchip_bitmap.
         class PlainMWPM(MWPMDecoder):
             decode_events_bitmap = None  # hide the batched hook
 
@@ -342,7 +269,7 @@ class TestBatchedCascadeBitIdentity:
         # With no unpacked fast path of its own, the cascade's decode_batch
         # is the base per-trial loop over decode(); it must still report the
         # same corrections and round split as decode_history.
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=UF_TIERS)
         rng = np.random.default_rng(47)
         batch = (rng.random((20, 6, _width(code_d5))) < 0.15).astype(np.uint8)
         result = cascade.decode_batch(batch)
@@ -355,37 +282,73 @@ class TestBatchedCascadeBitIdentity:
             )
             assert result.total_rounds[trial] == reference.num_rounds
 
-    def test_tier_rounds_accounting(self, code_d5):
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=THREE_TIER)
+    @pytest.mark.parametrize("tiers", [("clique", "mwpm"), UF_TIERS])
+    def test_tier_counts_are_the_triage_counts(self, code_d5, tiers):
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=tiers)
         rng = np.random.default_rng(43)
         batch = (rng.random((40, 6, _width(code_d5))) < 0.15).astype(np.uint8)
         result, _ = _decode_packed(cascade, batch)
-        total_rounds = int(result.total_rounds.sum())
-        onchip_rounds = int(result.onchip_rounds.sum())
-        assert result.tier_rounds[0] == onchip_rounds
-        assert result.tier_rounds[1] == total_rounds - onchip_rounds
-        # Bandwidth can only shrink down the cascade.
-        assert result.tier_rounds[2] <= result.tier_rounds[1]
+        offchip_per_trial = result.total_rounds - result.onchip_rounds
+        assert result.tier_rounds.tolist() == [
+            int(result.onchip_rounds.sum()),
+            int(offchip_per_trial.sum()),
+        ]
+        assert result.tier_trials.tolist() == [
+            int((offchip_per_trial == 0).sum()),
+            int((offchip_per_trial > 0).sum()),
+        ]
+        assert 0 < result.tier_trials[1] < 40
+
+    def test_tier_rounds_accounting(self, code_d5):
+        # The triage counts stand in for the off-chip tier's own traffic:
+        # every complex round ships at least one visible event, so the
+        # distinct event rounds the off-chip tier receives are exactly the
+        # rounds counted off-chip, and it is called once per off-chip trial.
+        class RecordingMWPM(MWPMDecoder):
+            def __init__(self, code, stype):
+                super().__init__(code, stype)
+                self.shipped_rounds = []
+
+            def decode_events_bitmap(self, rounds, ancillas):
+                self.shipped_rounds.append(np.unique(rounds).tolist())
+                return super().decode_events_bitmap(rounds, ancillas)
+
+        recorder = RecordingMWPM(code_d5, StabilizerType.X)
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", recorder))
+        rng = np.random.default_rng(53)
+        for density in (0.05, 0.15, 0.3):
+            batch = (rng.random((40, 6, _width(code_d5))) < density).astype(np.uint8)
+            recorder.shipped_rounds.clear()
+            result, _ = _decode_packed(cascade, batch)
+            assert result.tier_trials[1] == len(recorder.shipped_rounds)
+            assert result.tier_rounds[1] == sum(map(len, recorder.shipped_rounds))
+            for trial in range(batch.shape[0]):
+                recorder.shipped_rounds.clear()
+                reference = cascade.decode_history(batch[trial])
+                expected = [list(reference.offchip_rounds)] if reference.offchip_rounds else []
+                assert recorder.shipped_rounds == expected
 
 
-#: Frozen seeded outputs captured from the pre-refactor two-tier hierarchy
-#: implementation (commit 645e6b2) — trials=300,
-#: p=2e-2, seed=1234, rounds=distance; sharded at workers=1 with the default
-#: chunk.  The cascade refactor must reproduce every number bit for bit.
+#: Frozen seeded outputs — trials=300, p=2e-2, seed=1234, rounds=distance;
+#: sharded at workers=1 with the default chunk.  The failure and round
+#: counts were captured from the original two-tier hierarchy implementation
+#: (commit 645e6b2); the tier counts from the N-tier cascade (commit
+#: 3f0e55d), which counted them per trial from the shipped event rounds.
 PRE_REFACTOR_SEEDED = {
-    # (fallback, distance, engine): (logical_failures, onchip_rounds, total_rounds)
-    ("mwpm", 3, "loop"): (13, 1199, 1200),
-    ("mwpm", 3, "batch"): (13, 1199, 1200),
-    ("mwpm", 3, "sharded"): (12, 1199, 1200),
-    ("mwpm", 5, "loop"): (10, 1668, 1800),
-    ("mwpm", 5, "batch"): (10, 1668, 1800),
-    ("mwpm", 5, "sharded"): (22, 1649, 1800),
-    ("union_find", 3, "loop"): (13, 1199, 1200),
-    ("union_find", 3, "batch"): (13, 1199, 1200),
-    ("union_find", 3, "sharded"): (12, 1199, 1200),
-    ("union_find", 5, "loop"): (15, 1668, 1800),
-    ("union_find", 5, "batch"): (15, 1668, 1800),
-    ("union_find", 5, "sharded"): (23, 1649, 1800),
+    # (fallback, distance, engine): (logical_failures, onchip_rounds,
+    #                                total_rounds, tier_trials, tier_rounds)
+    ("mwpm", 3, "loop"): (13, 1199, 1200, (299, 1), (1199, 1)),
+    ("mwpm", 3, "batch"): (13, 1199, 1200, (299, 1), (1199, 1)),
+    ("mwpm", 3, "sharded"): (12, 1199, 1200, (299, 1), (1199, 1)),
+    ("mwpm", 5, "loop"): (10, 1668, 1800, (203, 97), (1668, 132)),
+    ("mwpm", 5, "batch"): (10, 1668, 1800, (203, 97), (1668, 132)),
+    ("mwpm", 5, "sharded"): (22, 1649, 1800, (193, 107), (1649, 151)),
+    ("union_find", 3, "loop"): (13, 1199, 1200, (299, 1), (1199, 1)),
+    ("union_find", 3, "batch"): (13, 1199, 1200, (299, 1), (1199, 1)),
+    ("union_find", 3, "sharded"): (12, 1199, 1200, (299, 1), (1199, 1)),
+    ("union_find", 5, "loop"): (15, 1668, 1800, (203, 97), (1668, 132)),
+    ("union_find", 5, "batch"): (15, 1668, 1800, (203, 97), (1668, 132)),
+    ("union_find", 5, "sharded"): (23, 1649, 1800, (193, 107), (1649, 151)),
 }
 
 
@@ -414,58 +377,109 @@ class TestPreRefactorEquivalence:
             result.logical_failures,
             result.onchip_rounds,
             result.total_rounds,
+            result.tier_trials,
+            result.tier_rounds,
         ) == expected
 
 
+#: Frozen ``compare_fallbacks()`` rows at its defaults (600 trials,
+#: p=1e-2, d in {5, 7}, batch engine), captured from the N-tier cascade
+#: (commit 3f0e55d) for the two specs it kept; ``trials_per_sec`` is
+#: wall-clock and excluded.  ``offchip_trial_fraction`` is that commit's
+#: ``escalation_rates`` column (its only entry under two tiers).
+FROZEN_FALLBACK_ROWS = [
+    (5, "clique,mwpm", 0.011666666666666667, 0.023884309997529277, 0.98, 0.1067, 0.12),
+    (5, "clique,union_find", 0.015, 0.028259922540006213, 0.98, 0.1067, 0.12),
+    (7, "clique,mwpm", 0.006666666666666667, 0.017014981607345082, 0.93375, 0.355, 0.53),
+    (7, "clique,union_find", 0.015, 0.028259922540006213, 0.93375, 0.355, 0.53),
+]
+
+
+def test_compare_fallbacks_reproduces_frozen_rows():
+    rows = compare_fallbacks().rows
+    assert [
+        (
+            row["code_distance"],
+            row["tiers"],
+            row["logical_error_rate"],
+            row["ci_high"],
+            row["onchip_round_fraction"],
+            row["offchip_trial_fraction"],
+            row["offchip_rounds_per_trial"],
+        )
+        for row in rows
+    ] == FROZEN_FALLBACK_ROWS
+    assert all(row["physical_error_rate"] == 1e-2 for row in rows)
+    assert all(row["trials"] == 600 for row in rows)
+
+
 class TestCascadeAcrossEngines:
-    """Three-tier cascades ride every engine with consistent tier stats."""
+    """Both off-chip decoders ride every engine with consistent tier stats
+    (the default Clique+MWPM cascade is covered by the frozen pins above)."""
 
     def test_loop_and_batch_agree_including_tier_stats(self, code_d5):
         kwargs = dict(trials=200, rng=7)
         loop = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(THREE_TIER),
+            _CascadeFactory(UF_TIERS),
             engine="loop",
             **kwargs,
         )
         batch = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(THREE_TIER),
+            _CascadeFactory(UF_TIERS),
             engine="batch",
             **kwargs,
         )
         assert loop == batch
-        assert loop.tier_names == THREE_TIER
+        assert loop.tier_names == UF_TIERS
         assert sum(loop.tier_trials) == loop.trials
-        assert loop.tier_rounds[0] == loop.onchip_rounds
+        assert loop.tier_rounds == (
+            loop.onchip_rounds,
+            loop.total_rounds - loop.onchip_rounds,
+        )
 
     def test_sharded_worker_count_never_changes_tier_stats(self, code_d5):
         kwargs = dict(trials=400, rng=11, engine="sharded")
         one = run_memory_experiment(
-            code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(THREE_TIER),
+            code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(UF_TIERS),
             workers=1, **kwargs,
         )
         four = run_memory_experiment(
-            code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(THREE_TIER),
+            code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(UF_TIERS),
             workers=4, **kwargs,
         )
         assert one == four
         assert sum(one.tier_trials) == one.trials
 
-    def test_escalation_rates_decrease_down_the_cascade(self, code_d5):
+    def test_offchip_accessors(self, code_d5):
         result = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(THREE_TIER),
+            _CascadeFactory(UF_TIERS),
             trials=300,
             rng=13,
         )
-        rates = result.escalation_rates
-        assert len(rates) == 2
-        assert 0.0 <= rates[1] <= rates[0] <= 1.0
-        assert result.tier_rounds_per_trial(2) <= result.tier_rounds_per_trial(1)
+        assert result.offchip_trial_fraction == result.tier_trials[1] / 300
+        assert result.offchip_rounds_per_trial == (
+            (result.total_rounds - result.onchip_rounds) / 300
+        )
+        assert 0.0 < result.offchip_trial_fraction < 1.0
+        assert result.offchip_rounds_per_trial >= result.offchip_trial_fraction
+
+    def test_flat_decoders_report_no_offchip_traffic(self, code_d5):
+        result = run_memory_experiment(
+            code_d5,
+            PhenomenologicalNoise(2e-2),
+            lambda code, stype: MWPMDecoder(code, stype),
+            trials=20,
+            rng=13,
+        )
+        assert result.tier_trials == ()
+        assert result.offchip_trial_fraction == 0.0
+        assert result.offchip_rounds_per_trial == 0.0
 
 
 class TestCascadeResultStoreRoundTrip:
@@ -475,11 +489,11 @@ class TestCascadeResultStoreRoundTrip:
         result = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(THREE_TIER),
+            _CascadeFactory(UF_TIERS),
             trials=100,
             rng=3,
         )
-        assert result.tier_names == THREE_TIER
+        assert result.tier_names == UF_TIERS
         restored = from_dict(to_dict(result))
         assert restored == result
         assert restored.tier_trials == result.tier_trials

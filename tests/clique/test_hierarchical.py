@@ -1,8 +1,8 @@
 """Tests for the paper's two-tier hierarchy: Clique on-chip + MWPM off-chip.
 
 The hierarchy is the default :class:`~repro.clique.cascade.DecoderCascade`
-(``tiers=("clique", "mwpm")``); the N-tier machinery itself is covered in
-``test_cascade.py``.
+(``tiers=("clique", "mwpm")``); the tier-spec grammar, construction checks
+and frozen seeded pins are covered in ``test_cascade.py``.
 """
 
 from __future__ import annotations
@@ -158,8 +158,7 @@ class TestConfiguration:
 
     def test_clique_and_offchip_tier_accessors(self, hierarchical_d5):
         assert hierarchical_d5.clique is not None
-        (offchip,) = hierarchical_d5.offchip_tiers
-        assert isinstance(offchip, MWPMDecoder)
+        assert isinstance(hierarchical_d5.offchip, MWPMDecoder)
 
 
 class TestAccuracyAgainstBaseline:
@@ -206,14 +205,14 @@ class TestNamedOffchipTiers:
     def test_mwpm_is_the_default(self, code_d5):
         decoder = DecoderCascade(code_d5, StabilizerType.X)
         assert decoder.tier_names == ("clique", "mwpm")
-        assert isinstance(decoder.offchip_tiers[0], MWPMDecoder)
+        assert isinstance(decoder.offchip, MWPMDecoder)
 
     def test_union_find_is_selectable_by_name(self, code_d5):
         from repro.decoders.union_find import ClusteringDecoder
 
         decoder = DecoderCascade(code_d5, StabilizerType.X, tiers="clique,union_find")
         assert decoder.tier_names == ("clique", "union_find")
-        assert isinstance(decoder.offchip_tiers[0], ClusteringDecoder)
+        assert isinstance(decoder.offchip, ClusteringDecoder)
 
     def test_unknown_name_is_rejected(self, code_d5):
         from repro.exceptions import ConfigurationError

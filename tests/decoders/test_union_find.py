@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.decoders.mwpm import SUBSET_DP_MAX_EVENTS
-from repro.decoders.union_find import (
-    ClusteringDecoder,
-    _DisjointSets,
-    default_escalation_cluster_size,
-)
+from repro.decoders.union_find import ClusteringDecoder, _DisjointSets
 from repro.types import Coord, StabilizerType
 
 
@@ -127,55 +122,3 @@ class TestEventBitmapPath:
         bitmap = clustering_d5.decode_events_bitmap(np.array([]), np.array([]))
         assert bitmap.shape == (code_d5.num_data_qubits,)
         assert not bitmap.any()
-
-    def test_bitmap_path_never_escalates(self, code_d5, rng):
-        # decode_events_bitmap is the *final-tier* entry point: even with an
-        # escalation policy configured it must resolve everything itself.
-        policy = ClusteringDecoder(
-            code_d5, StabilizerType.X, escalation_cluster_size=1
-        )
-        plain = ClusteringDecoder(code_d5, StabilizerType.X)
-        width = code_d5.num_ancillas_of_type(StabilizerType.X)
-        detections = (rng.random((4, width)) < 0.2).astype(np.uint8)
-        rounds, ancillas = np.nonzero(detections)
-        assert np.array_equal(
-            policy.decode_events_bitmap(rounds, ancillas),
-            plain.decode_events_bitmap(rounds, ancillas),
-        )
-
-
-class TestAdaptiveEscalationThreshold:
-    def test_grows_with_distance_within_dp_cap(self):
-        assert default_escalation_cluster_size(3) == 8
-        assert default_escalation_cluster_size(5) == 8
-        assert default_escalation_cluster_size(7) == 10
-        assert default_escalation_cluster_size(13) == 16
-        # Never beyond the subset-DP hard cap.
-        assert default_escalation_cluster_size(31) == SUBSET_DP_MAX_EVENTS
-
-
-class TestOverCapClusterRouting:
-    def test_large_kept_cluster_routes_to_blossom_not_dp(self, code_d5, monkeypatch):
-        # Regression test for the O(2^n) footgun: a threshold in the mid-30s
-        # used to send every kept cluster to the subset-DP, whose tables for
-        # a ~34-event cluster would be a multi-GB allocation.  Kept clusters
-        # beyond SUBSET_DP_MAX_EVENTS must route to the blossom matcher.
-        decoder = ClusteringDecoder(
-            code_d5, StabilizerType.X, escalation_cluster_size=34
-        )
-
-        def _dp_guard(distance, boundary):
-            raise AssertionError("subset-DP called on an over-cap cluster")
-
-        monkeypatch.setattr(
-            "repro.decoders.union_find.match_events_small", _dp_guard
-        )
-        # 17 events on one ancilla across consecutive rounds grow into a
-        # single 17-event cluster: kept (17 <= 34) but past the DP cap.
-        rounds = np.arange(17)
-        ancillas = np.zeros(17, dtype=np.int64)
-        bitmap, escalated = decoder.decode_events_tiered(rounds, ancillas)
-        assert escalated.size == 0
-        # Exact matching pairs 8 adjacent temporal pairs (no data correction)
-        # and sends one event to the boundary.
-        assert np.array_equal(bitmap, decoder._graph.boundary_path_bitmaps[0])

@@ -81,7 +81,7 @@ class TestFig14:
         assert 0.0 <= row["clique_logical_error_rate"] <= 1.0
         assert 0.0 <= row["onchip_round_fraction"] <= 1.0
 
-    def test_point_config_keys_escalation_threshold_for_deep_cascades(self):
+    def test_point_config_keys_the_cascade_by_its_offchip_tier(self):
         common = dict(
             distance=5,
             error_rate=2e-2,
@@ -91,26 +91,18 @@ class TestFig14:
             decoder="hierarchical",
             stop=None,
         )
-        deep = ("clique", "union_find", "mwpm")
-        # The implicit "auto" spelling and its resolved explicit value must
-        # key identically; a different threshold must key differently.
-        auto = fig14._memory_point_config(**common, tiers=deep)
-        explicit = fig14._memory_point_config(
-            **common, tiers=deep, escalation_cluster_size=8
+        # Cascades key their off-chip tier under the historical "fallback"
+        # entry, with no topology entries beside it, so warm stores keep
+        # hitting; distinct off-chip decoders key distinctly.
+        mwpm = fig14._memory_point_config(**common, tiers=("clique", "mwpm"))
+        union_find = fig14._memory_point_config(
+            **common, tiers=("clique", "union_find")
         )
-        other = fig14._memory_point_config(
-            **common, tiers=deep, escalation_cluster_size=12
-        )
-        assert auto["escalation_cluster_size"] == 8  # d=5 resolves to 8
-        assert auto == explicit
-        assert other != auto
-        # Two-tier cascades have no intermediate tier: the threshold must
-        # stay out of their keys so warm stores keep hitting.
-        two = fig14._memory_point_config(**common, tiers=("clique", "mwpm"))
-        assert "escalation_cluster_size" not in two
-        assert two == fig14._memory_point_config(
-            **common, tiers=("clique", "mwpm"), escalation_cluster_size=12
-        )
+        assert mwpm["fallback"] == "mwpm"
+        assert union_find["fallback"] == "union_find"
+        assert mwpm.keys() == union_find.keys()
+        assert "tiers" not in mwpm
+        assert fig14._memory_point_config(**common, tiers=None)["fallback"] is None
 
 
 class TestFig14Cascades:

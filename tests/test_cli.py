@@ -7,6 +7,8 @@ import argparse
 import pytest
 
 from repro.cli import _parse_param, _parse_scalar, build_parser, main
+from repro.decoders.registry import resolve_tier_spec
+from repro.exceptions import ConfigurationError
 from repro.experiments.registry import available_experiments
 
 
@@ -237,33 +239,36 @@ class TestCascadeTiersCli:
         "distances=5,",
     ]
 
-    def test_tiers_spec_runs_three_tier_cascade(self, capsys):
-        assert main(self.FIG14_ARGS + ["--tiers", "clique,union_find,mwpm"]) == 0
+    def test_tiers_spec_compares_against_the_mwpm_reference(self, capsys):
+        assert main(self.FIG14_ARGS + ["--tiers", "clique,union_find"]) == 0
         out = capsys.readouterr().out
-        assert "clique,union_find,mwpm" in out
-        assert "escalation_rates" in out
+        assert "clique,union_find" in out
+        assert "clique,mwpm" in out
+        assert "offchip_trial_fraction" in out
         assert "offchip_rounds_per_trial" in out
 
-    def test_tiers_spec_reaches_fig14_sweep(self, capsys):
-        assert (
-            main(
-                [
-                    "fig14",
-                    "--tiers",
-                    "clique,union_find,mwpm",
-                    "--param",
-                    "trials=40",
-                    "--param",
-                    "distances=3,",
-                    "--param",
-                    "error_rates=2e-2,",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Clique+UF+MWPM" in out
-        assert "tiers=clique,union_find,mwpm" in out
+    @pytest.mark.parametrize("experiment", ["fig14", "fig14_fallbacks"])
+    def test_three_tier_spec_is_a_clean_error(self, experiment, capsys):
+        assert main([experiment, "--tiers", "clique,union_find,mwpm"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "exactly two tiers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["clique,,mwpm", "clique", "mwpm,clique", "clique,union_find,mwpm"],
+        ids=["malformed", "no-offchip-tier", "clique-not-first", "three-tiers"],
+    )
+    def test_bad_tier_spec_reports_the_registry_error(self, spec, capsys):
+        # One grammar: --tiers goes through resolve_tier_spec, so the CLI
+        # reports exactly the registry's message for every bad spec.
+        with pytest.raises(ConfigurationError) as from_registry:
+            resolve_tier_spec(spec)
+        assert main(["fig14", "--tiers", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(from_registry.value) in err
 
     def test_unknown_tier_name_lists_valid_decoders(self, capsys):
         # The satellite fix: a typo'd tier must produce the registry's clean
@@ -307,28 +312,15 @@ class TestCascadeTiersCli:
         assert "MWPM baseline vs Clique+UF" in out
         assert "tiers=clique,union_find)" in out
 
-    def test_escalation_cluster_size_flag_threads_through(self, capsys):
-        assert (
-            main(
-                self.FIG14_ARGS
-                + [
-                    "--tiers",
-                    "clique,union_find,mwpm",
-                    "--escalation-cluster-size",
-                    "4",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "clique,union_find,mwpm" in out
-
     @pytest.mark.parametrize(
-        "flags", [["--fallback", "mwpm"], ["--no-packed"]], ids=["fallback", "no-packed"]
+        "flags",
+        [["--fallback", "mwpm"], ["--no-packed"], ["--escalation-cluster-size", "4"]],
+        ids=["fallback", "no-packed", "escalation-cluster-size"],
     )
     def test_retired_flags_are_argparse_errors(self, flags, capsys):
-        # --tiers is the one cascade spelling, and the packed kernels are the
-        # only batch path: the retired flags no longer parse.
+        # --tiers is the one cascade spelling, the packed kernels are the
+        # only batch path, and cascades have two tiers (no escalation knob):
+        # the retired flags no longer parse.
         with pytest.raises(SystemExit) as excinfo:
             main(self.FIG14_ARGS + flags)
         assert excinfo.value.code == 2

@@ -65,14 +65,14 @@ detections = (rng.random((6, width)) < 0.3).astype(np.uint8)
 assert detections.sum() > 8
 decoder.decode(detections)
 
-# A three-tier cascade batch decode, escalation paths included.
+# Cascade batch decodes through both off-chip decoders' batched paths.
 from repro import bitplane
 
-cascade = DecoderCascade(
-    code, StabilizerType.X, tiers=("clique", "union_find", "mwpm")
-)
 batch = (rng.random((30, 6, width)) < 0.2).astype(np.uint8)
-cascade.decode_batch_packed(bitplane.pack_trials(batch), 30)
+for offchip in ("union_find", "mwpm"):
+    cascade = DecoderCascade(code, StabilizerType.X, tiers=("clique", offchip))
+    result = cascade.decode_batch_packed(bitplane.pack_trials(batch), 30)
+    assert result.tier_trials[1] > 0
 
 print("OK")
 """
