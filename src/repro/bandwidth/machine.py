@@ -62,7 +62,14 @@ class MachineSimulationResult:
             raise BandwidthConfigurationError(
                 f"percentile must lie strictly between 0 and 100, got {percentile}"
             )
-        return int(np.percentile(self.offchip_requests_per_cycle, percentile))
+        # The smallest demand B with P(demand <= B) >= q, the rule that
+        # provision_for_percentile applies to the binomial model; a linear
+        # interpolation truncated to int could land below it.
+        return int(
+            np.percentile(
+                self.offchip_requests_per_cycle, percentile, method="inverted_cdf"
+            )
+        )
 
 
 class LogicalMachine:
@@ -125,6 +132,10 @@ class LogicalMachine:
         """
         if cycles <= 0:
             raise ConfigurationError(f"cycles must be positive, got {cycles}")
+        if batch_cycles <= 0:
+            raise ConfigurationError(
+                f"batch_cycles must be positive, got {batch_cycles}"
+            )
         generator = make_rng(rng)
         demand = np.zeros(cycles, dtype=np.int64)
         done = 0

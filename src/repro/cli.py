@@ -29,8 +29,9 @@ runs the per-trial reference path kept as the correctness oracle
 (bit-identical to batch under a fixed seed),
 and ``sharded`` fans fixed-size trial shards over worker processes
 (``--workers``), deterministic per seed independent of the worker count.
-The coverage experiments (fig11/fig12/fig16) shard the same way under
-``--workers``/``--chunk-cycles``.  ``--target-ci-width`` switches coverage
+Coverage is always measured in shards: ``--chunk-cycles`` sets the shard
+size and ``--workers`` spreads fig11/fig12/fig16's shards over processes
+(one in-process worker by default).  ``--target-ci-width`` switches coverage
 points to Wilson-converged adaptive sampling, and ``--adaptive`` does the
 same for fig14's logical-error-rate points (budget-capped by the scale's
 trial budgets).  ``--scale paper`` extends fig14 to the paper's d=3–11 grid
@@ -172,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "worker processes for sharded Monte-Carlo runs: fig14 with "
-            "--engine sharded, and the fig11/fig12/fig16 coverage sweeps "
-            "(default: CPU count; results never depend on the value)"
+            "--engine sharded (default: CPU count) and the fig11/fig12/fig16 "
+            "coverage shards (default: 1, in-process); results never depend "
+            "on the value"
         ),
     )
     run_parser.add_argument(
@@ -182,10 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "cycles per shard for the sharded coverage experiments "
-            "(fig11/fig12/fig16); with the seed it fully determines results. "
-            "'auto' sizes shards per point from the budget, worker count, "
-            "and code distance"
+            "cycles per shard of the coverage experiments (fig11/fig12/"
+            "fig16; default 5000); with the seed it fully determines "
+            "results. 'auto' sizes shards per point from the budget, worker "
+            "count, and code distance"
         ),
     )
     run_parser.add_argument(

@@ -25,9 +25,10 @@ def run(
 
     Every sweep point derives its seed via ``point_seed(seed, rate_index,
     distance_index)`` — ``SeedSequence`` spawn keys, collision-free for any
-    grid size.  ``workers``/``chunk_cycles`` select the sharded coverage
-    engine (deterministic per seed independent of the worker count);
-    ``target_ci_width`` additionally makes each point adaptive, sampling only
+    grid size.  Each point runs in shards of ``chunk_cycles`` cycles
+    (default 5000) on ``workers`` processes (default one, in-process);
+    the counts are deterministic per seed independent of the worker count.
+    ``target_ci_width`` makes each point adaptive, sampling only
     until the Wilson interval on its coverage reaches the target width (with
     ``cycles`` as the budget cap) — the ``cycles`` column then reports what
     each point actually consumed.
@@ -38,8 +39,8 @@ def run(
     checkpoint per Wilson wave.  ``force`` recomputes and overwrites.
 
     ``chunk_cycles="auto"`` sizes shards per point from the budget, worker
-    count, and distance.  Sharded sweeps interleave every pending point's
-    shards through one persistent worker pool
+    count, and distance.  Every pending point's shards are interleaved
+    through one persistent worker pool
     (:class:`~repro.simulation.SweepScheduler`).
     """
     return run_coverage_sweep(

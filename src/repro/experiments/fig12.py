@@ -21,10 +21,10 @@ def run(
 ) -> ExperimentResult:
     """Reproduce Fig. 12: how much real decoding work Clique does beyond zero suppression.
 
-    Seeding, engine selection, and result-store semantics follow
-    :func:`repro.experiments.fig11.run`: spawn-key per-point seeds, sharded
-    coverage under ``workers`` / ``chunk_cycles`` (``"auto"`` sizes shards
-    per point), Wilson-adaptive sampling under ``target_ci_width``, and
+    Seeding, sharding, and result-store semantics follow
+    :func:`repro.experiments.fig11.run`: spawn-key per-point seeds, shards of
+    ``chunk_cycles`` spread over ``workers`` (``"auto"`` sizes shards per
+    point), Wilson-adaptive sampling under ``target_ci_width``, and
     per-point persistence/resume under ``store`` / ``force``.
     """
     return run_coverage_sweep(

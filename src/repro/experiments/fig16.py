@@ -6,15 +6,10 @@ from repro.bandwidth.allocation import provision_for_percentile
 from repro.bandwidth.stalling import StallSimulator
 from repro.codes.rotated_surface import get_code
 from repro.experiments.base import ExperimentResult, sweep_cache
+from repro.experiments.coverage_sweep import measure_coverage
 from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import point_seed
-from repro.simulation.coverage import (
-    _is_sharded,
-    resolve_coverage_config,
-    simulate_clique_coverage,
-)
-from repro.simulation.monte_carlo import until_wilson
-from repro.simulation.scheduler import SweepScheduler, coverage_point
+from repro.simulation.coverage import resolve_coverage_config
 
 #: Three operating points in the spirit of the paper's three curves.
 DEFAULT_OPERATING_POINTS = ((1e-2, 11), (5e-3, 13), (1e-3, 9))
@@ -40,84 +35,26 @@ def run(
     sweep over provisioning percentiles yields (bandwidth reduction,
     execution-time increase) pairs.
 
-    The coverage measurement feeding ``provision_for_percentile`` and the
-    :class:`StallSimulator` reuses the sharded coverage engine when
-    ``workers``/``chunk_cycles``/``target_ci_width`` are given (deterministic
-    per seed independent of the worker count; ``target_ci_width`` samples
-    each operating point only until its coverage interval converges, with
-    ``coverage_cycles`` as the budget cap).
+    The coverage stage is fig11/fig12's
+    (:func:`~repro.experiments.coverage_sweep.measure_coverage`): every
+    uncached operating point's shards run in one
+    :class:`~repro.simulation.SweepScheduler` pass
+    (in-process unless ``workers`` is given; results never depend on the
+    worker count), before the cheap in-process stall simulations.
+    ``chunk_cycles`` sets the shard size (``"auto"`` sizes it per operating
+    point); ``target_ci_width`` samples each operating point only until its
+    coverage interval converges, with ``coverage_cycles`` as the budget cap.
 
     ``store`` persists both the per-operating-point coverage measurement and
     every (operating point, percentile) stall simulation as they complete,
     so an interrupted sweep resumes and re-runs are cache hits; ``force``
     recomputes and overwrites.
-
-    With the sharded engine engaged, all operating points' coverage is
-    measured in one :class:`~repro.simulation.SweepScheduler` pre-pass —
-    their shards share a single persistent pool — before the cheap
-    in-process stall simulations run.  ``chunk_cycles="auto"`` sizes shards
-    per operating point.
     """
-    sharded = _is_sharded(workers, chunk_cycles, target_ci_width)
     cache = sweep_cache(store, "fig16", force)
-    coverages: dict[int, object] = {}
-    if sharded:
-        # Scheduler pre-pass: every uncached operating point's coverage
-        # measurement shares one persistent pool; each is persisted the
-        # moment its last shard lands.
-        pending = []
-        for point_index, (error_rate, distance) in enumerate(operating_points):
-            code = get_code(distance)
-            noise = PhenomenologicalNoise(error_rate)
-            coverage_config = resolve_coverage_config(
-                coverage_cycles,
-                noise,
-                distance,
-                workers=workers,
-                chunk_cycles=chunk_cycles,
-                target_ci_width=target_ci_width,
-            )
-            coverage_seed = point_seed(seed, point_index)
-            cached = cache.lookup(coverage_config, coverage_seed)
-            if cached is not None:
-                coverages[point_index] = cached
-                continue
-
-            def _persist(config, config_seed):
-                return lambda result: cache.finish(config, config_seed, result)
-
-            pending.append(
-                coverage_point(
-                    str(point_index),
-                    code,
-                    noise,
-                    cycles=coverage_cycles,
-                    seed=coverage_seed,
-                    chunk_cycles=coverage_config["chunk_cycles"],
-                    stop=(
-                        until_wilson(
-                            target_ci_width,
-                            min_trials=coverage_config["min_cycles"],
-                            max_trials=coverage_cycles,
-                        )
-                        if target_ci_width is not None
-                        else None
-                    ),
-                    checkpoint=(
-                        cache.checkpoint(coverage_config, coverage_seed)
-                        if target_ci_width is not None
-                        else None
-                    ),
-                    on_complete=_persist(coverage_config, coverage_seed),
-                )
-            )
-        for pid, result in SweepScheduler(workers=workers).run(pending).items():
-            coverages[int(pid)] = result
-    rows = []
+    requests = {}
     for point_index, (error_rate, distance) in enumerate(operating_points):
-        code = get_code(distance)
         noise = PhenomenologicalNoise(error_rate)
-        coverage_config = resolve_coverage_config(
+        config = resolve_coverage_config(
             coverage_cycles,
             noise,
             distance,
@@ -125,17 +62,16 @@ def run(
             chunk_cycles=chunk_cycles,
             target_ci_width=target_ci_width,
         )
-        coverage_seed = point_seed(seed, point_index)
-        if sharded:
-            coverage = coverages[point_index]
-        else:
-            coverage = cache.point(
-                coverage_config,
-                coverage_seed,
-                lambda: simulate_clique_coverage(
-                    code, noise, coverage_cycles, rng=coverage_seed
-                ),
-            )
+        requests[str(point_index)] = (
+            get_code(distance),
+            noise,
+            config,
+            point_seed(seed, point_index),
+        )
+    coverages = measure_coverage(cache, requests, workers)
+    rows = []
+    for point_index, (error_rate, distance) in enumerate(operating_points):
+        coverage = coverages[str(point_index)]
         offchip_rate = max(coverage.offchip_fraction, 1.0 / coverage.cycles)
         for percentile_index, percentile in enumerate(percentiles):
             plan = provision_for_percentile(num_logical_qubits, offchip_rate, percentile)

@@ -17,11 +17,18 @@ bitplanes (:mod:`repro.bitplane`): 64 cycles per word, XOR-parity syndromes
 instead of a widened matmul, the word-wise Clique decision, and popcount
 counts.  It is pinned count-for-count against the int64 reference
 formulation in ``tests/simulation/coverage_oracle.py``.
+
+There is one way to run it: every coverage measurement — a single
+:func:`simulate_clique_coverage` call or a figure sweep — is a
+:class:`~repro.simulation.scheduler.SweepScheduler` run of
+:class:`CoverageKernel` shards, built from the same resolved config
+(:func:`resolve_coverage_config`) that keys the result store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,15 +37,14 @@ from repro.clique.decoder import CliqueDecoder
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.exceptions import ConfigurationError
 from repro.noise.models import NoiseModel
-from repro.noise.rng import make_rng
 from repro.simulation.monte_carlo import until_wilson, wilson_interval
-from repro.simulation.scheduler import SweepScheduler, coverage_point
+from repro.simulation.scheduler import SweepPoint, SweepScheduler, coverage_point
 from repro.simulation.shard import AUTO_CHUNK, resolve_auto_chunk
 from repro.types import StabilizerType
 
-#: Cycles per shard of a sharded/adaptive coverage run: small enough that a
-#: Fig. 11-size budget (20k cycles) still yields several shards to spread
-#: over a pool, large enough to amortise per-shard decoder construction.
+#: Cycles per shard of a coverage run: small enough that a Fig. 11-size
+#: budget (20k cycles) still yields several shards to spread over a pool,
+#: large enough to amortise per-shard decoder construction.
 DEFAULT_SHARD_CYCLES = 5_000
 
 
@@ -104,8 +110,7 @@ def sample_complex_words(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``cycles`` independent decode cycles and triage them, packed.
 
-    The one coverage body shared by :class:`CoverageKernel`, the in-process
-    path of :func:`simulate_clique_coverage` and
+    The one coverage body shared by :class:`CoverageKernel` and
     :class:`repro.bandwidth.machine.LogicalMachine`.  Fresh data errors come
     from ``NoiseModel.sample_data_matrix`` (so subclasses overriding the
     batched data sampler are honoured), then one ``(cycles, ancillas)``
@@ -141,47 +146,18 @@ def sample_complex_words(
     )
 
 
-def _count_coverage(
-    clique: CliqueDecoder,
-    noise: NoiseModel,
-    measurement_rounds: int,
-    num_cycles: int,
-    generator: np.random.Generator,
-    batch_size: int,
-) -> tuple[int, int]:
-    """Count (on-chip, all-zero) cycles in ``batch_size`` packed batches.
-
-    Each batch is one :func:`sample_complex_words` call; the counts are
-    popcounts of the negated complex/active words under the batch's trial
-    mask, so padding cycles never count.
-    """
-    packed_check = bitplane.PackedParityCheck(
-        clique.code.parity_check(clique.stabilizer_type)
-    )
-    onchip = 0
-    all_zero = 0
-    remaining = num_cycles
-    while remaining > 0:
-        batch = min(batch_size, remaining)
-        complex_words, active_words = sample_complex_words(
-            clique, packed_check, noise, measurement_rounds, batch, generator
-        )
-        mask = bitplane.trial_mask_words(batch)
-        onchip += bitplane.popcount(~complex_words & mask)
-        all_zero += bitplane.popcount(~active_words & mask)
-        remaining -= batch
-    return onchip, all_zero
-
-
 @dataclass(frozen=True)
 class CoverageKernel:
     """Picklable coverage shard kernel (see :func:`~repro.simulation.coverage_point`).
 
     Partial results are ``(onchip_cycles, all_zero_cycles, cycles)`` count
-    tuples, merged by the default elementwise sum.  The kernel ships as a few
-    hundred bytes: the code pickles as its distance (each worker resolves it
-    from its own :func:`~repro.codes.rotated_surface.get_code` cache) and the
-    Clique decoder is rebuilt per shard.
+    tuples, merged by the default elementwise sum.  A call samples its cycles
+    in ``batch_size`` batches, one :func:`sample_complex_words` draw each,
+    and popcounts the negated complex/active words under the batch's trial
+    mask, so padding cycles never count.  The kernel ships as a few hundred
+    bytes: the code pickles as its distance (each worker resolves it from its
+    own :func:`~repro.codes.rotated_surface.get_code` cache) and the Clique
+    decoder is rebuilt per shard.
     """
 
     code: RotatedSurfaceCode
@@ -190,37 +166,33 @@ class CoverageKernel:
     measurement_rounds: int = 2
     batch_size: int = 50_000
 
+    def __post_init__(self) -> None:
+        if self.batch_size <= 0:
+            raise ConfigurationError(
+                f"batch_size must be positive, got {self.batch_size}"
+            )
+
     def __call__(
         self, num_cycles: int, rng: np.random.Generator
     ) -> tuple[int, int, int]:
-        onchip, all_zero = _count_coverage(
-            CliqueDecoder(self.code, self.stype),
-            self.noise,
-            self.measurement_rounds,
-            num_cycles,
-            rng,
-            self.batch_size,
-        )
+        clique = CliqueDecoder(self.code, self.stype)
+        packed_check = bitplane.PackedParityCheck(self.code.parity_check(self.stype))
+        onchip = 0
+        all_zero = 0
+        for start in range(0, num_cycles, self.batch_size):
+            batch = min(self.batch_size, num_cycles - start)
+            complex_words, active_words = sample_complex_words(
+                clique, packed_check, self.noise, self.measurement_rounds, batch, rng
+            )
+            mask = bitplane.trial_mask_words(batch)
+            onchip += bitplane.popcount(~complex_words & mask)
+            all_zero += bitplane.popcount(~active_words & mask)
         return onchip, all_zero, num_cycles
 
 
 def _coverage_successes(counts: tuple[int, int, int]) -> int:
     """Tracked proportion for adaptive coverage runs: the on-chip count."""
     return counts[0]
-
-
-def _is_sharded(
-    workers: int | None,
-    chunk_cycles: "int | str | None",
-    target_ci_width: float | None,
-) -> bool:
-    """Single source of truth for engaging the sharded coverage engine.
-
-    Shared by :func:`simulate_clique_coverage` and the store keying contract
-    of :func:`resolve_coverage_config` — the two must never drift, or cache
-    keys would record a different stream topology than the run used.
-    """
-    return workers is not None or chunk_cycles is not None or target_ci_width is not None
 
 
 def _resolve_chunk(
@@ -268,10 +240,10 @@ def resolve_coverage_config(
     measurement rate must not share a key with the symmetric ``q == p``
     model.  ``batch_size`` *is* stream-determining — splitting a run into
     batches interleaves the data-error and measurement-flip draws
-    differently — and whether the sharded engine is engaged changes the
-    streams too (:func:`_is_sharded` keeps the two call sites in lock-step).
+    differently — and so is the resolved shard size.  The config is also
+    what the run is built from (:func:`coverage_point_for`), so the key and
+    the streams cannot drift apart.
     """
-    sharded = _is_sharded(workers, chunk_cycles, target_ci_width)
     chunk = _resolve_chunk(chunk_cycles, num_cycles, workers, distance)
     if target_ci_width is None:
         # min_cycles is adaptive-only (the simulator rejects it otherwise).
@@ -279,7 +251,7 @@ def resolve_coverage_config(
     elif min_cycles is not None:
         resolved_min = min_cycles
     else:
-        # Mirror of the simulator's adaptive default for the Wilson floor.
+        # The adaptive default for the Wilson floor: one shard's worth.
         resolved_min = min(chunk, num_cycles)
     return {
         "kind": "coverage",
@@ -290,12 +262,64 @@ def resolve_coverage_config(
         "measurement_error_rate": noise.measurement_error_rate,
         "stype": stype.value,
         "measurement_rounds": measurement_rounds,
-        "sharded": sharded,
-        "chunk_cycles": chunk if sharded else None,
+        # Every coverage run is sharded; the constant entry keeps stores
+        # written when an unsharded path still existed byte-compatible.
+        "sharded": True,
+        "chunk_cycles": chunk,
         "target_ci_width": target_ci_width,
         "min_cycles": resolved_min,
         "batch_size": batch_size,
     }
+
+
+def coverage_point_for(
+    point_id: str,
+    code: RotatedSurfaceCode,
+    noise: NoiseModel,
+    config: dict[str, object],
+    seed: int | None,
+    checkpoint: object | None = None,
+    on_complete: Callable[[CoverageResult], None] | None = None,
+) -> SweepPoint:
+    """The sweep point that measures a :func:`resolve_coverage_config` config.
+
+    ``code`` and ``noise`` must be the ones the config was resolved from.  A
+    config with a ``target_ci_width`` becomes an adaptive point that stops
+    once the Wilson interval on the coverage is at most that wide
+    (``min_cycles`` floor, ``cycles`` budget cap).
+    """
+    width = config["target_ci_width"]
+    stop = (
+        until_wilson(
+            width, min_trials=config["min_cycles"], max_trials=config["cycles"]
+        )
+        if width is not None
+        else None
+    )
+    return coverage_point(
+        point_id,
+        code,
+        noise,
+        cycles=config["cycles"],
+        seed=seed,
+        measurement_rounds=config["measurement_rounds"],
+        stype=StabilizerType(config["stype"]),
+        batch_size=config["batch_size"],
+        chunk_cycles=config["chunk_cycles"],
+        stop=stop,
+        checkpoint=checkpoint,
+        on_complete=on_complete,
+    )
+
+
+def coverage_scheduler(workers: int | None) -> SweepScheduler:
+    """The scheduler of a coverage run.
+
+    ``workers=None`` runs every shard in-process on one worker: at the
+    default budgets a coverage shard is cheaper than starting a pool of
+    ``os.cpu_count()`` processes.  The worker count never changes a count.
+    """
+    return SweepScheduler(workers=1 if workers is None else workers)
 
 
 def simulate_clique_coverage(
@@ -304,9 +328,8 @@ def simulate_clique_coverage(
     num_cycles: int,
     stype: StabilizerType = StabilizerType.X,
     measurement_rounds: int = 2,
-    rng: np.random.Generator | int | None = None,
+    rng: int | None = None,
     batch_size: int = 50_000,
-    decoder: CliqueDecoder | None = None,
     workers: int | None = None,
     chunk_cycles: "int | str | None" = None,
     target_ci_width: float | None = None,
@@ -320,15 +343,15 @@ def simulate_clique_coverage(
     ``p ** measurement_rounds`` per ancilla per cycle; transient flips are
     filtered on-chip for free.
 
-    Engine selection: with ``workers``, ``chunk_cycles``, and
-    ``target_ci_width`` all ``None`` (the default), the historical in-process
-    single-stream path runs and ``rng`` may be a ready generator.  Passing
-    any of them selects the sharded engine: the point runs as a one-point
-    sweep of :class:`~repro.simulation.scheduler.SweepScheduler`, ``rng``
-    must then be an integer seed, and the counts are deterministic per
-    ``(seed, chunk_cycles)`` independent of ``workers`` — equal to running
+    The point runs as a one-point sweep of
+    :class:`~repro.simulation.scheduler.SweepScheduler` in shards of
+    ``chunk_cycles`` cycles (default :data:`DEFAULT_SHARD_CYCLES`).  ``rng``
+    is an integer seed (or ``None`` for fresh entropy); a ready generator is
+    rejected, since its state cannot be split across shards.  The counts
+    are deterministic per ``(seed, chunk_cycles)`` — equal to running
     :class:`CoverageKernel` once per shard under the ``shard_rng(seed, i)``
-    contract and summing.
+    contract and summing — and never depend on ``workers``, which defaults
+    to one in-process worker (:func:`coverage_scheduler`).
 
     Adaptive allocation: ``target_ci_width`` stops spawning shards once the
     Wilson interval on the coverage proportion is at most that wide
@@ -339,10 +362,6 @@ def simulate_clique_coverage(
 
     ``chunk_cycles="auto"`` resolves the shard size from the budget, worker
     count, and distance (:func:`repro.simulation.shard.resolve_auto_chunk`).
-
-    ``decoder`` reuses a ready :class:`CliqueDecoder` on the in-process path;
-    it must be built for ``code``'s distance and ``stype``, or the call
-    raises :class:`~repro.exceptions.ConfigurationError`.
     """
     if num_cycles <= 0:
         raise ConfigurationError(f"num_cycles must be positive, got {num_cycles}")
@@ -360,70 +379,28 @@ def simulate_clique_coverage(
             "checkpoint is only meaningful with target_ci_width (adaptive "
             "sampling): fixed-budget sweeps resume at sweep-point granularity"
         )
-
-    if decoder is not None and (
-        decoder.code.distance != code.distance or decoder.stabilizer_type is not stype
-    ):
-        raise ConfigurationError(
-            f"the Clique decoder was built for distance {decoder.code.distance}, "
-            f"{decoder.stabilizer_type.name} stabilizers; this coverage run "
-            f"measures distance {code.distance}, {stype.name} stabilizers"
-        )
-    if _is_sharded(workers, chunk_cycles, target_ci_width):
-        if decoder is not None:
-            raise ConfigurationError(
-                "a pre-built decoder cannot be used with the sharded coverage "
-                "path: each shard rebuilds its own CliqueDecoder"
-            )
-        chunk = _resolve_chunk(chunk_cycles, num_cycles, workers, code.distance)
-        stop = (
-            until_wilson(
-                target_ci_width,
-                min_trials=min_cycles
-                if min_cycles is not None
-                else min(chunk, num_cycles),
-                max_trials=num_cycles,
-            )
-            if target_ci_width is not None
-            else None
-        )
-        point = coverage_point(
-            "point",
-            code,
-            noise,
-            cycles=num_cycles,
-            seed=rng,
-            measurement_rounds=measurement_rounds,
-            stype=stype,
-            batch_size=batch_size,
-            chunk_cycles=chunk,
-            stop=stop,
-            checkpoint=checkpoint,
-        )
-        return SweepScheduler(workers=workers).run([point])["point"]
-
-    onchip, all_zero = _count_coverage(
-        decoder or CliqueDecoder(code, stype),
-        noise,
-        measurement_rounds,
+    config = resolve_coverage_config(
         num_cycles,
-        make_rng(rng),
+        noise,
+        code.distance,
+        stype,
+        measurement_rounds,
+        workers,
+        chunk_cycles,
+        target_ci_width,
+        min_cycles,
         batch_size,
     )
-    return CoverageResult(
-        physical_error_rate=noise.data_error_rate,
-        code_distance=code.distance,
-        measurement_rounds=measurement_rounds,
-        cycles=num_cycles,
-        onchip_cycles=onchip,
-        all_zero_cycles=all_zero,
-    )
+    point = coverage_point_for("point", code, noise, config, rng, checkpoint)
+    return coverage_scheduler(workers).run([point])["point"]
 
 
 __all__ = [
     "CoverageKernel",
     "CoverageResult",
     "DEFAULT_SHARD_CYCLES",
+    "coverage_point_for",
+    "coverage_scheduler",
     "resolve_coverage_config",
     "sample_complex_words",
     "simulate_clique_coverage",

@@ -9,8 +9,8 @@ points enqueue their whole shard plan up front, adaptive points enqueue
 wave-by-wave through a per-point Wilson driver — so a converging point's
 tail overlaps the next point's first wave, and a slow last shard (a d=11
 blossom tail, say) never leaves the other workers idle.  A single sharded
-run (``run_memory_experiment(engine="sharded")``, the sharded branch of
-``simulate_clique_coverage``) is simply a one-point sweep.
+run (``run_memory_experiment(engine="sharded")``, every
+``simulate_clique_coverage`` call) is simply a one-point sweep.
 
 Determinism holds **by construction**.  Each shard is a pure function of
 ``(point_seed, shard_index, chunk_trials)`` under the shard layer's seeding

@@ -51,7 +51,6 @@ KEY_EXCLUDED: dict[str, str] = {
     "code": "enters the key as its resolved 'distance' entry",
     "noise": "enters the key as the noise class name plus its error rates",
     "decoder_factory": "enters the key as the resolved decoder/fallback/tiers",
-    "decoder": "a prebuilt decoder instance decodes identically to the default",
     "decoder_name": "display label only; never touches the numbers",
     "rng": "enters the key separately as result_key's seed argument",
     "workers": "scheduling only: shard streams are fixed per (seed, chunk)",

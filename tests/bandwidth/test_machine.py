@@ -38,6 +38,12 @@ class TestSimulation:
         with pytest.raises(ConfigurationError):
             _machine(code_d3).simulate(0)
 
+    @pytest.mark.parametrize("batch_cycles", [0, -3])
+    def test_rejects_nonpositive_batch_cycles(self, code_d3, batch_cycles):
+        # A batch of <= 0 cycles never advances the run: reject, do not spin.
+        with pytest.raises(ConfigurationError, match="batch_cycles"):
+            _machine(code_d3).simulate(10, rng=1, batch_cycles=batch_cycles)
+
     def test_demand_trace_shape_and_bounds(self, code_d5):
         machine = _machine(code_d5, qubits=40)
         result = machine.simulate(200, rng=1)
@@ -139,3 +145,38 @@ class TestEmpiricalPlanning:
         assert result.mean_requests_per_cycle == pytest.approx(2.0)
         assert result.peak_requests_per_cycle == 4
         assert result.demand_percentile(50.0) == 2
+
+
+def _trace_result(trace) -> MachineSimulationResult:
+    return MachineSimulationResult(
+        num_logical_qubits=100,
+        physical_error_rate=0.01,
+        code_distance=5,
+        offchip_requests_per_cycle=np.asarray(trace, dtype=np.int64),
+    )
+
+
+def _smallest_covering_demand(trace, percentile: float) -> int:
+    """The provisioning rule: the smallest B with P(demand <= B) >= q."""
+    trace = np.asarray(trace)
+    q = percentile / 100.0
+    return min(b for b in np.unique(trace) if np.mean(trace <= b) >= q)
+
+
+class TestDemandPercentile:
+    def test_never_rounds_below_the_covering_demand(self):
+        # One decode per cycle covers only half the cycles, short of the 75%
+        # asked for, so the capacity must be 2.
+        assert _trace_result([1, 2]).demand_percentile(75.0) == 2
+
+    def test_matches_the_smallest_covering_demand_on_random_traces(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            trace = rng.poisson(rng.uniform(0.5, 20.0), size=rng.integers(1, 60))
+            percentile = float(rng.choice([50.0, 75.0, 90.0, 95.0, 99.0, 99.9]))
+            assert _trace_result(trace).demand_percentile(
+                percentile
+            ) == _smallest_covering_demand(trace, percentile), (
+                trace.tolist(),
+                percentile,
+            )

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import pytest
 
-import repro.experiments.coverage_sweep as coverage_sweep_module
 import repro.experiments.fig14 as fig14_module
 import repro.experiments.fig16 as fig16_module
 from repro.experiments.registry import run_experiment
-from repro.simulation import SweepPoint, SweepScheduler
+from repro.simulation import CoverageKernel, SweepPoint, SweepScheduler
 from repro.simulation.monte_carlo import until_wilson
 from repro.store import ResultStore
 
@@ -80,16 +79,18 @@ class _Killed(RuntimeError):
     """Stands in for SIGKILL/Ctrl-C in the mid-run kill tests."""
 
 
-def _counting(monkeypatch, module, name):
-    """Wrap ``module.name`` to count invocations."""
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` (a module function or a class method) to count
+    invocations; coverage runs with no ``workers`` are in-process, so kernel
+    calls are seen here."""
     calls = []
-    original = getattr(module, name)
+    original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -190,9 +191,11 @@ class TestFig11WarmRerun:
         self, tmp_path, monkeypatch
     ):
         store_dir = tmp_path / "store"
+        calls = _counting(monkeypatch, CoverageKernel, "__call__")
         cold = run_experiment("fig11", store=str(store_dir), **FIG11_PARAMS)
+        assert len(calls) > 0
 
-        calls = _counting(monkeypatch, coverage_sweep_module, "simulate_clique_coverage")
+        calls.clear()
         warm = run_experiment("fig11", store=str(store_dir), **FIG11_PARAMS)
         assert calls == []
         assert warm.rows == cold.rows
@@ -201,10 +204,11 @@ class TestFig11WarmRerun:
     def test_store_misses_across_different_configs(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "store"
         run_experiment("fig11", store=str(store_dir), **FIG11_PARAMS)
-        calls = _counting(monkeypatch, coverage_sweep_module, "simulate_clique_coverage")
+        calls = _counting(monkeypatch, CoverageKernel, "__call__")
         changed = dict(FIG11_PARAMS, cycles=FIG11_PARAMS["cycles"] + 100)
         run_experiment("fig11", store=str(store_dir), **changed)
-        assert len(calls) == 2  # every point recomputed under the new config
+        # Every point recomputed under the new config, one shard each.
+        assert len(calls) == 2
 
     def test_fig12_and_fig11_do_not_share_entries(self, tmp_path):
         # Same coverage computation shape, but the experiment id is part of
@@ -226,11 +230,14 @@ class TestFig16WarmRerun:
 
     def test_warm_rerun_skips_coverage_and_stall_sims(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "store"
-        cold = run_experiment("fig16", store=str(store_dir), **self.PARAMS)
-        coverage_calls = _counting(
-            monkeypatch, fig16_module, "simulate_clique_coverage"
-        )
+        coverage_calls = _counting(monkeypatch, CoverageKernel, "__call__")
         stall_calls = _counting(monkeypatch, fig16_module, "StallSimulator")
+        cold = run_experiment("fig16", store=str(store_dir), **self.PARAMS)
+        assert len(coverage_calls) > 0
+        assert len(stall_calls) > 0
+
+        coverage_calls.clear()
+        stall_calls.clear()
         warm = run_experiment("fig16", store=str(store_dir), **self.PARAMS)
         assert coverage_calls == []
         assert stall_calls == []

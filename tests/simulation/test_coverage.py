@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -98,35 +99,48 @@ class TestSimulateCoverage:
         second = simulate_clique_coverage(code_d5, noise, 5000, rng=11)
         assert first.onchip_cycles == second.onchip_cycles
 
+    def test_default_call_is_the_explicit_one_worker_sharded_call(self, code_d5):
+        from repro.simulation.coverage import DEFAULT_SHARD_CYCLES
 
-class TestPrebuiltDecoder:
-    """A ready CliqueDecoder must match the run's code and stabilizer type."""
+        noise = PhenomenologicalNoise(1e-2)
+        default = simulate_clique_coverage(code_d5, noise, 12_000, rng=3)
+        explicit = simulate_clique_coverage(
+            code_d5,
+            noise,
+            12_000,
+            rng=3,
+            workers=1,
+            chunk_cycles=DEFAULT_SHARD_CYCLES,
+        )
+        assert default == explicit
 
-    def test_matching_decoder_is_used(self, code_d5):
-        from repro.clique.decoder import CliqueDecoder
-        from repro.types import StabilizerType
-
-        noise = PhenomenologicalNoise(2e-2)
-        decoder = CliqueDecoder(code_d5, StabilizerType.X)
-        result = simulate_clique_coverage(code_d5, noise, 20_000, rng=1, decoder=decoder)
-        assert result.onchip_cycles == 19104
-
-    @pytest.mark.parametrize(
-        "distance,stype_name", [(5, "Z"), (7, "X"), (3, "X")], ids=["Z", "d7", "d3"]
-    )
-    def test_mismatched_decoder_is_rejected(self, code_d5, distance, stype_name):
-        from repro.clique.decoder import CliqueDecoder
-        from repro.codes.rotated_surface import get_code
-        from repro.types import StabilizerType
-
-        decoder = CliqueDecoder(get_code(distance), StabilizerType[stype_name])
-        with pytest.raises(ConfigurationError) as excinfo:
+    def test_generator_rng_is_rejected(self, code_d3):
+        # Generator state cannot be split across shards.
+        with pytest.raises(ConfigurationError):
             simulate_clique_coverage(
-                code_d5, PhenomenologicalNoise(2e-2), 20_000, rng=1, decoder=decoder
+                code_d3,
+                PhenomenologicalNoise(1e-2),
+                100,
+                rng=np.random.default_rng(1),
             )
-        message = str(excinfo.value)
-        assert f"distance {distance}, {stype_name} stabilizers" in message
-        assert "distance 5, X stabilizers" in message
+
+    def test_zero_workers_is_rejected(self, code_d3):
+        with pytest.raises(ConfigurationError):
+            simulate_clique_coverage(
+                code_d3, PhenomenologicalNoise(1e-2), 100, rng=1, workers=0
+            )
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_non_positive_batch_size_is_rejected(self, code_d3, batch_size):
+        # A batch of <= 0 cycles never uses up the run: reject, do not spin.
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            simulate_clique_coverage(
+                code_d3,
+                PhenomenologicalNoise(1e-2),
+                100,
+                rng=1,
+                batch_size=batch_size,
+            )
 
 
 class TestResolveCoverageConfig:
@@ -168,16 +182,29 @@ class TestResolveCoverageConfig:
 
     def test_workers_is_excluded(self):
         # The seeding contract makes counts worker-independent; only the
-        # sharded-ness (and resolved chunk) may enter the key.
+        # resolved chunk may enter the key.
         assert self._key(workers=1) == self._key(workers=8)
-
-    def test_sharded_and_legacy_paths_key_differently(self):
-        assert self._key(workers=1) != self._key()
 
     def test_explicit_default_chunk_keys_like_implied(self):
         from repro.simulation.coverage import DEFAULT_SHARD_CYCLES
 
         assert self._key(workers=1) == self._key(chunk_cycles=DEFAULT_SHARD_CYCLES)
+
+    def test_default_key_is_the_stored_sharded_key(self):
+        # A default call keys exactly like the explicit sharded call always
+        # did, so stores written before the unsharded path was deleted still
+        # serve the same numbers.  Hash computed from that earlier code's
+        # explicit chunk_cycles=DEFAULT_SHARD_CYCLES config.
+        from repro.simulation.coverage import DEFAULT_SHARD_CYCLES
+        from repro.store.keys import result_key
+
+        default = self._key()
+        assert default == self._key(chunk_cycles=DEFAULT_SHARD_CYCLES)
+        assert default["sharded"] is True
+        assert (
+            result_key("fig11", default, 5)
+            == "0ad27ba59ee6490bee402ec1110f7d1fb02d03e61a19d48215765bc6ee834ff2"
+        )
 
     def test_chunk_cycles_is_stream_determining(self):
         assert self._key(chunk_cycles=500) != self._key(chunk_cycles=1000)

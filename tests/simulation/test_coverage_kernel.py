@@ -1,12 +1,12 @@
 """The packed coverage kernel: differential tests, frozen pins, shard payloads.
 
-* Differential: every coverage entry point (the in-process path of
-  ``simulate_clique_coverage``, ``CoverageKernel`` shards and
-  ``LogicalMachine``) must count exactly what the int64 formulation in
-  ``coverage_oracle.py`` counts on the same stream.
-* Frozen pins: seeded outputs of the in-process path (which fig09, fig13,
-  fig16 and headline use, and which the schedule-identity pins do not
-  cover), taken before the kernel moved to bitplanes.
+* Differential: both users of the packed body (``CoverageKernel``, which
+  every coverage run is sharded into, and ``LogicalMachine``) must count
+  exactly what the int64 formulation in ``coverage_oracle.py`` counts on
+  the same stream.
+* Frozen pins: seeded ``CoverageKernel`` counts, taken before the kernel
+  moved to bitplanes, and the seeded rows of fig09, fig13, fig16 and
+  headline, which the schedule-identity pins do not cover.
 * Payloads: shard kernels pickle to a few hundred bytes because codes
   pickle as their distance.
 """
@@ -27,7 +27,7 @@ from repro.experiments import run_experiment
 from repro.experiments.fig14 import _CascadeFactory
 from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
 from repro.noise.rng import shard_rng
-from repro.simulation.coverage import CoverageKernel, simulate_clique_coverage
+from repro.simulation.coverage import CoverageKernel
 from repro.simulation.shard import MemoryKernel
 from repro.types import StabilizerType
 
@@ -55,17 +55,12 @@ def _oracle(
 def _packed(
     distance, noise, cycles, seed, measurement_rounds=2, batch_size=50_000, stype=X
 ):
-    result = simulate_clique_coverage(
-        get_code(distance),
-        noise,
-        cycles,
-        stype=stype,
-        measurement_rounds=measurement_rounds,
-        rng=seed,
-        batch_size=batch_size,
-        decoder=_clique(distance, stype),
+    kernel = CoverageKernel(
+        get_code(distance), noise, stype, measurement_rounds, batch_size
     )
-    return result.onchip_cycles, result.all_zero_cycles
+    onchip, all_zero, counted = kernel(cycles, np.random.default_rng(seed))
+    assert counted == cycles
+    return onchip, all_zero
 
 
 class HalfLatticeNoise(PhenomenologicalNoise):
@@ -90,7 +85,7 @@ class TestPackedMatchesOracle:
     @pytest.mark.parametrize("measurement_rounds", [1, 2, 4])
     @pytest.mark.parametrize("error_rate", [0.0, 1e-3, 1e-2, 0.3])
     @pytest.mark.parametrize("distance", [3, 5, 9, 21])
-    def test_in_process_counts_equal_oracle(
+    def test_kernel_counts_equal_oracle(
         self, distance, error_rate, measurement_rounds
     ):
         noise = PhenomenologicalNoise(error_rate)
@@ -150,43 +145,52 @@ class TestPackedMatchesOracle:
         assert np.array_equal(demand.offchip_requests_per_cycle, expected)
 
 
-class TestFrozenInProcessPins:
-    """Seeded outputs of the in-process coverage path, frozen before the
-    kernel moved from an int64 matmul to bitplanes."""
+class TestFrozenPins:
+    """Seeded ``CoverageKernel`` counts, frozen before the kernel moved from
+    an int64 matmul to bitplanes, and seeded figure rows.
+
+    The figure rows were reproduced, before the unsharded coverage path was
+    deleted, by its explicit sharded call (``workers=1,
+    chunk_cycles=DEFAULT_SHARD_CYCLES``), which is what the default call now
+    runs."""
 
     @pytest.mark.parametrize(
-        "distance,noise,cycles,kwargs,expected",
+        "distance,noise,cycles,seed,kwargs,expected",
         [
-            (3, PhenomenologicalNoise(1e-2), 2000, {"rng": 1}, (2000, 1833)),
-            (5, PhenomenologicalNoise(2e-2), 20_000, {"rng": 1}, (19104, 11944)),
+            (3, PhenomenologicalNoise(1e-2), 2000, 1, {}, (2000, 1833)),
+            (5, PhenomenologicalNoise(2e-2), 20_000, 1, {}, (19104, 11944)),
             (
                 9,
                 PhenomenologicalNoise(5e-3),
                 5000,
-                {"rng": 2, "measurement_rounds": 3, "batch_size": 777},
+                2,
+                {"measurement_rounds": 3, "batch_size": 777},
                 (4932, 3344),
             ),
-            (21, PhenomenologicalNoise(1e-2), 3000, {"rng": 6}, (2071, 36)),
+            (21, PhenomenologicalNoise(1e-2), 3000, 6, {}, (2071, 36)),
             (
                 7,
                 PhenomenologicalNoise(1e-2),
                 4000,
-                {"rng": 4, "stype": StabilizerType.Z},
+                4,
+                {"stype": StabilizerType.Z},
                 (3880, 2462),
             ),
-            (5, CodeCapacityNoise(3e-2), 3000, {"rng": 5}, (2694, 1388)),
+            (5, CodeCapacityNoise(3e-2), 3000, 5, {}, (2694, 1388)),
             (
                 7,
                 PhenomenologicalNoise(1e-2, 5e-3),
                 3000,
-                {"rng": 8, "measurement_rounds": 1},
+                8,
+                {"measurement_rounds": 1},
                 (2696, 1658),
             ),
         ],
     )
-    def test_simulate_clique_coverage(self, distance, noise, cycles, kwargs, expected):
-        result = simulate_clique_coverage(get_code(distance), noise, cycles, **kwargs)
-        assert (result.onchip_cycles, result.all_zero_cycles) == expected
+    def test_coverage_kernel(self, distance, noise, cycles, seed, kwargs, expected):
+        kernel = CoverageKernel(get_code(distance), noise, **kwargs)
+        onchip, all_zero, _ = kernel(cycles, np.random.default_rng(seed))
+        assert (onchip, all_zero) == expected
 
     def test_fig13(self):
         result = run_experiment(
@@ -194,17 +198,17 @@ class TestFrozenInProcessPins:
         )
         assert [row["clique_reduction_x"] for row in result.rows] == [
             2000.0,
-            2000.0000000002203,
             2000.0,
-            15.503875968992247,
+            999.9999999999991,
+            21.276595744680833,
         ]
 
     def test_headline(self):
         result = run_experiment("headline", cycles=2000)
         assert [row["bandwidth_eliminated_pct"] for row in result.rows] == [
-            69.25,
-            96.7,
-            100.0,
+            67.9,
+            96.45,
+            99.9,
             100.0,
         ]
 
@@ -213,9 +217,9 @@ class TestFrozenInProcessPins:
         assert [
             (row["offchip_rate_per_qubit"], row["provisioned_decodes_per_cycle"])
             for row in result.rows
-        ] == [(0.09150000000000003, 91), (0.09150000000000003, 113)]
+        ] == [(0.09450000000000003, 94), (0.09450000000000003, 117)]
 
-    def test_fig16_in_process(self):
+    def test_fig16(self):
         result = run_experiment(
             "fig16",
             coverage_cycles=2000,
@@ -227,8 +231,8 @@ class TestFrozenInProcessPins:
             (row["offchip_rate_per_qubit"], row["execution_time_increase_pct"])
             for row in result.rows
         ] == [
-            (0.09850000000000003, 14.000000000000002),
-            (0.09850000000000003, 0.6666666666666667),
+            (0.08750000000000002, 15.0),
+            (0.08750000000000002, 0.33333333333333337),
             (0.0005, 20.0),
             (0.0005, 0.0),
         ]

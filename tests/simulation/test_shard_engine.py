@@ -111,19 +111,6 @@ class TestShardedCoverage:
         assert single.onchip_cycles == pooled.onchip_cycles
         assert single.all_zero_cycles == pooled.all_zero_cycles
 
-    def test_prebuilt_decoder_rejected_on_sharded_path(self, code_d3):
-        from repro.clique.decoder import CliqueDecoder
-
-        with pytest.raises(ConfigurationError):
-            simulate_clique_coverage(
-                code_d3,
-                PhenomenologicalNoise(1e-2),
-                1000,
-                rng=1,
-                workers=1,
-                decoder=CliqueDecoder(code_d3, StabilizerType.X),
-            )
-
     def test_min_cycles_without_width_target_rejected(self, code_d3):
         # A sampling floor only applies to adaptive runs; silently ignoring
         # it would suggest it was enforced.
