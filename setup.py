@@ -1,27 +1,12 @@
-"""Package configuration: ``pip install -e .`` installs ``repro`` from ``src/``.
+"""Minimal setuptools shim.
 
-This file is the whole build configuration (there is no ``pyproject.toml``),
-so an install works on offline machines whose setuptools predates bundled
-``bdist_wheel`` support.  It also installs the ``repro-qec`` command (the
-same front-end as ``python -m repro``).  Runtime dependencies are numpy and
-scipy (``scipy.stats`` in ``repro.bandwidth.allocation``).
+The repository has no ``pyproject.toml`` or ``setup.cfg``; the package is
+used from the source tree (``PYTHONPATH=src python -m repro``).  This file
+only gives ``pip install -e .`` something to run on offline machines whose
+setuptools predates bundled ``bdist_wheel`` support (no ``wheel`` package
+available).
 """
 
-import re
-from pathlib import Path
+from setuptools import setup
 
-from setuptools import find_packages, setup
-
-VERSION = re.search(
-    r'__version__ = "([^"]+)"',
-    (Path(__file__).parent / "src" / "repro" / "_version.py").read_text(),
-).group(1)
-
-setup(
-    name="repro",
-    version=VERSION,
-    package_dir={"": "src"},
-    packages=find_packages("src"),
-    install_requires=["numpy", "scipy"],
-    entry_points={"console_scripts": ["repro-qec = repro.cli:main"]},
-)
+setup()

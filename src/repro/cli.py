@@ -31,7 +31,8 @@ and ``sharded`` fans fixed-size trial shards over worker processes
 (``--workers``), deterministic per seed independent of the worker count.
 Coverage is always measured in shards: ``--chunk-cycles`` sets the shard
 size and ``--workers`` spreads fig11/fig12/fig16's shards over processes
-(one in-process worker by default).  ``--target-ci-width`` switches coverage
+(by default one in-process worker for a small run and the CPU count for a
+large one).  ``--target-ci-width`` switches coverage
 points to Wilson-converged adaptive sampling, and ``--adaptive`` does the
 same for fig14's logical-error-rate points (budget-capped by the scale's
 trial budgets).  ``--scale paper`` extends fig14 to the paper's d=3–11 grid
@@ -174,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "worker processes for sharded Monte-Carlo runs: fig14 with "
             "--engine sharded (default: CPU count) and the fig11/fig12/fig16 "
-            "coverage shards (default: 1, in-process); results never depend "
-            "on the value"
+            "coverage shards (default: 1, in-process, below 1e7 cycles x "
+            "distance^2 of work, else CPU count); results never depend on "
+            "the value"
         ),
     )
     run_parser.add_argument(

@@ -8,8 +8,8 @@ uncached point's shards are interleaved through one
 :class:`~repro.simulation.SweepScheduler` run.  Each point is persisted the
 moment its last shard lands (and checkpointed per Wilson wave when
 adaptive), so a sweep killed mid-run resumes with only its missing points.
-Results are byte-identical at any worker count; ``workers=None`` runs the
-shards in-process.
+Results are byte-identical at any worker count; ``workers=None`` picks one
+for the whole grid (:func:`~repro.simulation.coverage.coverage_workers`).
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from repro.noise.rng import point_seed
 from repro.simulation.coverage import (
     CoverageResult,
     coverage_point_for,
-    coverage_scheduler,
+    coverage_workers,
     resolve_coverage_config,
 )
+from repro.simulation.scheduler import SweepScheduler
 
 #: Builds one table row from a sweep point's (rate, distance, result).
 CoverageRowBuilder = Callable[[float, int, CoverageResult], dict[str, object]]
@@ -37,13 +38,15 @@ CoverageRequest = tuple[RotatedSurfaceCode, NoiseModel, dict, int]
 
 
 def measure_coverage(
-    cache, requests: dict[str, CoverageRequest], workers: int | None
+    cache, requests: dict[str, CoverageRequest], workers: int
 ) -> dict[str, CoverageResult]:
     """Measure every requested point, reusing stored results.
 
     ``cache`` is the runner's :class:`~repro.store.SweepCache` (a transparent
     pass-through when no store is configured); ``requests`` maps unique point
-    ids to what to measure.  Returns ``{point_id: CoverageResult}``.
+    ids to what to measure; ``workers`` is the count the configs were
+    resolved with (:func:`~repro.simulation.coverage.coverage_workers`).
+    Returns ``{point_id: CoverageResult}``.
     """
     results: dict[str, CoverageResult] = {}
     pending = []
@@ -66,7 +69,7 @@ def measure_coverage(
                 on_complete=functools.partial(cache.finish, config, seed),
             )
         )
-    results.update(coverage_scheduler(workers).run(pending))
+    results.update(SweepScheduler(workers=workers).run(pending))
     return results
 
 
@@ -90,6 +93,9 @@ def run_coverage_sweep(
     Every point derives its seed via ``point_seed(seed, rate_index,
     distance_index)``.
     """
+    workers = coverage_workers(
+        workers, [(cycles, distance) for _ in error_rates for distance in distances]
+    )
     requests: dict[str, CoverageRequest] = {}
     cells = []
     for rate_index, error_rate in enumerate(error_rates):

@@ -26,8 +26,10 @@ def run(
     Every sweep point derives its seed via ``point_seed(seed, rate_index,
     distance_index)`` — ``SeedSequence`` spawn keys, collision-free for any
     grid size.  Each point runs in shards of ``chunk_cycles`` cycles
-    (default 5000) on ``workers`` processes (default one, in-process);
-    the counts are deterministic per seed independent of the worker count.
+    (default 5000) on ``workers`` processes (default: one in-process
+    worker for a small grid, ``os.cpu_count()`` for a large one, see
+    :func:`repro.simulation.coverage.coverage_workers`); the counts are
+    deterministic per seed independent of the worker count.
     ``target_ci_width`` makes each point adaptive, sampling only
     until the Wilson interval on its coverage reaches the target width (with
     ``cycles`` as the budget cap) — the ``cycles`` column then reports what

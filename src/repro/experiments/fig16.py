@@ -9,7 +9,7 @@ from repro.experiments.base import ExperimentResult, sweep_cache
 from repro.experiments.coverage_sweep import measure_coverage
 from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import point_seed
-from repro.simulation.coverage import resolve_coverage_config
+from repro.simulation.coverage import coverage_workers, resolve_coverage_config
 
 #: Three operating points in the spirit of the paper's three curves.
 DEFAULT_OPERATING_POINTS = ((1e-2, 11), (5e-3, 13), (1e-3, 9))
@@ -39,8 +39,9 @@ def run(
     (:func:`~repro.experiments.coverage_sweep.measure_coverage`): every
     uncached operating point's shards run in one
     :class:`~repro.simulation.SweepScheduler` pass
-    (in-process unless ``workers`` is given; results never depend on the
-    worker count), before the cheap in-process stall simulations.
+    (``workers=None`` picks the count from the coverage budget,
+    :func:`~repro.simulation.coverage.coverage_workers`; results never
+    depend on it), before the cheap in-process stall simulations.
     ``chunk_cycles`` sets the shard size (``"auto"`` sizes it per operating
     point); ``target_ci_width`` samples each operating point only until its
     coverage interval converges, with ``coverage_cycles`` as the budget cap.
@@ -51,6 +52,9 @@ def run(
     recomputes and overwrites.
     """
     cache = sweep_cache(store, "fig16", force)
+    workers = coverage_workers(
+        workers, [(coverage_cycles, distance) for _, distance in operating_points]
+    )
     requests = {}
     for point_index, (error_rate, distance) in enumerate(operating_points):
         noise = PhenomenologicalNoise(error_rate)

@@ -28,7 +28,7 @@ There is one way to run it: every coverage measurement — a single
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -39,13 +39,23 @@ from repro.exceptions import ConfigurationError
 from repro.noise.models import NoiseModel
 from repro.simulation.monte_carlo import until_wilson, wilson_interval
 from repro.simulation.scheduler import SweepPoint, SweepScheduler, coverage_point
-from repro.simulation.shard import AUTO_CHUNK, resolve_auto_chunk
+from repro.simulation.shard import AUTO_CHUNK, _resolve_workers, resolve_auto_chunk
 from repro.types import StabilizerType
 
 #: Cycles per shard of a coverage run: small enough that a Fig. 11-size
 #: budget (20k cycles) still yields several shards to spread over a pool,
 #: large enough to amortise per-shard decoder construction.
 DEFAULT_SHARD_CYCLES = 5_000
+
+#: Work (cycles x distance**2, summed over a run's points) below which a
+#: coverage run with ``workers=None`` stays in-process instead of starting
+#: a pool of ``os.cpu_count()`` workers.  A shard costs ~15 ns per
+#: cycle x distance**2 and starting a pool and shipping shards costs about
+#: 70 ms (2-vCPU x86 host), so below ~1e7 (~150 ms of kernel time) one
+#: worker finishes first: fig16 at its default 20k cycles (7.4e6) ran in
+#: 1.01 s in-process vs 1.12 s on a pool, fig11's default grid (1.4e8) in
+#: 2.0 s vs 1.35 s.
+POOL_MIN_WORK = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -195,6 +205,22 @@ def _coverage_successes(counts: tuple[int, int, int]) -> int:
     return counts[0]
 
 
+def coverage_workers(
+    workers: int | None, points: Iterable[tuple[int, int]]
+) -> int:
+    """The worker count of a coverage run over ``(cycles, distance)`` points.
+
+    A given ``workers`` is used as is.  ``None`` picks from the run's work,
+    ``sum(cycles * distance**2)``: one in-process worker below
+    :data:`POOL_MIN_WORK`, else ``os.cpu_count()``.  Both the scheduler and
+    ``chunk_cycles="auto"`` use this count.  It never changes a count.
+    """
+    if workers is not None:
+        return _resolve_workers(workers)
+    work = sum(cycles * distance**2 for cycles, distance in points)
+    return 1 if work < POOL_MIN_WORK else _resolve_workers(None)
+
+
 def _resolve_chunk(
     chunk_cycles: "int | str | None",
     num_cycles: int,
@@ -203,13 +229,17 @@ def _resolve_chunk(
 ) -> int:
     """One chunk-size resolution for the simulator and the keying contract.
 
-    ``"auto"`` picks the shard size from the budget, worker count, and
-    distance (:func:`repro.simulation.shard.resolve_auto_chunk`); the store
-    key records the resolved integer, never the machine-dependent spelling.
+    ``"auto"`` picks the shard size from the budget, the worker count the
+    run uses (:func:`coverage_workers`), and distance
+    (:func:`repro.simulation.shard.resolve_auto_chunk`); the store key
+    records the resolved integer, never the machine-dependent spelling.
     """
     if chunk_cycles == AUTO_CHUNK:
         return resolve_auto_chunk(
-            num_cycles, workers, distance, default=DEFAULT_SHARD_CYCLES
+            num_cycles,
+            coverage_workers(workers, [(num_cycles, distance)]),
+            distance,
+            default=DEFAULT_SHARD_CYCLES,
         )
     return chunk_cycles if chunk_cycles is not None else DEFAULT_SHARD_CYCLES
 
@@ -224,7 +254,6 @@ def resolve_coverage_config(
     chunk_cycles: "int | str | None" = None,
     target_ci_width: float | None = None,
     min_cycles: int | None = None,
-    batch_size: int = 50_000,
 ) -> dict[str, object]:
     """The fully resolved, stream-determining config of one coverage point.
 
@@ -238,11 +267,12 @@ def resolve_coverage_config(
     :func:`simulate_clique_coverage` signature.  The noise model enters as its class name plus
     *both* rates — a ``PhenomenologicalNoise(p, q)`` with an independent
     measurement rate must not share a key with the symmetric ``q == p``
-    model.  ``batch_size`` *is* stream-determining — splitting a run into
-    batches interleaves the data-error and measurement-flip draws
-    differently — and so is the resolved shard size.  The config is also
-    what the run is built from (:func:`coverage_point_for`), so the key and
-    the streams cannot drift apart.
+    model.  The resolved shard size is stream-determining, and so is the
+    kernel's batch size (splitting a shard into batches interleaves the
+    data-error and measurement-flip draws differently).  ``workers`` enters
+    only through ``chunk_cycles="auto"``, as the resolved integer.  The
+    config is also what the run is built from (:func:`coverage_point_for`),
+    so the key and the streams cannot drift apart.
     """
     chunk = _resolve_chunk(chunk_cycles, num_cycles, workers, distance)
     if target_ci_width is None:
@@ -268,7 +298,9 @@ def resolve_coverage_config(
         "chunk_cycles": chunk,
         "target_ci_width": target_ci_width,
         "min_cycles": resolved_min,
-        "batch_size": batch_size,
+        # The kernel's fixed batch size; stores written when it was a knob
+        # keyed it here, so the entry stays.
+        "batch_size": CoverageKernel.batch_size,
     }
 
 
@@ -312,16 +344,6 @@ def coverage_point_for(
     )
 
 
-def coverage_scheduler(workers: int | None) -> SweepScheduler:
-    """The scheduler of a coverage run.
-
-    ``workers=None`` runs every shard in-process on one worker: at the
-    default budgets a coverage shard is cheaper than starting a pool of
-    ``os.cpu_count()`` processes.  The worker count never changes a count.
-    """
-    return SweepScheduler(workers=1 if workers is None else workers)
-
-
 def simulate_clique_coverage(
     code: RotatedSurfaceCode,
     noise: NoiseModel,
@@ -329,7 +351,6 @@ def simulate_clique_coverage(
     stype: StabilizerType = StabilizerType.X,
     measurement_rounds: int = 2,
     rng: int | None = None,
-    batch_size: int = 50_000,
     workers: int | None = None,
     chunk_cycles: "int | str | None" = None,
     target_ci_width: float | None = None,
@@ -351,7 +372,8 @@ def simulate_clique_coverage(
     are deterministic per ``(seed, chunk_cycles)`` — equal to running
     :class:`CoverageKernel` once per shard under the ``shard_rng(seed, i)``
     contract and summing — and never depend on ``workers``, which defaults
-    to one in-process worker (:func:`coverage_scheduler`).
+    to one in-process worker for small runs and ``os.cpu_count()`` for large
+    ones (:func:`coverage_workers`).
 
     Adaptive allocation: ``target_ci_width`` stops spawning shards once the
     Wilson interval on the coverage proportion is at most that wide
@@ -379,6 +401,7 @@ def simulate_clique_coverage(
             "checkpoint is only meaningful with target_ci_width (adaptive "
             "sampling): fixed-budget sweeps resume at sweep-point granularity"
         )
+    workers = coverage_workers(workers, [(num_cycles, code.distance)])
     config = resolve_coverage_config(
         num_cycles,
         noise,
@@ -389,18 +412,18 @@ def simulate_clique_coverage(
         chunk_cycles,
         target_ci_width,
         min_cycles,
-        batch_size,
     )
     point = coverage_point_for("point", code, noise, config, rng, checkpoint)
-    return coverage_scheduler(workers).run([point])["point"]
+    return SweepScheduler(workers=workers).run([point])["point"]
 
 
 __all__ = [
     "CoverageKernel",
     "CoverageResult",
     "DEFAULT_SHARD_CYCLES",
+    "POOL_MIN_WORK",
     "coverage_point_for",
-    "coverage_scheduler",
+    "coverage_workers",
     "resolve_coverage_config",
     "sample_complex_words",
     "simulate_clique_coverage",

@@ -131,16 +131,56 @@ class TestSimulateCoverage:
             )
 
     @pytest.mark.parametrize("batch_size", [0, -5])
-    def test_non_positive_batch_size_is_rejected(self, code_d3, batch_size):
+    def test_non_positive_kernel_batch_size_is_rejected(self, code_d3, batch_size):
         # A batch of <= 0 cycles never uses up the run: reject, do not spin.
+        from repro.simulation.coverage import CoverageKernel
+
         with pytest.raises(ConfigurationError, match="batch_size"):
-            simulate_clique_coverage(
-                code_d3,
-                PhenomenologicalNoise(1e-2),
-                100,
-                rng=1,
-                batch_size=batch_size,
-            )
+            CoverageKernel(code_d3, PhenomenologicalNoise(1e-2), batch_size=batch_size)
+
+
+class TestCoverageWorkers:
+    """``workers=None`` has one meaning on the coverage entry points."""
+
+    def test_small_run_stays_in_process(self):
+        from repro.simulation.coverage import POOL_MIN_WORK, coverage_workers
+
+        just_below = (POOL_MIN_WORK - 1) // 121
+        assert coverage_workers(None, [(just_below, 11)]) == 1
+
+    def test_large_run_uses_every_cpu(self):
+        import os
+
+        from repro.simulation.coverage import POOL_MIN_WORK, coverage_workers
+
+        # Work sums over a run's points: two points at half the threshold.
+        half = -(-POOL_MIN_WORK // (2 * 121))
+        assert coverage_workers(None, [(half, 11), (half, 11)]) == (
+            os.cpu_count() or 1
+        )
+
+    def test_given_workers_are_kept(self):
+        from repro.simulation.coverage import coverage_workers
+
+        assert coverage_workers(3, [(10**9, 21)]) == 3
+        with pytest.raises(ConfigurationError):
+            coverage_workers(0, [(100, 3)])
+
+    def test_auto_chunk_sizes_for_the_workers_that_run(self):
+        import os
+
+        from repro.simulation.coverage import POOL_MIN_WORK, resolve_coverage_config
+
+        noise = PhenomenologicalNoise(1e-2)
+        small = resolve_coverage_config(4000, noise, 3, chunk_cycles="auto")
+        assert small == resolve_coverage_config(
+            4000, noise, 3, workers=1, chunk_cycles="auto"
+        )
+        cycles = -(-POOL_MIN_WORK // 9)
+        large = resolve_coverage_config(cycles, noise, 3, chunk_cycles="auto")
+        assert large == resolve_coverage_config(
+            cycles, noise, 3, workers=os.cpu_count() or 1, chunk_cycles="auto"
+        )
 
 
 class TestResolveCoverageConfig:
@@ -155,7 +195,7 @@ class TestResolveCoverageConfig:
         return resolve_coverage_config(2000, noise, 3, **kwargs)
 
     def test_defaults_key_like_explicit_defaults(self):
-        assert self._key() == self._key(measurement_rounds=2, batch_size=50_000)
+        assert self._key() == self._key(measurement_rounds=2)
 
     def test_independent_measurement_rate_is_keyed(self):
         from repro.noise.models import PhenomenologicalNoise
@@ -174,11 +214,13 @@ class TestResolveCoverageConfig:
         code_capacity = self._key(noise=CodeCapacityNoise(1e-2))
         assert phenomenological != code_capacity
 
-    def test_batch_size_is_stream_determining(self):
+    def test_kernel_batch_size_is_keyed(self):
         # Splitting a run into batches interleaves the data-error and
-        # measurement-flip draws differently, so batch_size must change the
-        # key — excluding it would serve numbers from a different stream.
-        assert self._key(batch_size=1000) != self._key()
+        # measurement-flip draws differently, so the kernel's batch size is
+        # part of the key: a kernel with another default must not hit it.
+        from repro.simulation.coverage import CoverageKernel
+
+        assert self._key()["batch_size"] == CoverageKernel.batch_size == 50_000
 
     def test_workers_is_excluded(self):
         # The seeding contract makes counts worker-independent; only the
