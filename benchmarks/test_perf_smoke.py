@@ -536,7 +536,6 @@ def test_engine_and_fallback_throughput_bench_record():
             trials=SCHEDULER_TRIALS,
             distances=SCHEDULER_DISTANCES,
             error_rates=SCHEDULER_ERROR_RATES,
-            engine="sharded",
             workers=workers,
             chunk_trials=SCHEDULER_CHUNK,
             seed=SEED,

@@ -85,7 +85,6 @@ def resume_from_the_store(store_root: Path) -> None:
         seed=7,
         distances=(3, DISTANCE),
         error_rates=(ERROR_RATE,),
-        engine="sharded",
         workers=2,
         chunk_trials=CHUNK_TRIALS,
         max_retries=2,  # the CLI spelling: repro-qec fig14 --max-retries 2

@@ -12,6 +12,7 @@ provisioning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +113,9 @@ class StallSimulator:
             abort_backlog_factor: abort and report ``completed=False`` once the
                 carryover backlog exceeds this multiple of the provisioned
                 per-cycle capacity — the signature of an unstable allocation.
+                Must be finite and non-negative: an infinite or NaN factor
+                never aborts, so an unstable plan would loop forever, and a
+                negative one aborts a healthy plan after one cycle.
 
         A zero-capacity plan with a non-zero ``offchip_rate`` is the
         degenerate instance of that regime and returns the infinite-stalling
@@ -122,6 +126,11 @@ class StallSimulator:
         if program_cycles <= 0:
             raise BandwidthConfigurationError(
                 f"program_cycles must be positive, got {program_cycles}"
+            )
+        if not (math.isfinite(abort_backlog_factor) and abort_backlog_factor >= 0):
+            raise BandwidthConfigurationError(
+                "abort_backlog_factor must be finite and >= 0, got "
+                f"{abort_backlog_factor}"
             )
         plan = self._plan
         capacity = plan.decodes_per_cycle

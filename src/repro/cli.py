@@ -6,7 +6,7 @@ Examples:
     repro-qec fig11 --workers 4                      # "run" may be omitted
     repro-qec fig11 --workers 4 --target-ci-width 0.01
     repro-qec fig12 --param distances=3,5,7 --chunk-cycles 2000
-    repro-qec run fig14 --engine loop --param trials=200
+    repro-qec run fig14 --param trials=200 --workers 1
     repro-qec run fig14 --scale paper --workers 8
     repro-qec fig11 --workers 4 --chunk-cycles auto
     repro-qec fig14 --scale paper --adaptive --target-ci-width 0.02
@@ -21,33 +21,27 @@ Examples:
     repro-qec lint --format json src/ benchmarks/    # stable output for CI
     repro-qec lint --list-rules
 
-``--engine`` selects the Monte-Carlo engine for memory experiments (fig14):
-``batch`` (the default inside the library) vectorises trial triage on
-uint64 trial bitplanes — all noise sampling, syndrome computation, and
-trivial-round decoding run as whole-batch word operations — ``loop``
-runs the per-trial reference path kept as the correctness oracle
-(bit-identical to batch under a fixed seed),
-and ``sharded`` fans fixed-size trial shards over worker processes
-(``--workers``), deterministic per seed independent of the worker count.
-Coverage is always measured in shards: ``--chunk-cycles`` sets the shard
-size and ``--workers`` spreads fig11/fig12/fig16's shards over processes
-(by default one in-process worker for a small run and the CPU count for a
-large one).  ``--target-ci-width`` switches coverage
-points to Wilson-converged adaptive sampling, and ``--adaptive`` does the
-same for fig14's logical-error-rate points (budget-capped by the scale's
-trial budgets).  ``--scale paper`` extends fig14 to the paper's d=3–11 grid
-with per-distance trial budgets; ``--tiers`` picks the hierarchy's
-off-chip decoder: ``clique,mwpm`` (the paper's design, the default) or
-``clique,union_find`` — see README.md → "Decoder cascades".  ``--store
-DIR`` persists every sweep point of the fig11/fig12/fig14/fig16 sweeps as it
-completes and makes re-runs resume (``--resume``, the default) or recompute
-(``--force``); ``store compact DIR`` garbage-collects a long-lived store
-directory; see README.md → "Results and resume".  ``--max-retries`` /
-``--shard-timeout`` tune the sharded engine's fault tolerance (retried
-shards replay their RNG streams bit-identically, so neither flag ever
-changes results); see README.md → "Fault tolerance".  Sharded sweeps drive
-every pending point's shards through one persistent worker pool; see
-README.md → "Sweep scheduling".  ``lint``
+Every sweep point is measured in shards, deterministic per seed
+independent of the worker count.  fig14 spreads fixed-size trial shards
+over ``--workers`` processes (by default the CPU count, capped at the shard
+count).  ``--chunk-cycles`` sets the coverage shard size, and ``--workers``
+spreads fig11/fig12/fig16's shards over processes (by default one
+in-process worker for a small run and the CPU count for a large one).
+``--target-ci-width`` switches coverage points to Wilson-converged adaptive
+sampling, and ``--adaptive`` does the same for fig14's logical-error-rate
+points (budget-capped by the scale's trial budgets).  ``--scale paper``
+extends fig14 to the paper's d=3–11 grid with per-distance trial budgets;
+``--tiers`` picks the hierarchy's off-chip decoder: ``clique,mwpm`` (the
+paper's design, the default) or ``clique,union_find`` — see README.md →
+"Decoder cascades".  ``--store DIR`` persists every sweep point of the
+fig11/fig12/fig14/fig16 sweeps as it completes and makes re-runs resume
+(``--resume``, the default) or recompute (``--force``); ``store compact
+DIR`` garbage-collects a long-lived store directory; see README.md →
+"Results and resume".  ``--max-retries`` / ``--shard-timeout`` tune fig14's
+shard fault tolerance (retried shards replay their RNG streams
+bit-identically, so neither flag ever changes results); see README.md →
+"Fault tolerance".  Sweeps drive every pending point's shards through one
+persistent worker pool; see README.md → "Sweep scheduling".  ``lint``
 statically enforces the repo's contract rules (seeding/determinism, store
 keys, lazy heavy imports, dtype discipline, sharded-kernel picklability,
 tier protocol) with ``ruff``-style findings, ``--select/--ignore``, a
@@ -156,28 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a runner keyword argument (repeatable)",
     )
     run_parser.add_argument(
-        "--engine",
-        choices=("batch", "loop", "sharded"),
-        default=None,
-        help=(
-            "Monte-Carlo engine for memory experiments (fig14): 'batch' "
-            "vectorises trial triage (default), 'loop' is the per-trial "
-            "reference oracle (bit-identical to batch under a fixed seed), "
-            "'sharded' spreads trial shards over worker processes "
-            "(deterministic per seed, independent of --workers)"
-        ),
-    )
-    run_parser.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "worker processes for sharded Monte-Carlo runs: fig14 with "
-            "--engine sharded (default: CPU count) and the fig11/fig12/fig16 "
-            "coverage shards (default: 1, in-process, below 1e7 cycles x "
-            "distance^2 of work, else CPU count); results never depend on "
-            "the value"
+            "worker processes for the sweep shards: fig14/fig14_fallbacks "
+            "(default: CPU count, capped at the shard count) and the "
+            "fig11/fig12/fig16 coverage shards (default: 1, in-process, "
+            "below 1e7 cycles x distance^2 of work, else CPU count); results "
+            "never depend on the value"
         ),
     )
     run_parser.add_argument(
@@ -209,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--adaptive",
         action="store_true",
         help=(
-            "fig14: Wilson-converged adaptive trial allocation on the "
-            "sharded engine (see --target-ci-width; the scale's per-point "
-            "trial budget becomes the cap)"
+            "fig14: Wilson-converged adaptive trial allocation (see "
+            "--target-ci-width; the scale's per-point trial budget becomes "
+            "the cap)"
         ),
     )
     run_parser.add_argument(
@@ -220,11 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "fault tolerance for sharded runs (fig14 with --engine sharded / "
-            "--scale paper / --adaptive): failed or timed-out shard attempts "
-            "re-dispatched per shard before the run gives up (default 2; "
-            "retried shards replay their RNG streams bit-identically, so "
-            "results never depend on the value)"
+            "fig14 shard fault tolerance: failed or timed-out shard "
+            "attempts re-dispatched per shard before the run gives up "
+            "(default 2; retried shards replay their RNG streams "
+            "bit-identically, so results never depend on the value)"
         ),
     )
     run_parser.add_argument(
@@ -233,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECS",
         help=(
-            "wall-clock budget per shard attempt for sharded runs: a hung "
+            "fig14: wall-clock budget per shard attempt: a hung "
             "worker pool is killed, respawned, and the shard re-dispatched "
             "(charged one retry; see --max-retries)"
         ),
@@ -254,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "fig14 sweep scale: 'laptop' (d=3-7, flat budget, default) or "
-            "'paper' (d=3-11 with per-distance trial budgets, sharded engine)"
+            "'paper' (d=3-11 with per-distance trial budgets)"
         ),
     )
     run_parser.add_argument(
@@ -396,7 +377,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--force is only meaningful with --store DIR")
         params = dict(args.param)
         for flag in (
-            "engine",
             "workers",
             "tiers",
             "scale",

@@ -6,7 +6,7 @@ are included as additional baselines and as cross-validation oracles for the
 test suite.
 """
 
-from repro.decoders.base import BatchDecodeResult, Decoder, DecodeResult
+from repro.decoders.base import Decoder, DecodeResult
 from repro.decoders.blossom import match_events
 from repro.decoders.lookup import LookupDecoder
 from repro.decoders.matching_graph import MatchingGraph, SpaceTimeEvent
@@ -19,7 +19,6 @@ from repro.decoders.registry import (
 from repro.decoders.union_find import ClusteringDecoder
 
 __all__ = [
-    "BatchDecodeResult",
     "Decoder",
     "DecodeResult",
     "MatchingGraph",

@@ -33,51 +33,14 @@ class DecodeResult:
 
 
 @dataclass(frozen=True)
-class BatchDecodeResult:
-    """Outcome of decoding a batch of detection-event histories at once.
-
-    Corrections are returned as a dense bitmap rather than coordinate sets so
-    that batched callers (the vectorised Monte-Carlo engine) can XOR them
-    against accumulated-error bitmaps without any per-trial set manipulation.
-
-    Attributes:
-        corrections: uint8 matrix of shape ``(trials, num_data_qubits)`` in
-            ``code.data_index`` column order; entry 1 means "flip this qubit".
-        onchip_rounds: per-trial count of measurement rounds resolved on-chip
-            (all-zero for decoders that do not track decode locations).
-        total_rounds: per-trial count of rounds with location tracking
-            (all-zero for decoders that do not track decode locations).
-        tier_trials: for cascade decoders, the int64 pair ``(on-chip
-            trials, off-chip trials)``: trials decoded entirely by the
-            on-chip Clique tier, and trials that shipped at least one round
-            to the off-chip tier (the entries sum to the trial count).
-            ``None`` for decoders without tier structure.
-        tier_rounds: for cascade decoders, the int64 pair ``(on-chip rounds,
-            off-chip rounds)``: the total count of rounds resolved on-chip,
-            and of rounds shipped off-chip — the off-chip bandwidth in
-            rounds.  ``None`` for decoders without tier structure.
-    """
-
-    corrections: np.ndarray
-    onchip_rounds: np.ndarray
-    total_rounds: np.ndarray
-    tier_trials: np.ndarray | None = None
-    tier_rounds: np.ndarray | None = None
-
-    @property
-    def num_trials(self) -> int:
-        return self.corrections.shape[0]
-
-
-@dataclass(frozen=True)
 class PackedBatchDecodeResult:
     """Outcome of decoding a batch given as uint64 trial bitplanes.
 
-    The packed counterpart of :class:`BatchDecodeResult`: corrections come
-    back as bitplanes so the packed Monte-Carlo engine XORs them straight
-    into packed accumulated-error planes.  Per-trial statistics stay unpacked
-    (they are ``O(trials)`` integers, not part of the memory-bound hot path)
-    and cover only the ``trials`` real trials, never the ragged-tail padding.
+    Corrections come back as bitplanes so the packed Monte-Carlo engine XORs
+    them straight into packed accumulated-error planes.  Per-trial
+    statistics stay unpacked (they are ``O(trials)`` integers, not part of
+    the memory-bound hot path) and cover only the ``trials`` real trials,
+    never the ragged-tail padding.
 
     Attributes:
         corrections: uint64 planes of shape ``(num_data_qubits, words)`` in
@@ -88,8 +51,15 @@ class PackedBatchDecodeResult:
             shape ``(trials,)``.
         total_rounds: per-trial count of rounds with location tracking,
             shape ``(trials,)``.
-        tier_trials: see :attr:`BatchDecodeResult.tier_trials`.
-        tier_rounds: see :attr:`BatchDecodeResult.tier_rounds`.
+        tier_trials: for cascade decoders, the int64 pair ``(on-chip
+            trials, off-chip trials)``: trials decoded entirely by the
+            on-chip Clique tier, and trials that shipped at least one round
+            to the off-chip tier (the entries sum to the trial count).
+            ``None`` for decoders without tier structure.
+        tier_rounds: for cascade decoders, the int64 pair ``(on-chip rounds,
+            off-chip rounds)``: the total count of rounds resolved on-chip,
+            and of rounds shipped off-chip — the off-chip bandwidth in
+            rounds.  ``None`` for decoders without tier structure.
     """
 
     corrections: np.ndarray
@@ -145,57 +115,9 @@ class Decoder(abc.ABC):
             raise SyndromeShapeError(expected, matrix.shape[1])
         return matrix
 
-    def _as_detection_batch(self, histories: np.ndarray) -> np.ndarray:
-        """Normalise input to a 3-D uint8 tensor ``(trials, rounds, ancillas)``."""
-        batch = np.asarray(histories, dtype=np.uint8) & 1
-        if batch.ndim == 2:
-            batch = batch[np.newaxis]
-        if batch.ndim != 3:
-            raise ValueError(
-                f"expected a (trials, rounds, ancillas) tensor, got {batch.ndim}-D input"
-            )
-        expected = self._code.num_ancillas_of_type(self._stype)
-        if batch.shape[2] != expected:
-            raise SyndromeShapeError(expected, batch.shape[2])
-        return batch
-
     @abc.abstractmethod
     def decode(self, detections: np.ndarray) -> DecodeResult:
         """Decode a detection-event matrix into a data-qubit correction."""
-
-    def decode_batch(self, histories: np.ndarray) -> BatchDecodeResult:
-        """Decode a batch of detection-event histories.
-
-        Args:
-            histories: tensor of shape ``(trials, rounds, num_ancillas)``
-                (a single 2-D history is accepted as a batch of one).
-
-        The generic implementation: decodes trial by trial through
-        :meth:`decode` and repackages the results.  It is what the base
-        :meth:`decode_batch_packed` falls back to for decoders without a
-        native packed path (flat MWPM, union-find, custom decoders).
-        """
-        batch = self._as_detection_batch(histories)
-        trials = batch.shape[0]
-        corrections = np.zeros((trials, self._code.num_data_qubits), dtype=np.uint8)
-        onchip_rounds = np.zeros(trials, dtype=np.int64)
-        total_rounds = np.zeros(trials, dtype=np.int64)
-        data_index = self._code.data_index
-        for trial in range(trials):
-            result = self.decode(batch[trial])
-            for qubit in result.correction:
-                corrections[trial, data_index[qubit]] ^= 1
-            metadata = result.metadata
-            if "num_offchip_rounds" in metadata and "num_rounds" in metadata:
-                onchip_rounds[trial] = (
-                    metadata["num_rounds"] - metadata["num_offchip_rounds"]
-                )
-                total_rounds[trial] = metadata["num_rounds"]
-        return BatchDecodeResult(
-            corrections=corrections,
-            onchip_rounds=onchip_rounds,
-            total_rounds=total_rounds,
-        )
 
     def _as_packed_detection_batch(
         self, detections: np.ndarray, trials: int
@@ -229,24 +151,39 @@ class Decoder(abc.ABC):
                 must be zero).
             trials: the number of real trials packed into the planes.
 
-        The base implementation unpacks, delegates to :meth:`decode_batch`,
+        The base implementation unpacks, runs :meth:`decode` trial by trial,
         and re-packs the corrections — semantics, including RNG-free
-        tie-breaks, are therefore exactly per-trial :meth:`decode`'s.
-        Decoders with a native packed path
+        tie-breaks, are therefore exactly per-trial :meth:`decode`'s.  It
+        serves decoders without a native packed path (flat MWPM,
+        union-find, custom decoders); per-trial round counts come from the
+        ``num_rounds``/``num_offchip_rounds`` metadata when a decoder
+        reports them, else stay zero.  Decoders with a native packed path
         (:class:`repro.clique.cascade.DecoderCascade`) override it and must
         stay bit-identical to per-trial decoding; the batch Monte-Carlo
         engine's equivalence with the loop engine depends on it.
         """
         planes = self._as_packed_detection_batch(detections, trials)
-        result = self.decode_batch(bitplane.unpack_trials(planes, trials))
+        batch = bitplane.unpack_trials(planes, trials)
+        corrections = np.zeros((trials, self._code.num_data_qubits), dtype=np.uint8)
+        onchip_rounds = np.zeros(trials, dtype=np.int64)
+        total_rounds = np.zeros(trials, dtype=np.int64)
+        data_index = self._code.data_index
+        for trial in range(trials):
+            result = self.decode(batch[trial])
+            for qubit in result.correction:
+                corrections[trial, data_index[qubit]] ^= 1
+            metadata = result.metadata
+            if "num_offchip_rounds" in metadata and "num_rounds" in metadata:
+                onchip_rounds[trial] = (
+                    metadata["num_rounds"] - metadata["num_offchip_rounds"]
+                )
+                total_rounds[trial] = metadata["num_rounds"]
         return PackedBatchDecodeResult(
-            corrections=bitplane.pack_trials(result.corrections),
+            corrections=bitplane.pack_trials(corrections),
             trials=trials,
-            onchip_rounds=result.onchip_rounds,
-            total_rounds=result.total_rounds,
-            tier_trials=result.tier_trials,
-            tier_rounds=result.tier_rounds,
+            onchip_rounds=onchip_rounds,
+            total_rounds=total_rounds,
         )
 
 
-__all__ = ["BatchDecodeResult", "Decoder", "DecodeResult", "PackedBatchDecodeResult"]
+__all__ = ["Decoder", "DecodeResult", "PackedBatchDecodeResult"]

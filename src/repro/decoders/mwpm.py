@@ -26,7 +26,11 @@ import numpy as np
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders import blossom
 from repro.decoders.base import Decoder, DecodeResult
-from repro.decoders.matching_graph import MatchingGraph, SpaceTimeEvent
+from repro.decoders.matching_graph import (
+    MatchingGraph,
+    SpaceTimeEvent,
+    get_matching_graph,
+)
 from repro.exceptions import ConfigurationError
 from repro.types import StabilizerType
 
@@ -109,18 +113,18 @@ class MWPMDecoder(Decoder):
     Args:
         code: the surface code instance.
         stype: which stabilizer type's detection events this decoder handles.
-        matching_graph: optionally share a precomputed :class:`MatchingGraph`
-            (they are deterministic per ``(code, stype)``).
+
+    The matching graph is deterministic per ``(distance, stype)``, so every
+    instance shares the cached one (:func:`get_matching_graph`).
     """
 
     def __init__(
         self,
         code: RotatedSurfaceCode,
         stype: StabilizerType,
-        matching_graph: MatchingGraph | None = None,
     ) -> None:
         super().__init__(code, stype)
-        self._graph = matching_graph or MatchingGraph(code, stype)
+        self._graph = get_matching_graph(code.distance, stype)
 
     @property
     def matching_graph(self) -> MatchingGraph:

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder, DecodeResult
-from repro.decoders.matching_graph import MatchingGraph, SpaceTimeEvent
+from repro.decoders.matching_graph import SpaceTimeEvent, get_matching_graph
 from repro.types import Coord, StabilizerType
 
 
@@ -51,17 +51,17 @@ class ClusteringDecoder(Decoder):
     Args:
         code: the surface code instance.
         stype: which stabilizer type's detection events this decoder handles.
-        matching_graph: optionally share a precomputed :class:`MatchingGraph`.
+
+    The matching graph is the shared cached one (:func:`get_matching_graph`).
     """
 
     def __init__(
         self,
         code: RotatedSurfaceCode,
         stype: StabilizerType,
-        matching_graph: MatchingGraph | None = None,
     ) -> None:
         super().__init__(code, stype)
-        self._graph = matching_graph or MatchingGraph(code, stype)
+        self._graph = get_matching_graph(code.distance, stype)
         # Plain-list copies of the dense distance tables: the hot path sees
         # tiny event sets (a handful per off-chip trial), where Python list
         # indexing beats numpy fancy-gather fixed costs by a wide margin.

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
+    from repro.simulation.scheduler import SweepPoint, SweepScheduler
     from repro.store import ResultStore, SweepCache
+
+#: One sweep point to measure: its resolved store-key config, its seed, and
+#: a builder ``(point_id, checkpoint=..., on_complete=...) -> SweepPoint``
+#: (e.g. a ``functools.partial`` of ``memory_point`` or
+#: ``coverage_point_for``) that runs exactly that config.
+PointRequest = tuple[dict, int, Callable[..., "SweepPoint"]]
 
 
 @dataclass
@@ -120,4 +128,44 @@ def sweep_cache(
     return SweepCache(open_store(store), experiment_id, force=force)
 
 
-__all__ = ["ExperimentResult", "resolve_fault_policy", "sweep_cache"]
+def schedule_sweep(
+    cache: "SweepCache",
+    requests: dict[str, PointRequest],
+    scheduler: "SweepScheduler",
+) -> dict[str, Any]:
+    """Measure every requested point, reusing stored results.
+
+    The one cache-then-schedule stage of the sweep figures: each point is
+    looked up in ``cache`` (the runner's :class:`~repro.store.SweepCache`, a
+    pass-through without a store), and the misses are built and run
+    together in one ``scheduler`` run, so their shards share one pool.
+    Returns ``{point_id: result}``.
+    """
+    results: dict[str, Any] = {}
+    pending = []
+    for point_id, (config, seed, build) in requests.items():
+        cached = cache.lookup(config, seed)
+        if cached is not None:
+            results[point_id] = cached
+            continue
+        pending.append(
+            build(
+                point_id,
+                # Only adaptive points read or write it, once per Wilson wave.
+                checkpoint=cache.checkpoint(config, seed),
+                # Fired the moment the point's last shard lands, so a kill
+                # mid-sweep leaves every finished point durably stored.
+                on_complete=functools.partial(cache.finish, config, seed),
+            )
+        )
+    results.update(scheduler.run(pending))
+    return results
+
+
+__all__ = [
+    "ExperimentResult",
+    "PointRequest",
+    "resolve_fault_policy",
+    "schedule_sweep",
+    "sweep_cache",
+]

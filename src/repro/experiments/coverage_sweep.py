@@ -1,10 +1,11 @@
-"""Shared Clique-coverage scheduling for the coverage figures.
+"""Shared Clique-coverage sweep for the coverage figures.
 
 Fig. 11 and Fig. 12 are the same Monte-Carlo sweep read through different
-columns, and Fig. 16 measures coverage at a few operating points before its
-bandwidth stages.  :func:`measure_coverage` is the one coverage stage they
-all go through: cached points come from the result store, and every
-uncached point's shards are interleaved through one
+columns.  :func:`run_coverage_sweep` resolves every grid point's coverage
+config and hands them to the sweep figures' one cache-then-schedule stage
+(:func:`~repro.experiments.base.schedule_sweep`), which Fig. 14 and Fig. 16
+share: cached points come from the result store, and every uncached
+point's shards are interleaved through one
 :class:`~repro.simulation.SweepScheduler` run.  Each point is persisted the
 moment its last shard lands (and checkpointed per Wilson wave when
 adaptive), so a sweep killed mid-run resumes with only its missing points.
@@ -17,8 +18,8 @@ from __future__ import annotations
 import functools
 from typing import Callable
 
-from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
-from repro.experiments.base import ExperimentResult
+from repro.codes.rotated_surface import get_code
+from repro.experiments.base import ExperimentResult, PointRequest, schedule_sweep
 from repro.noise.models import NoiseModel, PhenomenologicalNoise
 from repro.noise.rng import point_seed
 from repro.simulation.coverage import (
@@ -32,45 +33,19 @@ from repro.simulation.scheduler import SweepScheduler
 #: Builds one table row from a sweep point's (rate, distance, result).
 CoverageRowBuilder = Callable[[float, int, CoverageResult], dict[str, object]]
 
-#: One coverage point to measure: its code and noise, the resolved config
-#: (:func:`~repro.simulation.coverage.resolve_coverage_config`) and its seed.
-CoverageRequest = tuple[RotatedSurfaceCode, NoiseModel, dict, int]
 
-
-def measure_coverage(
-    cache, requests: dict[str, CoverageRequest], workers: int
-) -> dict[str, CoverageResult]:
-    """Measure every requested point, reusing stored results.
-
-    ``cache`` is the runner's :class:`~repro.store.SweepCache` (a transparent
-    pass-through when no store is configured); ``requests`` maps unique point
-    ids to what to measure; ``workers`` is the count the configs were
-    resolved with (:func:`~repro.simulation.coverage.coverage_workers`).
-    Returns ``{point_id: CoverageResult}``.
-    """
-    results: dict[str, CoverageResult] = {}
-    pending = []
-    for point_id, (code, noise, config, seed) in requests.items():
-        cached = cache.lookup(config, seed)
-        if cached is not None:
-            results[point_id] = cached
-            continue
-        adaptive = config["target_ci_width"] is not None
-        pending.append(
-            coverage_point_for(
-                point_id,
-                code,
-                noise,
-                config,
-                seed,
-                checkpoint=cache.checkpoint(config, seed) if adaptive else None,
-                # Fired the moment the point's last shard lands, so a kill
-                # mid-sweep leaves every finished point durably stored.
-                on_complete=functools.partial(cache.finish, config, seed),
-            )
-        )
-    results.update(SweepScheduler(workers=workers).run(pending))
-    return results
+def coverage_request(noise: NoiseModel, config: dict, seed: int) -> PointRequest:
+    """The :func:`~repro.experiments.base.schedule_sweep` request measuring
+    ``config`` (:func:`~repro.simulation.coverage.resolve_coverage_config`,
+    resolved from ``noise``) under ``seed``."""
+    build = functools.partial(
+        coverage_point_for,
+        code=get_code(config["distance"]),
+        noise=noise,
+        config=config,
+        seed=seed,
+    )
+    return config, seed, build
 
 
 def run_coverage_sweep(
@@ -96,7 +71,7 @@ def run_coverage_sweep(
     workers = coverage_workers(
         workers, [(cycles, distance) for _ in error_rates for distance in distances]
     )
-    requests: dict[str, CoverageRequest] = {}
+    requests: dict[str, PointRequest] = {}
     cells = []
     for rate_index, error_rate in enumerate(error_rates):
         noise = PhenomenologicalNoise(error_rate)
@@ -111,14 +86,11 @@ def run_coverage_sweep(
                 target_ci_width=target_ci_width,
             )
             point_id = f"{rate_index}:{distance_index}"
-            requests[point_id] = (
-                get_code(distance),
-                noise,
-                config,
-                point_seed(seed, rate_index, distance_index),
+            requests[point_id] = coverage_request(
+                noise, config, point_seed(seed, rate_index, distance_index)
             )
             cells.append((error_rate, distance, point_id))
-    results = measure_coverage(cache, requests, workers)
+    results = schedule_sweep(cache, requests, SweepScheduler(workers=workers))
     return ExperimentResult(
         experiment_id=experiment_id,
         title=title,
@@ -130,9 +102,4 @@ def run_coverage_sweep(
     )
 
 
-__all__ = [
-    "CoverageRequest",
-    "CoverageRowBuilder",
-    "measure_coverage",
-    "run_coverage_sweep",
-]
+__all__ = ["CoverageRowBuilder", "coverage_request", "run_coverage_sweep"]

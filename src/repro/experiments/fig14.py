@@ -5,13 +5,19 @@ Two scales are supported via ``scale=``:
 * ``"laptop"`` (default): distances 3/5/7 with a flat trial budget — the
   statistical shape (near-identical curves) in seconds.
 * ``"paper"``: the paper's full distance grid 3–11 with per-distance trial
-  budgets and the sharded multiprocess engine by default — the regime where
-  Fig. 14's interesting divergence at d=9/11 lives.
+  budgets — the regime where Fig. 14's interesting divergence at d=9/11
+  lives.
+
+Every (point, decoder) run is a :func:`~repro.simulation.memory_point` of
+one :class:`~repro.simulation.SweepScheduler` run: stored points come from
+the result store, and the shards of all the others share one worker pool
+(:func:`~repro.experiments.base.schedule_sweep`, the stage the coverage
+figures use too).
 
 ``adaptive=True`` (the CLI's ``--adaptive``) switches every point to
-Wilson-converged trial allocation on the sharded engine: each (point,
-decoder) run stops as soon as its logical-error-rate confidence interval is
-at most ``target_ci_width`` wide, with the scale's fixed budget as the cap.
+Wilson-converged trial allocation: each (point, decoder) run stops as soon
+as its logical-error-rate confidence interval is at most
+``target_ci_width`` wide, with the scale's fixed budget as the cap.
 
 ``compare_fallbacks`` (registry id ``fig14_fallbacks``) adds the off-chip
 cost/accuracy trade-off rows: the same workload decoded through both
@@ -23,6 +29,7 @@ one cascade spec plus the Clique+MWPM reference.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -31,10 +38,15 @@ from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
 from repro.decoders.mwpm import MWPMDecoder
 from repro.decoders.registry import resolve_tier_spec
 from repro.exceptions import ConfigurationError
-from repro.experiments.base import ExperimentResult, resolve_fault_policy, sweep_cache
+from repro.experiments.base import (
+    ExperimentResult,
+    PointRequest,
+    resolve_fault_policy,
+    schedule_sweep,
+    sweep_cache,
+)
 from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import point_seed
-from repro.simulation.memory import run_memory_experiment
 from repro.simulation.monte_carlo import WilsonStoppingRule, until_wilson
 from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.simulation.shard import (
@@ -82,26 +94,18 @@ class _CascadeFactory:
         return DecoderCascade(code, stype, tiers=self.tiers)
 
 
-@dataclass(frozen=True)
-class _Scheduled:
-    """Placeholder for a row cell whose point is pending in the sweep scheduler."""
-
-    point_id: str
-
-
 def _resolve_scale(
     scale: str,
     trials: int | None,
     distances: tuple[int, ...] | None,
-    engine: str | None,
-) -> tuple[dict[int, int], tuple[int, ...], str]:
-    """Fill in the per-distance trial budgets, distance grid, and engine."""
+) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Fill in the per-distance trial budgets and the distance grid."""
     if scale == "laptop":
         distances = distances or DEFAULT_DISTANCES
         budget = {
             d: trials if trials is not None else DEFAULT_TRIALS for d in distances
         }
-        return budget, distances, engine or "batch"
+        return budget, distances
     if scale == "paper":
         distances = distances or PAPER_DISTANCES
         budget = {
@@ -110,7 +114,7 @@ def _resolve_scale(
             else PAPER_TRIAL_BUDGETS.get(d, DEFAULT_TRIALS)
             for d in distances
         }
-        return budget, distances, engine or "sharded"
+        return budget, distances
     raise ConfigurationError(f"scale must be 'laptop' or 'paper', got {scale!r}")
 
 
@@ -119,7 +123,6 @@ def _memory_point_config(
     error_rate: float,
     rounds: int | None,
     trials: int,
-    engine: str,
     decoder: str,
     tiers: tuple[str, ...] | None,
     stop: WilsonStoppingRule | None,
@@ -128,11 +131,11 @@ def _memory_point_config(
     """The fully resolved, stream-determining config of one fig14 point.
 
     The result-store keying contract for one ``run_memory_experiment`` call:
-    defaults are resolved (rounds to the code distance, the sharded engine's
-    chunk size to :data:`~repro.simulation.shard.DEFAULT_SHARD_TRIALS`) so
-    implicit and explicit spellings key identically, and ``workers`` is
-    excluded because it never affects the counts.  Every excluded runner
-    keyword is listed, with its reason, in the central
+    defaults are resolved (rounds to the code distance, the shard size to
+    :data:`~repro.simulation.shard.DEFAULT_SHARD_TRIALS`) so implicit and
+    explicit spellings key identically, and ``workers`` is excluded because
+    it never affects the counts.  Every excluded runner keyword is listed,
+    with its reason, in the central
     :data:`repro.store.keys.KEY_EXCLUDED`; lint rule ``KEY001`` enforces
     that this function and that list jointly cover the full
     ``run_memory_experiment`` signature.
@@ -149,11 +152,11 @@ def _memory_point_config(
         "error_rate": error_rate,
         "rounds": rounds if rounds is not None else distance,
         "trials": trials,
-        "engine": engine,
+        # Every fig14 point is sharded; the constant entry keeps stores
+        # written when in-process engines were a choice byte-compatible.
+        "engine": "sharded",
         "chunk_trials": (
-            (chunk_trials if chunk_trials is not None else DEFAULT_SHARD_TRIALS)
-            if engine == "sharded"
-            else None
+            chunk_trials if chunk_trials is not None else DEFAULT_SHARD_TRIALS
         ),
         "decoder": decoder,
         "fallback": tiers[1] if tiers is not None else None,
@@ -175,7 +178,6 @@ def run(
     distances: tuple[int, ...] | None = None,
     error_rates: tuple[float, ...] = DEFAULT_ERROR_RATES,
     rounds: int | None = None,
-    engine: str | None = None,
     scale: str = "laptop",
     tiers: str | tuple[str, ...] = ("clique", "mwpm"),
     workers: int | None = None,
@@ -198,22 +200,19 @@ def run(
         distances: code distances; ``None`` picks the scale's grid.
         error_rates: physical error rates swept per distance.
         rounds: noisy rounds per trial (defaults to the code distance).
-        engine: Monte-Carlo engine (``"batch"``/``"loop"``/``"sharded"``);
-            ``None`` picks batch on laptop scale, sharded on paper scale
-            (``adaptive`` forces sharded).
         scale: ``"laptop"`` (seconds, d<=7) or ``"paper"`` (d=3-11 with
             per-distance budgets — the Fig. 14 divergence regime).
         tiers: the cascade spec — ``"clique"`` and one off-chip decoder,
             as a comma-separated string or name pair; the default is the
             paper's Clique+MWPM design, ``"clique,union_find"`` swaps the
             off-chip decoder.  Bad specs fail eagerly, before any sweep work.
-        workers: worker processes for the sharded engine; rejected with any
-            other engine (a silently ignored value would suggest the run was
-            parallelised when it was not).
-        chunk_trials: trials per shard for the sharded engine (default
+        workers: worker processes (default ``os.cpu_count()``, capped at
+            the sweep's shard count; ``1`` runs every shard in-process);
+            results never depend on it.
+        chunk_trials: trials per shard (default
             :data:`~repro.simulation.shard.DEFAULT_SHARD_TRIALS`); with the
-            seed it fully determines the sharded result, so it participates
-            in the store key with its resolved value.  ``"auto"`` resolves
+            seed it fully determines the result, so it participates in the
+            store key with its resolved value.  ``"auto"`` resolves
             per point from the point's trial budget, the worker count, and
             the code distance (see
             :func:`~repro.simulation.shard.resolve_auto_chunk`), so short
@@ -237,45 +236,31 @@ def run(
             runs additionally checkpoint per Wilson wave and resume
             mid-point.
         force: recompute and overwrite stored points.
-        max_retries: sharded-engine fault tolerance — failed shard attempts
-            re-dispatched per shard before giving up (default 2; retried
-            shards replay their RNG streams bit-identically, so the value
-            never affects results).  Rejected on non-sharded engines.
-        shard_timeout: wall-clock budget per shard attempt in seconds for
-            the sharded engine; a hung worker pool is killed and the shard
-            re-dispatched.  Rejected on non-sharded engines.
+        max_retries: fault tolerance — failed shard attempts re-dispatched
+            per shard before giving up (default 2; retried shards replay
+            their RNG streams bit-identically, so the value never affects
+            results).
+        shard_timeout: wall-clock budget per shard attempt in seconds; a
+            hung worker pool is killed and the shard re-dispatched.
 
-    On the sharded engine every pending (point, decoder) run's shards are
-    interleaved through one persistent worker pool
-    (:class:`~repro.simulation.SweepScheduler`), and each run is persisted
-    the moment its last shard lands.
+    Every pending (point, decoder) run's shards are interleaved through one
+    persistent worker pool (:class:`~repro.simulation.SweepScheduler`), and
+    each run is persisted the moment its last shard lands.
     """
-    budget, distances, engine = _resolve_scale(scale, trials, distances, engine)
+    budget, distances = _resolve_scale(scale, trials, distances)
     if target_ci_width is not None:
         adaptive = True
     elif adaptive:
         target_ci_width = 0.02
-    if adaptive:
-        engine = "sharded"
     cascade_tiers = resolve_tier_spec(tiers)
     hierarchy_name = _cascade_label(cascade_tiers)
-    if chunk_trials == AUTO_CHUNK and engine != "sharded":
-        raise ConfigurationError(
-            f"chunk_trials='auto' requires engine='sharded', got {engine!r}"
-        )
-    sharded = engine == "sharded"
     # Deliberately absent from _memory_point_config: fault recovery replays
     # shard streams bit-identically, so the policy (like workers) never
     # affects the stored counts.
     faults = resolve_fault_policy(max_retries, shard_timeout)
     cache = sweep_cache(store, "fig14", force)
 
-    def _persist_hook(config, point_seed_value):
-        # The scheduler fires this the moment the point's last shard lands,
-        # so a kill mid-sweep leaves every finished point durably stored.
-        return lambda result: cache.finish(config, point_seed_value, result)
-
-    pending: list = []
+    requests: dict[str, PointRequest] = {}
     grid: list[tuple] = []
     for distance_index, distance in enumerate(distances):
         code = get_code(distance)
@@ -305,59 +290,29 @@ def run(
                     error_rate,
                     rounds,
                     point_trials,
-                    engine,
                     decoder_label,
                     decoder_tiers,
                     stop,
                     point_chunk,
                 )
-                if sharded:
-                    cached = cache.lookup(config, base_seed)
-                    if cached is not None:
-                        return cached
-                    point_id = f"{distance_index}:{rate_index}:{decoder_label}"
-                    pending.append(
-                        memory_point(
-                            point_id,
-                            code,
-                            noise,
-                            factory,
-                            trials=point_trials,
-                            seed=base_seed,
-                            rounds=rounds,
-                            chunk_trials=(
-                                point_chunk
-                                if point_chunk is not None
-                                else DEFAULT_SHARD_TRIALS
-                            ),
-                            stop=stop,
-                            checkpoint=(
-                                cache.checkpoint(config, base_seed)
-                                if stop is not None
-                                else None
-                            ),
-                            decoder_name=decoder_label,
-                            on_complete=_persist_hook(config, base_seed),
-                        )
-                    )
-                    return _Scheduled(point_id)
-                return cache.point(
+                point_id = f"{distance_index}:{rate_index}:{decoder_label}"
+                requests[point_id] = (
                     config,
                     base_seed,
-                    lambda: run_memory_experiment(
-                        code,
-                        noise,
-                        factory,
+                    functools.partial(
+                        memory_point,
+                        code=code,
+                        noise=noise,
+                        decoder_factory=factory,
                         trials=point_trials,
+                        seed=base_seed,
                         rounds=rounds,
-                        rng=base_seed,
+                        chunk_trials=config["chunk_trials"],
+                        stop=stop,
                         decoder_name=decoder_label,
-                        engine=engine,
-                        workers=workers,
-                        chunk_trials=point_chunk,
-                        faults=faults,
                     ),
                 )
+                return point_id
 
             baseline = _decoder_run("MWPM", _mwpm_factory)
             hierarchical = _decoder_run(
@@ -366,15 +321,14 @@ def run(
                 cascade_tiers,
             )
             grid.append((distance, error_rate, point_trials, baseline, hierarchical))
-    scheduled = SweepScheduler(workers=workers, faults=faults).run(pending)
-
-    def _resolve(ref):
-        return scheduled[ref.point_id] if isinstance(ref, _Scheduled) else ref
+    results = schedule_sweep(
+        cache, requests, SweepScheduler(workers=workers, faults=faults)
+    )
 
     rows = []
-    for distance, error_rate, point_trials, baseline, hierarchical in grid:
-        baseline = _resolve(baseline)
-        hierarchical = _resolve(hierarchical)
+    for distance, error_rate, point_trials, baseline_id, hierarchical_id in grid:
+        baseline = results[baseline_id]
+        hierarchical = results[hierarchical_id]
         rows.append(
             {
                 "code_distance": distance,
@@ -393,7 +347,7 @@ def run(
         "Paper observation: Clique+MWPM tracks the MWPM baseline almost exactly\n"
         "at d=3/5/7 and is marginally worse at d=9/11 because the primary design\n"
         "only uses two measurement rounds for persistence filtering.\n"
-        f"(scale={scale}, engine={engine}, tiers={','.join(cascade_tiers)}"
+        f"(scale={scale}, tiers={','.join(cascade_tiers)}"
         + (f", adaptive: Wilson width <= {target_ci_width})" if adaptive else ")")
     )
     return ExperimentResult(
@@ -415,7 +369,6 @@ def compare_fallbacks(
     distances: tuple[int, ...] = (5, 7),
     error_rate: float = 1e-2,
     rounds: int | None = None,
-    engine: str = "batch",
     workers: int | None = None,
     tiers: str | tuple[str, ...] | None = None,
 ) -> ExperimentResult:
@@ -423,12 +376,14 @@ def compare_fallbacks(
 
     One row per (distance, cascade spec): the union-find clustering decoder
     scales near-linearly where blossom is cubic, at some accuracy cost.
-    Wall-clock throughput is measured around the full memory experiment, so
-    it reflects the off-chip decoder's real share of the pipeline.  The
-    triage columns — the fraction of trials that left the chip
-    (``offchip_trial_fraction``) and the off-chip bandwidth in detection
-    rounds per trial (``offchip_rounds_per_trial``) — depend only on the
-    Clique tier, so they match across specs at each distance.
+    Each row is one :func:`~repro.simulation.memory_point` run on its own
+    :class:`~repro.simulation.SweepScheduler` (``workers`` as in
+    :func:`run`), and the wall-clock throughput is measured around that
+    whole run, so it reflects the off-chip decoder's real share of the
+    pipeline.  The triage columns — the fraction of trials that left the
+    chip (``offchip_trial_fraction``) and the off-chip bandwidth in
+    detection rounds per trial (``offchip_rounds_per_trial``) — depend only
+    on the Clique tier, so they match across specs at each distance.
 
     ``tiers`` (the CLI's ``--tiers``) compares one cascade spec against the
     Clique+MWPM reference (``"clique,mwpm"`` alone runs just that
@@ -445,18 +400,19 @@ def compare_fallbacks(
         noise = PhenomenologicalNoise(error_rate)
         base_seed = point_seed(seed, distance_index)
         for spec in specs:
-            start = time.perf_counter()
-            result = run_memory_experiment(
+            label = _cascade_label(spec)
+            point = memory_point(
+                label,
                 code,
                 noise,
                 _CascadeFactory(spec),
                 trials=trials,
+                seed=base_seed,
                 rounds=rounds,
-                rng=base_seed,
-                decoder_name=_cascade_label(spec),
-                engine=engine,
-                workers=workers,
+                decoder_name=label,
             )
+            start = time.perf_counter()
+            result = SweepScheduler(workers=workers).run([point])[label]
             elapsed = time.perf_counter() - start
             rows.append(
                 {

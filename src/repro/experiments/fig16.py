@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from repro.bandwidth.allocation import provision_for_percentile
 from repro.bandwidth.stalling import StallSimulator
-from repro.codes.rotated_surface import get_code
-from repro.experiments.base import ExperimentResult, sweep_cache
-from repro.experiments.coverage_sweep import measure_coverage
+from repro.experiments.base import ExperimentResult, schedule_sweep, sweep_cache
+from repro.experiments.coverage_sweep import coverage_request
 from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import point_seed
 from repro.simulation.coverage import coverage_workers, resolve_coverage_config
+from repro.simulation.scheduler import SweepScheduler
 
 #: Three operating points in the spirit of the paper's three curves.
 DEFAULT_OPERATING_POINTS = ((1e-2, 11), (5e-3, 13), (1e-3, 9))
@@ -35,8 +35,8 @@ def run(
     sweep over provisioning percentiles yields (bandwidth reduction,
     execution-time increase) pairs.
 
-    The coverage stage is fig11/fig12's
-    (:func:`~repro.experiments.coverage_sweep.measure_coverage`): every
+    The coverage stage is the sweep figures' shared one
+    (:func:`~repro.experiments.base.schedule_sweep`): every
     uncached operating point's shards run in one
     :class:`~repro.simulation.SweepScheduler` pass
     (``workers=None`` picks the count from the coverage budget,
@@ -66,13 +66,10 @@ def run(
             chunk_cycles=chunk_cycles,
             target_ci_width=target_ci_width,
         )
-        requests[str(point_index)] = (
-            get_code(distance),
-            noise,
-            config,
-            point_seed(seed, point_index),
+        requests[str(point_index)] = coverage_request(
+            noise, config, point_seed(seed, point_index)
         )
-    coverages = measure_coverage(cache, requests, workers)
+    coverages = schedule_sweep(cache, requests, SweepScheduler(workers=workers))
     rows = []
     for point_index, (error_rate, distance) in enumerate(operating_points):
         coverage = coverages[str(point_index)]

@@ -76,6 +76,16 @@ class TestStallSimulator:
         assert result.total_cycles == result.program_cycles + result.stall_cycles
         assert result.program_cycles == 300
 
+    @pytest.mark.parametrize("factor", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_abort_factor_is_rejected(self, factor):
+        # On an under-provisioned plan an inf/nan factor never aborts, so the
+        # run never returns; a negative one aborts a healthy plan after one
+        # cycle.  The plan here is healthy, so a missing check shows as a
+        # returned result, not a hang.
+        plan = provision_for_percentile(1000, 0.001, 99.9)
+        with pytest.raises(BandwidthConfigurationError, match="abort_backlog_factor"):
+            StallSimulator(plan, seed=1).run(200, abort_backlog_factor=factor)
+
 
 class TestZeroCapacityPlan:
     """Pins the intended zero-capacity semantics: the infinite-stalling report.

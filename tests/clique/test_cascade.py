@@ -15,6 +15,7 @@ from repro import bitplane
 from repro.clique.cascade import DecoderCascade
 from repro.clique.decoder import CliqueDecoder
 from repro.codes.rotated_surface import get_code
+from repro.decoders.base import Decoder
 from repro.decoders.mwpm import MWPMDecoder
 from repro.decoders.registry import resolve_tier_spec, tier_decoder_names
 from repro.decoders.union_find import ClusteringDecoder
@@ -265,17 +266,22 @@ class TestBatchedCascadeBitIdentity:
         assert np.array_equal(plain.onchip_rounds, bitmap.onchip_rounds)
         assert np.array_equal(plain.tier_trials, bitmap.tier_trials)
 
-    def test_generic_decode_batch_matches_decode_history(self, code_d5):
-        # With no unpacked fast path of its own, the cascade's decode_batch
-        # is the base per-trial loop over decode(); it must still report the
-        # same corrections and round split as decode_history.
+    def test_generic_packed_fallback_matches_decode_history(self, code_d5):
+        # The base per-trial loop over decode(), run on a cascade, reads the
+        # round split from decode()'s metadata; it must report the same
+        # corrections as the native packed path and decode_history's split.
         cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=UF_TIERS)
         rng = np.random.default_rng(47)
         batch = (rng.random((20, 6, _width(code_d5))) < 0.15).astype(np.uint8)
-        result = cascade.decode_batch(batch)
+        trials = batch.shape[0]
+        result = Decoder.decode_batch_packed(
+            cascade, bitplane.pack_trials(batch), trials
+        )
         _, packed_corrections = _decode_packed(cascade, batch)
-        assert np.array_equal(result.corrections, packed_corrections)
-        for trial in range(batch.shape[0]):
+        assert np.array_equal(
+            bitplane.unpack_trials(result.corrections, trials), packed_corrections
+        )
+        for trial in range(trials):
             reference = cascade.decode_history(batch[trial])
             assert result.onchip_rounds[trial] == (
                 reference.num_rounds - reference.num_offchip_rounds
@@ -383,15 +389,15 @@ class TestPreRefactorEquivalence:
 
 
 #: Frozen ``compare_fallbacks()`` rows at its defaults (600 trials,
-#: p=1e-2, d in {5, 7}, batch engine), captured from the N-tier cascade
-#: (commit 3f0e55d) for the two specs it kept; ``trials_per_sec`` is
-#: wall-clock and excluded.  ``offchip_trial_fraction`` is that commit's
-#: ``escalation_rates`` column (its only entry under two tiers).
+#: p=1e-2, d in {5, 7}), taken from ``compare_fallbacks(engine="sharded")``
+#: at the last commit that still had the ``engine`` knob: every row is now
+#: a 500-trial-shard scheduler run.  ``trials_per_sec`` is wall-clock and
+#: excluded.
 FROZEN_FALLBACK_ROWS = [
-    (5, "clique,mwpm", 0.011666666666666667, 0.023884309997529277, 0.98, 0.1067, 0.12),
-    (5, "clique,union_find", 0.015, 0.028259922540006213, 0.98, 0.1067, 0.12),
-    (7, "clique,mwpm", 0.006666666666666667, 0.017014981607345082, 0.93375, 0.355, 0.53),
-    (7, "clique,union_find", 0.015, 0.028259922540006213, 0.93375, 0.355, 0.53),
+    (5, "clique,mwpm", 0.018333333333333333, 0.03252812966893709, 0.9747222222222223, 0.1233, 0.1517),
+    (5, "clique,union_find", 0.013333333333333334, 0.026087675694560088, 0.9747222222222223, 0.1233, 0.1517),
+    (7, "clique,mwpm", 0.0033333333333333335, 0.012071609567610156, 0.944375, 0.2833, 0.445),
+    (7, "clique,union_find", 0.005, 0.014596467142208755, 0.944375, 0.2833, 0.445),
 ]
 
 

@@ -182,12 +182,10 @@ class TestNetworkxOracle:
         from networkx_oracle import NetworkxMWPMDecoder
 
         blossom_decoder = MWPMDecoder(code_d5, StabilizerType.X)
-        oracle = NetworkxMWPMDecoder(
-            code_d5,
-            StabilizerType.X,
-            matching_graph=blossom_decoder.matching_graph,
-        )
+        oracle = NetworkxMWPMDecoder(code_d5, StabilizerType.X)
         graph = blossom_decoder.matching_graph
+        # Both decoders read the one cached graph of (distance, stype).
+        assert oracle.matching_graph is graph
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
 
         def total_weight(ancillas, rounds, pairs, boundary_matches):

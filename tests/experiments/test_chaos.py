@@ -44,7 +44,6 @@ def run_fig14(store, workers, distances=(5,), faulted=False, adaptive=False):
         seed=17,
         distances=distances,
         error_rates=(1e-2,),
-        engine="sharded",
         workers=workers,
         chunk_trials=10,  # 6 shards per decoder run, so the plan hits real shards
         store=store,

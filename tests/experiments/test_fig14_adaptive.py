@@ -91,17 +91,19 @@ class TestFig14AdaptiveRunner:
         assert "adaptive" in result.notes
         assert result.rows[0]["baseline_trials"] <= 400
 
-    def test_adaptive_forces_sharded_engine(self):
-        # adaptive=True on the laptop scale (default engine "batch") must
-        # transparently switch to the sharded engine rather than erroring.
+    def test_adaptive_alone_targets_the_default_width(self):
+        # adaptive=True without a width runs Wilson-converged points at the
+        # default 0.02 target, capped at the laptop scale's budget.
         result = fig14.run(
             distances=(3,),
             error_rates=(3e-2,),
             trials=300,
             adaptive=True,
-            target_ci_width=0.1,
             min_trials=100,
             workers=1,
             seed=5,
         )
-        assert "engine=sharded" in result.notes
+        assert "adaptive: Wilson width <= 0.02" in result.notes
+        row = result.rows[0]
+        assert 100 <= row["baseline_trials"] <= 300
+        assert 100 <= row["clique_trials"] <= 300

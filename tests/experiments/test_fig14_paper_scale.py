@@ -1,4 +1,4 @@
-"""Opt-in paper-scale Fig. 14 sweep (d = 3 .. 11, batched fallback, sharded).
+"""Opt-in paper-scale Fig. 14 sweep (d = 3 .. 11, batched fallback, scheduled).
 
 The full sweep is far too heavy for the tier-1 fast path, so it is double
 gated: marked ``slow`` and skipped unless ``REPRO_PAPER_SCALE=1``.  Run it
@@ -31,7 +31,7 @@ pytestmark = [
 def test_paper_scale_sweep_covers_d3_to_d11():
     result = fig14.run(
         scale="paper",
-        trials=200,  # trimmed budget; the grid and engine are the paper's
+        trials=200,  # trimmed budget; the grid is the paper's
         error_rates=(1e-2,),
         seed=2026,
     )
@@ -40,7 +40,8 @@ def test_paper_scale_sweep_covers_d3_to_d11():
         assert 0.0 <= row["baseline_logical_error_rate"] <= 1.0
         assert 0.0 <= row["clique_logical_error_rate"] <= 1.0
         assert 0.0 <= row["onchip_round_fraction"] <= 1.0
-    assert "engine=sharded" in result.notes
+    assert all(row["trials"] == 200 for row in result.rows)
+    assert "scale=paper" in result.notes
 
 
 def test_paper_budgets_cover_every_paper_distance():
@@ -52,13 +53,12 @@ def test_paper_budgets_cover_every_paper_distance():
 
 def test_union_find_row_at_paper_depth():
     # At d=9 the union-find off-chip decoder must run end-to-end on the
-    # sharded engine beside the MWPM reference, with identical triage.
+    # sweep scheduler beside the MWPM reference, with identical triage.
     result = fig14.compare_fallbacks(
         trials=400,
         distances=(9,),
         error_rate=1e-2,
         tiers="clique,union_find",
-        engine="sharded",
         seed=2026,
     )
     by_tiers = {row["tiers"]: row for row in result.rows}

@@ -87,7 +87,6 @@ class TestFig14:
             error_rate=2e-2,
             rounds=None,
             trials=100,
-            engine="batch",
             decoder="hierarchical",
             stop=None,
         )
@@ -121,7 +120,6 @@ class TestFig14Cascades:
             error_rate=2e-2,
             rounds=None,
             trials=100,
-            engine="batch",
             decoder="Clique+UF",
             tiers=("clique", "union_find"),
             stop=None,

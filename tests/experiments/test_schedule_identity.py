@@ -184,7 +184,6 @@ def run_fig14(store, workers, adaptive=False, **overrides):
         seed=17,
         distances=(3, 5),
         error_rates=(1e-2,),
-        engine="sharded",
         workers=workers,
         chunk_trials=10,
         store=store,

@@ -149,22 +149,47 @@ class TestFig14KilledSweepResume:
         assert len(scheduled) == FIG14_POINTS
 
 
-#: Frozen at the commit that retired the two-tier ``fallback=`` shorthand:
-#: the store key and the whole ``results.jsonl`` of a one-point fig14 sweep
-#: through the two-tier Clique+union-find cascade.  A two-tier cascade keys
-#: its off-chip tier under the historical ``"fallback"`` entry, so stores
-#: written through the shorthand stay warm for ``tiers=``.
-TWO_TIER_UF_KEY = "cfdc426ae0fb0862ff372222f90d34a1a87a0b5a6d6167626627faddcb43069c"
+#: The store key and the whole ``results.jsonl`` of a one-point fig14 sweep
+#: through the two-tier Clique+union-find cascade, frozen from the explicit
+#: ``engine="sharded", workers=1`` call at the last commit that still had
+#: the ``engine`` knob (``workers=1`` fixes the line order, which on a pool
+#: follows completion order).  A two-tier cascade keys its off-chip tier
+#: under the historical ``"fallback"`` entry.
+TWO_TIER_UF_KEY = "4ff4d27fd0f23a6f578ccc797224a713487a0abb41160922a431e0d6c2c7c6aa"
 TWO_TIER_UF_STORE_SHA256 = (
-    "fa6a0b92087ebdf2b9869f81faf793af7870e5a58425e566ee7ee1d6489637c9"
+    "27c1536df8b5c693e6bf5a1f6cb207015e15fc54a1bd606b6347d2d02b8d6d0f"
 )
+
+#: A default fig14 call's keys and store bytes, frozen from the same call
+#: with an explicit ``engine="sharded"`` at that commit: dropping the knob
+#: moved no key and no stored number.
+DEFAULT_FIG14_PARAMS = dict(
+    trials=600, distances=(3,), error_rates=(3e-2,), seed=5, workers=1
+)
+DEFAULT_FIG14_KEYS = [
+    "b02a6e7608f56ca7f0ef40fdd2e00401da15a4f415aeed8dce7a8aceb0db86f3",
+    "396f7c361d2d71b70c77204e6c57a0c9ac47de3933bc6743cdd82acd1ba1a425",
+]
+DEFAULT_FIG14_STORE_SHA256 = (
+    "e3726c19b18f7e1b2a5090c1fa9c459c0516ace1743c339654d08efb13615873"
+)
+
+
+def _store_lines(store_dir):
+    import json
+
+    results = store_dir / "results.jsonl"
+    return [json.loads(line) for line in results.read_text().splitlines()]
+
+
+def _store_sha256(store_dir):
+    import hashlib
+
+    return hashlib.sha256((store_dir / "results.jsonl").read_bytes()).hexdigest()
 
 
 class TestTwoTierKeyPin:
     def test_two_tier_cascade_point_keeps_its_frozen_key(self, tmp_path):
-        import hashlib
-        import json
-
         store_dir = tmp_path / "store"
         run_experiment(
             "fig14",
@@ -173,17 +198,25 @@ class TestTwoTierKeyPin:
             trials=200,
             distances=(5,),
             error_rates=(0.01,),
+            workers=1,
         )
-        results = store_dir / "results.jsonl"
-        lines = [json.loads(line) for line in results.read_text().splitlines()]
         cascade_lines = [
-            line for line in lines if line["record"]["decoder_name"] == "Clique+UF"
+            line
+            for line in _store_lines(store_dir)
+            if line["record"]["decoder_name"] == "Clique+UF"
         ]
         assert [line["key"] for line in cascade_lines] == [TWO_TIER_UF_KEY]
-        assert (
-            hashlib.sha256(results.read_bytes()).hexdigest()
-            == TWO_TIER_UF_STORE_SHA256
-        )
+        assert _store_sha256(store_dir) == TWO_TIER_UF_STORE_SHA256
+
+
+class TestDefaultFig14KeyPin:
+    def test_default_call_keys_like_the_explicit_sharded_call(self, tmp_path):
+        store_dir = tmp_path / "store"
+        result = run_experiment("fig14", store=str(store_dir), **DEFAULT_FIG14_PARAMS)
+        assert [line["key"] for line in _store_lines(store_dir)] == DEFAULT_FIG14_KEYS
+        assert _store_sha256(store_dir) == DEFAULT_FIG14_STORE_SHA256
+        assert result.rows[0]["baseline_logical_error_rate"] == 0.08333333333333333
+        assert result.rows[0]["clique_logical_error_rate"] == 0.095
 
 
 class TestFig11WarmRerun:

@@ -104,37 +104,39 @@ class TestDecodeBatch:
                 )
                 assert result.total_rounds[trial] == reference.num_rounds
 
-    def test_default_decode_batch_matches_per_trial_decode(self, code_d3):
+    def test_base_packed_fallback_matches_per_trial_decode(self, code_d3):
         decoder = MWPMDecoder(code_d3, StabilizerType.X)
         width = code_d3.num_ancillas_of_type(StabilizerType.X)
         data_index = code_d3.data_index
         rng = np.random.default_rng(3)
         batch = (rng.random((25, 4, width)) < 0.2).astype(np.uint8)
-        result = decoder.decode_batch(batch)
+        result = decoder.decode_batch_packed(bitplane.pack_trials(batch), 25)
         assert result.num_trials == 25
+        corrections = bitplane.unpack_trials(result.corrections, 25)
         for trial in range(25):
             reference = decoder.decode(batch[trial])
             bitmap = np.zeros(code_d3.num_data_qubits, dtype=np.uint8)
             for qubit in reference.correction:
                 bitmap[data_index[qubit]] ^= 1
-            assert np.array_equal(result.corrections[trial], bitmap)
+            assert np.array_equal(corrections[trial], bitmap)
         # MWPM does not track decode locations.
         assert not result.onchip_rounds.any()
         assert not result.total_rounds.any()
 
-    def test_decode_batch_accepts_single_history(self, code_d3):
+    def test_base_packed_fallback_decodes_a_one_trial_batch(self, code_d3):
         decoder = MWPMDecoder(code_d3, StabilizerType.X)
         width = code_d3.num_ancillas_of_type(StabilizerType.X)
-        result = decoder.decode_batch(np.zeros((2, width), dtype=np.uint8))
+        history = np.zeros((1, 2, width), dtype=np.uint8)
+        result = decoder.decode_batch_packed(bitplane.pack_trials(history), 1)
         assert result.num_trials == 1
         assert not result.corrections.any()
 
-    def test_decode_batch_rejects_wrong_width(self, code_d3):
+    def test_base_packed_fallback_rejects_wrong_width(self, code_d3):
         from repro.exceptions import SyndromeShapeError
 
         decoder = MWPMDecoder(code_d3, StabilizerType.X)
         with pytest.raises(SyndromeShapeError):
-            decoder.decode_batch(np.zeros((2, 3, 99), dtype=np.uint8))
+            decoder.decode_batch_packed(np.zeros((3, 99, 1), dtype=np.uint64), 2)
 
 
 class TestCorrectionBitmap:

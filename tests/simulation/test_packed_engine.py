@@ -203,16 +203,19 @@ class TestDecodeBatchPacked:
         assert np.array_equal(packed.tier_trials, tier_trials)
         assert np.array_equal(packed.tier_rounds, tier_rounds)
 
-    def test_base_fallback_matches_decode_batch(self, code_d3):
+    def test_base_fallback_matches_per_trial_mwpm(self, code_d3):
         decoder = MWPMDecoder(code_d3, StabilizerType.X)
         width = code_d3.num_ancillas_of_type(StabilizerType.X)
+        data_index = code_d3.data_index
         rng = np.random.default_rng(3)
         batch = (rng.random((25, 4, width)) < 0.2).astype(np.uint8)
-        reference = decoder.decode_batch(batch)
         packed = decoder.decode_batch_packed(bitplane.pack_trials(batch), 25)
-        assert np.array_equal(
-            bitplane.unpack_trials(packed.corrections, 25), reference.corrections
-        )
+        corrections = bitplane.unpack_trials(packed.corrections, 25)
+        for trial in range(25):
+            bitmap = np.zeros(code_d3.num_data_qubits, dtype=np.uint8)
+            for qubit in decoder.decode(batch[trial]).correction:
+                bitmap[data_index[qubit]] ^= 1
+            assert np.array_equal(corrections[trial], bitmap)
 
     def test_base_fallback_matches_per_trial_union_find(self, code_d5):
         from repro.decoders.union_find import ClusteringDecoder

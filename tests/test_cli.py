@@ -314,12 +314,18 @@ class TestCascadeTiersCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--fallback", "mwpm"], ["--no-packed"], ["--escalation-cluster-size", "4"]],
-        ids=["fallback", "no-packed", "escalation-cluster-size"],
+        [
+            ["--fallback", "mwpm"],
+            ["--no-packed"],
+            ["--escalation-cluster-size", "4"],
+            ["--engine", "batch"],
+        ],
+        ids=["fallback", "no-packed", "escalation-cluster-size", "engine"],
     )
     def test_retired_flags_are_argparse_errors(self, flags, capsys):
         # --tiers is the one cascade spelling, the packed kernels are the
-        # only batch path, and cascades have two tiers (no escalation knob):
+        # only batch path, cascades have two tiers (no escalation knob), and
+        # every fig14 point runs on the sweep scheduler (no engine choice):
         # the retired flags no longer parse.
         with pytest.raises(SystemExit) as excinfo:
             main(self.FIG14_ARGS + flags)
