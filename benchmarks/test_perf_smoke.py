@@ -81,6 +81,7 @@ from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.coverage import simulate_clique_coverage
 from repro.simulation.memory import run_memory_experiment
 from repro.simulation.monte_carlo import until_wilson, wilson_width
+from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.types import StabilizerType
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_memory.json"
@@ -178,9 +179,15 @@ def _time_run(distance: int, trials: int, engine: str, **kwargs) -> dict:
     noise = PhenomenologicalNoise(ERROR_RATE)
     factory = kwargs.pop("factory", None) or _Cascade()
     start = time.perf_counter()
-    result = run_memory_experiment(
-        code, noise, factory, trials=trials, rng=SEED, engine=engine, **kwargs
-    )
+    if engine == "sharded":
+        # The record keeps its historical "sharded" label: a one-point
+        # scheduler run.
+        point = memory_point("p", code, noise, factory, trials=trials, seed=SEED)
+        result = SweepScheduler(**kwargs).run([point])["p"]
+    else:
+        result = run_memory_experiment(
+            code, noise, factory, trials=trials, rng=SEED, engine=engine, **kwargs
+        )
     elapsed = time.perf_counter() - start
     run = {
         "engine": engine,
@@ -260,23 +267,22 @@ def test_engine_and_fallback_throughput_bench_record():
     # the saving is tracked across PRs.
     target_width = 0.02
     fixed_budget = PAPER_TRIAL_BUDGETS[DISTANCE]
-    fixed = run_memory_experiment(
-        get_code(DISTANCE),
-        PhenomenologicalNoise(ERROR_RATE),
-        _Cascade(),
-        trials=fixed_budget,
-        rng=SEED,
-        engine="sharded",
-    )
+    def _scheduled(stop=None):
+        point = memory_point(
+            "p",
+            get_code(DISTANCE),
+            PhenomenologicalNoise(ERROR_RATE),
+            _Cascade(),
+            trials=fixed_budget,
+            seed=SEED,
+            stop=stop,
+        )
+        return SweepScheduler().run([point])["p"]
+
+    fixed = _scheduled()
     fixed_width = wilson_width(fixed.logical_failures, fixed.trials)
-    adaptive = run_memory_experiment(
-        get_code(DISTANCE),
-        PhenomenologicalNoise(ERROR_RATE),
-        _Cascade(),
-        trials=fixed_budget,
-        rng=SEED,
-        engine="sharded",
-        adaptive=until_wilson(target_width, min_trials=200, max_trials=fixed_budget),
+    adaptive = _scheduled(
+        until_wilson(target_width, min_trials=200, max_trials=fixed_budget)
     )
     adaptive_width = wilson_width(adaptive.logical_failures, adaptive.trials)
     adaptive_record = {
@@ -415,18 +421,20 @@ def test_engine_and_fallback_throughput_bench_record():
         report = FaultReport()
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
-        result = run_memory_experiment(
+        point = memory_point(
+            "p",
             get_code(DISTANCE),
             PhenomenologicalNoise(ERROR_RATE),
             _Cascade(),
             trials=FAULTS_TRIALS,
-            rng=SEED,
-            engine="sharded",
+            seed=SEED,
+        )
+        result = SweepScheduler(
             workers=workers,
             faults=policy,
             fault_report=report,
             fault_injector=injector,
-        )
+        ).run([point])["p"]
         cpu = time.process_time() - cpu_start
         return time.perf_counter() - wall_start, cpu, result, report
 

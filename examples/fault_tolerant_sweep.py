@@ -6,7 +6,7 @@ process, a machine rebooted halfway through the grid.  This example uses the
 fault-injection harness to *cause* those faults on purpose and shows the two
 recovery layers absorbing them:
 
-1. the sharded engine SIGKILLs one of its own workers (a genuine broken
+1. a two-worker ``SweepScheduler`` run SIGKILLs one of its own workers (a genuine broken
    process pool), respawns the pool, and re-dispatches the shard — retried
    shards replay their RNG streams bit-identically, so the final counts
    match a fault-free run exactly;
@@ -33,9 +33,9 @@ from repro import (
     MWPMDecoder,
     PhenomenologicalNoise,
     RotatedSurfaceCode,
-    run_memory_experiment,
 )
 from repro.experiments.fig14 import run as fig14_run
+from repro.simulation import SweepScheduler, memory_point
 from repro.store import ResultStore
 
 DISTANCE = 5
@@ -54,22 +54,21 @@ def survive_a_worker_kill() -> None:
           f"{TRIALS} trials, 2 workers) ===")
     code = RotatedSurfaceCode(DISTANCE)
     noise = PhenomenologicalNoise(ERROR_RATE)
-    common = dict(
-        trials=TRIALS, rng=2026, engine="sharded", workers=2,
-        chunk_trials=CHUNK_TRIALS,
+    point = memory_point(
+        "point", code, noise, mwpm_factory,
+        trials=TRIALS, seed=2026, chunk_trials=CHUNK_TRIALS,
     )
-    clean = run_memory_experiment(code, noise, mwpm_factory, **common)
+    clean = SweepScheduler(workers=2).run([point])["point"]
 
     # "shard 1 attempt 0 kill" SIGKILLs the worker executing shard 1 on its
     # first attempt — taking the whole process pool down with it.
     report = FaultReport()
-    faulted = run_memory_experiment(
-        code, noise, mwpm_factory,
+    faulted = SweepScheduler(
+        workers=2,
         faults=FaultPolicy(max_retries=2),
         fault_injector=FaultInjector.from_text("shard 1 attempt 0 kill"),
         fault_report=report,
-        **common,
-    )
+    ).run([point])["point"]
     print(f"pool respawns: {report.pool_respawns}, "
           f"shard retries: {report.retries}")
     print(f"fault-free failures: {clean.logical_failures}, "

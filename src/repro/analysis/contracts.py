@@ -125,8 +125,8 @@ class KeyContract:
 #: package-relative, as produced by :func:`repro.analysis.project.split_root`).
 KEY_CONTRACTS: tuple[KeyContract, ...] = (
     KeyContract(
-        runner_path="repro/simulation/memory.py",
-        runner_name="run_memory_experiment",
+        runner_path="repro/simulation/scheduler.py",
+        runner_name="memory_point",
         resolvers=(("repro/experiments/fig14.py", "_memory_point_config"),),
     ),
     KeyContract(

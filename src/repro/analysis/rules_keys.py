@@ -107,7 +107,7 @@ class StoreKeyClassificationRule(Rule):
     id = "KEY001"
     title = "store-key classification of runner keywords"
     contract = (
-        "every keyword of run_memory_experiment / simulate_clique_coverage "
+        "every keyword of scheduler.memory_point / simulate_clique_coverage "
         "must appear in its key-resolution function "
         "(fig14._memory_point_config / coverage.resolve_coverage_config) or "
         "in repro.store.keys.KEY_EXCLUDED, and every KEY_EXCLUDED entry must "

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "worker processes for the sweep shards: fig14/fig14_fallbacks "
+            "worker processes for the sweep shards: fig14 "
             "(default: CPU count, capped at the shard count) and the "
             "fig11/fig12/fig16 coverage shards (default: 1, in-process, "
             "below 1e7 cycles x distance^2 of work, else CPU count); results "

@@ -101,13 +101,13 @@ def _resolve_scale(
 ) -> tuple[dict[int, int], tuple[int, ...]]:
     """Fill in the per-distance trial budgets and the distance grid."""
     if scale == "laptop":
-        distances = distances or DEFAULT_DISTANCES
+        distances = DEFAULT_DISTANCES if distances is None else distances
         budget = {
             d: trials if trials is not None else DEFAULT_TRIALS for d in distances
         }
         return budget, distances
     if scale == "paper":
-        distances = distances or PAPER_DISTANCES
+        distances = PAPER_DISTANCES if distances is None else distances
         budget = {
             d: trials
             if trials is not None
@@ -130,15 +130,16 @@ def _memory_point_config(
 ) -> dict[str, object]:
     """The fully resolved, stream-determining config of one fig14 point.
 
-    The result-store keying contract for one ``run_memory_experiment`` call:
-    defaults are resolved (rounds to the code distance, the shard size to
+    The result-store keying contract for one
+    :func:`~repro.simulation.scheduler.memory_point` run: defaults are
+    resolved (rounds to the code distance, the shard size to
     :data:`~repro.simulation.shard.DEFAULT_SHARD_TRIALS`) so implicit and
-    explicit spellings key identically, and ``workers`` is excluded because
-    it never affects the counts.  Every excluded runner keyword is listed,
-    with its reason, in the central
+    explicit spellings key identically, and the point is built from this
+    config (see :func:`run`), so the key and the streams cannot drift apart.
+    Every excluded runner keyword is listed, with its reason, in the central
     :data:`repro.store.keys.KEY_EXCLUDED`; lint rule ``KEY001`` enforces
     that this function and that list jointly cover the full
-    ``run_memory_experiment`` signature.
+    ``memory_point`` signature.
 
     The cascade participates in the key through its off-chip tier name,
     under the historical ``"fallback"`` entry (so stores populated before
@@ -304,9 +305,10 @@ def run(
                         code=code,
                         noise=noise,
                         decoder_factory=factory,
-                        trials=point_trials,
+                        trials=config["trials"],
                         seed=base_seed,
-                        rounds=rounds,
+                        rounds=config["rounds"],
+                        stype=StabilizerType(config["stype"]),
                         chunk_trials=config["chunk_trials"],
                         stop=stop,
                         decoder_name=decoder_label,
@@ -369,21 +371,20 @@ def compare_fallbacks(
     distances: tuple[int, ...] = (5, 7),
     error_rate: float = 1e-2,
     rounds: int | None = None,
-    workers: int | None = None,
     tiers: str | tuple[str, ...] | None = None,
 ) -> ExperimentResult:
     """Accuracy/throughput of the hierarchy's off-chip decoders side by side.
 
     One row per (distance, cascade spec): the union-find clustering decoder
     scales near-linearly where blossom is cubic, at some accuracy cost.
-    Each row is one :func:`~repro.simulation.memory_point` run on its own
-    :class:`~repro.simulation.SweepScheduler` (``workers`` as in
-    :func:`run`), and the wall-clock throughput is measured around that
-    whole run, so it reflects the off-chip decoder's real share of the
-    pipeline.  The triage columns — the fraction of trials that left the
-    chip (``offchip_trial_fraction``) and the off-chip bandwidth in
-    detection rounds per trial (``offchip_rounds_per_trial``) — depend only
-    on the Clique tier, so they match across specs at each distance.
+    Each row is one :func:`~repro.simulation.memory_point` run in-process
+    on a one-worker :class:`~repro.simulation.SweepScheduler`, and the
+    wall-clock throughput is measured around that whole run, so it reflects
+    the off-chip decoder's real share of the decoding pipeline rather than
+    worker-pool start-up.  The triage columns — the fraction of trials that
+    left the chip (``offchip_trial_fraction``) and the off-chip bandwidth
+    in detection rounds per trial (``offchip_rounds_per_trial``) — depend
+    only on the Clique tier, so they match across specs at each distance.
 
     ``tiers`` (the CLI's ``--tiers``) compares one cascade spec against the
     Clique+MWPM reference (``"clique,mwpm"`` alone runs just that
@@ -412,7 +413,7 @@ def compare_fallbacks(
                 decoder_name=label,
             )
             start = time.perf_counter()
-            result = SweepScheduler(workers=workers).run([point])[label]
+            result = SweepScheduler(workers=1).run([point])[label]
             elapsed = time.perf_counter() - start
             rows.append(
                 {

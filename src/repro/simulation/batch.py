@@ -24,12 +24,13 @@ implementations are required to match per-trial decoding exactly.  The loop
 engine therefore remains the correctness oracle (``engine="loop"``), while
 this engine is the default gate to paper-scale trial counts.
 
-Seeding contract across the three engines: ``loop`` and ``batch`` consume
-one root stream (``make_rng(seed)``) in the same order, which is what makes
-them bit-identical; chunking in this module only slices that single stream
-at chunk boundaries and never reseeds, so ``chunk_trials`` does not affect
-results.  The ``sharded`` engine of :mod:`repro.simulation.shard` instead
-gives every shard an independent child stream derived from
+Seeding contract: ``loop`` and ``batch`` consume one root stream
+(``make_rng(seed)``) in the same order, which is what makes them
+bit-identical; chunking in this module only slices that single stream at
+chunk boundaries and never reseeds, so ``chunk_trials`` does not affect
+results.  Scheduled runs (:func:`repro.simulation.scheduler.memory_point`
+on the shard layer of :mod:`repro.simulation.shard`) instead give every
+shard an independent child stream derived from
 ``(seed, shard_index)`` — deterministic for a fixed ``(seed, chunk_trials)``
 regardless of worker count, but intentionally *not* the root stream (a
 single sequential stream cannot be consumed from multiple processes).

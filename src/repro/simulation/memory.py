@@ -16,21 +16,20 @@ The same harness runs the MWPM baseline and the Clique+MWPM cascade
 (:class:`~repro.clique.cascade.DecoderCascade`), which is exactly the
 comparison in Fig. 14.
 
-Three engines share this harness's contract, selected with the ``engine``
+Two engines share this harness's contract, selected with the ``engine``
 argument of :func:`run_memory_experiment`:
 
 * ``"loop"`` — the per-trial reference path below, kept as the correctness
   oracle;
 * ``"batch"`` (default) — the bit-packed vectorised engine of
   :mod:`repro.simulation.batch`, bit-identical to the loop under a fixed
-  seed;
-* ``"sharded"`` — the multiprocess engine: the run becomes a one-point
-  sweep of :class:`~repro.simulation.scheduler.SweepScheduler`, which fans
-  fixed-size shards of the trial budget over worker processes.  It is
-  deterministic for a fixed ``(seed, chunk_trials)`` independent of the
-  worker count, but follows its own per-shard RNG streams (see the seeding
-  contract of :mod:`repro.simulation.shard`) rather than the loop/batch
-  stream.
+  seed.
+
+Sharded runs — every stored Fig. 14 point — are
+:func:`~repro.simulation.scheduler.memory_point` runs of
+:class:`~repro.simulation.scheduler.SweepScheduler`; they follow their own
+per-shard RNG streams (see the seeding contract of
+:mod:`repro.simulation.shard`) rather than the loop/batch stream.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from repro.exceptions import ConfigurationError
 from repro.noise.events import vector_to_errors
 from repro.noise.models import NoiseModel
 from repro.noise.rng import make_rng
-from repro.simulation.monte_carlo import WilsonStoppingRule, wilson_interval
+from repro.simulation.monte_carlo import wilson_interval
 from repro.syndrome.history import SyndromeHistory
 from repro.types import StabilizerType
 
@@ -66,15 +65,17 @@ class MemoryExperimentResult:
     * ``tier_rounds`` — ``(on-chip rounds, off-chip rounds)``: the off-chip
       entry is the bandwidth in rounds.
 
-    The fault-provenance fields record how the sharded engine had to degrade
-    to produce the estimate (see :mod:`repro.faults`): ``engine_degraded``
+    The fault-provenance fields record how a scheduled run
+    (:func:`~repro.simulation.scheduler.memory_point`) had to degrade to
+    produce the estimate (see :mod:`repro.faults`): ``engine_degraded``
     flags a run whose process pool could not be constructed and fell back to
     sequential in-process execution (counts unaffected, wall-clock scaling
     lost); ``skipped_shards`` / ``skipped_trials`` record shards dropped
     under ``on_exhausted="skip"``, in which case ``trials`` already counts
     only the trials that actually ran.  A result with ``skipped_trials > 0``
     is *incomplete* — it estimates the same rate from fewer samples — and is
-    deliberately never cached by :class:`~repro.store.SweepCache`.
+    deliberately never cached by :class:`~repro.store.SweepCache`.  The
+    in-process engines always leave them at their defaults.
     """
 
     physical_error_rate: float
@@ -173,118 +174,27 @@ def run_memory_experiment(
     rng: np.random.Generator | int | None = None,
     decoder_name: str | None = None,
     engine: str = "batch",
-    workers: int | None = None,
-    chunk_trials: "int | str | None" = None,
-    adaptive: WilsonStoppingRule | None = None,
-    checkpoint: object | None = None,
-    faults: object | None = None,
-    fault_report: object | None = None,
-    fault_injector: object | None = None,
+    chunk_trials: int | None = None,
 ) -> MemoryExperimentResult:
-    """Estimate the logical error rate of a decoder with Monte-Carlo trials.
+    """Estimate the logical error rate of a decoder with in-process Monte-Carlo trials.
 
     Args:
         code: the surface code instance.
         noise: noise model (the paper uses symmetric phenomenological noise).
         decoder_factory: builds the decoder under test for ``(code, stype)``;
             a factory is taken rather than an instance so the harness can be
-            reused across codes in parameter sweeps (and so the sharded
-            engine can rebuild the decoder inside each worker process — use
-            a picklable factory, i.e. a module-level function or class).
+            reused across codes in parameter sweeps.
         trials: number of independent memory experiments.
         rounds: noisy measurement rounds per trial (defaults to the code
             distance, the standard choice).
         stype: which error species to track (the other is symmetric).
-        rng: seed or generator (``"sharded"`` accepts only a seed).
+        rng: seed or generator.
         decoder_name: label for reports (defaults to the class name).
         engine: ``"batch"`` (default) runs the vectorised engine of
             :mod:`repro.simulation.batch`; ``"loop"`` runs the per-trial
-            reference path (both bit-identical under the same seed);
-            ``"sharded"`` fans the trial budget over worker processes as a
-            one-point :class:`~repro.simulation.scheduler.SweepScheduler`
-            sweep (deterministic per ``(seed, chunk_trials)`` independent of
-            ``workers``).
-        workers: process count for the sharded engine (defaults to the CPU
-            count; ``1`` runs the shards sequentially in-process).
-        chunk_trials: trials per shard for the sharded engine.  The string
-            ``"auto"`` (sharded only) resolves the shard size from the trial
-            budget, worker count, and code distance
-            (:func:`repro.simulation.shard.resolve_auto_chunk`); keyed
-            configs record the resolved integer.
-        adaptive: a :class:`~repro.simulation.monte_carlo.WilsonStoppingRule`
-            (see :func:`~repro.simulation.monte_carlo.until_wilson`) enabling
-            adaptive trial allocation on the sharded engine: shards are
-            spawned by index until the Wilson interval on the logical-failure
-            rate reaches the rule's target width.  ``trials`` is ignored —
-            the rule's ``max_trials`` caps the budget — and the result's
-            ``trials`` field records what was actually consumed.
-        checkpoint: per-wave mid-point resume slot for adaptive runs (e.g.
-            :class:`repro.store.AdaptiveCheckpoint`); see
-            :class:`repro.simulation.scheduler.SweepPoint`.
-        faults: a :class:`repro.faults.FaultPolicy` for the sharded engine
-            (retries, shard timeouts, pool recovery); recovery never changes
-            the merged counts.  See
-            :class:`repro.simulation.scheduler.SweepScheduler`.
-        fault_report: optional :class:`repro.faults.FaultReport` to
-            accumulate recovery counters into.
-        fault_injector: optional :class:`repro.faults.FaultInjector`
-            carrying a deterministic chaos plan (test mode); defaults to the
-            ambient ``REPRO_FAULT_PLAN`` plan, if set.
+            reference path (both bit-identical under the same seed).
+        chunk_trials: trials per vectorised chunk of the batch engine.
     """
-    if checkpoint is not None and adaptive is None:
-        raise ConfigurationError(
-            "checkpoint is only meaningful with adaptive allocation: fixed-"
-            "budget sweeps resume at sweep-point granularity via the store"
-        )
-    if engine != "sharded" and workers is not None:
-        raise ConfigurationError(
-            f"workers is only meaningful for engine='sharded', got engine={engine!r}"
-        )
-    if engine != "sharded" and (
-        faults is not None or fault_report is not None or fault_injector is not None
-    ):
-        raise ConfigurationError(
-            "faults / fault_report / fault_injector are only meaningful for "
-            f"engine='sharded', got engine={engine!r}"
-        )
-    if adaptive is not None and engine != "sharded":
-        raise ConfigurationError(
-            f"adaptive allocation requires engine='sharded', got engine={engine!r}"
-        )
-    if chunk_trials == "auto" and engine != "sharded":
-        raise ConfigurationError(
-            "chunk_trials='auto' is only meaningful for engine='sharded': "
-            "only the shard planner resolves it"
-        )
-    if engine == "sharded":
-        from repro.simulation.scheduler import SweepScheduler, memory_point
-        from repro.simulation.shard import AUTO_CHUNK, resolve_auto_chunk
-
-        if chunk_trials == AUTO_CHUNK:
-            budget = adaptive.max_trials if adaptive is not None else trials
-            chunk_trials = resolve_auto_chunk(budget, workers, code.distance)
-        point_kwargs = {} if chunk_trials is None else {"chunk_trials": chunk_trials}
-        point = memory_point(
-            "point",
-            code,
-            noise,
-            decoder_factory,
-            trials=trials,
-            seed=rng,
-            rounds=rounds,
-            stype=stype,
-            stop=adaptive,
-            checkpoint=checkpoint,
-            decoder_name=decoder_name,
-            **point_kwargs,
-        )
-        scheduler = SweepScheduler(
-            workers=workers,
-            faults=faults,
-            fault_report=fault_report,
-            fault_injector=fault_injector,
-        )
-        return scheduler.run([point])["point"]
     if engine == "batch":
         # Imported lazily to avoid a circular import (batch.py builds this
         # module's MemoryExperimentResult).
@@ -303,13 +213,9 @@ def run_memory_experiment(
             **kwargs,
         )
     if engine != "loop":
-        raise ConfigurationError(
-            f"engine must be 'batch', 'loop', or 'sharded', got {engine!r}"
-        )
+        raise ConfigurationError(f"engine must be 'batch' or 'loop', got {engine!r}")
     if chunk_trials is not None:
-        raise ConfigurationError(
-            "chunk_trials is only meaningful for engine='batch' or 'sharded'"
-        )
+        raise ConfigurationError("chunk_trials is only meaningful for engine='batch'")
 
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive, got {trials}")

@@ -10,10 +10,10 @@ wave-by-wave through a per-point Wilson driver — so a converging point's
 tail overlaps the next point's first wave, and a slow last shard (a d=11
 blossom tail, say) never leaves the other workers idle.  Every figure
 sweep runs its uncached points here through
-:func:`repro.experiments.base.schedule_sweep`; a single sharded run
-(``run_memory_experiment(engine="sharded")``, every
-``simulate_clique_coverage`` call, every ``fig14_fallbacks`` row) is simply
-a one-point sweep.
+:func:`repro.experiments.base.schedule_sweep`; a single sharded run (a
+lone :func:`memory_point`, every ``simulate_clique_coverage`` call) is
+simply a one-point sweep, and every ``fig14_fallbacks`` row is a one-point
+sweep run in-process.
 
 Determinism holds **by construction**.  Each shard is a pure function of
 ``(point_seed, shard_index, chunk_trials)`` under the shard layer's seeding

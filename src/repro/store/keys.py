@@ -36,9 +36,11 @@ CODE_VERSION_SALT = "repro-results-v2"
 #: key under another name).
 #:
 #: The contract (statically enforced by lint rule ``KEY001``, see
-#: ``repro.analysis``): every keyword of ``run_memory_experiment`` and
-#: ``simulate_clique_coverage`` must either appear in its key-resolution
-#: function — i.e. it is folded into the key — or be listed here.  A new
+#: ``repro.analysis``): every keyword of
+#: ``repro.simulation.scheduler.memory_point`` (the runner of every stored
+#: fig14 point) and ``simulate_clique_coverage`` must either appear in its
+#: key-resolution function — i.e. it is folded into the key — or be listed
+#: here.  A new
 #: knob in neither place fails ``repro-qec lint`` until someone decides
 #: which side it belongs on, which kills the "added a kwarg, forgot the
 #: store key, served stale results" bug class at the signature.  The check
@@ -53,11 +55,11 @@ KEY_EXCLUDED: dict[str, str] = {
     "decoder_factory": "enters the key as the resolved decoder/fallback/tiers",
     "decoder_name": "display label only; never touches the numbers",
     "rng": "enters the key separately as result_key's seed argument",
+    "seed": "enters the key separately as result_key's seed argument",
+    "point_id": "scheduler bookkeeping label; never touches the numbers",
+    "on_complete": "persistence hook run after the point is finalised",
     "workers": "scheduling only: shard streams are fixed per (seed, chunk)",
     "checkpoint": "mid-point resume slot; a resumed run equals an unbroken one",
-    "faults": "fault recovery replays shard streams bit-identically",
-    "fault_report": "output-only execution-provenance sink",
-    "fault_injector": "test-only injection; recovered runs are bit-identical",
 }
 
 

@@ -18,7 +18,7 @@ REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: exclusion list, the tier registry, and the decoder class hierarchy the
 #: TIER001 base walk follows).
 _COPIED = (
-    "simulation/memory.py",
+    "simulation/scheduler.py",
     "simulation/coverage.py",
     "experiments/fig14.py",
     "store/keys.py",

@@ -50,10 +50,11 @@ class LookupDecoder(Decoder):
 
 
 def inject_fake_kwarg(scratch_tree):
+    # memory_point is the one scheduler adapter with a decoder_name keyword.
     edit(
-        scratch_tree / "simulation/memory.py",
-        "    fault_injector: object | None = None,\n",
-        f"    fault_injector: object | None = None,\n{FAKE_KWARG}\n",
+        scratch_tree / "simulation/scheduler.py",
+        "    decoder_name: str | None = None,\n",
+        f"    decoder_name: str | None = None,\n{FAKE_KWARG}\n",
     )
 
 
@@ -62,7 +63,7 @@ class TestKey001:
         assert (
             lint_paths(
                 [
-                    scratch_tree / "simulation/memory.py",
+                    scratch_tree / "simulation/scheduler.py",
                     scratch_tree / "simulation/coverage.py",
                 ]
             )
@@ -71,7 +72,7 @@ class TestKey001:
 
     def test_unclassified_runner_keyword_fails_lint(self, scratch_tree):
         inject_fake_kwarg(scratch_tree)
-        runner = scratch_tree / "simulation/memory.py"
+        runner = scratch_tree / "simulation/scheduler.py"
         findings = lint_paths([runner])
         assert [(f.rule, f.line) for f in findings] == [
             ("KEY001", line_of(runner, "fake_knob"))
@@ -79,15 +80,24 @@ class TestKey001:
         assert "fake_knob" in findings[0].message
         assert "KEY_EXCLUDED" in findings[0].message
 
+    def test_unclassified_memory_point_keyword_fails_lint(self, scratch_tree):
+        # memory_point runs every stored fig14 point, so its real keywords
+        # are under the contract: declassifying one is a finding at its
+        # signature.
+        edit(scratch_tree / "store/keys.py", '    "point_id": ', '    "unused": ')
+        findings = lint_paths([scratch_tree / "simulation/scheduler.py"])
+        assert [f.rule for f in findings] == ["KEY001"]
+        assert "'point_id' of memory_point" in findings[0].message
+
     def test_classifying_the_keyword_key_neutral_clears_it(self, scratch_tree):
         inject_fake_kwarg(scratch_tree)
         edit(
             scratch_tree / "store/keys.py",
-            '    "fault_injector": ',
+            '    "checkpoint": ',
             '    "fake_knob": "test-only knob; never touches the numbers",\n'
-            '    "fault_injector": ',
+            '    "checkpoint": ',
         )
-        assert lint_paths([scratch_tree / "simulation/memory.py"]) == []
+        assert lint_paths([scratch_tree / "simulation/scheduler.py"]) == []
 
     def test_resolving_the_keyword_into_the_store_key_clears_it(self, scratch_tree):
         inject_fake_kwarg(scratch_tree)
@@ -98,7 +108,7 @@ class TestKey001:
             '        "kind": "memory",\n',
             '        "kind": "memory",\n        "fake_knob": 0.5,\n',
         )
-        assert lint_paths([scratch_tree / "simulation/memory.py"]) == []
+        assert lint_paths([scratch_tree / "simulation/scheduler.py"]) == []
 
     def test_resolver_docstring_mentions_do_not_classify(self, scratch_tree):
         # Writing the keyword's name into prose is not resolving it: only
@@ -109,21 +119,21 @@ class TestKey001:
             "The fully resolved, stream-determining config of one fig14 point.",
             "The fully resolved fake_knob config of one fig14 point.",
         )
-        findings = lint_paths([scratch_tree / "simulation/memory.py"])
+        findings = lint_paths([scratch_tree / "simulation/scheduler.py"])
         assert [f.rule for f in findings] == ["KEY001"]
 
     def test_pragma_can_suppress_a_cross_file_finding(self, scratch_tree):
         inject_fake_kwarg(scratch_tree)
         edit(
-            scratch_tree / "simulation/memory.py",
+            scratch_tree / "simulation/scheduler.py",
             FAKE_KWARG,
             f"{FAKE_KWARG}  # repro: allow[KEY001]",
         )
-        assert lint_paths([scratch_tree / "simulation/memory.py"]) == []
+        assert lint_paths([scratch_tree / "simulation/scheduler.py"]) == []
 
     def test_missing_resolver_is_an_explicit_finding(self, scratch_tree):
         (scratch_tree / "experiments/fig14.py").unlink()
-        findings = lint_paths([scratch_tree / "simulation/memory.py"])
+        findings = lint_paths([scratch_tree / "simulation/scheduler.py"])
         assert [f.rule for f in findings] == ["KEY001"]
         assert "_memory_point_config" in findings[0].message
         assert "cannot be verified" in findings[0].message
@@ -134,12 +144,12 @@ class TestKey001:
         keys = scratch_tree / "store/keys.py"
         edit(
             keys,
-            '    "fault_injector": ',
+            '    "checkpoint": ',
             '    "retired_knob": "a knob both runners have since dropped",\n'
-            '    "fault_injector": ',
+            '    "checkpoint": ',
         )
         runners = [
-            scratch_tree / "simulation/memory.py",
+            scratch_tree / "simulation/scheduler.py",
             scratch_tree / "simulation/coverage.py",
         ]
         findings = lint_paths(runners)

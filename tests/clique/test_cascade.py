@@ -23,6 +23,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.fig14 import compare_fallbacks
 from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.memory import run_memory_experiment
+from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.types import StabilizerType
 
 UF_TIERS = ("clique", "union_find")
@@ -179,16 +180,13 @@ class TestTierTargetValidation:
         # The reported failure mode: a Z-type final tier in an X cascade used
         # to run silently on every engine and roughly triple the logical
         # failures.  Now the factory call itself fails.
+        args = (code_d5, PhenomenologicalNoise(2e-2), _OtherSpeciesFinalTier())
         with pytest.raises(ConfigurationError, match="Z stabilizers"):
-            run_memory_experiment(
-                code_d5,
-                PhenomenologicalNoise(2e-2),
-                _OtherSpeciesFinalTier(),
-                trials=50,
-                rng=1,
-                engine=engine,
-                workers=1 if engine == "sharded" else None,
-            )
+            if engine == "sharded":
+                point = memory_point("p", *args, trials=50, seed=1)
+                SweepScheduler(workers=1).run([point])
+            else:
+                run_memory_experiment(*args, trials=50, rng=1, engine=engine)
 
     def test_matching_instances_on_an_equal_code_are_accepted(self, code_d5):
         # Distance and stabilizer type decide, not object identity: a tier
@@ -370,15 +368,16 @@ class TestPreRefactorEquivalence:
         self, distance, fallback, engine
     ):
         expected = PRE_REFACTOR_SEEDED[(fallback, distance, engine)]
-        result = run_memory_experiment(
+        args = (
             get_code(distance),
             PhenomenologicalNoise(2e-2),
             _CascadeFactory(("clique", fallback)),
-            trials=300,
-            rng=1234,
-            engine=engine,
-            workers=1 if engine == "sharded" else None,
         )
+        if engine == "sharded":
+            point = memory_point("p", *args, trials=300, seed=1234)
+            result = SweepScheduler(workers=1).run([point])["p"]
+        else:
+            result = run_memory_experiment(*args, trials=300, rng=1234, engine=engine)
         assert (
             result.logical_failures,
             result.onchip_rounds,
@@ -448,15 +447,12 @@ class TestCascadeAcrossEngines:
         )
 
     def test_sharded_worker_count_never_changes_tier_stats(self, code_d5):
-        kwargs = dict(trials=400, rng=11, engine="sharded")
-        one = run_memory_experiment(
-            code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(UF_TIERS),
-            workers=1, **kwargs,
+        point = memory_point(
+            "p", code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(UF_TIERS),
+            trials=400, seed=11,
         )
-        four = run_memory_experiment(
-            code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(UF_TIERS),
-            workers=4, **kwargs,
-        )
+        one = SweepScheduler(workers=1).run([point])["p"]
+        four = SweepScheduler(workers=4).run([point])["p"]
         assert one == four
         assert sum(one.tier_trials) == one.trials
 

@@ -11,8 +11,8 @@ from repro.clique.cascade import DecoderCascade
 from repro.experiments import fig14
 from repro.experiments.fig14 import PAPER_TRIAL_BUDGETS
 from repro.noise.models import PhenomenologicalNoise
-from repro.simulation.memory import run_memory_experiment
 from repro.simulation.monte_carlo import until_wilson
+from repro.simulation.scheduler import SweepScheduler, memory_point
 
 
 def _hierarchical(code, stype):
@@ -23,37 +23,34 @@ class TestAdaptiveMemoryExperiment:
     def test_reaches_target_width_below_paper_budget_at_d5_p1e2(self, code_d5):
         budget = PAPER_TRIAL_BUDGETS[5]
         stop = until_wilson(0.02, min_trials=200, max_trials=budget)
-        result = run_memory_experiment(
+        point = memory_point(
+            "p",
             code_d5,
             PhenomenologicalNoise(1e-2),
             _hierarchical,
             trials=budget,
-            engine="sharded",
-            adaptive=stop,
-            rng=2026,
-            workers=1,
+            stop=stop,
+            seed=2026,
             chunk_trials=200,
         )
+        result = SweepScheduler(workers=1).run([point])["p"]
         low, high = result.confidence_interval
         assert high - low <= 0.02
         assert result.trials < budget
 
     def test_adaptive_runs_are_deterministic(self, code_d3):
         stop = until_wilson(0.05, min_trials=100, max_trials=2000)
-        runs = [
-            run_memory_experiment(
-                code_d3,
-                PhenomenologicalNoise(2e-2),
-                _hierarchical,
-                trials=2000,
-                engine="sharded",
-                adaptive=stop,
-                rng=7,
-                workers=workers,
-                chunk_trials=100,
-            )
-            for workers in (1, 2)
-        ]
+        point = memory_point(
+            "p",
+            code_d3,
+            PhenomenologicalNoise(2e-2),
+            _hierarchical,
+            trials=2000,
+            stop=stop,
+            seed=7,
+            chunk_trials=100,
+        )
+        runs = [SweepScheduler(workers=workers).run([point])["p"] for workers in (1, 2)]
         assert runs[0].trials == runs[1].trials
         assert runs[0].logical_failures == runs[1].logical_failures
         assert runs[0].onchip_rounds == runs[1].onchip_rounds

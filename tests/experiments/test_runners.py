@@ -81,6 +81,12 @@ class TestFig14:
         assert 0.0 <= row["clique_logical_error_rate"] <= 1.0
         assert 0.0 <= row["onchip_round_fraction"] <= 1.0
 
+    @pytest.mark.parametrize("scale", ["laptop", "paper"])
+    def test_explicit_empty_distance_grid_yields_no_rows(self, scale):
+        # An empty grid is a request for no points, not for the scale's
+        # default grid (as with error_rates=()).
+        assert fig14.run(trials=30, distances=(), scale=scale).rows == []
+
     def test_point_config_keys_the_cascade_by_its_offchip_tier(self):
         common = dict(
             distance=5,

@@ -31,8 +31,8 @@ from repro.faults import (
     ShardFault,
 )
 from repro.noise.models import PhenomenologicalNoise
-from repro.simulation.memory import run_memory_experiment
 from repro.simulation.monte_carlo import until_wilson
+from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.store import AdaptiveCheckpoint, to_dict
 from shard_kernels import BernoulliKernel, bernoulli_successes, run_point
 
@@ -142,31 +142,18 @@ class TestSkipProvenance:
 
     def test_skipped_trials_ride_the_memory_result_and_reduce_trials(self, code_d3):
         noise = PhenomenologicalNoise(1e-2)
-        result = run_memory_experiment(
-            code_d3,
-            noise,
-            _mwpm_factory,
-            trials=60,
-            rng=11,
-            engine="sharded",
-            chunk_trials=20,
+        point = memory_point(
+            "p", code_d3, noise, _mwpm_factory, trials=60, seed=11, chunk_trials=20
+        )
+        result = SweepScheduler(
             workers=1,
             faults=FaultPolicy(max_retries=0, on_exhausted="skip", **FAST),
             fault_injector=FaultInjector.from_text("shard 1 attempts 0-9 raise"),
-        )
+        ).run([point])["p"]
         assert result.skipped_shards == 1
         assert result.skipped_trials == 20
         assert result.trials == 40
-        clean = run_memory_experiment(
-            code_d3,
-            noise,
-            _mwpm_factory,
-            trials=60,
-            rng=11,
-            engine="sharded",
-            chunk_trials=20,
-            workers=1,
-        )
+        clean = SweepScheduler(workers=1).run([point])["p"]
         assert clean.skipped_shards == 0
         assert clean.trials == 60
 
@@ -239,17 +226,18 @@ class TestPoolRecovery:
         assert report.engine_degraded
         # The degradation also lands on the memory result's metadata.
         with pytest.warns(DegradedExecutionWarning):
-            result = run_memory_experiment(
+            point = memory_point(
+                "p",
                 code_d3,
                 PhenomenologicalNoise(1e-2),
                 _mwpm_factory,
                 trials=20,
-                rng=5,
-                engine="sharded",
+                seed=5,
                 chunk_trials=10,
-                workers=2,
-                faults=FaultPolicy(**FAST),
             )
+            result = SweepScheduler(workers=2, faults=FaultPolicy(**FAST)).run(
+                [point]
+            )["p"]
         assert result.engine_degraded
 
 
@@ -325,21 +313,23 @@ def fault_plan_strategy(max_shards):
 
 def memory_run(distance, code, plan=None):
     trials, chunk = (60, 20) if distance == 5 else (40, 20)
-    return run_memory_experiment(
+    point = memory_point(
+        "p",
         code,
         PhenomenologicalNoise(1e-2),
         _mwpm_factory,
         trials=trials,
-        rng=13,
-        engine="sharded",
+        seed=13,
         chunk_trials=chunk,
+    )
+    return SweepScheduler(
         workers=1,
         # Plans schedule at most 3 consecutive failures per shard (first
         # attempt 0/1, span <= 1), so 4 retries always clear the window;
         # a hung shard simulates its timeout instantly at 0.01 s.
         faults=FaultPolicy(max_retries=4, shard_timeout=0.01, **FAST),
         fault_injector=None if plan is None else FaultInjector(plan),
-    )
+    ).run([point])["p"]
 
 
 def result_bytes(result):

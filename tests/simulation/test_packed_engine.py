@@ -27,6 +27,7 @@ from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import shard_rng
 from repro.simulation.batch import run_memory_experiment_batch
 from repro.simulation.memory import run_memory_experiment
+from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.simulation.shard import plan_shards
 from repro.types import StabilizerType
 
@@ -113,10 +114,10 @@ class TestPackedEquivalence:
         code = get_code(5)
         noise = PhenomenologicalNoise(1e-2)
         seed, chunk = 13, 50
-        sharded = run_memory_experiment(
-            code, noise, factory, trials=130, rng=seed, engine="sharded",
-            chunk_trials=chunk, workers=1,
+        point = memory_point(
+            "p", code, noise, factory, trials=130, seed=seed, chunk_trials=chunk
         )
+        sharded = SweepScheduler(workers=1).run([point])["p"]
         loops = [
             run_memory_experiment(
                 code, noise, factory, trials=shard_trials,

@@ -32,8 +32,8 @@ from repro.noise.rng import shard_rng
 from repro.simulation import (
     SweepPoint,
     SweepScheduler,
+    memory_point,
     resolve_auto_chunk,
-    run_memory_experiment,
     simulate_clique_coverage,
     until_wilson,
     wilson_interval,
@@ -203,16 +203,16 @@ class TestSchedulerPoolSizing:
 
     def test_one_shard_memory_run_builds_no_pool(self):
         before = pool_construction_count()
-        result = run_memory_experiment(
+        point = memory_point(
+            "p",
             get_code(5),
             PhenomenologicalNoise(1e-2),
             _mwpm_factory,
             trials=100,
-            rng=3,
-            engine="sharded",
-            workers=4,
+            seed=3,
             chunk_trials=500,
         )
+        result = SweepScheduler(workers=4).run([point])["p"]
         assert pool_construction_count() - before == 0
         assert result.trials == 100
 

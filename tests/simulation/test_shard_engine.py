@@ -23,6 +23,7 @@ from repro.noise.rng import resolve_entropy, shard_rng
 from repro.simulation.batch import run_memory_experiment_batch
 from repro.simulation.coverage import CoverageKernel, simulate_clique_coverage
 from repro.simulation.memory import run_memory_experiment
+from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.simulation.shard import plan_shards
 from repro.types import StabilizerType
 
@@ -165,18 +166,11 @@ class TestShardRng:
 class TestShardedDeterminism:
     def test_workers_do_not_affect_results(self, code_d3):
         noise = PhenomenologicalNoise(2e-2)
+        point = memory_point(
+            "p", code_d3, noise, _hierarchical, trials=900, seed=17, chunk_trials=250
+        )
         results = [
-            run_memory_experiment(
-                code_d3,
-                noise,
-                _hierarchical,
-                trials=900,
-                rng=17,
-                engine="sharded",
-                workers=workers,
-                chunk_trials=250,
-            )
-            for workers in (1, 2, 4)
+            SweepScheduler(workers=workers).run([point])["p"] for workers in (1, 2, 4)
         ]
         for result in results[1:]:
             assert result.logical_failures == results[0].logical_failures
@@ -188,16 +182,11 @@ class TestShardedDeterminism:
         # shard with the contract's generators and summing the counts.
         noise = PhenomenologicalNoise(1e-2)
         seed, chunk = 23, 300
-        sharded = run_memory_experiment(
-            code_d5,
-            noise,
-            _hierarchical,
-            trials=1000,
-            rng=seed,
-            engine="sharded",
+        point = memory_point(
+            "p", code_d5, noise, _hierarchical, trials=1000, seed=seed,
             chunk_trials=chunk,
-            workers=1,
         )
+        sharded = SweepScheduler(workers=1).run([point])["p"]
         failures = onchip = total = 0
         for index, shard_trials in enumerate(plan_shards(1000, chunk)):
             shard = run_memory_experiment_batch(
@@ -216,86 +205,80 @@ class TestShardedDeterminism:
 
     def test_repeated_runs_are_identical(self, code_d3):
         noise = PhenomenologicalNoise(1e-2)
-        first = run_memory_experiment(
-            code_d3, noise, _hierarchical, trials=500, rng=3, engine="sharded"
-        )
-        second = run_memory_experiment(
-            code_d3, noise, _hierarchical, trials=500, rng=3, engine="sharded"
+        first, second = (
+            SweepScheduler()
+            .run([memory_point("p", code_d3, noise, _hierarchical, trials=500, seed=3)])
+            ["p"]
+            for _ in range(2)
         )
         assert first.logical_failures == second.logical_failures
         assert first.onchip_rounds == second.onchip_rounds
 
     def test_union_find_fallback_shards_identically(self, code_d3):
         noise = PhenomenologicalNoise(2e-2)
-        single = run_memory_experiment(
-            code_d3,
-            noise,
-            _hierarchical_uf,
-            trials=600,
-            rng=11,
-            engine="sharded",
-            workers=1,
-            chunk_trials=200,
+        point = memory_point(
+            "p", code_d3, noise, _hierarchical_uf, trials=600, seed=11, chunk_trials=200
         )
-        pooled = run_memory_experiment(
-            code_d3,
-            noise,
-            _hierarchical_uf,
-            trials=600,
-            rng=11,
-            engine="sharded",
-            workers=2,
-            chunk_trials=200,
-        )
+        single = SweepScheduler(workers=1).run([point])["p"]
+        pooled = SweepScheduler(workers=2).run([point])["p"]
         assert single.logical_failures == pooled.logical_failures
         assert single.onchip_rounds == pooled.onchip_rounds
 
 
 class TestShardedValidation:
     def test_generator_rng_is_rejected(self, code_d3):
+        point = memory_point(
+            "p",
+            code_d3,
+            PhenomenologicalNoise(1e-2),
+            _hierarchical,
+            trials=100,
+            seed=np.random.default_rng(1),
+        )
         with pytest.raises(ConfigurationError):
-            run_memory_experiment(
-                code_d3,
-                PhenomenologicalNoise(1e-2),
-                _hierarchical,
-                trials=100,
-                rng=np.random.default_rng(1),
-                engine="sharded",
-            )
+            SweepScheduler().run([point])
 
-    def test_workers_only_for_sharded(self, code_d3):
-        with pytest.raises(ConfigurationError):
-            run_memory_experiment(
-                code_d3,
-                PhenomenologicalNoise(1e-2),
-                _hierarchical,
-                trials=100,
-                engine="batch",
-                workers=2,
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [({"engine": "sharded"}, ConfigurationError)]
+        + [
+            ({keyword: None}, TypeError)
+            for keyword in (
+                "workers",
+                "adaptive",
+                "checkpoint",
+                "faults",
+                "fault_report",
+                "fault_injector",
             )
-
-    def test_invalid_workers_rejected(self, code_d3):
-        with pytest.raises(ConfigurationError):
+        ],
+    )
+    def test_in_process_runner_has_no_sharded_engine(self, code_d3, kwargs, error):
+        # Sharded memory runs are memory_point + SweepScheduler runs only:
+        # run_memory_experiment names its two engines and has none of the
+        # scheduling keywords.
+        with pytest.raises(error):
             run_memory_experiment(
                 code_d3,
                 PhenomenologicalNoise(1e-2),
                 _hierarchical,
                 trials=100,
                 rng=1,
-                engine="sharded",
-                workers=0,
+                **kwargs,
             )
 
-    def test_result_metadata_is_preserved(self, code_d3):
-        result = run_memory_experiment(
-            code_d3,
-            PhenomenologicalNoise(1e-2),
-            _hierarchical,
-            trials=120,
-            rng=2,
-            engine="sharded",
-            workers=1,
+    def test_invalid_workers_rejected(self, code_d3):
+        point = memory_point(
+            "p", code_d3, PhenomenologicalNoise(1e-2), _hierarchical, trials=100, seed=1
         )
+        with pytest.raises(ConfigurationError):
+            SweepScheduler(workers=0).run([point])
+
+    def test_result_metadata_is_preserved(self, code_d3):
+        point = memory_point(
+            "p", code_d3, PhenomenologicalNoise(1e-2), _hierarchical, trials=120, seed=2
+        )
+        result = SweepScheduler(workers=1).run([point])["p"]
         assert result.trials == 120
         assert result.code_distance == 3
         assert result.rounds == 3
