@@ -14,7 +14,7 @@ Rules (see ``repro-qec lint --list-rules`` and README -> "Static analysis"):
 DET001    no global-state RNG outside ``noise/rng.py``
 DET002    no wall-clock/entropy sources in kernel packages
 DET003    no set-order iteration into ordered output in kernel packages
-IMP001    heavy optional deps (networkx, matplotlib) never top-level
+IMP001    heavy optional deps (networkx, scipy, matplotlib) never top-level
 DTY001    hot-path numpy allocations carry an explicit dtype
 KEY001    runner keywords resolve into the store key or ``KEY_EXCLUDED``
 PKL001    sharded kernels are picklable (no lambdas/local functions)

@@ -34,12 +34,14 @@ RNG_MODULE = "repro/noise/rng.py"
 
 #: Heavy optional dependencies that must never be imported at module top
 #: level anywhere in the package: ``networkx`` survives only as the test
-#: suite's differential matching oracle and ``matplotlib`` is plotting-only.  A top-level
-#: import would put them back on the default decode path's import closure.
+#: suite's differential matching oracle, ``scipy`` only as the differential
+#: oracle of the in-tree binomial quantile, and ``matplotlib`` is
+#: plotting-only.  A top-level import would put them back on the default
+#: decode and bandwidth paths' import closure.
 #: IMP001 is the static check; ``tests/test_dependency_hygiene.py`` installs
 #: a ``sys.meta_path`` hook built from this same tuple and *runs* the
-#: default path to prove it dynamically.
-HEAVY_OPTIONAL_MODULES: tuple[str, ...] = ("matplotlib", "networkx")
+#: default paths to prove it dynamically.
+HEAVY_OPTIONAL_MODULES: tuple[str, ...] = ("matplotlib", "networkx", "scipy")
 
 #: Callables whose ``kernel`` argument crosses process boundaries and
 #: therefore must be picklable — no lambdas, no closures, no locally defined

@@ -3,9 +3,10 @@
 The static counterpart of ``tests/test_dependency_hygiene.py``: that test
 installs a ``sys.meta_path`` hook (built from the same
 :data:`repro.analysis.contracts.HEAVY_OPTIONAL_MODULES` manifest) and *runs*
-the default decode path to prove networkx is never imported; this rule
-catches the violation at the import statement itself, in every module, on
-paths no dynamic test happens to exercise.
+the default decode and bandwidth paths to prove no heavy optional
+dependency is ever imported; this rule catches the violation at the import
+statement itself, in every module, on paths no dynamic test happens to
+exercise.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class LazyHeavyImportRule(Rule):
     id = "IMP001"
     title = "no top-level heavy optional imports"
     contract = (
-        "optional/heavy dependencies (networkx, matplotlib) may only be "
+        "optional/heavy dependencies (networkx, scipy, matplotlib) may only be "
         "imported inside the function that needs them (or under "
         "TYPE_CHECKING), never at module top level — shared manifest: "
         "repro.analysis.contracts.HEAVY_OPTIONAL_MODULES"

@@ -8,11 +8,24 @@ stall cycle is not error-free — qubits keep decohering — so it produces new
 decode requests of its own.  The simulator below reproduces that dynamic and
 reports how much the program's execution is stretched for a given
 provisioning.
+
+With ``a_t`` new requests in cycle ``t`` and a capacity of ``B`` decodes
+per cycle, the carryover follows the Lindley recursion
+``c_t = max(0, c_{t-1} + a_t - B)``, and cycle ``t`` is a stall exactly
+when ``c_{t-1} > 0``.  The simulator evaluates it a block of cycles at a
+time, without a per-cycle Python loop: one ``rng.binomial(..., size=k)``
+call draws the block's demand (the same stream as ``k`` scalar draws), and
+the recursion has the closed form ``c_t = S_t - min(-c_0, S_1, ..., S_t)``
+with ``S_t`` the running sum of ``a_t - B`` — a ``cumsum`` and a
+``minimum.accumulate``.  The generator is left exactly where one scalar
+draw per simulated cycle would leave it (see :meth:`StallSimulator.run`),
+so a generator shared with other consumers sees no difference either.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +33,11 @@ import numpy as np
 from repro.bandwidth.allocation import BandwidthPlan
 from repro.exceptions import BandwidthConfigurationError
 from repro.noise.rng import make_rng
+
+#: Most demand draws taken in one block of :meth:`StallSimulator.run`.  A
+#: block is sized to the useful cycles still owed, so this cap only bounds
+#: the block's memory on huge programs; it never changes a result.
+MAX_BLOCK_CYCLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,7 +126,9 @@ class StallSimulator:
         """Execute ``program_cycles`` useful cycles, inserting stalls as needed.
 
         Args:
-            program_cycles: how many non-stall cycles the program needs.
+            program_cycles: how many non-stall cycles the program needs; a
+                positive integer (``bool`` is refused: ``True`` is not a
+                cycle count).
             keep_records: keep the per-cycle trace (memory heavy for long runs).
             abort_backlog_factor: abort and report ``completed=False`` once the
                 carryover backlog exceeds this multiple of the provisioned
@@ -122,10 +142,25 @@ class StallSimulator:
         report immediately: ``completed=False`` and therefore
         ``execution_time_increase == inf`` (with ``offchip_rate == 0`` there
         is nothing to serve and the program completes stall-free).
+
+        The run proceeds in blocks of ``min(useful cycles still owed,
+        MAX_BLOCK_CYCLES)`` cycles.  Each block takes its demand in one
+        ``rng.binomial(..., size=k)`` call and derives the carryover with
+        the Lindley recursion (see the module docstring).  A block can end
+        the program only on its last cycle, because every cycle is worth at
+        most one useful cycle, so a completing run draws exactly the cycles
+        it simulates.  An aborting run stops inside its block: the generator
+        is rewound to the block's start and the cycles that ran are drawn
+        again, so a generator passed in as ``seed`` ends in the same state as
+        after one scalar draw per simulated cycle.
         """
-        if program_cycles <= 0:
+        if (
+            isinstance(program_cycles, bool)
+            or not isinstance(program_cycles, numbers.Integral)
+            or program_cycles <= 0
+        ):
             raise BandwidthConfigurationError(
-                f"program_cycles must be positive, got {program_cycles}"
+                f"program_cycles must be a positive integer, got {program_cycles!r}"
             )
         if not (math.isfinite(abort_backlog_factor) and abort_backlog_factor >= 0):
             raise BandwidthConfigurationError(
@@ -153,6 +188,8 @@ class StallSimulator:
                 records=[],
             )
         abort_threshold = abort_backlog_factor * capacity
+        program_cycles = int(program_cycles)
+        rng = self._rng
 
         executed = 0
         stalls = 0
@@ -163,33 +200,49 @@ class StallSimulator:
         completed = True
 
         while executed < program_cycles:
-            is_stall = carryover > 0
-            new_requests = int(
-                self._rng.binomial(plan.num_logical_qubits, plan.offchip_rate)
-            )
-            demand = carryover + new_requests
-            served = min(demand, capacity)
-            carryover = demand - served
-            max_backlog = max(max_backlog, carryover)
+            size = min(program_cycles - executed, MAX_BLOCK_CYCLES)
+            block_start = rng.bit_generator.state
+            new_requests = rng.binomial(plan.num_logical_qubits, plan.offchip_rate, size=size)
+            # c_t = S_t - min(-c_0, S_1, ..., S_t) with S_t the running sum of
+            # (a_t - B): the Lindley recursion c_t = max(0, c_{t-1} + a_t - B).
+            drift = np.cumsum(new_requests - capacity)
+            backlog = drift - np.minimum(np.minimum.accumulate(drift), -carryover)
+            overflow = backlog > abort_threshold
+            first_overflow = int(overflow.argmax())
+            if overflow[first_overflow]:
+                completed = False
+                size = first_overflow + 1
+                new_requests = new_requests[:size]
+                backlog = backlog[:size]
+                # Only the cycles up to the abort ran: redraw just those from
+                # the block's start, so the generator ends where per-cycle
+                # draws would have left it.
+                rng.bit_generator.state = block_start
+                rng.binomial(plan.num_logical_qubits, plan.offchip_rate, size=size)
 
+            # Cycle t stalls when it inherits a backlog: c_{t-1} > 0.
+            block_stalls = int(carryover > 0) + int(np.count_nonzero(backlog[:-1]))
             if keep_records:
-                records.append(
+                inherited = np.concatenate(([carryover], backlog[:-1]))
+                served = inherited + new_requests - backlog
+                records.extend(
                     CycleRecord(
-                        cycle=cycle_index,
-                        new_requests=new_requests,
-                        carryover=demand - new_requests,
-                        served=served,
-                        is_stall=is_stall,
+                        cycle=cycle_index + offset,
+                        new_requests=new,
+                        carryover=carried,
+                        served=done,
+                        is_stall=carried > 0,
+                    )
+                    for offset, (new, carried, done) in enumerate(
+                        zip(new_requests.tolist(), inherited.tolist(), served.tolist())
                     )
                 )
-            if is_stall:
-                stalls += 1
-            else:
-                executed += 1
-            cycle_index += 1
-
-            if carryover > abort_threshold:
-                completed = False
+            stalls += block_stalls
+            executed += size - block_stalls
+            cycle_index += size
+            max_backlog = max(max_backlog, int(backlog.max()))
+            carryover = int(backlog[-1])
+            if not completed:
                 break
 
         return StallSimulationResult(
@@ -202,17 +255,4 @@ class StallSimulator:
         )
 
 
-def tradeoff_curve(
-    plans: list[BandwidthPlan],
-    program_cycles: int,
-    seed: int | None = None,
-) -> list[tuple[BandwidthPlan, StallSimulationResult]]:
-    """Simulate a list of plans and return (plan, result) pairs (Fig. 16 material)."""
-    results = []
-    for offset, plan in enumerate(plans):
-        simulator = StallSimulator(plan, seed=None if seed is None else seed + offset)
-        results.append((plan, simulator.run(program_cycles)))
-    return results
-
-
-__all__ = ["CycleRecord", "StallSimulationResult", "StallSimulator", "tradeoff_curve"]
+__all__ = ["CycleRecord", "StallSimulationResult", "StallSimulator"]

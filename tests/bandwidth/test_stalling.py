@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.bandwidth.allocation import BandwidthPlan, provision_for_percentile
-from repro.bandwidth.stalling import StallSimulator, tradeoff_curve
+from repro.bandwidth.stalling import StallSimulator
 from repro.exceptions import BandwidthConfigurationError
 
 
@@ -21,6 +22,22 @@ class TestStallSimulator:
         plan = provision_for_percentile(100, 0.01, 99.0)
         with pytest.raises(BandwidthConfigurationError):
             StallSimulator(plan, seed=0).run(0)
+
+    @pytest.mark.parametrize(
+        "program_cycles", [math.inf, math.nan, 2.5, 300.0, True, False, "300", -3]
+    )
+    def test_non_integer_program_cycles_rejected(self, program_cycles):
+        # An unchecked inf never ends on a stable plan; 2.5 and True are
+        # not cycle counts.
+        plan = provision_for_percentile(1000, 0.001, 99.9)
+        with pytest.raises(BandwidthConfigurationError, match="program_cycles"):
+            StallSimulator(plan, seed=0).run(program_cycles)
+
+    def test_numpy_integer_program_cycles_accepted(self):
+        plan = provision_for_percentile(1000, 0.05, 90.0)
+        result = StallSimulator(plan, seed=0).run(np.int64(300), keep_records=True)
+        assert result == StallSimulator(plan, seed=0).run(300, keep_records=True)
+        assert type(result.program_cycles) is int
 
     def test_no_demand_means_no_stalls(self):
         plan = BandwidthPlan(100, 0.0, 99.0, 1)
@@ -134,22 +151,25 @@ class TestZeroCapacityPlan:
 
 
 class TestTradeoffCurve:
+    """Fig. 16's trade-off, one independently seeded simulator per plan."""
+
     def test_returns_one_result_per_plan(self):
         plans = [
             provision_for_percentile(500, 0.05, percentile)
             for percentile in (90.0, 99.0, 99.9)
         ]
-        results = tradeoff_curve(plans, program_cycles=500, seed=8)
+        results = [
+            StallSimulator(plan, seed=8 + offset).run(500)
+            for offset, plan in enumerate(plans)
+        ]
         assert len(results) == 3
-        assert all(result.plan is plan for plan, result in results)
+        assert all(result.plan is plan for plan, result in zip(plans, results))
 
     def test_more_bandwidth_means_less_stalling(self):
-        plans = [
-            provision_for_percentile(1000, 0.05, percentile)
-            for percentile in (75.0, 99.9)
-        ]
-        results = dict(
-            (plan.percentile, result.execution_time_increase)
-            for plan, result in tradeoff_curve(plans, program_cycles=2000, seed=9)
-        )
-        assert results[99.9] <= results[75.0]
+        increase = {
+            percentile: StallSimulator(
+                provision_for_percentile(1000, 0.05, percentile), seed=9 + offset
+            ).run(2000).execution_time_increase
+            for offset, percentile in enumerate((75.0, 99.9))
+        }
+        assert increase[99.9] <= increase[75.0]

@@ -1,12 +1,15 @@
-"""Dependency hygiene: the default decode path must never import heavy deps.
+"""Dependency hygiene: the default paths must never import heavy deps.
 
 The in-tree blossom matcher demoted networkx to a differential-test oracle
-that lives in the test suite (``tests/decoders/networkx_oracle.py``).  This
-test runs a fresh interpreter with an import hook that *fails* any attempt
-to import a heavy optional module, then drives the default decoders through
-event sets large enough to need the general matcher — proving the
-dependency is truly gone from the hot path, not merely unused on the inputs
-we happened to try.
+that lives in the test suite (``tests/decoders/networkx_oracle.py``), and
+the in-tree binomial quantile did the same to scipy
+(``tests/bandwidth/test_allocation.py``).  This test runs a fresh
+interpreter with an import hook that *fails* any attempt to import a heavy
+optional module, imports the CLI, drives the default decoders through event
+sets large enough to need the general matcher, and runs small Fig. 9 and
+Fig. 16 experiments through provisioning and stall simulation — proving the
+dependencies are truly gone from the hot paths, not merely unused on the
+inputs we happened to try.
 
 The banned-module set is NOT spelled here: it is the
 ``HEAVY_OPTIONAL_MODULES`` manifest in :mod:`repro.analysis.contracts`, the
@@ -47,6 +50,7 @@ class _Banned:
 
 sys.meta_path.insert(0, _Banned())
 
+import repro.cli
 import numpy as np
 
 from repro.clique.cascade import DecoderCascade
@@ -74,6 +78,20 @@ for offchip in ("union_find", "mwpm"):
     result = cascade.decode_batch_packed(bitplane.pack_trials(batch), 30)
     assert result.tier_trials[1] > 0
 
+# The bandwidth path: coverage -> percentile provisioning -> stall loop.
+from repro.experiments import fig09, fig16
+
+rows = fig16.run(
+    operating_points=((1e-2, 5),),
+    percentiles=(50.0, 99.0),
+    program_cycles=500,
+    coverage_cycles=1000,
+    workers=1,
+).rows
+assert len(rows) == 2
+rows = fig09.run(code_distance=5, coverage_cycles=1000, timeline_cycles=50).rows
+assert [row["percentile"] for row in rows] == [50.0, 99.0]
+
 print("OK")
 """
 
@@ -85,6 +103,7 @@ def test_manifest_covers_the_known_heavy_deps():
     # IMP001; a rename there must be deliberate, not accidental.
     assert "networkx" in HEAVY_OPTIONAL_MODULES
     assert "matplotlib" in HEAVY_OPTIONAL_MODULES
+    assert "scipy" in HEAVY_OPTIONAL_MODULES
 
 
 def test_default_decode_path_never_imports_heavy_deps():
