@@ -5,11 +5,21 @@ cycle injects independent errors on every data qubit with probability ``p``
 and flips every syndrome measurement with the same probability ``p``.  A
 *code-capacity* variant (no measurement errors) is provided for unit tests
 and for the lookup-table cross-validation decoder.
+
+Memory-experiment histories are drawn by an exact *sparse* sampler, one
+64-trial tile (one uint64 word of trials) at a time: per field, an error
+count ``k ~ Binomial(M, p)`` over the tile's ``M`` entries, then a uniform
+``k``-subset of the entries.  At the paper's common-case rates this costs a
+few RNG draws per error rather than one uniform per entry.  See
+:meth:`NoiseModel.sample_error_tiles`.
 """
 
 from __future__ import annotations
 
 import abc
+import math
+import numbers
+from typing import Iterator
 
 import numpy as np
 
@@ -20,17 +30,88 @@ from repro.noise.events import CycleErrors, vector_to_errors
 from repro.noise.rng import make_rng
 from repro.types import StabilizerType
 
-#: Trials sampled per packing tile in :meth:`NoiseModel.sample_history_packed`.
-#: One word of trials at a time keeps the transient float64 uniform tensor at
-#: ``64 * rounds * (data + ancilla) * 8`` bytes — cache-sized even at d=17 —
-#: while staying word-aligned so each tile fills exactly one packed word.
+#: Trials per tile of the sparse history sampler
+#: (:meth:`NoiseModel.sample_error_tiles`): exactly one packed uint64 word of
+#: trials, so a tile's errors land in one word column of the bitplanes and
+#: any word-aligned chunking of a run draws the same tiles.
 PACKED_SAMPLE_TILE = bitplane.WORD_BITS
+
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
 
 
 def _validate_probability(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or not 0.0 <= float(value) <= 1.0
+    ):
         raise InvalidProbabilityError(name, value)
     return float(value)
+
+
+def sample_positions(size: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted int64 positions of the set entries of ``size`` i.i.d. Bernoulli(``p``) bits.
+
+    Draws the count ``k ~ Binomial(size, p)``, then a uniform ``k``-subset of
+    ``range(size)`` with ``rng.choice(size, k, replace=False)``; conditioned
+    on its size a Bernoulli field's support is a uniform subset, so the
+    result is exactly distributed as ``flatnonzero(rng.random(size) < p)``.
+    ``p == 0`` and ``p == 1`` draw nothing (no entry set, every entry set),
+    and neither does a zero count.
+    """
+    if p == 0.0 or size == 0:
+        return _NO_POSITIONS
+    if p == 1.0:
+        return np.arange(size, dtype=np.int64)
+    count = int(rng.binomial(size, p))
+    if count == 0:
+        return _NO_POSITIONS
+    return np.sort(rng.choice(size, count, replace=False))
+
+
+def uses_tile_sampler(noise: "NoiseModel") -> bool:
+    """Whether ``noise`` draws memory histories through the sparse tile sampler.
+
+    False when a subclass overrides :meth:`NoiseModel.sample_data_vector`,
+    :meth:`NoiseModel.sample_measurement_vector` or
+    :meth:`NoiseModel.sample_history`: custom physics then keeps the dense
+    per-vector draws in both memory engines.
+    """
+    cls = type(noise)
+    return (
+        cls.sample_data_vector is NoiseModel.sample_data_vector
+        and cls.sample_measurement_vector is NoiseModel.sample_measurement_vector
+        and cls.sample_history is NoiseModel.sample_history
+    )
+
+
+def _set_tile_bits(
+    planes: np.ndarray,
+    tile_sizes: list[int],
+    tile_positions: list[np.ndarray],
+) -> None:
+    """OR each tile's ``(round, qubit, trial)`` positions into the bitplanes.
+
+    Tile ``w``'s position ``plane * tile + trial`` (``plane`` flattening
+    ``(round, qubit)``) becomes bit ``trial`` of word ``w`` of
+    ``planes[plane]``, written through the little-order byte view like every
+    indexed bitplane access.  All tiles are scattered in one unbuffered
+    ``bitwise_or.at``.
+    """
+    counts = [positions.size for positions in tile_positions]
+    if not sum(counts):
+        return
+    positions = np.concatenate(tile_positions)
+    tiles = np.repeat(np.asarray(tile_sizes, dtype=np.int64), counts)
+    words = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    plane, trial = np.divmod(positions, tiles)
+    bit = (plane * planes.shape[-1] + words) * bitplane.WORD_BITS + trial
+    np.bitwise_or.at(
+        planes.reshape(-1).view(np.uint8),
+        bit >> 3,
+        np.left_shift(1, bit & 7).astype(np.uint8),
+    )
 
 
 class NoiseModel(abc.ABC):
@@ -98,6 +179,35 @@ class NoiseModel(abc.ABC):
             < self.measurement_error_rate
         ).astype(np.uint8)
 
+    def sample_error_tiles(
+        self,
+        code: RotatedSurfaceCode,
+        stype: StabilizerType,
+        trials: int,
+        rounds: int,
+        rng: np.random.Generator,
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Yield ``(tile_trials, data_positions, flip_positions)`` per 64-trial tile.
+
+        The memory engines' one history stream.  Trials are taken
+        :data:`PACKED_SAMPLE_TILE` at a time (the last tile may be ragged);
+        per tile the data field is drawn, then the flip field, each by
+        :func:`sample_positions` over ``tile_trials * rounds * qubits``
+        entries.  A position indexes the tile's C-order
+        ``(rounds, qubits, tile_trials)`` array, so the trial is its fastest
+        axis.  Any chunking of a run along word boundaries draws the same
+        tiles, hence the same errors.
+        """
+        data_size = rounds * code.num_data_qubits
+        flip_size = rounds * code.num_ancillas_of_type(stype)
+        for start in range(0, trials, PACKED_SAMPLE_TILE):
+            tile = min(PACKED_SAMPLE_TILE, trials - start)
+            data = sample_positions(tile * data_size, self.data_error_rate, rng)
+            flips = sample_positions(
+                tile * flip_size, self.measurement_error_rate, rng
+            )
+            yield tile, data, flips
+
     def sample_history(
         self,
         code: RotatedSurfaceCode,
@@ -110,27 +220,23 @@ class NoiseModel(abc.ABC):
 
         Returns ``(data_errors, measurement_flips)`` with shapes
         ``(trials, rounds, num_data_qubits)`` and
-        ``(trials, rounds, num_ancillas)``.
+        ``(trials, rounds, num_ancillas)``: exactly
+        ``bitplane.unpack_trials`` of :meth:`sample_history_packed` from the
+        same generator state, so the unpacked, packed and loop-engine draws
+        are one stream.
 
-        Stream-compatibility contract: the single underlying RNG call consumes
-        the generator exactly as ``trials * rounds`` sequential
-        :meth:`sample_data_vector` / :meth:`sample_measurement_vector` call
-        pairs would (numpy generators fill arrays from the bit stream in C
-        order), so batched and per-round sampling of the same seed produce
-        bit-identical error histories.  The engine-equivalence guarantee of
-        :mod:`repro.simulation.batch` rests on this.
+        A subclass that overrides :meth:`sample_data_vector` or
+        :meth:`sample_measurement_vector` (correlated noise, biased channels,
+        ...) is honoured instead: its vectors are drawn round by round,
+        trial by trial, with the data vector before the flip vector.
         """
-        num_data = code.num_data_qubits
-        num_ancillas = code.num_ancillas_of_type(stype)
         if (
             type(self).sample_data_vector is not NoiseModel.sample_data_vector
             or type(self).sample_measurement_vector
             is not NoiseModel.sample_measurement_vector
         ):
-            # A subclass customises per-vector sampling (correlated noise,
-            # biased channels, ...).  Honour its physics — and the exact RNG
-            # stream the loop engine would consume — by sampling round by
-            # round; the batch engine keeps its decode-side vectorisation.
+            num_data = code.num_data_qubits
+            num_ancillas = code.num_ancillas_of_type(stype)
             data_errors = np.empty((trials, rounds, num_data), dtype=np.uint8)
             measurement_flips = np.empty(
                 (trials, rounds, num_ancillas), dtype=np.uint8
@@ -144,12 +250,13 @@ class NoiseModel(abc.ABC):
                         self.sample_measurement_vector(code, stype, rng)
                     )
             return data_errors, measurement_flips
-        uniform = rng.random((trials, rounds, num_data + num_ancillas))
-        data_errors = (uniform[..., :num_data] < self.data_error_rate).astype(np.uint8)
-        measurement_flips = (
-            uniform[..., num_data:] < self.measurement_error_rate
-        ).astype(np.uint8)
-        return data_errors, measurement_flips
+        data_planes, flip_planes = self._sample_tiles_packed(
+            code, stype, trials, rounds, rng
+        )
+        return (
+            bitplane.unpack_trials(data_planes, trials),
+            bitplane.unpack_trials(flip_planes, trials),
+        )
 
     def sample_history_packed(
         self,
@@ -163,25 +270,18 @@ class NoiseModel(abc.ABC):
 
         Returns ``(data_planes, flip_planes)`` with shapes
         ``(rounds, num_data_qubits, words)`` and ``(rounds, num_ancillas,
-        words)`` where ``words = ceil(trials / 64)`` — exactly
-        ``bitplane.pack_trials`` applied to :meth:`sample_history`'s output,
-        including the zero-padded ragged last word.
+        words)`` where ``words = ceil(trials / 64)``.  Tile ``w`` of
+        :meth:`sample_error_tiles` fills word column ``w``: a position
+        ``(round, qubit, trial)`` sets bit ``trial`` of
+        ``planes[round, qubit, w]``.  Bits of the ragged last word past
+        ``trials`` stay zero.  Nothing is drawn per entry: the draws cost a
+        fixed amount per tile plus a little per error.
 
-        Stream compatibility: the fast path draws the same uniforms in the
-        same C order as :meth:`sample_history`, tiled 64 trials at a time
-        (tiling along the leading trial axis slices the stream without
-        reordering it), so packed and unpacked sampling of the same generator
-        state are bit-identical.  Subclasses that override any sampling hook
-        fall back to :meth:`sample_history` + pack, mirroring that method's
-        own per-vector fallback, so custom physics keeps its exact stream
-        too.
+        Subclasses that override a sampling hook (see
+        :func:`uses_tile_sampler`) fall back to :meth:`sample_history` +
+        pack, so custom physics keeps its own dense stream.
         """
-        if (
-            type(self).sample_history is not NoiseModel.sample_history
-            or type(self).sample_data_vector is not NoiseModel.sample_data_vector
-            or type(self).sample_measurement_vector
-            is not NoiseModel.sample_measurement_vector
-        ):
+        if not uses_tile_sampler(self):
             data_errors, measurement_flips = self.sample_history(
                 code, stype, trials, rounds, rng
             )
@@ -189,23 +289,19 @@ class NoiseModel(abc.ABC):
                 bitplane.pack_trials(data_errors),
                 bitplane.pack_trials(measurement_flips),
             )
-        num_data = code.num_data_qubits
-        num_ancillas = code.num_ancillas_of_type(stype)
+        return self._sample_tiles_packed(code, stype, trials, rounds, rng)
+
+    def _sample_tiles_packed(self, code, stype, trials, rounds, rng):
+        """The tile sampler's bitplanes (no subclass-override dispatch)."""
         words = bitplane.num_words(trials)
-        data_planes = np.zeros((rounds, num_data, words), dtype=np.uint64)
-        flip_planes = np.zeros((rounds, num_ancillas, words), dtype=np.uint64)
-        done = 0
-        while done < trials:
-            tile = min(PACKED_SAMPLE_TILE, trials - done)
-            uniform = rng.random((tile, rounds, num_data + num_ancillas))
-            word = done // bitplane.WORD_BITS
-            data_planes[:, :, word] = bitplane.pack_trials(
-                uniform[..., :num_data] < self.data_error_rate
-            )[..., 0]
-            flip_planes[:, :, word] = bitplane.pack_trials(
-                uniform[..., num_data:] < self.measurement_error_rate
-            )[..., 0]
-            done += tile
+        data_planes = np.zeros((rounds, code.num_data_qubits, words), dtype=np.uint64)
+        flip_planes = np.zeros(
+            (rounds, code.num_ancillas_of_type(stype), words), dtype=np.uint64
+        )
+        tiles = list(self.sample_error_tiles(code, stype, trials, rounds, rng))
+        tile_sizes = [tile for tile, _, _ in tiles]
+        _set_tile_bits(data_planes, tile_sizes, [data for _, data, _ in tiles])
+        _set_tile_bits(flip_planes, tile_sizes, [flips for _, _, flips in tiles])
         return data_planes, flip_planes
 
     def sample_cycle(
@@ -281,4 +377,11 @@ class CodeCapacityNoise(NoiseModel):
         return 0.0
 
 
-__all__ = ["NoiseModel", "PhenomenologicalNoise", "CodeCapacityNoise"]
+__all__ = [
+    "PACKED_SAMPLE_TILE",
+    "NoiseModel",
+    "PhenomenologicalNoise",
+    "CodeCapacityNoise",
+    "sample_positions",
+    "uses_tile_sampler",
+]

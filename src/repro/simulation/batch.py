@@ -1,14 +1,17 @@
 """Batched Monte-Carlo engine for memory experiments (the fast path).
 
 The loop engine in :mod:`repro.simulation.memory` pays the expensive path's
-bookkeeping on every trial: per-round RNG calls, per-round parity-check
-products, and a per-trial decode.  This module applies the paper's own triage
-insight to the simulator itself, 64 trials per machine word on the uint64
-bitplanes of :mod:`repro.bitplane`:
+bookkeeping on every trial: per-trial parity-check products and a per-trial
+decode.  This module applies the paper's own triage insight to the simulator
+itself, 64 trials per machine word on the uint64 bitplanes of
+:mod:`repro.bitplane`:
 
-1. all trial error histories are sampled in one shot straight into packed
-   planes (one RNG call per chunk, through
-   :meth:`repro.noise.models.NoiseModel.sample_history_packed`);
+1. all trial error histories are sampled straight into packed planes by the
+   sparse tile sampler
+   (:meth:`repro.noise.models.NoiseModel.sample_history_packed`): per
+   64-trial tile, an exact error count and a uniform subset of positions,
+   OR-ed in as bits, so the cost follows the number of errors rather than
+   the number of (trial, round, qubit) entries;
 2. true syndromes are XOR-parities over precomputed stabilizer supports;
 3. the decoder's :meth:`~repro.decoders.base.Decoder.decode_batch_packed`
    hook triages the whole batch — for the Clique cascade, trials whose rounds
@@ -16,18 +19,20 @@ bitplanes of :mod:`repro.bitplane`:
    rare complex minority pays a per-trial off-chip decode;
 4. logical failures are popcounts of the XOR-reduced logical-support planes.
 
-The engine is **bit-identical** to the loop engine under a fixed seed: the
-packed sampler consumes the RNG stream exactly as the loop's per-round calls
-would (see :meth:`NoiseModel.sample_history`), every kernel is an exact GF(2)
-counterpart of the loop's arithmetic, and ``decode_batch_packed``
-implementations are required to match per-trial decoding exactly.  The loop
-engine therefore remains the correctness oracle (``engine="loop"``), while
-this engine is the default gate to paper-scale trial counts.
+The engine is **bit-identical** to the loop engine under a fixed seed: both
+draw the same tiles of :meth:`NoiseModel.sample_error_tiles` (the loop
+scatters each tile's positions into per-trial vectors instead of bits),
+every kernel is an exact GF(2) counterpart of the loop's arithmetic, and
+``decode_batch_packed`` implementations are required to match per-trial
+decoding exactly.  The loop engine therefore remains the correctness oracle
+(``engine="loop"``), while this engine is the default gate to paper-scale
+trial counts.
 
 Seeding contract: ``loop`` and ``batch`` consume one root stream
-(``make_rng(seed)``) in the same order, which is what makes them
-bit-identical; chunking in this module only slices that single stream at
-chunk boundaries and never reseeds, so ``chunk_trials`` does not affect
+(``make_rng(seed)``) tile by tile in the same order, which is what makes
+them bit-identical.  Chunks here are whole tiles (``chunk_trials`` is
+rounded up to a multiple of 64), so chunking only slices that single stream
+at tile boundaries and never reseeds: ``chunk_trials`` does not affect
 results.  Scheduled runs (:func:`repro.simulation.scheduler.memory_point`
 on the shard layer of :mod:`repro.simulation.shard`) instead give every
 shard an independent child stream derived from
@@ -46,13 +51,14 @@ from repro import bitplane
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder
 from repro.exceptions import ConfigurationError
-from repro.noise.models import NoiseModel
+from repro.noise.models import PACKED_SAMPLE_TILE, NoiseModel
 from repro.noise.rng import make_rng
 from repro.types import StabilizerType
 
-#: Trials decoded per vectorised chunk.  Bounds peak memory (the uniform
-#: tensor is ``chunk * rounds * (data + ancilla)`` float64) while keeping the
-#: per-chunk numpy fixed costs negligible.
+#: Trials decoded per vectorised chunk.  Bounds peak memory (the packed
+#: history is ``chunk * rounds * (data + ancilla)`` bits, plus the decoder's
+#: per-chunk planes) while keeping the per-chunk numpy fixed costs
+#: negligible.  A multiple of :data:`~repro.noise.models.PACKED_SAMPLE_TILE`.
 DEFAULT_CHUNK_TRIALS = 2048
 
 
@@ -80,8 +86,9 @@ def run_memory_experiment_batch(
 
     Same contract and bit-identical results under the same seed; see the
     module docstring for how the speedup is obtained.  ``chunk_trials`` caps
-    how many trials are vectorised at once (chunking preserves the RNG stream
-    and therefore the equivalence guarantee).
+    how many trials are vectorised at once; it is rounded up to a whole
+    number of 64-trial sampling tiles, so chunk boundaries never split a tile
+    and the chunk size never changes a result.
     """
     # Imported lazily: memory.py re-exports this engine behind its
     # ``engine="batch"`` switch, so a module-level import would be circular.
@@ -95,6 +102,7 @@ def run_memory_experiment_batch(
         raise ConfigurationError(f"rounds must be positive, got {rounds}")
     if chunk_trials <= 0:
         raise ConfigurationError(f"chunk_trials must be positive, got {chunk_trials}")
+    chunk_trials = -(-chunk_trials // PACKED_SAMPLE_TILE) * PACKED_SAMPLE_TILE
 
     generator = make_rng(rng)
     decoder = decoder_factory(code, stype)

@@ -25,6 +25,12 @@ argument of :func:`run_memory_experiment`:
   :mod:`repro.simulation.batch`, bit-identical to the loop under a fixed
   seed.
 
+Both engines draw one noise stream: the 64-trial tiles of
+:meth:`~repro.noise.models.NoiseModel.sample_error_tiles`.  The batch engine
+ORs each tile's error positions into bitplanes; the loop scatters them into
+per-trial ``(rounds, qubits)`` arrays (:func:`trial_error_histories`) and
+runs :func:`run_memory_trial` on each trial.
+
 Sharded runs — every stored Fig. 14 point — are
 :func:`~repro.simulation.scheduler.memory_point` runs of
 :class:`~repro.simulation.scheduler.SweepScheduler`; they follow their own
@@ -35,7 +41,7 @@ per-shard RNG streams (see the seeding contract of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder
 from repro.exceptions import ConfigurationError
 from repro.noise.events import vector_to_errors
-from repro.noise.models import NoiseModel
+from repro.noise.models import NoiseModel, uses_tile_sampler
 from repro.noise.rng import make_rng
 from repro.simulation.monte_carlo import wilson_interval
 from repro.syndrome.history import SyndromeHistory
@@ -131,25 +137,64 @@ class MemoryExperimentResult:
         return self.tier_rounds[1] / self.trials
 
 
-def run_memory_trial(
+def trial_error_histories(
     code: RotatedSurfaceCode,
     stype: StabilizerType,
     noise: NoiseModel,
-    decoder: Decoder,
+    trials: int,
     rounds: int,
     rng: np.random.Generator,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each trial's ``(data_errors, flips)``, shapes ``(rounds, qubits)``.
+
+    The loop engine's draw: the tiles of
+    :meth:`~repro.noise.models.NoiseModel.sample_error_tiles`, each
+    position ``(round, qubit, trial)`` scattered into trial ``trial``'s
+    arrays.  A noise model that overrides a sampling hook (see
+    :func:`~repro.noise.models.uses_tile_sampler`) draws one trial at a time
+    through its own :meth:`~repro.noise.models.NoiseModel.sample_history`.
+    """
+    if not uses_tile_sampler(noise):
+        for _ in range(trials):
+            data_errors, flips = noise.sample_history(code, stype, 1, rounds, rng)
+            yield data_errors[0], flips[0]
+        return
+    num_data = code.num_data_qubits
+    num_ancillas = code.num_ancillas_of_type(stype)
+    for tile, data, flips in noise.sample_error_tiles(code, stype, trials, rounds, rng):
+        data_errors = np.zeros((tile, rounds, num_data), dtype=np.uint8)
+        round_index, qubit, trial = np.unravel_index(data, (rounds, num_data, tile))
+        data_errors[trial, round_index, qubit] = 1
+        measurement_flips = np.zeros((tile, rounds, num_ancillas), dtype=np.uint8)
+        round_index, ancilla, trial = np.unravel_index(
+            flips, (rounds, num_ancillas, tile)
+        )
+        measurement_flips[trial, round_index, ancilla] = 1
+        yield from zip(data_errors, measurement_flips)
+
+
+def run_memory_trial(
+    code: RotatedSurfaceCode,
+    stype: StabilizerType,
+    decoder: Decoder,
+    data_errors: np.ndarray,
+    flips: np.ndarray,
 ) -> tuple[bool, dict]:
-    """Run a single memory-experiment trial; return (logical failure?, metadata)."""
+    """Run one memory-experiment trial on its sampled noise; return (logical failure?, metadata).
+
+    ``data_errors`` (``(rounds, num_data_qubits)``) holds each round's fresh
+    data errors and ``flips`` (``(rounds, num_ancillas)``) its measurement
+    flips, as :func:`trial_error_histories` yields them.
+    """
     parity_check = code.parity_check(stype)
     num_ancillas = code.num_ancillas_of_type(stype)
     history = SyndromeHistory(num_ancillas)
     accumulated = np.zeros(code.num_data_qubits, dtype=np.uint8)
 
-    for _ in range(rounds):
-        accumulated ^= noise.sample_data_vector(code, rng)
+    for round_errors, round_flips in zip(data_errors, flips):
+        accumulated ^= round_errors
         true_syndrome = (parity_check @ accumulated) % 2
-        flips = noise.sample_measurement_vector(code, stype, rng)
-        history.record(true_syndrome ^ flips)
+        history.record(true_syndrome ^ round_flips)
     # Final round with perfect readout so every detection event can be matched.
     history.record((parity_check @ accumulated) % 2)
 
@@ -231,8 +276,9 @@ def run_memory_experiment(
     onchip_rounds = 0
     total_rounds = 0
     offchip_trials = 0
-    for _ in range(trials):
-        failed, metadata = run_memory_trial(code, stype, noise, decoder, rounds, generator)
+    histories = trial_error_histories(code, stype, noise, trials, rounds, generator)
+    for data_errors, flips in histories:
+        failed, metadata = run_memory_trial(code, stype, decoder, data_errors, flips)
         failures += int(failed)
         if "num_offchip_rounds" in metadata and "num_rounds" in metadata:
             offchip = metadata["num_offchip_rounds"]
@@ -257,4 +303,9 @@ def run_memory_experiment(
     )
 
 
-__all__ = ["MemoryExperimentResult", "run_memory_trial", "run_memory_experiment"]
+__all__ = [
+    "MemoryExperimentResult",
+    "trial_error_histories",
+    "run_memory_trial",
+    "run_memory_experiment",
+]

@@ -26,7 +26,14 @@ from typing import Any, Mapping
 #: The frozen seeded pins reproduce bit for bit, but equal-weight tie-breaks
 #: of the two matchers are not provably identical on every input, so results
 #: stored under v1 are conservatively invalidated.
-CODE_VERSION_SALT = "repro-results-v2"
+#:
+#: v3: memory-experiment noise is drawn by the exact sparse tile sampler
+#: (per 64-trial tile, a binomial error count and a uniform subset of
+#: positions) instead of one float64 uniform per (trial, round, qubit).  The
+#: error distribution is unchanged but the RNG stream is new, so every seeded
+#: memory count moved.  Coverage results did not move; their keys change
+#: with the salt only.
+CODE_VERSION_SALT = "repro-results-v3"
 
 #: The central store-key exclusion list: runner keywords that are
 #: *deliberately* absent from the resolved point configs that

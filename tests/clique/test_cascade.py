@@ -334,25 +334,25 @@ class TestBatchedCascadeBitIdentity:
 
 
 #: Frozen seeded outputs — trials=300, p=2e-2, seed=1234, rounds=distance;
-#: sharded at workers=1 with the default chunk.  The failure and round
-#: counts were captured from the original two-tier hierarchy implementation
-#: (commit 645e6b2); the tier counts from the N-tier cascade (commit
-#: 3f0e55d), which counted them per trial from the shipped event rounds.
+#: sharded at workers=1 with the default chunk.  The cascade reproduced the
+#: original two-tier hierarchy's counts bit for bit on the dense-uniform
+#: noise stream; these are re-taken on the sparse tile sampler's stream
+#: (``CODE_VERSION_SALT`` v3), where loop and batch agreed with each other.
 PRE_REFACTOR_SEEDED = {
     # (fallback, distance, engine): (logical_failures, onchip_rounds,
     #                                total_rounds, tier_trials, tier_rounds)
-    ("mwpm", 3, "loop"): (13, 1199, 1200, (299, 1), (1199, 1)),
-    ("mwpm", 3, "batch"): (13, 1199, 1200, (299, 1), (1199, 1)),
-    ("mwpm", 3, "sharded"): (12, 1199, 1200, (299, 1), (1199, 1)),
-    ("mwpm", 5, "loop"): (10, 1668, 1800, (203, 97), (1668, 132)),
-    ("mwpm", 5, "batch"): (10, 1668, 1800, (203, 97), (1668, 132)),
-    ("mwpm", 5, "sharded"): (22, 1649, 1800, (193, 107), (1649, 151)),
-    ("union_find", 3, "loop"): (13, 1199, 1200, (299, 1), (1199, 1)),
-    ("union_find", 3, "batch"): (13, 1199, 1200, (299, 1), (1199, 1)),
-    ("union_find", 3, "sharded"): (12, 1199, 1200, (299, 1), (1199, 1)),
-    ("union_find", 5, "loop"): (15, 1668, 1800, (203, 97), (1668, 132)),
-    ("union_find", 5, "batch"): (15, 1668, 1800, (203, 97), (1668, 132)),
-    ("union_find", 5, "sharded"): (23, 1649, 1800, (193, 107), (1649, 151)),
+    ("mwpm", 3, "loop"): (12, 1198, 1200, (298, 2), (1198, 2)),
+    ("mwpm", 3, "batch"): (12, 1198, 1200, (298, 2), (1198, 2)),
+    ("mwpm", 3, "sharded"): (16, 1199, 1200, (299, 1), (1199, 1)),
+    ("mwpm", 5, "loop"): (23, 1648, 1800, (185, 115), (1648, 152)),
+    ("mwpm", 5, "batch"): (23, 1648, 1800, (185, 115), (1648, 152)),
+    ("mwpm", 5, "sharded"): (22, 1654, 1800, (195, 105), (1654, 146)),
+    ("union_find", 3, "loop"): (12, 1198, 1200, (298, 2), (1198, 2)),
+    ("union_find", 3, "batch"): (12, 1198, 1200, (298, 2), (1198, 2)),
+    ("union_find", 3, "sharded"): (16, 1199, 1200, (299, 1), (1199, 1)),
+    ("union_find", 5, "loop"): (30, 1648, 1800, (185, 115), (1648, 152)),
+    ("union_find", 5, "batch"): (30, 1648, 1800, (185, 115), (1648, 152)),
+    ("union_find", 5, "sharded"): (25, 1654, 1800, (195, 105), (1654, 146)),
 }
 
 
@@ -388,15 +388,14 @@ class TestPreRefactorEquivalence:
 
 
 #: Frozen ``compare_fallbacks()`` rows at its defaults (600 trials,
-#: p=1e-2, d in {5, 7}), taken from ``compare_fallbacks(engine="sharded")``
-#: at the last commit that still had the ``engine`` knob: every row is now
-#: a 500-trial-shard scheduler run.  ``trials_per_sec`` is wall-clock and
-#: excluded.
+#: p=1e-2, d in {5, 7}), every row a 500-trial-shard scheduler run, re-taken
+#: on the sparse tile sampler's noise stream (``CODE_VERSION_SALT`` v3).
+#: ``trials_per_sec`` is wall-clock and excluded.
 FROZEN_FALLBACK_ROWS = [
-    (5, "clique,mwpm", 0.018333333333333333, 0.03252812966893709, 0.9747222222222223, 0.1233, 0.1517),
-    (5, "clique,union_find", 0.013333333333333334, 0.026087675694560088, 0.9747222222222223, 0.1233, 0.1517),
-    (7, "clique,mwpm", 0.0033333333333333335, 0.012071609567610156, 0.944375, 0.2833, 0.445),
-    (7, "clique,union_find", 0.005, 0.014596467142208755, 0.944375, 0.2833, 0.445),
+    (5, "clique,mwpm", 0.01, 0.021643835138254512, 0.9794444444444445, 0.1033, 0.1233),
+    (5, "clique,union_find", 0.011666666666666667, 0.023884309997529277, 0.9794444444444445, 0.1033, 0.1233),
+    (7, "clique,mwpm", 0.0, 0.006361933328210577, 0.9452083333333333, 0.3033, 0.4383),
+    (7, "clique,union_find", 0.008333333333333333, 0.01935801642616759, 0.9452083333333333, 0.3033, 0.4383),
 ]
 
 

@@ -150,28 +150,29 @@ class TestFig14KilledSweepResume:
 
 
 #: The store key and the whole ``results.jsonl`` of a one-point fig14 sweep
-#: through the two-tier Clique+union-find cascade, frozen from the explicit
-#: ``engine="sharded", workers=1`` call at the last commit that still had
-#: the ``engine`` knob (``workers=1`` fixes the line order, which on a pool
-#: follows completion order).  A two-tier cascade keys its off-chip tier
+#: through the two-tier Clique+union-find cascade, first frozen from the
+#: explicit ``engine="sharded", workers=1`` call at the last commit that
+#: still had the ``engine`` knob (``workers=1`` fixes the line order, which
+#: on a pool follows completion order), and re-taken for
+#: ``CODE_VERSION_SALT`` v3 (new salt, sparse tile sampler stream).  A two-tier cascade keys its off-chip tier
 #: under the historical ``"fallback"`` entry.
-TWO_TIER_UF_KEY = "4ff4d27fd0f23a6f578ccc797224a713487a0abb41160922a431e0d6c2c7c6aa"
+TWO_TIER_UF_KEY = "915e60f11924e9c22a19a4deb2bd5119bbcff6fc2046c4cfdff836c31d0a65d2"
 TWO_TIER_UF_STORE_SHA256 = (
-    "27c1536df8b5c693e6bf5a1f6cb207015e15fc54a1bd606b6347d2d02b8d6d0f"
+    "502b159e34add7507c1a0370e9bf9275e3ef95eca2fb7edcaaeb25cfc9ea7670"
 )
 
 #: A default fig14 call's keys and store bytes, frozen from the same call
-#: with an explicit ``engine="sharded"`` at that commit: dropping the knob
-#: moved no key and no stored number.
+#: with an explicit ``engine="sharded"`` at that commit (dropping the knob
+#: moved no key and no stored number), re-taken for ``CODE_VERSION_SALT`` v3.
 DEFAULT_FIG14_PARAMS = dict(
     trials=600, distances=(3,), error_rates=(3e-2,), seed=5, workers=1
 )
 DEFAULT_FIG14_KEYS = [
-    "b02a6e7608f56ca7f0ef40fdd2e00401da15a4f415aeed8dce7a8aceb0db86f3",
-    "396f7c361d2d71b70c77204e6c57a0c9ac47de3933bc6743cdd82acd1ba1a425",
+    "29db9c45110d56f46ca7e7bcc65851f80b9c69c4ce9de29d54a5a5a2b003e9b1",
+    "8da7184947fcb92affbb189ba1511544491f599f13ca836cba6193cb3237fb64",
 ]
 DEFAULT_FIG14_STORE_SHA256 = (
-    "e3726c19b18f7e1b2a5090c1fa9c459c0516ace1743c339654d08efb13615873"
+    "671c5a1c46144fa9dd1d9891fc8212709b60c4d6881e75e398683a8b87b18abc"
 )
 
 
@@ -215,8 +216,8 @@ class TestDefaultFig14KeyPin:
         result = run_experiment("fig14", store=str(store_dir), **DEFAULT_FIG14_PARAMS)
         assert [line["key"] for line in _store_lines(store_dir)] == DEFAULT_FIG14_KEYS
         assert _store_sha256(store_dir) == DEFAULT_FIG14_STORE_SHA256
-        assert result.rows[0]["baseline_logical_error_rate"] == 0.08333333333333333
-        assert result.rows[0]["clique_logical_error_rate"] == 0.095
+        assert result.rows[0]["baseline_logical_error_rate"] == 0.10166666666666667
+        assert result.rows[0]["clique_logical_error_rate"] == 0.1
 
 
 class TestFig11WarmRerun:

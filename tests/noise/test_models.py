@@ -24,6 +24,33 @@ class TestValidation:
         with pytest.raises(InvalidProbabilityError):
             CodeCapacityNoise(-1.0)
 
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.bool_(True), float("inf"), -float("inf"), np.float64("nan")]
+    )
+    def test_rejects_bools_and_non_finite_rates(self, bad):
+        with pytest.raises(InvalidProbabilityError):
+            PhenomenologicalNoise(bad)
+        with pytest.raises(InvalidProbabilityError):
+            PhenomenologicalNoise(0.01, measurement_error_rate=bad)
+        with pytest.raises(InvalidProbabilityError):
+            CodeCapacityNoise(bad)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (np.float32(1e-3), float(np.float32(1e-3))),
+            (np.float64(0.25), 0.25),
+            (np.int64(0), 0.0),
+            (np.int64(1), 1.0),
+            (1, 1.0),
+        ],
+    )
+    def test_accepts_numpy_and_integer_reals(self, value, expected):
+        noise = PhenomenologicalNoise(value)
+        assert type(noise.data_error_rate) is float
+        assert noise.data_error_rate == noise.measurement_error_rate == expected
+        assert CodeCapacityNoise(value).data_error_rate == expected
+
 
 class TestRates:
     def test_measurement_rate_defaults_to_data_rate(self):

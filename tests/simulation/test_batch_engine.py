@@ -20,7 +20,7 @@ from repro.decoders.mwpm import MWPMDecoder
 from repro.exceptions import ConfigurationError
 from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.batch import logical_support_bitmap, run_memory_experiment_batch
-from repro.simulation.memory import run_memory_experiment
+from repro.simulation.memory import run_memory_experiment, trial_error_histories
 from repro.types import StabilizerType
 
 
@@ -160,20 +160,24 @@ class TestCorrectionBitmap:
 
 class TestBatchedNoiseSampling:
     def test_sample_history_is_stream_compatible_with_loop(self, code_d3):
+        # sample_history, the packed sampler and the loop engine's per-trial
+        # scatter are one stream: the same 64-trial tiles, the same errors.
         noise = PhenomenologicalNoise(0.05, 0.02)
-        batch_rng = np.random.default_rng(77)
-        data, flips = noise.sample_history(code_d3, StabilizerType.X, 4, 3, batch_rng)
-        assert data.shape == (4, 3, code_d3.num_data_qubits)
-        assert flips.shape == (4, 3, code_d3.num_ancillas_of_type(StabilizerType.X))
-        loop_rng = np.random.default_rng(77)
-        for trial in range(4):
-            for round_index in range(3):
-                expected_data = noise.sample_data_vector(code_d3, loop_rng)
-                expected_flips = noise.sample_measurement_vector(
-                    code_d3, StabilizerType.X, loop_rng
-                )
-                assert np.array_equal(data[trial, round_index], expected_data)
-                assert np.array_equal(flips[trial, round_index], expected_flips)
+        data, flips = noise.sample_history(
+            code_d3, StabilizerType.X, 70, 3, np.random.default_rng(77)
+        )
+        assert data.shape == (70, 3, code_d3.num_data_qubits)
+        assert flips.shape == (70, 3, code_d3.num_ancillas_of_type(StabilizerType.X))
+        assert data.any() and flips.any()
+        loop = list(
+            trial_error_histories(
+                code_d3, StabilizerType.X, noise, 70, 3, np.random.default_rng(77)
+            )
+        )
+        assert len(loop) == 70
+        for trial, (expected_data, expected_flips) in enumerate(loop):
+            assert np.array_equal(data[trial], expected_data)
+            assert np.array_equal(flips[trial], expected_flips)
 
     def test_sample_history_honours_overridden_vector_samplers(self, code_d3):
         # A subclass customising per-vector sampling must keep the engines

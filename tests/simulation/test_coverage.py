@@ -236,7 +236,8 @@ class TestResolveCoverageConfig:
         # A default call keys exactly like the explicit sharded call always
         # did, so stores written before the unsharded path was deleted still
         # serve the same numbers.  Hash computed from that earlier code's
-        # explicit chunk_cycles=DEFAULT_SHARD_CYCLES config.
+        # explicit chunk_cycles=DEFAULT_SHARD_CYCLES config, re-taken when
+        # CODE_VERSION_SALT went to v3 (the config itself did not change).
         from repro.simulation.coverage import DEFAULT_SHARD_CYCLES
         from repro.store.keys import result_key
 
@@ -245,7 +246,7 @@ class TestResolveCoverageConfig:
         assert default["sharded"] is True
         assert (
             result_key("fig11", default, 5)
-            == "0ad27ba59ee6490bee402ec1110f7d1fb02d03e61a19d48215765bc6ee834ff2"
+            == "82b0bac9a8fe84d76aac7bc47f70b49f51474e35499f273b4fb70826db183fac"
         )
 
     def test_chunk_cycles_is_stream_determining(self):

@@ -13,6 +13,7 @@ from repro.simulation.memory import (
     MemoryExperimentResult,
     run_memory_experiment,
     run_memory_trial,
+    trial_error_histories,
 )
 from repro.types import StabilizerType
 
@@ -29,8 +30,12 @@ class TestRunMemoryTrial:
     def test_zero_noise_never_fails(self, code_d3, rng):
         noise = PhenomenologicalNoise(0.0)
         decoder = MWPMDecoder(code_d3, StabilizerType.X)
+        ((data_errors, flips),) = trial_error_histories(
+            code_d3, StabilizerType.X, noise, 1, 3, rng
+        )
+        assert not data_errors.any() and not flips.any()
         failed, metadata = run_memory_trial(
-            code_d3, StabilizerType.X, noise, decoder, rounds=3, rng=rng
+            code_d3, StabilizerType.X, decoder, data_errors, flips
         )
         assert not failed
         assert metadata["num_events"] == 0
@@ -38,8 +43,11 @@ class TestRunMemoryTrial:
     def test_hierarchical_metadata_includes_round_split(self, code_d3, rng):
         noise = PhenomenologicalNoise(0.02)
         decoder = _hierarchical(code_d3, StabilizerType.X)
+        ((data_errors, flips),) = trial_error_histories(
+            code_d3, StabilizerType.X, noise, 1, 3, rng
+        )
         _failed, metadata = run_memory_trial(
-            code_d3, StabilizerType.X, noise, decoder, rounds=3, rng=rng
+            code_d3, StabilizerType.X, decoder, data_errors, flips
         )
         assert "num_offchip_rounds" in metadata
         assert metadata["num_rounds"] == 4  # three noisy rounds + final perfect round

@@ -26,7 +26,7 @@ from repro.decoders.mwpm import MWPMDecoder
 from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import shard_rng
 from repro.simulation.batch import run_memory_experiment_batch
-from repro.simulation.memory import run_memory_experiment
+from repro.simulation.memory import run_memory_experiment, trial_error_histories
 from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.simulation.shard import plan_shards
 from repro.types import StabilizerType
@@ -157,6 +157,8 @@ class TestPackedEquivalence:
         _assert_results_identical(packed, loop)
 
     def test_packed_sampler_matches_packed_reference(self, code_d5):
+        # The packed planes are exactly the packed sample_history and the
+        # packed per-trial arrays the loop engine scatters (ragged 130).
         noise = PhenomenologicalNoise(0.05, 0.02)
         data_planes, flip_planes = noise.sample_history_packed(
             code_d5, StabilizerType.X, 130, 4, np.random.default_rng(77)
@@ -166,6 +168,17 @@ class TestPackedEquivalence:
         )
         assert np.array_equal(data_planes, bitplane.pack_trials(data_ref))
         assert np.array_equal(flip_planes, bitplane.pack_trials(flips_ref))
+        loop = list(
+            trial_error_histories(
+                code_d5, StabilizerType.X, noise, 130, 4, np.random.default_rng(77)
+            )
+        )
+        assert np.array_equal(
+            data_planes, bitplane.pack_trials(np.stack([d for d, _ in loop]))
+        )
+        assert np.array_equal(
+            flip_planes, bitplane.pack_trials(np.stack([f for _, f in loop]))
+        )
 
 
 class TestDecodeBatchPacked:
@@ -305,9 +318,8 @@ class TestAllocationDiscipline:
     def test_per_chunk_working_set_is_bounded(self):
         # entries = trials * rounds * (data + ancilla) bits flowing through
         # one chunk.  The packed pipeline holds word-packed planes plus the
-        # 64-trial float64 sampling tile: about 0.74 bytes/entry on this
-        # workload, so one byte per entry catches any return of a
-        # byte-per-bit tensor.
+        # sparse sampler's error positions, so one byte per entry catches
+        # any return of a byte-per-bit tensor.
         code = get_code(7)
         noise = PhenomenologicalNoise(1e-3)
         trials, rounds = 4096, 7
