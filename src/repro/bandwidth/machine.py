@@ -21,7 +21,8 @@ import numpy as np
 
 from repro import bitplane
 from repro.bandwidth.allocation import BandwidthPlan
-from repro.clique.decoder import CliqueDecoder
+from repro.clique.decoder import get_clique_decoder
+from repro.clique.measurement_filter import check_measurement_rounds
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.exceptions import BandwidthConfigurationError, ConfigurationError
 from repro.noise.models import NoiseModel
@@ -93,17 +94,14 @@ class LogicalMachine:
             raise ConfigurationError(
                 f"num_logical_qubits must be positive, got {num_logical_qubits}"
             )
-        if measurement_rounds < 1:
-            raise ConfigurationError(
-                f"measurement_rounds must be >= 1, got {measurement_rounds}"
-            )
+        check_measurement_rounds(measurement_rounds)
         self._code = code
         self._noise = noise
         self._num_qubits = num_logical_qubits
         self._rounds = measurement_rounds
-        self._clique = CliqueDecoder(code, StabilizerType.X)
-        self._packed_check = bitplane.PackedParityCheck(
-            code.parity_check(StabilizerType.X)
+        self._clique = get_clique_decoder(code.distance, StabilizerType.X)
+        self._packed_check = bitplane.get_packed_parity_check(
+            code.distance, StabilizerType.X
         )
 
     @property

@@ -22,14 +22,20 @@ words:
   ``t // 8``, bit ``t % 8``), which is endian-independent; word-level
   XOR/AND/OR/popcount never care about bit order at all.
 
-Everything here is pure numpy; exactness (pack → unpack is the identity,
-packed kernels are bit-identical to their uint8 counterparts) is pinned by
-``tests/simulation/test_bitplane.py``.
+Everything here is pure numpy, plus one per-process cache of each code's
+packed parity check (:func:`get_packed_parity_check`); exactness (pack →
+unpack is the identity, packed kernels are bit-identical to their uint8
+counterparts) is pinned by ``tests/simulation/test_bitplane.py``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from repro.codes.rotated_surface import get_code
+from repro.types import StabilizerType
 
 #: Bits per packed word.
 WORD_BITS = 64
@@ -107,21 +113,6 @@ else:  # pragma: no cover - numpy < 2.1 fallback
         return int(_POPCOUNT_TABLE[arr.view(np.uint8)].sum(dtype=np.int64))
 
 
-def extract_trial_bits(packed: np.ndarray, trial_ids: np.ndarray) -> np.ndarray:
-    """Gather whole trials out of packed planes: ``(*rest, words)`` → ``(k, *rest)`` uint8.
-
-    Used to hand the off-chip minority to the unpacked off-chip tier path;
-    the byte view keeps the access endian-independent.
-    """
-    trial_ids = np.asarray(trial_ids, dtype=np.int64)
-    arr = np.ascontiguousarray(np.asarray(packed, dtype=np.uint64))
-    as_bytes = arr.view(np.uint8)  # (*rest, words * 8)
-    byte_index = trial_ids // 8
-    shift = (trial_ids % 8).astype(np.uint8)
-    selected = (as_bytes[..., byte_index] >> shift) & np.uint8(1)
-    return np.moveaxis(selected, -1, 0)
-
-
 def scatter_xor_trial_bits(
     packed: np.ndarray, trial_ids: np.ndarray, bits: np.ndarray
 ) -> None:
@@ -157,13 +148,16 @@ class PackedParityCheck:
         if matrix.ndim != 2:
             raise ValueError("parity_check must be a 2-D (ancillas, data) matrix")
         num_ancillas, num_data = matrix.shape
-        supports = [np.flatnonzero(matrix[row] & 1) for row in range(num_ancillas)]
-        width = max((s.size for s in supports), default=0) or 1
+        rows, columns = np.nonzero(matrix & 1)  # row-major: supports in order
+        weights = np.bincount(rows, minlength=num_ancillas)
+        width = int(weights.max(initial=0)) or 1
+        slots = np.arange(rows.size) - np.repeat(np.cumsum(weights) - weights, weights)
         # Rows padded with the sentinel index ``num_data``, which addresses an
         # always-zero plane appended at syndrome time (XOR identity).
         self._support = np.full((num_ancillas, width), num_data, dtype=np.int64)
-        for row, support in enumerate(supports):
-            self._support[row, : support.size] = support
+        self._support[rows, slots] = columns
+        # Instances are shared per process (get_packed_parity_check).
+        self._support.flags.writeable = False
         self._num_data = num_data
 
     @property
@@ -192,10 +186,20 @@ class PackedParityCheck:
         return np.bitwise_xor.reduce(gathered, axis=2)
 
 
+@lru_cache(maxsize=64)
+def get_packed_parity_check(distance: int, stype: StabilizerType) -> PackedParityCheck:
+    """Cached :class:`PackedParityCheck` of a code distance's ``stype`` stabilizers.
+
+    One read-only instance per process serves every shard and chunk of that
+    code, like :func:`repro.codes.rotated_surface.get_code` itself.
+    """
+    return PackedParityCheck(get_code(distance).parity_check(stype))
+
+
 __all__ = [
     "WORD_BITS",
     "PackedParityCheck",
-    "extract_trial_bits",
+    "get_packed_parity_check",
     "num_words",
     "pack_trials",
     "popcount",

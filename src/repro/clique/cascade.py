@@ -24,10 +24,11 @@ Two decode paths share one off-chip decode
 (:meth:`DecoderCascade._offchip_bitmap`): per-trial
 :meth:`DecoderCascade.decode_history`, the reference oracle, and the
 production :meth:`DecoderCascade.decode_batch_packed`, which triages 64
-trials per machine word.  The batched path extracts every off-chip trial's
-events with one ``np.nonzero`` pass over the stacked off-chip masks, then
-decodes each off-chip trial once — no per-trial Python bookkeeping beyond
-the unavoidable per-trial decode calls of the rare off-chip minority.
+trials per machine word.  The batched path reads every off-chip trial's
+events sparsely from the packed off-chip planes (only their nonzero words
+are unpacked), then decodes each off-chip trial once — no per-trial Python
+bookkeeping beyond the unavoidable per-trial decode calls of the rare
+off-chip minority.
 
 The default ``tiers=("clique", "mwpm")`` is the paper's design; its seeded
 outputs are pinned in ``tests/clique/test_cascade.py``.
@@ -41,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import bitplane
-from repro.clique.decoder import CliqueDecoder
+from repro.clique.decoder import CliqueDecoder, get_clique_decoder
 from repro.clique.measurement_filter import PersistenceFilter
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder, DecodeResult, PackedBatchDecodeResult
@@ -116,6 +117,7 @@ class DecoderCascade(Decoder):
         measurement_rounds: int = 2,
     ) -> None:
         super().__init__(code, stype)
+        self._filter = PersistenceFilter(measurement_rounds)
         tiers = tiers if isinstance(tiers, str) else tuple(tiers)
         if isinstance(tiers, str) or all(isinstance(tier, str) for tier in tiers):
             tiers = resolve_tier_spec(tiers)
@@ -129,7 +131,7 @@ class DecoderCascade(Decoder):
             self._check_tier_target(front, CLIQUE_TIER, 0)
             self._clique = front
         elif front == CLIQUE_TIER:
-            self._clique = CliqueDecoder(code, stype)
+            self._clique = get_clique_decoder(code.distance, stype)
         else:
             raise ConfigurationError(
                 f"the first cascade tier must be {CLIQUE_TIER!r} (or a "
@@ -147,7 +149,6 @@ class DecoderCascade(Decoder):
                 f"the off-chip cascade tier must be a registered decoder name "
                 f"or a Decoder instance, got {offchip!r}"
             )
-        self._filter = PersistenceFilter(measurement_rounds)
         self._tier_names = (CLIQUE_TIER, offchip_name)
 
     def _check_tier_target(self, tier: Decoder, name: str, position: int) -> None:
@@ -356,9 +357,10 @@ class DecoderCascade(Decoder):
         )
         offchip_trials = np.flatnonzero(offchip_round_counts)
         if offchip_trials.size:
-            masks = bitplane.extract_trial_bits(offchip_planes, offchip_trials)
             bitplane.scatter_xor_trial_bits(
-                corrections, offchip_trials, self._offchip_corrections(masks)
+                corrections,
+                offchip_trials,
+                self._offchip_corrections(offchip_planes, offchip_trials),
             )
 
         # Every complex round ships at least one visible event, so the
@@ -379,24 +381,42 @@ class DecoderCascade(Decoder):
         )
 
     # ------------------------------------------------------------------
-    def _offchip_corrections(self, masks: np.ndarray) -> np.ndarray:
-        """Decode the off-chip trials' detection masks, one trial at a time.
+    def _offchip_corrections(
+        self, offchip_planes: np.ndarray, offchip_trials: np.ndarray
+    ) -> np.ndarray:
+        """Decode the off-chip trials' packed events, one trial at a time.
 
-        One ``np.nonzero`` pass over the stacked masks yields every off-chip
-        trial's event list at once — in the same row-major
-        ``(round, ancilla)`` order a per-trial ``np.nonzero`` would produce,
+        The ``(trial, round, ancilla)`` events are read sparsely from the
+        packed ``(rounds, ancillas, words)`` planes: ``np.nonzero`` of the
+        words, then only the nonzero words are unpacked (through the
+        endian-independent byte view), then a ``lexsort`` puts the events in
+        trial-major, then row-major ``(round, ancilla)`` order — the order a
+        per-trial ``np.nonzero`` of the trial's detection mask produces,
         which keeps equal-weight tie-breaks, and therefore results,
-        bit-identical to per-trial decoding.  Every trial here has at least
-        one event: it left the chip because some round was complex.
+        bit-identical to per-trial decoding.  ``offchip_trials`` (sorted)
+        are exactly the trials with events: a trial leaves the chip because
+        some round was complex, and a complex round has a visible event.
         """
-        num_trials = masks.shape[0]
-        corrections = np.zeros((num_trials, self._code.num_data_qubits), dtype=np.uint8)
-        trial_ids, rounds, ancillas = np.nonzero(masks)
-        bounds = np.searchsorted(trial_ids, np.arange(num_trials + 1))
-        mask_shape = masks.shape[1:]
-        for trial in range(num_trials):
-            start, end = bounds[trial], bounds[trial + 1]
-            corrections[trial] = self._offchip_bitmap(
+        rounds, ancillas, words = np.nonzero(offchip_planes)
+        word_bits = np.unpackbits(
+            offchip_planes[rounds, ancillas, words].view(np.uint8).reshape(-1, 8),
+            axis=1,
+            bitorder="little",
+        )
+        event, bit = np.nonzero(word_bits)
+        trials = words[event] * bitplane.WORD_BITS + bit
+        rounds, ancillas = rounds[event], ancillas[event]
+        order = np.lexsort((ancillas, rounds, trials))
+        trials, rounds, ancillas = trials[order], rounds[order], ancillas[order]
+
+        bounds = np.append(np.searchsorted(trials, offchip_trials), trials.size)
+        mask_shape = offchip_planes.shape[:2]
+        corrections = np.zeros(
+            (offchip_trials.size, self._code.num_data_qubits), dtype=np.uint8
+        )
+        for index in range(offchip_trials.size):
+            start, end = bounds[index], bounds[index + 1]
+            corrections[index] = self._offchip_bitmap(
                 rounds[start:end], ancillas[start:end], mask_shape
             )
         return corrections

@@ -21,34 +21,15 @@ its hardware cost is modelled in :mod:`repro.hardware`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.clique.cliques import Clique, build_cliques
-from repro.codes.rotated_surface import RotatedSurfaceCode
+from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
 from repro.decoders.base import Decoder, DecodeResult
 from repro.types import Coord, StabilizerType
-
-
-@dataclass(frozen=True)
-class _PackedCliqueTables:
-    """Precomputed index tables for the uint64 bitplane decision helpers.
-
-    ``boundary_mask`` holds one all-ones/all-zeros word per clique (the
-    has-boundary flag broadcast over 64 trials).  The contribution tables
-    flatten the one-hot correction matrices into sparse (source, target
-    qubit) pairs sorted by target so a single ``np.bitwise_or.reduceat``
-    collapses same-qubit contributions with the same set-union semantics as
-    :meth:`CliqueDecoder.correction_bitmap`.
-    """
-
-    boundary_mask: np.ndarray  # (num_cliques, 1) uint64
-    leaf_rows: np.ndarray  # (K_leaf,) flat 4*clique + slot indices
-    lone_cliques: np.ndarray  # (K_lone,) clique indices with a boundary qubit
-    order: np.ndarray  # (K_leaf + K_lone,) argsort by target qubit
-    segment_starts: np.ndarray  # reduceat starts into the sorted contributions
-    target_qubits: np.ndarray  # unique target qubits, one per segment
 
 
 def clique_rule(active: bool, set_neighbor_count: int, has_boundary: bool) -> bool:
@@ -106,35 +87,47 @@ class CliqueDecoder(Decoder):
         super().__init__(code, stype)
         self._cliques = build_cliques(code, stype)
         num = len(self._cliques)
-        # Cliques with fewer than four leaves are padded with index ``num``,
-        # which addresses the always-zero sentinel column appended to the
-        # syndrome inside :meth:`complex_mask`.
-        self._neighbor_table = np.full((num, 4), num, dtype=np.int64)
-        for clique in self._cliques:
-            for slot, neighbor_index in enumerate(clique.neighbor_indices):
-                self._neighbor_table[clique.ancilla_index, slot] = neighbor_index
-        self._has_boundary = np.array(
-            [clique.has_boundary for clique in self._cliques], dtype=bool
-        )
-        # One-hot gather tables for fully vectorised correction assembly
-        # (mirroring the index tables a hardware implementation would bake
-        # into its correction ROM): row ``4*i + slot`` of the leaf table maps
-        # "clique i sees its slot-th leaf set" to the shared data qubit, and
-        # row ``i`` of the boundary table maps "clique i active with no set
-        # leaf" to its first boundary qubit.
         data_index = code.data_index
-        num_data = code.num_data_qubits
-        self._leaf_correction_table = np.zeros((num * 4, num_data), dtype=np.int64)
-        self._boundary_correction_table = np.zeros((num, num_data), dtype=np.int64)
+        # Transposed neighbour table: row ``slot`` holds every clique's
+        # slot-th leaf.  Cliques with fewer than four leaves are padded with
+        # index ``num``, which addresses the always-zero sentinel appended to
+        # the syndrome before every gather.
+        leaves = [[num] * num for _ in range(4)]
+        # The correction ROM in pair form, one term per corrected qubit (the
+        # invariant is pinned in tests/clique/test_decoder.py):
+        # * the data qubit shared by same-type ancillas a < b flips on
+        #   ``S[a] & S[b]`` -- both cliques' odd-leaf rules name it, and a
+        #   data qubit touches at most two same-type ancillas;
+        # * a boundary clique's first boundary qubit flips on
+        #   ``S[i] & ~any_leaf[i]`` -- the lone-boundary special case.
+        pairs: list[tuple[int, int, int]] = []
+        boundary: list[tuple[int, int]] = []
         for clique in self._cliques:
-            for slot, shared in enumerate(clique.shared_qubits):
-                row = clique.ancilla_index * 4 + slot
-                self._leaf_correction_table[row, data_index[shared]] = 1
+            index = clique.ancilla_index
+            for slot, (leaf, shared) in enumerate(
+                zip(clique.neighbor_indices, clique.shared_qubits)
+            ):
+                leaves[slot][index] = leaf
+                if index < leaf:
+                    pairs.append((index, leaf, data_index[shared]))
             if clique.boundary_qubits:
-                self._boundary_correction_table[
-                    clique.ancilla_index, data_index[clique.boundary_qubits[0]]
-                ] = 1
-        self._packed_tables_cache: _PackedCliqueTables | None = None
+                boundary.append((index, data_index[clique.boundary_qubits[0]]))
+        pair_table = np.array(pairs, dtype=np.int64).reshape(-1, 3).T.copy()
+        boundary_table = np.array(boundary, dtype=np.int64).reshape(-1, 2).T.copy()
+        self._leaves = np.array(leaves, dtype=np.int64)
+        self._pairs = pair_table[:2]
+        self._pair_qubits = pair_table[2]
+        self._boundary_cliques = boundary_table[0]
+        self._boundary_leaves = self._leaves[:, self._boundary_cliques]
+        self._boundary_qubits = boundary_table[1]
+        self._has_boundary = np.zeros(num, dtype=bool)
+        self._has_boundary[self._boundary_cliques] = True
+        # Decoders are shared per process (get_clique_decoder): freeze them.
+        for table in (
+            self._leaves, self._has_boundary, self._pairs, self._pair_qubits,
+            self._boundary_cliques, self._boundary_leaves, self._boundary_qubits,
+        ):
+            table.flags.writeable = False
 
     @property
     def cliques(self) -> tuple[Clique, ...]:
@@ -143,6 +136,15 @@ class CliqueDecoder(Decoder):
     # ------------------------------------------------------------------
     # Vectorised decision helpers
     # ------------------------------------------------------------------
+    @staticmethod
+    def _padded(signatures: np.ndarray) -> np.ndarray:
+        """``(..., num_ancillas)`` 0/1 → the same plus the sentinel 0 column."""
+        signatures = np.asarray(signatures, dtype=np.uint8) & 1
+        return np.concatenate(
+            [signatures, np.zeros(signatures.shape[:-1] + (1,), dtype=np.uint8)],
+            axis=-1,
+        )
+
     def complex_mask(self, signatures: np.ndarray) -> np.ndarray:
         """Per-clique complex flags for a batch of signatures.
 
@@ -153,13 +155,9 @@ class CliqueDecoder(Decoder):
             Boolean array of the same shape: True where the corresponding
             clique is active and judged complex.
         """
-        signatures = np.asarray(signatures, dtype=np.uint8) & 1
-        padded = np.concatenate(
-            [signatures, np.zeros(signatures.shape[:-1] + (1,), dtype=np.uint8)],
-            axis=-1,
-        )
-        neighbor_counts = padded[..., self._neighbor_table].sum(axis=-1)
-        active = signatures.astype(bool)
+        padded = self._padded(signatures)
+        neighbor_counts = padded[..., self._leaves].sum(axis=-2)
+        active = padded[..., :-1].astype(bool)
         even = neighbor_counts % 2 == 0
         boundary_escape = (neighbor_counts == 0) & self._has_boundary
         return active & even & ~boundary_escape
@@ -180,65 +178,32 @@ class CliqueDecoder(Decoder):
         Returns:
             uint8 bitmap of shape ``(..., num_data_qubits)`` in
             ``code.data_index`` column order, equal per row to the bitmap of
-            :meth:`decide`'s ``correction`` set: within one signature,
-            contributions from different cliques to the same qubit collapse
-            (set-union semantics), matching the idempotent hardware OR.
+            :meth:`decide`'s ``correction`` set.  Each corrected qubit has
+            one pair-form term, so contributions never need merging.
         """
-        signatures = np.asarray(signatures, dtype=np.uint8) & 1
-        batch_shape = signatures.shape[:-1]
-        num = len(self._cliques)
-        padded = np.concatenate(
-            [signatures, np.zeros(batch_shape + (1,), dtype=np.uint8)], axis=-1
+        padded = self._padded(signatures)
+        bitmap = np.zeros(
+            padded.shape[:-1] + (self._code.num_data_qubits,), dtype=np.uint8
         )
-        leaf_set = padded[..., self._neighbor_table].astype(bool)
-        active = signatures.astype(bool)
-        # Odd-leaf case: flip the qubit shared with each set leaf.
-        pair_contrib = (active[..., None] & leaf_set).reshape(batch_shape + (num * 4,))
-        counts = pair_contrib.astype(np.int64) @ self._leaf_correction_table
-        # Boundary case: active clique with no set leaf flips a boundary qubit.
-        lone = active & ~leaf_set.any(axis=-1)
-        counts += lone.astype(np.int64) @ self._boundary_correction_table
-        return (counts > 0).astype(np.uint8)
+        first, second = self._pairs
+        bitmap[..., self._pair_qubits] = padded[..., first] & padded[..., second]
+        any_leaf = padded[..., self._boundary_leaves].any(axis=-2)
+        bitmap[..., self._boundary_qubits] = (
+            padded[..., self._boundary_cliques] & ~any_leaf
+        )
+        return bitmap
 
     # ------------------------------------------------------------------
     # Packed (uint64 bitplane) decision helpers — trial ``t`` of every plane
     # lives at bit ``t % 64`` of word ``t // 64`` (repro.bitplane layout).
     # ------------------------------------------------------------------
-    def _packed_tables(self) -> _PackedCliqueTables:
-        tables = self._packed_tables_cache
-        if tables is None:
-            boundary_mask = np.where(
-                self._has_boundary, ~np.uint64(0), np.uint64(0)
-            )[:, None]
-            leaf_rows, leaf_qubits = np.nonzero(self._leaf_correction_table)
-            lone_cliques, lone_qubits = np.nonzero(self._boundary_correction_table)
-            targets = np.concatenate([leaf_qubits, lone_qubits])
-            order = np.argsort(targets, kind="stable")
-            sorted_targets = targets[order]
-            if sorted_targets.size:
-                segment_starts = np.flatnonzero(
-                    np.r_[True, sorted_targets[1:] != sorted_targets[:-1]]
-                )
-            else:  # pragma: no cover - no real code is contribution-free
-                segment_starts = np.zeros(0, dtype=np.int64)
-            tables = _PackedCliqueTables(
-                boundary_mask=boundary_mask,
-                leaf_rows=leaf_rows,
-                lone_cliques=lone_cliques,
-                order=order,
-                segment_starts=segment_starts,
-                target_qubits=sorted_targets[segment_starts],
-            )
-            self._packed_tables_cache = tables
-        return tables
-
-    def _packed_leaves(self, signatures: np.ndarray) -> np.ndarray:
-        """Gather each clique's leaf planes: ``(ancillas, words)`` → ``(cliques, 4, words)``."""
+    @staticmethod
+    def _padded_planes(signatures: np.ndarray) -> np.ndarray:
+        """``(num_ancillas, words)`` planes with the sentinel zero plane appended."""
         words = signatures.shape[-1]
-        padded = np.concatenate(
+        return np.concatenate(
             [signatures, np.zeros((1, words), dtype=np.uint64)], axis=0
         )
-        return padded[self._neighbor_table]
 
     def complex_any_packed(self, signatures: np.ndarray) -> np.ndarray:
         """Per-trial "some clique is complex" word vector for packed signatures.
@@ -252,13 +217,15 @@ class CliqueDecoder(Decoder):
             :meth:`is_trivial_batch`.  Padding trials (all-zero planes) come
             back 0, i.e. trivial.
         """
-        tables = self._packed_tables()
-        leaves = self._packed_leaves(signatures)
-        parity = np.bitwise_xor.reduce(leaves, axis=1)
-        any_leaf = np.bitwise_or.reduce(leaves, axis=1)
-        # active & even-leaf-count & not the lone-boundary escape: even count
-        # is XOR-parity 0, zero count is OR 0 (cf. clique_rule / complex_mask).
-        complex_planes = signatures & ~parity & ~(~any_leaf & tables.boundary_mask)
+        padded = self._padded_planes(signatures)
+        # active & even-leaf-count (XOR-parity 0), and on boundary cliques
+        # also some leaf set (the lone-boundary escape needs OR 0).
+        complex_planes = signatures & ~np.bitwise_xor.reduce(
+            padded[self._leaves], axis=0
+        )
+        complex_planes[self._boundary_cliques] &= np.bitwise_or.reduce(
+            padded[self._boundary_leaves], axis=0
+        )
         return np.bitwise_or.reduce(complex_planes, axis=0)
 
     def correction_planes_packed(self, signatures: np.ndarray) -> np.ndarray:
@@ -272,28 +239,17 @@ class CliqueDecoder(Decoder):
 
         Returns:
             uint64 correction planes of shape ``(num_data_qubits, words)``,
-            bit-identical to packing :meth:`correction_bitmap`'s rows:
-            same-qubit contributions collapse by OR (set-union semantics).
+            bit-identical to packing :meth:`correction_bitmap`'s rows.
         """
-        tables = self._packed_tables()
-        leaves = self._packed_leaves(signatures)
-        leaves_flat = leaves.reshape(-1, leaves.shape[-1])
-        any_leaf = np.bitwise_or.reduce(leaves, axis=1)
-        # Odd-leaf case: active clique XOR set leaf → flip the shared qubit.
-        leaf_contrib = (
-            signatures[tables.leaf_rows // 4] & leaves_flat[tables.leaf_rows]
-        )
-        # Boundary case: active clique with no set leaf flips a boundary qubit.
-        lone_contrib = (
-            signatures[tables.lone_cliques] & ~any_leaf[tables.lone_cliques]
-        )
-        contributions = np.concatenate([leaf_contrib, lone_contrib], axis=0)
+        padded = self._padded_planes(signatures)
         planes = np.zeros(
             (self._code.num_data_qubits, signatures.shape[-1]), dtype=np.uint64
         )
-        planes[tables.target_qubits] = np.bitwise_or.reduceat(
-            contributions[tables.order], tables.segment_starts, axis=0
-        )
+        first, second = self._pairs
+        planes[self._pair_qubits] = signatures[first] & signatures[second]
+        planes[self._boundary_qubits] = signatures[
+            self._boundary_cliques
+        ] & ~np.bitwise_or.reduce(padded[self._boundary_leaves], axis=0)
         return planes
 
     # ------------------------------------------------------------------
@@ -363,4 +319,14 @@ class CliqueDecoder(Decoder):
         )
 
 
-__all__ = ["clique_rule", "CliqueDecision", "CliqueDecoder"]
+@lru_cache(maxsize=64)
+def get_clique_decoder(distance: int, stype: StabilizerType) -> CliqueDecoder:
+    """Cached Clique decoder for a given code distance and stabilizer type.
+
+    The decoder is stateless and its tables are read-only, so one instance
+    per process serves every shard, cascade and machine of that code.
+    """
+    return CliqueDecoder(get_code(distance), stype)
+
+
+__all__ = ["clique_rule", "CliqueDecision", "CliqueDecoder", "get_clique_decoder"]

@@ -15,9 +15,29 @@ parameter (and costed by :mod:`repro.hardware`).
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+
+
+def check_measurement_rounds(rounds: object) -> None:
+    """Reject a persistence window that is not a whole number of rounds >= 1.
+
+    The one check behind every ``measurement_rounds`` entry point.  Bools
+    and non-integral values (``2.5``) are refused as well as values below 1:
+    a window of 0 rounds would make every ancilla flip persist
+    (``p ** 0 == 1``).  Any :class:`numbers.Integral`, ``np.int64``
+    included, is accepted.
+    """
+    if isinstance(rounds, bool) or not isinstance(rounds, Integral):
+        raise ConfigurationError(
+            "measurement_rounds must be an integer number of rounds, "
+            f"got {rounds!r}"
+        )
+    if rounds < 1:
+        raise ConfigurationError(f"measurement_rounds must be >= 1, got {rounds}")
 
 
 class PersistenceFilter:
@@ -30,8 +50,7 @@ class PersistenceFilter:
     """
 
     def __init__(self, rounds: int = 2) -> None:
-        if rounds < 1:
-            raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
+        check_measurement_rounds(rounds)
         self._rounds = rounds
 
     @property
@@ -94,4 +113,4 @@ class PersistenceFilter:
         return mask
 
 
-__all__ = ["PersistenceFilter"]
+__all__ = ["PersistenceFilter", "check_measurement_rounds"]

@@ -106,7 +106,7 @@ def run_memory_experiment_batch(
 
     generator = make_rng(rng)
     decoder = decoder_factory(code, stype)
-    packed_check = bitplane.PackedParityCheck(code.parity_check(stype).astype(np.int64))
+    packed_check = bitplane.get_packed_parity_check(code.distance, stype)
     logical_planes = np.flatnonzero(logical_support_bitmap(code, stype))
 
     tier_names = tuple(getattr(decoder, "tier_names", ()) or ())

@@ -33,7 +33,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro import bitplane
-from repro.clique.decoder import CliqueDecoder
+from repro.clique.decoder import CliqueDecoder, get_clique_decoder
+from repro.clique.measurement_filter import check_measurement_rounds
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.exceptions import ConfigurationError
 from repro.noise.models import NoiseModel
@@ -166,8 +167,12 @@ class CoverageKernel:
     and popcounts the negated complex/active words under the batch's trial
     mask, so padding cycles never count.  The kernel ships as a few hundred
     bytes: the code pickles as its distance (each worker resolves it from its
-    own :func:`~repro.codes.rotated_surface.get_code` cache) and the Clique
-    decoder is rebuilt per shard.
+    own :func:`~repro.codes.rotated_surface.get_code` cache), and every
+    shard takes its Clique decoder and packed parity check from the
+    worker's per-process caches
+    (:func:`~repro.clique.decoder.get_clique_decoder`,
+    :func:`~repro.bitplane.get_packed_parity_check`), so a worker builds
+    them at most once per ``(distance, stype)``.
     """
 
     code: RotatedSurfaceCode
@@ -177,6 +182,7 @@ class CoverageKernel:
     batch_size: int = 50_000
 
     def __post_init__(self) -> None:
+        check_measurement_rounds(self.measurement_rounds)
         if self.batch_size <= 0:
             raise ConfigurationError(
                 f"batch_size must be positive, got {self.batch_size}"
@@ -185,8 +191,8 @@ class CoverageKernel:
     def __call__(
         self, num_cycles: int, rng: np.random.Generator
     ) -> tuple[int, int, int]:
-        clique = CliqueDecoder(self.code, self.stype)
-        packed_check = bitplane.PackedParityCheck(self.code.parity_check(self.stype))
+        clique = get_clique_decoder(self.code.distance, self.stype)
+        packed_check = bitplane.get_packed_parity_check(self.code.distance, self.stype)
         onchip = 0
         all_zero = 0
         for start in range(0, num_cycles, self.batch_size):
@@ -387,10 +393,7 @@ def simulate_clique_coverage(
     """
     if num_cycles <= 0:
         raise ConfigurationError(f"num_cycles must be positive, got {num_cycles}")
-    if measurement_rounds < 1:
-        raise ConfigurationError(
-            f"measurement_rounds must be >= 1, got {measurement_rounds}"
-        )
+    check_measurement_rounds(measurement_rounds)
     if min_cycles is not None and target_ci_width is None:
         raise ConfigurationError(
             "min_cycles is only meaningful with target_ci_width (adaptive "

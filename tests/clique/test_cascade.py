@@ -13,7 +13,7 @@ import pytest
 
 from repro import bitplane
 from repro.clique.cascade import DecoderCascade
-from repro.clique.decoder import CliqueDecoder
+from repro.clique.decoder import CliqueDecoder, get_clique_decoder
 from repro.codes.rotated_surface import get_code
 from repro.decoders.base import Decoder
 from repro.decoders.mwpm import MWPMDecoder
@@ -140,6 +140,15 @@ class TestConstruction:
         final = MWPMDecoder(code_d5, StabilizerType.X)
         with pytest.raises(ConfigurationError, match="first cascade tier"):
             DecoderCascade(code_d5, StabilizerType.X, tiers=("mwpm", final))
+
+    @pytest.mark.parametrize("rounds", [0, 2.5, True])
+    def test_bad_measurement_rounds_are_rejected_at_construction(self, code_d5, rounds):
+        with pytest.raises(ConfigurationError, match="measurement_rounds"):
+            DecoderCascade(code_d5, StabilizerType.X, measurement_rounds=rounds)
+
+    def test_clique_tier_is_the_cached_decoder(self, code_d5):
+        cascade = DecoderCascade(code_d5, StabilizerType.Z)
+        assert cascade.clique is get_clique_decoder(5, StabilizerType.Z)
 
     def test_default_is_the_two_tier_clique_mwpm_hierarchy(self, code_d5):
         cascade = DecoderCascade(code_d5, StabilizerType.X)
@@ -331,6 +340,33 @@ class TestBatchedCascadeBitIdentity:
                 reference = cascade.decode_history(batch[trial])
                 expected = [list(reference.offchip_rounds)] if reference.offchip_rounds else []
                 assert recorder.shipped_rounds == expected
+
+    @pytest.mark.parametrize("trials", [64, 150])
+    def test_offchip_tier_sees_the_per_trial_events_in_order(self, code_d5, trials):
+        # The packed path reads off-chip events sparsely from the packed
+        # planes; each off-chip trial must reach the tier with exactly the
+        # (round, ancilla) event list, in the same order, that decode_history
+        # ships for it — the order fixes the matcher's tie-breaks.
+        class RecordingMWPM(MWPMDecoder):
+            def __init__(self, code, stype):
+                super().__init__(code, stype)
+                self.calls = []
+
+            def decode_events_bitmap(self, rounds, ancillas):
+                self.calls.append((rounds.tolist(), ancillas.tolist()))
+                return super().decode_events_bitmap(rounds, ancillas)
+
+        recorder = RecordingMWPM(code_d5, StabilizerType.X)
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", recorder))
+        rng = np.random.default_rng(59)
+        batch = (rng.random((trials, 6, _width(code_d5))) < 0.12).astype(np.uint8)
+        _decode_packed(cascade, batch)
+        packed_calls = list(recorder.calls)
+        recorder.calls.clear()
+        for trial in range(trials):
+            cascade.decode_history(batch[trial])
+        assert len(packed_calls) > 1
+        assert packed_calls == recorder.calls
 
 
 #: Frozen seeded outputs — trials=300, p=2e-2, seed=1234, rounds=distance;

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.decoder import CliqueDecoder, clique_rule
+from repro import bitplane
+from repro.clique.cliques import build_cliques
+from repro.clique.decoder import CliqueDecoder, clique_rule, get_clique_decoder
+from repro.codes.rotated_surface import get_code
 from repro.noise.events import errors_to_vector
 from repro.types import Coord, StabilizerType
 
@@ -211,3 +214,73 @@ class TestDecoderInterface:
         result = clique_d7.decode(code_d7.syndrome_of(chain, StabilizerType.X))
         assert not result.handled
         assert result.correction == frozenset()
+
+
+class TestPairFormTables:
+    """The correction ROM is stored in pair form, which is only exact if every
+    corrected data qubit has exactly one term; the three assembly paths
+    (packed, bitmap, per-signature) must then agree bit for bit."""
+
+    @pytest.mark.parametrize("distance", range(3, 33, 2))
+    def test_each_corrected_qubit_has_exactly_one_term(self, distance, stype):
+        terms: dict = {}
+        for clique in build_cliques(get_code(distance), stype):
+            for leaf, shared in zip(clique.neighbor_indices, clique.shared_qubits):
+                pair = tuple(sorted((clique.ancilla_index, leaf)))
+                terms.setdefault(shared, set()).add(("pair", pair))
+            if clique.boundary_qubits:
+                terms.setdefault(clique.boundary_qubits[0], set()).add(
+                    ("boundary", clique.ancilla_index)
+                )
+        # Each shared qubit is named by both cliques of its one pair, and no
+        # first boundary qubit is shared or owned twice.
+        assert all(len(owners) == 1 for owners in terms.values())
+
+    @pytest.mark.parametrize("distance,trials", [(3, 64), (5, 130), (9, 77)])
+    def test_packed_equals_bitmap_equals_decide_on_trivial_rows(
+        self, distance, trials, stype
+    ):
+        code = get_code(distance)
+        decoder = get_clique_decoder(distance, stype)
+        rng = np.random.default_rng(distance)
+        errors = (rng.random((4 * trials, code.num_data_qubits)) < 0.03).astype(np.int64)
+        signatures = ((errors @ code.parity_check(stype).T) & 1).astype(np.uint8)
+        trivial = signatures[decoder.is_trivial_batch(signatures)][:trials]
+        assert trivial.shape[0] == trials and trivial.any()
+
+        bitmap = decoder.correction_bitmap(trivial)
+        planes = decoder.correction_planes_packed(bitplane.pack_trials(trivial))
+        assert np.array_equal(planes, bitplane.pack_trials(bitmap))
+        data_index = code.data_index
+        for row, expected in zip(trivial, bitmap):
+            reference = np.zeros(code.num_data_qubits, dtype=np.uint8)
+            for qubit in decoder.decide(row).correction:
+                reference[data_index[qubit]] = 1
+            assert np.array_equal(expected, reference)
+
+    def test_decoders_are_cached_per_distance_and_type(self):
+        decoder = get_clique_decoder(5, StabilizerType.X)
+        assert get_clique_decoder(5, StabilizerType.X) is decoder
+        assert get_clique_decoder(5, StabilizerType.Z) is not decoder
+        assert decoder.code is get_code(5)
+
+    def test_cached_tables_are_read_only_and_unchanged_by_decoding(self):
+        decoder = get_clique_decoder(7, StabilizerType.X)
+        tables = {
+            name: value.copy()
+            for name, value in vars(decoder).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert tables and not any(
+            getattr(decoder, name).flags.writeable for name in tables
+        )
+        rng = np.random.default_rng(3)
+        signatures = (rng.random((200, len(decoder.cliques))) < 0.1).astype(np.uint8)
+        packed = bitplane.pack_trials(signatures)
+        decoder.complex_mask(signatures)
+        decoder.correction_bitmap(signatures)
+        decoder.complex_any_packed(packed)
+        decoder.correction_planes_packed(packed)
+        decoder.decide(signatures[0])
+        for name, value in tables.items():
+            assert np.array_equal(getattr(decoder, name), value)

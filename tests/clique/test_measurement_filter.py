@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clique.measurement_filter import PersistenceFilter
+from repro.clique.measurement_filter import PersistenceFilter, check_measurement_rounds
 from repro.exceptions import ConfigurationError
 
 
@@ -20,6 +20,17 @@ class TestConstruction:
 
     def test_default_is_two_rounds(self):
         assert PersistenceFilter().rounds == 2
+
+    @pytest.mark.parametrize("rounds", [True, False, 2.5, 2.0, "2", None, -1])
+    def test_rejects_non_integral_or_bool_rounds(self, rounds):
+        with pytest.raises(ConfigurationError):
+            check_measurement_rounds(rounds)
+        with pytest.raises(ConfigurationError):
+            PersistenceFilter(rounds)
+
+    def test_numpy_integers_are_accepted(self):
+        check_measurement_rounds(np.int64(3))
+        assert PersistenceFilter(np.int64(3)).rounds == 3
 
 
 class TestSplit:

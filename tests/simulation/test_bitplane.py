@@ -3,8 +3,8 @@
 The packed Monte-Carlo hot path is only sound if every primitive in
 :mod:`repro.bitplane` is *exact*: pack → unpack is the identity for any
 trial count (including ragged non-multiple-of-64 tails), XOR-parity
-syndromes equal the int64 matmul mod 2 bit for bit, and the scatter/extract
-byte-view accessors address precisely the trial they claim to.  Hypothesis
+syndromes equal the int64 matmul mod 2 bit for bit, and the scatter
+byte-view accessor addresses precisely the trial it claims to.  Hypothesis
 sweeps the shape space; the pinned cases nail the documented edge rules.
 """
 
@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import bitplane
+from repro.codes.rotated_surface import get_code
+from repro.types import StabilizerType
 
 SHAPES = st.tuples(
     st.integers(min_value=1, max_value=200),  # trials (ragged tails included)
@@ -78,19 +80,6 @@ class TestTrialAccessors:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=50, deadline=None)
-    def test_extract_matches_fancy_indexing(self, shape, seed):
-        bits = _random_bits(shape, seed)
-        trials = shape[0]
-        rng = np.random.default_rng(seed + 1)
-        ids = np.sort(rng.choice(trials, size=min(trials, 7), replace=False))
-        extracted = bitplane.extract_trial_bits(bitplane.pack_trials(bits), ids)
-        assert np.array_equal(extracted, bits[ids])
-
-    @given(
-        shape=SHAPES,
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
     def test_scatter_xor_matches_unpacked_xor(self, shape, seed):
         bits = _random_bits(shape, seed)
         trials, planes = shape[0], shape[1:]
@@ -147,6 +136,28 @@ class TestPackedParityCheck:
         unpacked = bitplane.unpack_trials(syndromes, 70)
         assert np.all(unpacked[:, :, 0] == 0)
         assert np.all(unpacked[:, :, 1] == 0)  # weight-2 row of all-ones errors
+
+    @given(
+        num_data=st.integers(min_value=1, max_value=24),
+        num_ancillas=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_support_table_lists_each_row_in_order(self, num_data, num_ancillas, seed):
+        rng = np.random.default_rng(seed)
+        matrix = (rng.random((num_ancillas, num_data)) < 0.4).astype(np.uint8)
+        support = bitplane.PackedParityCheck(matrix)._support
+        assert not support.flags.writeable
+        for row, padded in zip(matrix, support):
+            columns = np.flatnonzero(row)
+            assert np.array_equal(padded[: columns.size], columns)
+            assert np.all(padded[columns.size :] == num_data)
+
+    def test_code_checks_are_cached_per_distance_and_type(self):
+        check = bitplane.get_packed_parity_check(5, StabilizerType.X)
+        assert bitplane.get_packed_parity_check(5, StabilizerType.X) is check
+        assert bitplane.get_packed_parity_check(5, StabilizerType.Z) is not check
+        assert check.num_ancillas == get_code(5).num_ancillas_of_type(StabilizerType.X)
 
     def test_rejects_mismatched_plane_count(self):
         check = bitplane.PackedParityCheck(np.eye(3, dtype=np.int64))

@@ -20,14 +20,18 @@ import numpy as np
 import pytest
 from coverage_oracle import oracle_count_coverage, oracle_machine_demand
 
+from repro import bitplane
 from repro.bandwidth.machine import LogicalMachine
-from repro.clique.decoder import CliqueDecoder
+from repro.clique import decoder as clique_decoder
+from repro.clique.decoder import CliqueDecoder, get_clique_decoder
 from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
 from repro.experiments import run_experiment
 from repro.experiments.fig14 import _CascadeFactory
 from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
+from repro.exceptions import ConfigurationError
 from repro.noise.rng import shard_rng
-from repro.simulation.coverage import CoverageKernel
+from repro.simulation.coverage import CoverageKernel, simulate_clique_coverage
+from repro.simulation.scheduler import coverage_point
 from repro.simulation.shard import MemoryKernel
 from repro.types import StabilizerType
 
@@ -258,3 +262,86 @@ class TestShardPayloads:
         payload = pickle.dumps(kernel)
         assert len(payload) < 2048
         assert pickle.loads(payload).code is get_code(21)
+
+
+BAD_MEASUREMENT_ROUNDS = [0, -1, 2.5, True]
+
+
+class TestMeasurementRoundsValidation:
+    """A window of 0 rounds would make every ancilla flip persist
+    (``p ** 0 == 1``) and a fractional one would key a row under it; every
+    coverage entry point refuses both before sampling."""
+
+    @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
+    def test_coverage_kernel(self, rounds):
+        with pytest.raises(ConfigurationError, match="measurement_rounds"):
+            CoverageKernel(get_code(3), PhenomenologicalNoise(1e-2), X, rounds)
+
+    @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
+    def test_coverage_point(self, rounds):
+        with pytest.raises(ConfigurationError, match="measurement_rounds"):
+            coverage_point(
+                "p",
+                get_code(3),
+                PhenomenologicalNoise(1e-2),
+                cycles=100,
+                seed=1,
+                measurement_rounds=rounds,
+            )
+
+    @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
+    def test_simulate_clique_coverage(self, rounds):
+        with pytest.raises(ConfigurationError, match="measurement_rounds"):
+            simulate_clique_coverage(
+                get_code(3), PhenomenologicalNoise(1e-2), 100, measurement_rounds=rounds
+            )
+
+    @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
+    def test_fig11(self, rounds):
+        with pytest.raises(ConfigurationError, match="measurement_rounds"):
+            run_experiment(
+                "fig11",
+                cycles=100,
+                distances=(3,),
+                error_rates=(1e-2,),
+                measurement_rounds=rounds,
+                workers=1,
+            )
+
+    @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
+    def test_logical_machine(self, rounds):
+        with pytest.raises(ConfigurationError, match="measurement_rounds"):
+            LogicalMachine(
+                get_code(3), PhenomenologicalNoise(1e-2), 10, measurement_rounds=rounds
+            )
+
+    def test_numpy_integer_rounds_count_like_int(self):
+        noise = PhenomenologicalNoise(1e-2)
+        expected = CoverageKernel(get_code(5), noise, X, 3)(300, shard_rng(7, 0))
+        counts = CoverageKernel(get_code(5), noise, X, np.int64(3))(300, shard_rng(7, 0))
+        assert counts == expected
+
+
+class TestPerProcessTables:
+    def test_multi_shard_run_builds_each_table_once(self, monkeypatch):
+        built = []
+        for module, name in (
+            (clique_decoder, "CliqueDecoder"),
+            (bitplane, "PackedParityCheck"),
+        ):
+            original = getattr(module, name).__init__
+
+            def counting(self, *args, _original=original, _name=name, **kwargs):
+                built.append(_name)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(getattr(module, name), "__init__", counting)
+        get_clique_decoder.cache_clear()
+        bitplane.get_packed_parity_check.cache_clear()
+        noise = PhenomenologicalNoise(1e-2)
+        for distance, stype in ((5, X), (5, StabilizerType.Z), (7, X), (5, X)):
+            simulate_clique_coverage(
+                get_code(distance), noise, 2_000, stype=stype, rng=1,
+                workers=1, chunk_cycles=500,
+            )
+        assert sorted(built) == ["CliqueDecoder"] * 3 + ["PackedParityCheck"] * 3
