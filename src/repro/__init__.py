@@ -37,7 +37,6 @@ from repro.decoders import (
     ClusteringDecoder,
     DecodeResult,
     Decoder,
-    LookupDecoder,
     MWPMDecoder,
 )
 from repro.exceptions import ReproError
@@ -74,7 +73,6 @@ __all__ = [
     "DecodeResult",
     "MWPMDecoder",
     "ClusteringDecoder",
-    "LookupDecoder",
     "CliqueDecoder",
     "CliqueDecision",
     "PersistenceFilter",

@@ -15,11 +15,6 @@ from repro.bandwidth.allocation import (
     provision_for_percentile,
     provisioning_sweep,
 )
-from repro.bandwidth.machine import (
-    LogicalMachine,
-    MachineSimulationResult,
-    empirical_plan,
-)
 from repro.bandwidth.stalling import CycleRecord, StallSimulationResult, StallSimulator
 from repro.bandwidth.traffic import (
     expected_nonzero_syndrome_bits,
@@ -36,9 +31,6 @@ __all__ = [
     "BandwidthPlan",
     "provision_for_percentile",
     "provisioning_sweep",
-    "LogicalMachine",
-    "MachineSimulationResult",
-    "empirical_plan",
     "StallSimulator",
     "StallSimulationResult",
     "CycleRecord",

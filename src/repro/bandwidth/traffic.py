@@ -9,19 +9,16 @@ per decode for full fault tolerance).
 
 from __future__ import annotations
 
-from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
-from repro.exceptions import ConfigurationError, InvalidProbabilityError
+from repro.clique.measurement_filter import check_measurement_rounds
+from repro.codes.rotated_surface import RotatedSurfaceCode, check_distance, get_code
+from repro.exceptions import InvalidProbabilityError
 from repro.types import StabilizerType
 
 
 def syndrome_bits_per_cycle(distance: int, measurement_rounds: int = 1) -> int:
     """Uncompressed syndrome bits per logical qubit per decode cycle."""
-    if distance < 3 or distance % 2 == 0:
-        raise ConfigurationError(f"distance must be an odd integer >= 3, got {distance}")
-    if measurement_rounds < 1:
-        raise ConfigurationError(
-            f"measurement_rounds must be >= 1, got {measurement_rounds}"
-        )
+    check_distance(distance)
+    check_measurement_rounds(measurement_rounds)
     return (distance * distance - 1) * measurement_rounds
 
 

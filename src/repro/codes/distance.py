@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.codes.rotated_surface import check_distance
 from repro.exceptions import ConfigurationError, InvalidProbabilityError
 
 
@@ -101,8 +102,7 @@ class LogicalRateModel:
         """Estimated logical error rate for a given physical rate and distance."""
         if not 0 < physical_error_rate < 1:
             raise InvalidProbabilityError("physical_error_rate", physical_error_rate)
-        if distance < 3 or distance % 2 == 0:
-            raise ConfigurationError(f"distance must be an odd integer >= 3, got {distance}")
+        check_distance(distance)
         steps = (distance + 1) / 2
         return self.prefactor * (physical_error_rate / self.threshold) ** steps
 

@@ -73,6 +73,17 @@ class Ancilla:
         return bool(self.boundary_qubits)
 
 
+def check_distance(distance: object) -> None:
+    """Reject a code distance that is not a Python ``int``, odd and >= 3.
+
+    The one distance check behind the code constructor and every helper that
+    takes a bare distance: floats (``5.0``, ``7.5``) and bools are refused
+    with :class:`InvalidDistanceError`, as are even values and values below 3.
+    """
+    if not isinstance(distance, int) or distance < 3 or distance % 2 == 0:
+        raise InvalidDistanceError(distance)
+
+
 class RotatedSurfaceCode:
     """Geometry and stabilizer structure of a rotated surface code.
 
@@ -84,8 +95,7 @@ class RotatedSurfaceCode:
     """
 
     def __init__(self, distance: int) -> None:
-        if not isinstance(distance, int) or distance < 3 or distance % 2 == 0:
-            raise InvalidDistanceError(distance)
+        check_distance(distance)
         self._distance = distance
 
         self._data_qubits = tuple(
@@ -341,4 +351,4 @@ def get_code(distance: int) -> RotatedSurfaceCode:
     return RotatedSurfaceCode(distance)
 
 
-__all__ = ["Ancilla", "RotatedSurfaceCode", "get_code"]
+__all__ = ["Ancilla", "RotatedSurfaceCode", "check_distance", "get_code"]

@@ -1,14 +1,12 @@
 """Off-chip ("complex") decoders used as the robust fallback in the BTWC hierarchy.
 
 The paper's baseline is Minimum Weight Perfect Matching (MWPM) [Dennis et al.].
-A clustering (union-find style) decoder and an exhaustive lookup-table decoder
-are included as additional baselines and as cross-validation oracles for the
-test suite.
+A clustering (union-find style) decoder is the alternative off-chip tier
+(``--tiers clique,union_find``).
 """
 
 from repro.decoders.base import Decoder, DecodeResult
 from repro.decoders.blossom import match_events
-from repro.decoders.lookup import LookupDecoder
 from repro.decoders.matching_graph import MatchingGraph, SpaceTimeEvent
 from repro.decoders.mwpm import SUBSET_DP_MAX_EVENTS, MWPMDecoder
 from repro.decoders.registry import (
@@ -25,7 +23,6 @@ __all__ = [
     "SpaceTimeEvent",
     "MWPMDecoder",
     "ClusteringDecoder",
-    "LookupDecoder",
     "SUBSET_DP_MAX_EVENTS",
     "TIER_DECODERS",
     "match_events",

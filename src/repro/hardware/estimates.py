@@ -66,9 +66,12 @@ def estimate_overheads(
     )
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def clique_overheads(distance: int, measurement_rounds: int = 2) -> DecoderOverheads:
-    """Synthesise and cost the Clique decoder for one logical qubit."""
+    """Synthesise and cost the Clique decoder for one logical qubit.
+
+    The cache is typed so ``measurement_rounds=True`` is not served the
+    1-round entry: it reaches the synthesis check and is refused."""
     netlist = synthesize_clique_decoder(distance, measurement_rounds=measurement_rounds)
     return estimate_overheads(netlist, distance, measurement_rounds)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.exceptions import ConfigurationError
+from repro.codes.rotated_surface import check_distance
 
 #: Paper-reported advantage factors of Clique over NISQ+ at distance 9.
 NISQPLUS_ANCHOR_DISTANCE = 9
@@ -69,8 +69,7 @@ def nisqplus_overheads(
         clique_area_mm2_at_9: Clique decoder area at d=9.
         clique_latency_ns_at_9: Clique decoder latency at d=9.
     """
-    if distance < 3 or distance % 2 == 0:
-        raise ConfigurationError(f"distance must be an odd integer >= 3, got {distance}")
+    check_distance(distance)
     power_at_9 = clique_power_w_at_9 * NISQPLUS_POWER_FACTOR
     area_at_9 = clique_area_mm2_at_9 * NISQPLUS_AREA_FACTOR
     latency_at_9 = clique_latency_ns_at_9 * NISQPLUS_LATENCY_FACTOR

@@ -28,8 +28,8 @@ SFQMap-style flows).
 from __future__ import annotations
 
 from repro.clique.cliques import build_cliques
+from repro.clique.measurement_filter import check_measurement_rounds
 from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
-from repro.exceptions import ConfigurationError
 from repro.hardware.netlist import Netlist
 from repro.types import StabilizerType
 
@@ -49,8 +49,6 @@ def _parity_tree_size(num_inputs: int) -> tuple[int, int]:
 def _persistence_filter_netlist(num_ancillas: int, rounds: int) -> Netlist:
     """Per-ancilla measurement persistence filter of Fig. 7, replicated."""
     netlist = Netlist(name="persistence-filter")
-    if rounds < 1:
-        raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
     if rounds == 1:
         # No filtering: raw detections feed the cliques directly.
         netlist.critical_path = ()
@@ -151,6 +149,7 @@ def synthesize_clique_decoder(
         DFFs, with the critical path recorded through filter, clique decision
         and global-flag stages.
     """
+    check_measurement_rounds(measurement_rounds)
     code = (
         code_or_distance
         if isinstance(code_or_distance, RotatedSurfaceCode)

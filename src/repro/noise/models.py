@@ -4,7 +4,7 @@ The paper's evaluation (Section 6.1) uses the *phenomenological* model: each
 cycle injects independent errors on every data qubit with probability ``p``
 and flips every syndrome measurement with the same probability ``p``.  A
 *code-capacity* variant (no measurement errors) is provided for unit tests
-and for the lookup-table cross-validation decoder.
+and for the lookup-table decoder the tests use as an oracle.
 
 Memory-experiment histories are drawn by an exact *sparse* sampler, one
 64-trial tile (one uint64 word of trials) at a time: per field, an error

@@ -121,8 +121,8 @@ def sample_complex_words(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``cycles`` independent decode cycles and triage them, packed.
 
-    The one coverage body shared by :class:`CoverageKernel` and
-    :class:`repro.bandwidth.machine.LogicalMachine`.  Fresh data errors come
+    The coverage body behind :class:`CoverageKernel`, hence every coverage
+    run.  Fresh data errors come
     from ``NoiseModel.sample_data_matrix`` (so subclasses overriding the
     batched data sampler are honoured), then one ``(cycles, ancillas)``
     uniform draw marks the persistence-filtered measurement flips (rate

@@ -109,17 +109,9 @@ def until_wilson(
     )
 
 
-def relative_error(estimate: float, reference: float) -> float:
-    """|estimate - reference| / reference (reference must be non-zero)."""
-    if reference == 0:
-        raise ConfigurationError("reference must be non-zero")
-    return abs(estimate - reference) / abs(reference)
-
-
 __all__ = [
     "wilson_interval",
     "wilson_width",
     "WilsonStoppingRule",
     "until_wilson",
-    "relative_error",
 ]

@@ -1,22 +1,5 @@
-"""Syndrome extraction, multi-round histories and signature classification."""
+"""Multi-round syndrome histories and their detection events."""
 
-from repro.syndrome.classification import (
-    classify_error_configuration,
-    classify_signature_counts,
-)
-from repro.syndrome.extraction import (
-    extract_syndrome,
-    flipped_ancillas,
-    observed_syndrome,
-)
 from repro.syndrome.history import DetectionEvent, SyndromeHistory
 
-__all__ = [
-    "extract_syndrome",
-    "observed_syndrome",
-    "flipped_ancillas",
-    "SyndromeHistory",
-    "DetectionEvent",
-    "classify_error_configuration",
-    "classify_signature_counts",
-]
+__all__ = ["SyndromeHistory", "DetectionEvent"]

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bandwidth.traffic import syndrome_bits_per_cycle
+from repro.codes.distance import logical_error_rate_estimate
 from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
 from repro.exceptions import InvalidDistanceError
+from repro.hardware.nisqplus import nisqplus_overheads
 from repro.types import Coord, StabilizerType
 
 DISTANCES = [3, 5, 7, 9]
@@ -17,6 +20,22 @@ class TestConstruction:
     def test_rejects_invalid_distances(self, bad):
         with pytest.raises(InvalidDistanceError):
             RotatedSurfaceCode(bad)
+
+    @pytest.mark.parametrize("bad", [5.0, 7.5, True, 4, 1])
+    @pytest.mark.parametrize(
+        "helper",
+        [
+            syndrome_bits_per_cycle,
+            lambda distance: nisqplus_overheads(distance, 1.0, 1.0, 1.0),
+            lambda distance: logical_error_rate_estimate(1e-3, distance),
+        ],
+        ids=["syndrome_bits_per_cycle", "nisqplus_overheads", "logical_error_rate"],
+    )
+    def test_distance_helpers_share_the_constructor_rule(self, helper, bad):
+        # Floats are refused as the constructor refuses them, not rounded
+        # into a cost or a rate for a lattice that cannot exist.
+        with pytest.raises(InvalidDistanceError):
+            helper(bad)
 
     @pytest.mark.parametrize("distance", DISTANCES)
     def test_qubit_counts(self, distance):

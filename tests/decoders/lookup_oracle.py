@@ -1,11 +1,12 @@
-"""Exhaustive lookup-table decoder for small code distances.
+"""Exhaustive lookup-table decoder: a test oracle for small code distances.
 
 For small codes under *code-capacity* noise (perfect measurements, single
 round) it is feasible to precompute the minimum-weight correction for every
 possible syndrome by enumerating error patterns in order of increasing
-weight.  The result is provably optimal, which makes this decoder a useful
-oracle for cross-validating MWPM in the test suite (and mirrors the LUT
-decoders of Tomita & Svore / LILLIPUT referenced by the paper).
+weight.  The result is provably optimal, which makes this decoder the
+reference that ``test_mwpm.py`` checks MWPM's correction weights against
+(it mirrors the LUT decoders of Tomita & Svore / LILLIPUT referenced by the
+paper).  No production path uses it, so it lives with the tests.
 """
 
 from __future__ import annotations
@@ -83,5 +84,3 @@ class LookupDecoder(Decoder):
             correction=correction, metadata={"correction_weight": len(correction)}
         )
 
-
-__all__ = ["LookupDecoder"]

@@ -1,11 +1,11 @@
-"""Tests for the exhaustive lookup-table decoder."""
+"""Tests for the exhaustive lookup-table decoder oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from lookup_oracle import LookupDecoder
 
-from repro.decoders.lookup import LookupDecoder
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.types import StabilizerType
 

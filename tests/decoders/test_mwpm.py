@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from lookup_oracle import LookupDecoder
 
-from repro.decoders.lookup import LookupDecoder
 from repro.decoders.mwpm import SUBSET_DP_MAX_EVENTS, MWPMDecoder, match_events_small
 from repro.exceptions import ConfigurationError, SyndromeShapeError
 from repro.noise.events import errors_to_vector, vector_to_errors
@@ -48,16 +50,23 @@ class TestSingleRoundDecoding:
 
     def test_matches_lookup_decoder_weight_on_small_code(self, code_d3):
         # MWPM must find a minimum-weight explanation for every weight-1 and
-        # weight-2 error pattern on the d=3 code (code capacity).
-        lookup = LookupDecoder(code_d3, StabilizerType.X)
-        mwpm = MWPMDecoder(code_d3, StabilizerType.X)
-        qubits = code_d3.data_qubits
-        for i in range(len(qubits)):
-            error = {qubits[i]}
-            syndrome = code_d3.syndrome_of(error, StabilizerType.X)
-            optimal = lookup.decode(syndrome).correction
-            matched = mwpm.decode(syndrome).correction
-            assert len(matched) == len(optimal)
+        # weight-2 error pattern on the d=3 code (code capacity): all 9 + 36
+        # patterns, for both stabilizer types.
+        patterns = [
+            set(pattern)
+            for weight in (1, 2)
+            for pattern in combinations(code_d3.data_qubits, weight)
+        ]
+        assert len(patterns) == 45
+        for stype in StabilizerType:
+            lookup = LookupDecoder(code_d3, stype)
+            mwpm = MWPMDecoder(code_d3, stype)
+            for error in patterns:
+                syndrome = code_d3.syndrome_of(error, stype)
+                optimal = lookup.decode(syndrome).correction
+                matched = mwpm.decode(syndrome).correction
+                assert len(matched) == len(optimal), (stype, error)
+                assert not code_d3.syndrome_of(error ^ matched, stype).any()
 
     def test_metadata_reports_event_counts(self, mwpm_d5, code_d5):
         error = {code_d5.data_qubits[6], code_d5.data_qubits[18]}

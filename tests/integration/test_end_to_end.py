@@ -18,8 +18,6 @@ from repro import (
 )
 from repro.bandwidth.allocation import provision_for_percentile
 from repro.bandwidth.stalling import StallSimulator
-from repro.control.circuits import LogicalCircuit
-from repro.control.waveform import StallController, WaveformGenerator
 
 
 class TestFullDecodePipeline:
@@ -62,17 +60,21 @@ class TestFullDecodePipeline:
         assert result.execution_time_increase < 0.25
         assert plan.bandwidth_reduction > 2.0
 
-    def test_stall_controller_drives_waveform_generator(self):
+    def test_percentile_plan_stalls_a_program_to_completion(self):
+        # Coverage -> 99th-percentile plan -> stall loop, with the stall
+        # count frozen (the plan over-provisions the 13.4 mean demand).
         code = RotatedSurfaceCode(7)
         noise = PhenomenologicalNoise(1e-2)
         coverage = simulate_clique_coverage(code, noise, 5_000, rng=26)
         plan = provision_for_percentile(500, coverage.offchip_fraction, 99.0)
-        circuit = LogicalCircuit.random_clifford_t(16, depth=100, t_fraction=0.05, seed=27)
-        trace = WaveformGenerator(circuit).execute(
-            StallController(plan, seed=28), max_cycles=50_000
+        assert plan.decodes_per_cycle == 22
+        result = StallSimulator(plan, seed=28).run(1000)
+        assert result.completed
+        assert (result.program_cycles, result.stall_cycles, result.max_backlog) == (
+            1000,
+            13,
+            6,
         )
-        assert trace.program_cycles == circuit.depth
-        assert trace.execution_time_increase < 1.0
 
     def test_both_error_species_decode_symmetrically(self):
         code = RotatedSurfaceCode(5)

@@ -56,27 +56,3 @@ def oracle_count_coverage(
         remaining -= batch
     return onchip, all_zero
 
-
-def oracle_machine_demand(
-    clique: CliqueDecoder,
-    noise,
-    measurement_rounds: int,
-    num_logical_qubits: int,
-    cycles: int,
-    generator: np.random.Generator,
-    batch_cycles: int,
-) -> np.ndarray:
-    """Per-cycle off-chip demand of a :class:`LogicalMachine`, int64 formulation."""
-    demand = np.zeros(cycles, dtype=np.int64)
-    done = 0
-    while done < cycles:
-        batch = min(batch_cycles, cycles - done)
-        signatures = oracle_signatures(
-            clique, noise, measurement_rounds, batch * num_logical_qubits, generator
-        )
-        offchip = ~clique.is_trivial_batch(signatures)
-        demand[done : done + batch] = offchip.reshape(batch, num_logical_qubits).sum(
-            axis=1
-        )
-        done += batch
-    return demand

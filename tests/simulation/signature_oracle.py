@@ -1,4 +1,4 @@
-"""Ground-truth classification of per-cycle error signatures (Fig. 4).
+"""Per-cycle ground-truth classification (Fig. 4): a test oracle.
 
 The paper buckets each decode cycle's error signature into three classes:
 
@@ -8,17 +8,15 @@ The paper buckets each decode cycle's error signature into three classes:
 * **Complex** - at least one chain of two or more interacting errors exists,
   so a global decoder is needed.
 
-This module classifies from the *injected* error configuration (which the
-Monte-Carlo simulator knows), mirroring how the paper's own lifetime
-simulation labels cycles.  The behavioural counterpart — what the Clique
-decoder actually handles on-chip — is measured separately by
-:mod:`repro.simulation.coverage`.
+The production path (:func:`repro.simulation.cycles.classify_cycles`)
+classifies a whole batch of cycles from touch-count matrices.  This module
+keeps the readable one-cycle formulation over coordinate sets, which
+``test_signature_oracle.py`` checks it against cycle by cycle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.types import Coord, SignatureClass, StabilizerType
@@ -66,51 +64,3 @@ def classify_error_configuration(
     if any(count >= 2 for count in touches.values()):
         return SignatureClass.COMPLEX
     return SignatureClass.LOCAL_ONES
-
-
-@dataclass
-class SignatureCounts:
-    """Tally of signature classes over many simulated cycles."""
-
-    all_zeros: int = 0
-    local_ones: int = 0
-    complex_: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.all_zeros + self.local_ones + self.complex_
-
-    def add(self, cls: SignatureClass, count: int = 1) -> None:
-        if cls is SignatureClass.ALL_ZEROS:
-            self.all_zeros += count
-        elif cls is SignatureClass.LOCAL_ONES:
-            self.local_ones += count
-        else:
-            self.complex_ += count
-
-    def fractions(self) -> dict[SignatureClass, float]:
-        """Normalised distribution (empty tallies return all zeros)."""
-        if self.total == 0:
-            return {cls: 0.0 for cls in SignatureClass}
-        return {
-            SignatureClass.ALL_ZEROS: self.all_zeros / self.total,
-            SignatureClass.LOCAL_ONES: self.local_ones / self.total,
-            SignatureClass.COMPLEX: self.complex_ / self.total,
-        }
-
-
-def classify_signature_counts(
-    classifications: list[SignatureClass] | tuple[SignatureClass, ...],
-) -> SignatureCounts:
-    """Aggregate a list of per-cycle classifications into a tally."""
-    counts = SignatureCounts()
-    for cls in classifications:
-        counts.add(cls)
-    return counts
-
-
-__all__ = [
-    "classify_error_configuration",
-    "SignatureCounts",
-    "classify_signature_counts",
-]

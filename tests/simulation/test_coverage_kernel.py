@@ -1,9 +1,8 @@
 """The packed coverage kernel: differential tests, frozen pins, shard payloads.
 
-* Differential: both users of the packed body (``CoverageKernel``, which
-  every coverage run is sharded into, and ``LogicalMachine``) must count
-  exactly what the int64 formulation in ``coverage_oracle.py`` counts on
-  the same stream.
+* Differential: ``CoverageKernel``, which every coverage run is sharded
+  into, must count exactly what the int64 formulation in
+  ``coverage_oracle.py`` counts on the same stream.
 * Frozen pins: seeded ``CoverageKernel`` counts, taken before the kernel
   moved to bitplanes, and the seeded rows of fig09, fig13, fig16 and
   headline, which the schedule-identity pins do not cover.
@@ -18,15 +17,17 @@ import pickle
 
 import numpy as np
 import pytest
-from coverage_oracle import oracle_count_coverage, oracle_machine_demand
+from coverage_oracle import oracle_count_coverage
 
 from repro import bitplane
-from repro.bandwidth.machine import LogicalMachine
+from repro.bandwidth.traffic import syndrome_bits_per_cycle
 from repro.clique import decoder as clique_decoder
 from repro.clique.decoder import CliqueDecoder, get_clique_decoder
 from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
 from repro.experiments import run_experiment
 from repro.experiments.fig14 import _CascadeFactory
+from repro.hardware.estimates import clique_overheads, compare_with_nisqplus
+from repro.hardware.synthesis import synthesize_clique_decoder
 from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
 from repro.exceptions import ConfigurationError
 from repro.noise.rng import shard_rng
@@ -134,19 +135,6 @@ class TestPackedMatchesOracle:
         assert (onchip, all_zero) == oracle_count_coverage(
             _clique(distance), noise, 2, 1000, shard_rng(11, 2), 400
         )
-
-    @pytest.mark.parametrize(
-        "noise", [PhenomenologicalNoise(1e-2), HalfLatticeNoise(3e-2)], ids=repr
-    )
-    def test_machine_demand_equals_oracle(self, noise):
-        machine = LogicalMachine(
-            get_code(5), noise, num_logical_qubits=37, measurement_rounds=3
-        )
-        demand = machine.simulate(30, rng=6, batch_cycles=7)
-        expected = oracle_machine_demand(
-            _clique(5), noise, 3, 37, 30, np.random.default_rng(6), 7
-        )
-        assert np.array_equal(demand.offchip_requests_per_cycle, expected)
 
 
 class TestFrozenPins:
@@ -270,7 +258,8 @@ BAD_MEASUREMENT_ROUNDS = [0, -1, 2.5, True]
 class TestMeasurementRoundsValidation:
     """A window of 0 rounds would make every ancilla flip persist
     (``p ** 0 == 1``) and a fractional one would key a row under it; every
-    coverage entry point refuses both before sampling."""
+    coverage entry point refuses both before sampling, and the traffic and
+    hardware-cost entry points refuse them before counting bits or cells."""
 
     @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
     def test_coverage_kernel(self, rounds):
@@ -309,11 +298,27 @@ class TestMeasurementRoundsValidation:
             )
 
     @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
-    def test_logical_machine(self, rounds):
+    def test_syndrome_bits_per_cycle(self, rounds):
         with pytest.raises(ConfigurationError, match="measurement_rounds"):
-            LogicalMachine(
-                get_code(3), PhenomenologicalNoise(1e-2), 10, measurement_rounds=rounds
-            )
+            syndrome_bits_per_cycle(5, rounds)
+
+    @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
+    def test_synthesize_clique_decoder(self, rounds):
+        with pytest.raises(ConfigurationError, match="measurement_rounds"):
+            synthesize_clique_decoder(5, measurement_rounds=rounds)
+
+    @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
+    def test_clique_overheads(self, rounds):
+        # Cache a valid row whose key equals ``(5, True)`` first: a bool
+        # must not be served the 1-round entry.
+        clique_overheads(5, 1)
+        with pytest.raises(ConfigurationError, match="measurement_rounds"):
+            clique_overheads(5, rounds)
+
+    @pytest.mark.parametrize("rounds", BAD_MEASUREMENT_ROUNDS)
+    def test_compare_with_nisqplus(self, rounds):
+        with pytest.raises(ConfigurationError, match="measurement_rounds"):
+            compare_with_nisqplus(5, rounds)
 
     def test_numpy_integer_rounds_count_like_int(self):
         noise = PhenomenologicalNoise(1e-2)

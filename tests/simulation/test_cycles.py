@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.codes import PAPER_OPERATING_POINTS
+from repro.codes.rotated_surface import get_code
 from repro.exceptions import ConfigurationError
 from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
 from repro.simulation.cycles import (
@@ -115,3 +117,41 @@ class TestDistribution:
         row = dist.as_row()
         assert row["code_distance"] == 3.0
         assert row["all_zeros_fraction"] == pytest.approx(dist.all_zeros_fraction)
+
+
+#: ``(all_zeros, local_ones, complex_)`` over 2000 cycles, seed 4, per paper
+#: operating point with d <= 31 (fig04's default grid) and stabilizer type.
+SIGNATURE_PINS = {
+    (25, StabilizerType.X): (24, 1840, 136),
+    (25, StabilizerType.Z): (24, 1835, 141),
+    (7, StabilizerType.X): (1859, 141, 0),
+    (7, StabilizerType.Z): (1859, 141, 0),
+    (21, StabilizerType.X): (1038, 959, 3),
+    (21, StabilizerType.Z): (1038, 959, 3),
+    (5, StabilizerType.X): (1967, 33, 0),
+    (5, StabilizerType.Z): (1967, 33, 0),
+    (15, StabilizerType.X): (1697, 303, 0),
+    (15, StabilizerType.Z): (1697, 302, 1),
+}
+
+
+class TestFrozenPins:
+    """Seeded Fig. 4 counts, frozen so a rewrite of the sampler (e.g. onto
+    bitplanes) must reproduce the dense int64 path's draws and labels."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [point for point in PAPER_OPERATING_POINTS if point.code_distance <= 31],
+        ids=lambda point: f"p{point.physical_error_rate:g}-d{point.code_distance}",
+    )
+    def test_signature_distribution(self, point, stype):
+        dist = simulate_signature_distribution(
+            get_code(point.code_distance),
+            PhenomenologicalNoise(point.physical_error_rate),
+            2000,
+            stype=stype,
+            rng=4,
+        )
+        assert (dist.all_zeros, dist.local_ones, dist.complex_) == SIGNATURE_PINS[
+            (point.code_distance, stype)
+        ]

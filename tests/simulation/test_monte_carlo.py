@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.monte_carlo import relative_error, wilson_interval
+from repro.simulation.monte_carlo import wilson_interval
 
 
 class TestWilsonInterval:
@@ -36,14 +36,3 @@ class TestWilsonInterval:
         with pytest.raises(ConfigurationError):
             wilson_interval(5, 3)
 
-
-class TestRelativeError:
-    def test_basic(self):
-        assert relative_error(11.0, 10.0) == pytest.approx(0.1)
-
-    def test_symmetric_sign(self):
-        assert relative_error(9.0, 10.0) == pytest.approx(0.1)
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ConfigurationError):
-            relative_error(1.0, 0.0)

@@ -1,14 +1,22 @@
-"""Tests for ground-truth signature classification (Fig. 4 buckets)."""
+"""Fig. 4's classification: the one-cycle oracle, and production against it.
+
+``signature_oracle.classify_error_configuration`` labels one cycle from its
+injected error sets.  The first class pins that oracle's rules; the second
+replays ``sample_cycle_signatures``' two draws (data field, then
+measurement flips) from the same seed and checks, cycle by cycle, that the
+batched :func:`repro.simulation.cycles.classify_cycles` gives the oracle's
+label.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from signature_oracle import classify_error_configuration
 
-from repro.syndrome.classification import (
-    SignatureCounts,
-    classify_error_configuration,
-    classify_signature_counts,
-)
+from repro.codes.rotated_surface import get_code
+from repro.noise.models import PhenomenologicalNoise
+from repro.simulation.cycles import classify_cycles, sample_cycle_signatures
 from repro.types import Coord, SignatureClass, StabilizerType
 
 
@@ -78,29 +86,37 @@ class TestClassifyErrorConfiguration:
         assert result is SignatureClass.ALL_ZEROS
 
 
-class TestSignatureCounts:
-    def test_add_and_total(self):
-        counts = SignatureCounts()
-        counts.add(SignatureClass.ALL_ZEROS, 3)
-        counts.add(SignatureClass.LOCAL_ONES)
-        counts.add(SignatureClass.COMPLEX, 2)
-        assert counts.total == 6
-        assert counts.all_zeros == 3
-        assert counts.local_ones == 1
-        assert counts.complex_ == 2
+ORACLE_CYCLES = 400
 
-    def test_fractions_sum_to_one(self):
-        counts = SignatureCounts(all_zeros=5, local_ones=3, complex_=2)
-        fractions = counts.fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
 
-    def test_empty_fractions_are_zero(self):
-        assert all(value == 0.0 for value in SignatureCounts().fractions().values())
-
-    def test_classify_signature_counts_aggregates(self):
-        counts = classify_signature_counts(
-            [SignatureClass.ALL_ZEROS, SignatureClass.ALL_ZEROS, SignatureClass.COMPLEX]
+class TestClassifyCyclesMatchesOracle:
+    @pytest.mark.parametrize("error_rate", [1e-3, 1e-2, 5e-2])
+    @pytest.mark.parametrize("distance", [3, 5, 7])
+    def test_every_cycle_gets_the_oracle_label(self, distance, stype, error_rate):
+        code = get_code(distance)
+        noise = PhenomenologicalNoise(error_rate)
+        seed = 1000 * distance + int(stype is StabilizerType.Z)
+        signatures, _flips, touches = sample_cycle_signatures(
+            code, stype, noise, ORACLE_CYCLES, seed, return_touch_counts=True
         )
-        assert counts.all_zeros == 2
-        assert counts.complex_ == 1
-        assert counts.local_ones == 0
+        all_zeros, local_ones, complex_ = classify_cycles(signatures, touches)
+
+        generator = np.random.default_rng(seed)
+        data = noise.sample_data_matrix(code, ORACLE_CYCLES, generator)
+        flips = noise.sample_measurement_matrix(code, stype, ORACLE_CYCLES, generator)
+        ancillas = [ancilla.coord for ancilla in code.ancillas(stype)]
+        for cycle in range(ORACLE_CYCLES):
+            expected = classify_error_configuration(
+                code,
+                stype,
+                {code.data_qubits[i] for i in np.flatnonzero(data[cycle])},
+                {ancillas[i] for i in np.flatnonzero(flips[cycle])},
+            )
+            labels = {
+                SignatureClass.ALL_ZEROS: all_zeros[cycle],
+                SignatureClass.LOCAL_ONES: local_ones[cycle],
+                SignatureClass.COMPLEX: complex_[cycle],
+            }
+            assert [cls for cls, hit in labels.items() if hit] == [expected], (
+                f"cycle {cycle}"
+            )
