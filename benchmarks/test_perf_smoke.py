@@ -344,7 +344,7 @@ def test_engine_and_fallback_throughput_bench_record():
     packed_record = {"points": packed_points}
 
     # --- blossom: the in-tree matcher, matcher-level and end to end -------
-    # Matcher level: synthetic event sets at d=13 through _match_indices.
+    # Matcher level: synthetic event sets at d=13 through _match_large.
     blossom_code = get_code(BLOSSOM_MATCHER_DISTANCE)
     blossom_decoder = MWPMDecoder(blossom_code, StabilizerType.X)
     blossom_width = blossom_code.num_ancillas_of_type(StabilizerType.X)
@@ -364,7 +364,7 @@ def test_engine_and_fallback_throughput_bench_record():
         blossom_seconds = float("inf")
         for _ in range(BLOSSOM_MATCHER_REPEATS):
             start = time.perf_counter()
-            blossom_decoder._match_indices(event_ancillas, event_rounds)
+            blossom_decoder._match_large(event_ancillas, event_rounds)
             blossom_seconds = min(blossom_seconds, time.perf_counter() - start)
         matcher_points.append(
             {

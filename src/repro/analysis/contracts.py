@@ -150,7 +150,7 @@ TIER_REGISTRY_LOCATION: tuple[str, str] = (
 #: Methods a registered tier decoder must define somewhere in its in-tree
 #: class hierarchy (abstract declarations do not count): ``decode`` is the
 #: per-trial fallback every decoder needs, ``decode_events_bitmap`` the
-#: batched off-chip hook the cascade's one-pass triage requires (TIER001).
+#: per-window off-chip hook behind ``Decoder.decode_event_windows`` (TIER001).
 TIER_REQUIRED_METHODS: tuple[str, ...] = ("decode", "decode_events_bitmap")
 
 

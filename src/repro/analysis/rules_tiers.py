@@ -1,10 +1,13 @@
 """TIER001 — registered tier decoders satisfy the cascade tier contract.
 
 ``repro.decoders.registry.TIER_DECODERS`` is the set of classes a cascade
-spec can name.  The cascade's one-pass triage calls ``decode_events_bitmap``
-on whatever final tier the spec resolves to, and generic callers fall back
-to per-trial ``decode`` — a registered class missing either only fails at
-decode time, deep inside a worker process.  This rule statically walks each
+spec can name.  The cascade hands whatever final tier the spec resolves to
+its off-chip windows through ``decode_event_windows``, which the base class
+serves window by window through ``decode_events_bitmap`` (a decoder that
+solves windows together overrides it and keeps the hook for single
+windows), and generic callers fall back to per-trial ``decode`` — a
+registered class missing either only fails, or silently degrades to the
+slow detection-mask path, at decode time, deep inside a worker process.  This rule statically walks each
 registered class (and its in-tree bases) and fails lint at the registry
 entry instead.
 """

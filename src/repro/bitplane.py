@@ -135,6 +135,35 @@ def scatter_xor_trial_bits(
     np.bitwise_xor.at(np.moveaxis(as_bytes, -1, 0), trial_ids // 8, values)
 
 
+def event_windows(
+    planes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read the set bits of packed ``(rounds, ancillas, words)`` planes as event windows.
+
+    Returns ``(trials, rounds, ancillas, bounds)``: the trials with at least
+    one set bit, in increasing order, and their ``(round, ancilla)`` events
+    as flat arrays, where window ``i`` (trial ``trials[i]``) is the slice
+    ``bounds[i]:bounds[i + 1]``.  Events are trial-major, then row-major
+    ``(round, ancilla)`` — the order ``np.nonzero`` gives on one trial's
+    unpacked matrix.  Only the nonzero words are unpacked, through the
+    endian-independent byte view, so the cost scales with the events, not
+    with ``trials x rounds x ancillas``.
+    """
+    rounds, ancillas, words = np.nonzero(planes)
+    word_bits = np.unpackbits(
+        planes[rounds, ancillas, words].view(np.uint8).reshape(-1, _WORD_BYTES),
+        axis=1,
+        bitorder="little",
+    )
+    event, bit = np.nonzero(word_bits)
+    trials = words[event] * WORD_BITS + bit
+    rounds, ancillas = rounds[event], ancillas[event]
+    order = np.lexsort((ancillas, rounds, trials))
+    trials, rounds, ancillas = trials[order], rounds[order], ancillas[order]
+    starts = np.flatnonzero(np.diff(trials, prepend=-1))
+    return trials[starts], rounds, ancillas, np.append(starts, trials.size)
+
+
 class PackedParityCheck:
     """XOR-parity syndrome extraction over packed bitplanes.
 
@@ -199,6 +228,7 @@ def get_packed_parity_check(distance: int, stype: StabilizerType) -> PackedParit
 __all__ = [
     "WORD_BITS",
     "PackedParityCheck",
+    "event_windows",
     "get_packed_parity_check",
     "num_words",
     "pack_trials",

@@ -10,8 +10,7 @@ Tier contract
 * Tier 1 is one off-chip decoder — a registered name
   (:data:`repro.decoders.registry.TIER_DECODERS`: ``mwpm``, ``union_find``)
   or a ready :class:`~repro.decoders.base.Decoder` — that resolves the whole
-  window, through ``decode_events_bitmap(rounds, ancillas)`` when available
-  or a per-trial ``decode`` call on the window's detection mask otherwise.
+  window through :meth:`~repro.decoders.base.Decoder.decode_event_windows`.
 
 A ready-made tier must be built for the cascade's own code distance and
 stabilizer type; a mismatch is a :class:`~repro.exceptions.ConfigurationError`
@@ -20,15 +19,15 @@ union-find middle tier was measured slower than this two-tier design at every
 paper-relevant point without cutting off-chip traffic (README.md → "Why two
 tiers"), so any other tier count is rejected.
 
-Two decode paths share one off-chip decode
-(:meth:`DecoderCascade._offchip_bitmap`): per-trial
-:meth:`DecoderCascade.decode_history`, the reference oracle, and the
-production :meth:`DecoderCascade.decode_batch_packed`, which triages 64
-trials per machine word.  The batched path reads every off-chip trial's
-events sparsely from the packed off-chip planes (only their nonzero words
-are unpacked), then decodes each off-chip trial once — no per-trial Python
-bookkeeping beyond the unavoidable per-trial decode calls of the rare
-off-chip minority.
+Two decode paths share one off-chip entry point,
+:meth:`~repro.decoders.base.Decoder.decode_event_windows`: per-trial
+:meth:`DecoderCascade.decode_history`, the reference oracle, hands it one
+window, and the production :meth:`DecoderCascade.decode_batch_packed`, which
+triages 64 trials per machine word, hands it every off-chip window of the
+batch in one call.  The batched path reads the windows sparsely from the
+packed off-chip planes (:func:`repro.bitplane.event_windows`: only their
+nonzero words are unpacked), so the off-chip tier can solve them together —
+MWPM solves all its small windows in a few array operations per event count.
 
 The default ``tiers=("clique", "mwpm")`` is the paper's design; its seeded
 outputs are pinned in ``tests/clique/test_cascade.py``.
@@ -235,9 +234,11 @@ class DecoderCascade(Decoder):
         offchip_correction: set[Coord] = set()
         if offchip_mask.any():
             event_rounds, event_ancillas = np.nonzero(offchip_mask)
-            bitmap = self._offchip_bitmap(
-                event_rounds, event_ancillas, offchip_mask.shape
-            )
+            bitmap = self._offchip.decode_event_windows(
+                event_rounds,
+                event_ancillas,
+                np.array([0, event_rounds.size], dtype=np.int64),
+            )[0]
             offchip_correction = self._bitmap_coords(bitmap)
 
         total = set(onchip_correction) ^ offchip_correction
@@ -256,32 +257,6 @@ class DecoderCascade(Decoder):
         return {data_qubits[i] for i in np.flatnonzero(bitmap)}
 
     # ------------------------------------------------------------------
-    def _offchip_bitmap(
-        self,
-        event_rounds: np.ndarray,
-        event_ancillas: np.ndarray,
-        mask_shape: tuple[int, int],
-    ) -> np.ndarray:
-        """Decode one trial's off-chip events into a data-qubit bitmap.
-
-        The single off-chip decode shared by :meth:`decode_history` and the
-        batched path — which is what keeps them bit-identical.  A tier
-        without the batched ``decode_events_bitmap`` hook sees the
-        matrix-level :meth:`~repro.decoders.base.Decoder.decode` entry point
-        it expects, on the events' detection mask.
-        """
-        decode_events = getattr(self._offchip, "decode_events_bitmap", None)
-        if decode_events is not None:
-            return decode_events(event_rounds, event_ancillas)
-        mask = np.zeros(mask_shape, dtype=np.uint8)
-        mask[event_rounds, event_ancillas] = 1
-        bitmap = np.zeros(self._code.num_data_qubits, dtype=np.uint8)
-        data_index = self._code.data_index
-        for qubit in self._offchip.decode(mask).correction:
-            bitmap[data_index[qubit]] ^= 1
-        return bitmap
-
-    # ------------------------------------------------------------------
     def decode_batch_packed(
         self, detections: np.ndarray, trials: int
     ) -> PackedBatchDecodeResult:
@@ -295,12 +270,13 @@ class DecoderCascade(Decoder):
         boolean algebra 64 trials at a time.  The round-by-round dynamics
         mirror :meth:`decode_history` statement for statement.  Trivial
         rounds never leave word space; the off-chip minority is extracted
-        (in increasing trial order, so the shared ``np.nonzero``-fixed
-        tie-breaks are preserved) and goes through the same off-chip decode
-        as :meth:`decode_history`, keeping results and per-tier statistics
-        bit-identical to the per-trial reference.  Padding bits of the
-        ragged last word stay zero throughout, so they are never sticky,
-        complex, or counted.
+        as event windows (in increasing trial order, each window in the
+        ``np.nonzero`` order that fixes tie-breaks) and decoded in one
+        ``decode_event_windows`` call, the entry point
+        :meth:`decode_history` uses with one window, keeping results and
+        per-tier statistics bit-identical to the per-trial reference.
+        Padding bits of the ragged last word stay zero throughout, so they
+        are never sticky, complex, or counted.
         """
         planes = self._as_packed_detection_batch(detections, trials)
         num_rounds = planes.shape[0]
@@ -355,16 +331,20 @@ class DecoderCascade(Decoder):
             bitplane.unpack_trials(offchip_words, trials)
             .sum(axis=1, dtype=np.int64)
         )
-        offchip_trials = np.flatnonzero(offchip_round_counts)
-        if offchip_trials.size:
+        # One call decodes every off-chip window of the batch.  Every complex
+        # round ships at least one visible event, so the windows' trials are
+        # exactly the off-chip trials, and the off-chip tier's trials and
+        # rounds are the triage's own counts.
+        window_trials, rounds, ancillas, bounds = bitplane.event_windows(
+            offchip_planes
+        )
+        if window_trials.size:
             bitplane.scatter_xor_trial_bits(
                 corrections,
-                offchip_trials,
-                self._offchip_corrections(offchip_planes, offchip_trials),
+                window_trials,
+                self._offchip.decode_event_windows(rounds, ancillas, bounds),
             )
-
-        # Every complex round ships at least one visible event, so the
-        # off-chip tier's trials and rounds are the triage's own counts.
+        offchip_trials = int(np.count_nonzero(offchip_round_counts))
         offchip_rounds = int(offchip_round_counts.sum())
         return PackedBatchDecodeResult(
             corrections=corrections,
@@ -372,54 +352,13 @@ class DecoderCascade(Decoder):
             onchip_rounds=num_rounds - offchip_round_counts,
             total_rounds=np.full(trials, num_rounds, dtype=np.int64),
             tier_trials=np.array(
-                [trials - offchip_trials.size, offchip_trials.size], dtype=np.int64
+                [trials - offchip_trials, offchip_trials], dtype=np.int64
             ),
             tier_rounds=np.array(
                 [trials * num_rounds - offchip_rounds, offchip_rounds],
                 dtype=np.int64,
             ),
         )
-
-    # ------------------------------------------------------------------
-    def _offchip_corrections(
-        self, offchip_planes: np.ndarray, offchip_trials: np.ndarray
-    ) -> np.ndarray:
-        """Decode the off-chip trials' packed events, one trial at a time.
-
-        The ``(trial, round, ancilla)`` events are read sparsely from the
-        packed ``(rounds, ancillas, words)`` planes: ``np.nonzero`` of the
-        words, then only the nonzero words are unpacked (through the
-        endian-independent byte view), then a ``lexsort`` puts the events in
-        trial-major, then row-major ``(round, ancilla)`` order — the order a
-        per-trial ``np.nonzero`` of the trial's detection mask produces,
-        which keeps equal-weight tie-breaks, and therefore results,
-        bit-identical to per-trial decoding.  ``offchip_trials`` (sorted)
-        are exactly the trials with events: a trial leaves the chip because
-        some round was complex, and a complex round has a visible event.
-        """
-        rounds, ancillas, words = np.nonzero(offchip_planes)
-        word_bits = np.unpackbits(
-            offchip_planes[rounds, ancillas, words].view(np.uint8).reshape(-1, 8),
-            axis=1,
-            bitorder="little",
-        )
-        event, bit = np.nonzero(word_bits)
-        trials = words[event] * bitplane.WORD_BITS + bit
-        rounds, ancillas = rounds[event], ancillas[event]
-        order = np.lexsort((ancillas, rounds, trials))
-        trials, rounds, ancillas = trials[order], rounds[order], ancillas[order]
-
-        bounds = np.append(np.searchsorted(trials, offchip_trials), trials.size)
-        mask_shape = offchip_planes.shape[:2]
-        corrections = np.zeros(
-            (offchip_trials.size, self._code.num_data_qubits), dtype=np.uint8
-        )
-        for index in range(offchip_trials.size):
-            start, end = bounds[index], bounds[index + 1]
-            corrections[index] = self._offchip_bitmap(
-                rounds[start:end], ancillas[start:end], mask_shape
-            )
-        return corrections
 
     # ------------------------------------------------------------------
     def decode(self, detections: np.ndarray) -> DecodeResult:

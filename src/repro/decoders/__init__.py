@@ -8,7 +8,7 @@ A clustering (union-find style) decoder is the alternative off-chip tier
 from repro.decoders.base import Decoder, DecodeResult
 from repro.decoders.blossom import match_events
 from repro.decoders.matching_graph import MatchingGraph, SpaceTimeEvent
-from repro.decoders.mwpm import SUBSET_DP_MAX_EVENTS, MWPMDecoder
+from repro.decoders.mwpm import MWPMDecoder
 from repro.decoders.registry import (
     TIER_DECODERS,
     resolve_tier_spec,
@@ -23,7 +23,6 @@ __all__ = [
     "SpaceTimeEvent",
     "MWPMDecoder",
     "ClusteringDecoder",
-    "SUBSET_DP_MAX_EVENTS",
     "TIER_DECODERS",
     "match_events",
     "resolve_tier_spec",

@@ -82,12 +82,18 @@ class Decoder(abc.ABC):
     :class:`DecodeResult` whose correction is expressed on data qubits.  A
     one-dimensional syndrome is accepted as shorthand for a single round.
 
-    Off-chip cascade tier contract (optional): ``decode_events_bitmap(rounds,
-    ancillas) -> uint8 bitmap`` — batched decode of one trial's events given
-    as flat index arrays in row-major ``(round, ancilla)`` order (the order
-    ``np.nonzero`` produces, which fixes equal-weight tie-breaks).  A
-    :class:`~repro.clique.cascade.DecoderCascade` off-chip tier without it
-    is decoded per trial through :meth:`decode`.
+    Off-chip cascade tier contract: a
+    :class:`~repro.clique.cascade.DecoderCascade` hands its off-chip tier
+    every off-chip window of a batch in one
+    :meth:`decode_event_windows` call.  The default implementation decodes
+    the windows one by one through the per-window hook
+    ``decode_events_bitmap(rounds, ancillas) -> uint8 bitmap`` when the
+    decoder has one (the registered tiers must, TIER001), and through
+    :meth:`decode` on the window's detection mask otherwise; a decoder that
+    can solve many windows together (:class:`~repro.decoders.mwpm.MWPMDecoder`)
+    overrides it.  Events always arrive in row-major ``(round, ancilla)``
+    order within a window (the order ``np.nonzero`` produces, which fixes
+    equal-weight tie-breaks).
     """
 
     def __init__(self, code: RotatedSurfaceCode, stype: StabilizerType) -> None:
@@ -118,6 +124,48 @@ class Decoder(abc.ABC):
     @abc.abstractmethod
     def decode(self, detections: np.ndarray) -> DecodeResult:
         """Decode a detection-event matrix into a data-qubit correction."""
+
+    def decode_event_windows(
+        self, rounds: np.ndarray, ancillas: np.ndarray, bounds: np.ndarray
+    ) -> np.ndarray:
+        """Decode a batch of event windows into per-window correction bitmaps.
+
+        Args:
+            rounds, ancillas: flat event arrays; window ``i`` is the slice
+                ``bounds[i]:bounds[i + 1]``, in row-major ``(round,
+                ancilla)`` order (see :func:`repro.bitplane.event_windows`).
+            bounds: ``(windows + 1,)`` non-decreasing offsets into the event
+                arrays (an empty window decodes to an empty correction).
+
+        Returns:
+            uint8 ``(windows, num_data_qubits)`` bitmaps in
+            ``code.data_index`` column order.
+
+        This base implementation decodes window by window, through
+        ``decode_events_bitmap`` when the decoder has that hook, else
+        through :meth:`decode` on a detection mask that ends at the
+        window's last event round.
+        """
+        decode_events = getattr(self, "decode_events_bitmap", None)
+        num_windows = len(bounds) - 1
+        corrections = np.zeros(
+            (num_windows, self._code.num_data_qubits), dtype=np.uint8
+        )
+        data_index = self._code.data_index
+        width = self._code.num_ancillas_of_type(self._stype)
+        for index in range(num_windows):
+            window_rounds = rounds[bounds[index] : bounds[index + 1]]
+            window_ancillas = ancillas[bounds[index] : bounds[index + 1]]
+            if decode_events is not None:
+                corrections[index] = decode_events(window_rounds, window_ancillas)
+                continue
+            mask = np.zeros(
+                (int(np.max(window_rounds, initial=0)) + 1, width), dtype=np.uint8
+            )
+            mask[window_rounds, window_ancillas] = 1
+            for qubit in self.decode(mask).correction:
+                corrections[index, data_index[qubit]] ^= 1
+        return corrections
 
     def _as_packed_detection_batch(
         self, detections: np.ndarray, trials: int
@@ -154,13 +202,14 @@ class Decoder(abc.ABC):
         The base implementation unpacks, runs :meth:`decode` trial by trial,
         and re-packs the corrections — semantics, including RNG-free
         tie-breaks, are therefore exactly per-trial :meth:`decode`'s.  It
-        serves decoders without a native packed path (flat MWPM,
-        union-find, custom decoders); per-trial round counts come from the
+        serves decoders without a native packed path (union-find, custom
+        decoders); per-trial round counts come from the
         ``num_rounds``/``num_offchip_rounds`` metadata when a decoder
         reports them, else stay zero.  Decoders with a native packed path
-        (:class:`repro.clique.cascade.DecoderCascade`) override it and must
-        stay bit-identical to per-trial decoding; the batch Monte-Carlo
-        engine's equivalence with the loop engine depends on it.
+        (:class:`repro.clique.cascade.DecoderCascade`,
+        :class:`repro.decoders.mwpm.MWPMDecoder`) override it and must stay
+        bit-identical to per-trial decoding; the batch Monte-Carlo engine's
+        equivalence with the loop engine depends on it.
         """
         planes = self._as_packed_detection_batch(detections, trials)
         batch = bitplane.unpack_trials(planes, trials)

@@ -23,8 +23,8 @@ events the matching leaves unmatched go to the boundary, and
 Boundary copies are therefore *implicit* — no clique, no cache, no doubled
 node count.  Edges with non-positive profit are dropped up front (pairing can
 never beat the boundary through them), which also pins the tie-break: an
-equal-cost pair-vs-boundary choice resolves to the boundary, matching the
-subset-DP's canonical ordering.
+equal-cost pair-vs-boundary choice resolves to the boundary, as the
+small-window enumeration's first-minimum order does.
 
 The matching core is the classic Galil / van Rantwijk O(n^3) blossom
 algorithm specialised to this workload: maximum weight (no max-cardinality
@@ -52,16 +52,15 @@ def match_events(
 ) -> tuple[list[tuple[int, int]], list[int]]:
     """Exact minimum-total-distance event/boundary assignment.
 
-    Drop-in contract-compatible with
-    :func:`repro.decoders.mwpm.match_events_small`: ``distance`` is the
-    ``(n, n)`` pairwise space-time distance table, ``boundary_distance`` the
-    per-event boundary distances, and the result is ``(pairs, boundary)`` as
-    event indices into the caller's arrays.  Unlike the subset-DP this scales
-    to hundreds of events (O(n^3) instead of O(2^n n)).
+    ``distance`` is the ``(n, n)`` pairwise space-time distance table,
+    ``boundary_distance`` the per-event boundary distances, and the result is
+    ``(pairs, boundary)`` as event indices into the caller's arrays.  It
+    scales to hundreds of events (O(n^3)); :class:`repro.decoders.mwpm.MWPMDecoder`
+    uses it for windows past its small-window enumeration.
 
-    Equal-weight solutions may differ from both the subset-DP and the
-    networkx oracle — all three agree on the *total* distance (asserted by
-    the differential test suite), which is the quantity that fixes decoding
+    Equal-weight solutions may differ from the enumeration's and the
+    networkx oracle's — all agree on the *total* distance (asserted by the
+    differential test suite), which is the quantity that fixes decoding
     accuracy.
     """
     boundary = np.asarray(boundary_distance, dtype=np.int64)
@@ -72,8 +71,8 @@ def match_events(
         return [], [0]
     dist = np.asarray(distance, dtype=np.int64).reshape(num, num)
     # Pairing i-j beats sending both to the boundary only when the profit is
-    # strictly positive; ties resolve to the boundary (the subset-DP's
-    # canonical tie-break), so non-positive edges are dropped entirely.
+    # strictly positive; ties resolve to the boundary (as in the small-window
+    # enumeration), so non-positive edges are dropped entirely.
     profit = boundary[:, None] + boundary[None, :] - dist
     heads, tails = np.nonzero(np.triu(profit > 0, k=1))
     if heads.size == 0:

@@ -163,47 +163,54 @@ class MatchingGraph:
         return self._boundary_distance_array
 
     @property
-    def spatial_path_bitmaps(self) -> np.ndarray:
-        """Correction-path bitmaps per ancilla pair, shape ``(n, n, data)``.
+    def packed_path_words(self) -> np.ndarray:
+        """Correction paths as packed data-qubit words, shape ``(n + 1, n + 1, words)``.
 
-        ``spatial_path_bitmaps[a, b]`` is :meth:`spatial_path`'s qubit set as
-        a uint8 bitmap in ``code.data_index`` column order, so batched
-        decoders can XOR whole chains without per-qubit set manipulation.
-        Built lazily on first access (read-only).
+        Node ``n`` stands for the boundary: entry ``[a, b]`` is
+        :meth:`spatial_path` of ancillas ``a`` and ``b``, ``[a, n]`` and
+        ``[n, a]`` are :meth:`boundary_path` of ``a``, and ``[n, n]`` is
+        empty.  Data qubit ``q`` (``code.data_index`` order) is bit ``q % 8``
+        of byte ``q // 8`` of the entry's uint8 view, the little bit order of
+        :mod:`repro.bitplane`, so XOR-ing entries composes chains and
+        :meth:`unpack_paths` recovers the bitmap.  Built lazily on first
+        access (read-only).
         """
-        if not hasattr(self, "_spatial_path_bitmaps"):
+        if not hasattr(self, "_packed_path_words"):
             data_index = self._code.data_index
-            num_data = self._code.num_data_qubits
-            bitmaps = np.zeros(
-                (self._num_nodes, self._num_nodes, num_data), dtype=np.uint8
+            num_bytes = 8 * -(-self._code.num_data_qubits // 64)
+
+            def packed(path: frozenset[Coord]) -> bytes:
+                bits = sum(1 << data_index[qubit] for qubit in path)
+                return bits.to_bytes(num_bytes, "little")
+
+            boundary = [packed(path) for path in self._boundary_path]
+            boundary.append(bytes(num_bytes))
+            rows = [
+                b"".join([packed(path) for path in paths] + [boundary[a]])
+                for a, paths in enumerate(self._spatial_path)
+            ]
+            rows.append(b"".join(boundary))
+            n = self._num_nodes
+            words = (
+                np.frombuffer(b"".join(rows), dtype=np.uint8)
+                .reshape(n + 1, n + 1, num_bytes)
+                .view(np.uint64)
             )
-            for a in range(self._num_nodes):
-                for b in range(self._num_nodes):
-                    for qubit in self._spatial_path[a][b]:
-                        bitmaps[a, b, data_index[qubit]] = 1
-            bitmaps.flags.writeable = False
-            self._spatial_path_bitmaps = bitmaps
-        return self._spatial_path_bitmaps
+            self._packed_path_words = words
+        return self._packed_path_words
 
-    @property
-    def boundary_path_bitmaps(self) -> np.ndarray:
-        """Boundary correction-path bitmaps per ancilla, shape ``(n, data)``.
+    def unpack_paths(self, words: np.ndarray) -> np.ndarray:
+        """Packed path words ``(..., words)`` as uint8 ``(..., num_data_qubits)`` bitmaps.
 
-        Row ``a`` is :meth:`boundary_path`'s qubit set as a uint8 bitmap in
-        ``code.data_index`` column order.  Built lazily on first access
-        (read-only).
+        The inverse of :attr:`packed_path_words`' packing, for single
+        entries and XOR-compositions of them alike.
         """
-        if not hasattr(self, "_boundary_path_bitmaps"):
-            data_index = self._code.data_index
-            bitmaps = np.zeros(
-                (self._num_nodes, self._code.num_data_qubits), dtype=np.uint8
-            )
-            for a in range(self._num_nodes):
-                for qubit in self._boundary_path[a]:
-                    bitmaps[a, data_index[qubit]] = 1
-            bitmaps.flags.writeable = False
-            self._boundary_path_bitmaps = bitmaps
-        return self._boundary_path_bitmaps
+        return np.unpackbits(
+            np.ascontiguousarray(words).view(np.uint8),
+            axis=-1,
+            count=self._code.num_data_qubits,
+            bitorder="little",
+        )
 
     def spatial_distance(self, ancilla_a: int, ancilla_b: int) -> int:
         """Shortest data-error chain length connecting two ancillas."""

@@ -5,106 +5,101 @@ that the total length of the implied error chains is minimal, which under an
 independent-error model is the most probable explanation of the observed
 syndrome (Dennis et al., "Topological quantum memory").
 
-Large event sets are solved by the in-tree O(n^3) blossom matcher
-(:mod:`repro.decoders.blossom`): boundary copies are handled *implicitly*
-through a profit transformation, so the matcher runs on ``n`` event nodes
-instead of a ``2n``-node auxiliary graph with explicit boundary copies.
+The decoder works on *event windows*: one trial's (or one off-chip window's)
+detection events as flat ``(round, ancilla)`` arrays, many windows per call
+(:meth:`MWPMDecoder.decode_event_windows`).
 
-Small event sets — the common case for the cascade's off-chip tier, which
-only ever sees the rare complex rounds — skip general matching entirely: an
-exact subset-DP over pair/boundary assignments finds the same
-minimum-total-distance solution in microseconds.
+* Small windows — at most :data:`ENUMERATION_MAX_EVENTS` events, the common
+  case for the cascade's off-chip tier, which only sees the rare complex
+  rounds — are solved together, one event count at a time: every
+  pairing-or-boundary assignment of ``k`` events is enumerated once, each
+  window's assignment costs are one ``(windows, terms) x (terms,
+  assignments)`` integer product, and the first minimum wins.
+* Larger windows go one by one to the in-tree O(n^3) blossom matcher
+  (:mod:`repro.decoders.blossom`), which handles the boundary *implicitly*
+  through a profit transformation instead of a ``2n``-node auxiliary graph.
 
+Corrections are XORs of precomputed chain paths kept as packed words
+(:attr:`~repro.decoders.matching_graph.MatchingGraph.packed_path_words`).
 The decoder has no heavy dependencies.  The networkx auxiliary-graph
-formulation lives on only as a differential-test oracle in the test suite.
+formulation and a scalar subset-DP are kept in the test suite as
+differential-test oracles.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from repro import bitplane
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders import blossom
-from repro.decoders.base import Decoder, DecodeResult
-from repro.decoders.matching_graph import (
-    MatchingGraph,
-    SpaceTimeEvent,
-    get_matching_graph,
-)
-from repro.exceptions import ConfigurationError
+from repro.decoders.base import Decoder, DecodeResult, PackedBatchDecodeResult
+from repro.decoders.matching_graph import MatchingGraph, get_matching_graph
 from repro.types import StabilizerType
 
-#: Hard cap on the subset-DP's event count.  The DP tables are O(2^n), so a
-#: caller-supplied threshold in the mid-30s would attempt a multi-GB
-#: allocation; beyond this cap callers must route to the polynomial blossom
-#: matcher instead (:func:`repro.decoders.blossom.match_events`).
-SUBSET_DP_MAX_EVENTS = 16
+#: Largest window solved by enumeration; larger ones go to blossom.  The
+#: enumeration breaks equal-weight ties exactly as a subset-DP that scans the
+#: lowest free event's options in order (boundary, then partners ascending);
+#: blossom breaks them differently, so moving this cut-off changes seeded
+#: outputs.  At 8 events there are 764 assignments over 36 terms.
+ENUMERATION_MAX_EVENTS = 8
 
 
-def match_events_small(
-    distance: list[list[int]],
-    boundary_distance: list[int],
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Exact minimum-total-distance assignment by DP over event subsets.
+@lru_cache(maxsize=None)
+def _assignment_table(
+    num_events: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every pairing-or-boundary assignment of ``num_events`` events, in DFS order.
 
-    ``best[mask]`` is the cheapest way to resolve the event subset ``mask``,
-    where every event is either paired with another event in the subset or
-    matched to the boundary — the same solution space the auxiliary matching
-    graph encodes.  Returns ``(pairs, boundary)`` as event *indices* into the
-    caller's arrays.  Module-level so other decoders (the clustering
-    decoder's intermediate-tier cluster resolution) can reuse the exact
-    matcher on their own small event sets.
+    The DFS resolves the lowest free event first — to the boundary, then to
+    each free partner in ascending order — so the first minimum-cost
+    assignment in this order is the one a subset-DP with strict-improvement
+    updates in that scan order picks, ties included.
 
-    Ties are broken deterministically: candidates are scanned in a fixed
-    order (the boundary first, then partners by ascending index) and only
-    a strictly cheaper candidate displaces the incumbent.  Even the
-    pathological all-zero-distance case therefore yields one canonical
-    assignment — every event to the boundary — so sharded and unsharded
-    runs can never diverge on equal-weight choices.
+    Returns ``(incidence, left, right, heads, tails)``:
 
-    Raises :class:`~repro.exceptions.ConfigurationError` beyond
-    :data:`SUBSET_DP_MAX_EVENTS` events instead of attempting the O(2^n)
-    table allocation.
+    * ``incidence``: int32 ``(terms, assignments)`` 0/1 matrix over the
+      terms ``[boundary(0), ..., boundary(k-1), pair(0,1), pair(0,2), ...,
+      pair(k-2,k-1)]``.
+    * ``left``, ``right``: int ``(assignments, k)`` chain ends per
+      assignment as event slots, slot ``k`` standing for the boundary;
+      ``(i, k)`` is a boundary match, ``(i, j)`` a pair, and unused rows are
+      ``(k, k)`` (an empty chain).
+    * ``heads``, ``tails``: the pair terms' event slots, in term order.
+
+    The arrays are shared per process, so they are read-only.
     """
-    num = len(boundary_distance)
-    if num > SUBSET_DP_MAX_EVENTS:
-        raise ConfigurationError(
-            f"match_events_small is O(2^n) and capped at "
-            f"SUBSET_DP_MAX_EVENTS={SUBSET_DP_MAX_EVENTS} events, got {num}; "
-            f"route larger sets to repro.decoders.blossom.match_events"
-        )
-    full = (1 << num) - 1
-    best = [0] * (full + 1)
-    choice: list[tuple[int, int]] = [(-1, -1)] * (full + 1)
-    for mask in range(1, full + 1):
-        lowest = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << lowest)
-        best_cost = boundary_distance[lowest] + best[rest]
-        best_choice = (lowest, -1)
-        row = distance[lowest]
-        partners = rest
-        while partners:
-            partner = (partners & -partners).bit_length() - 1
-            partners &= partners - 1
-            cost = row[partner] + best[rest ^ (1 << partner)]
-            if cost < best_cost:
-                best_cost = cost
-                best_choice = (lowest, partner)
-        best[mask] = best_cost
-        choice[mask] = best_choice
+    k = num_events
+    heads, tails = np.triu_indices(k, k=1)
+    pair_term = {
+        pair: k + index
+        for index, pair in enumerate(zip(heads.tolist(), tails.tolist()))
+    }
+    assignments: list[list[tuple[int, int]]] = []
 
-    pairs: list[tuple[int, int]] = []
-    boundary_matches: list[int] = []
-    mask = full
-    while mask:
-        event, partner = choice[mask]
-        if partner == -1:
-            boundary_matches.append(event)
-            mask ^= 1 << event
-        else:
-            pairs.append((event, partner))
-            mask ^= (1 << event) | (1 << partner)
-    return pairs, boundary_matches
+    def extend(free: tuple[int, ...], chains: list[tuple[int, int]]) -> None:
+        if not free:
+            assignments.append(chains)
+            return
+        low, rest = free[0], free[1:]
+        extend(rest, chains + [(low, k)])
+        for index, partner in enumerate(rest):
+            extend(rest[:index] + rest[index + 1 :], chains + [(low, partner)])
+
+    extend(tuple(range(k)), [])
+    incidence = np.zeros((k + len(pair_term), len(assignments)), dtype=np.int32)
+    left = np.full((len(assignments), k), k, dtype=np.intp)
+    right = np.full((len(assignments), k), k, dtype=np.intp)
+    for column, chains in enumerate(assignments):
+        for row, (i, j) in enumerate(chains):
+            incidence[i if j == k else pair_term[i, j], column] = 1
+            left[column, row], right[column, row] = i, j
+    tables = (incidence, left, right, heads, tails)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class MWPMDecoder(Decoder):
@@ -134,112 +129,136 @@ class MWPMDecoder(Decoder):
     def decode(self, detections: np.ndarray) -> DecodeResult:
         matrix = self._as_detection_matrix(detections)
         rounds, ancillas = np.nonzero(matrix)
-        if rounds.size == 0:
-            return DecodeResult(correction=frozenset(), metadata={"num_events": 0})
-        ancillas = ancillas.astype(np.int64)
-        pairs, boundary_matches = self._match_indices(ancillas, rounds.astype(np.int64))
-        bitmap = self._assemble_bitmap(ancillas, pairs, boundary_matches)
+        bitmap = self.decode_events_bitmap(rounds, ancillas)
         data_qubits = self._code.data_qubits
         return DecodeResult(
             correction=frozenset(data_qubits[i] for i in np.flatnonzero(bitmap)),
-            metadata={
-                "num_events": int(rounds.size),
-                "num_pairs": len(pairs),
-                "num_boundary_matches": len(boundary_matches),
-            },
+            metadata={"num_events": int(rounds.size)},
         )
 
     def decode_events_bitmap(self, rounds: np.ndarray, ancillas: np.ndarray) -> np.ndarray:
-        """Decode one trial's detection events given as flat index arrays.
+        """Decode one window's events: :meth:`decode_event_windows` with one window."""
+        bounds = np.array([0, np.size(rounds)], dtype=np.int64)
+        return self.decode_event_windows(rounds, ancillas, bounds)[0]
 
-        This is the off-chip-tier entry point used by
-        :meth:`repro.clique.cascade.DecoderCascade._offchip_corrections`:
-        the caller extracts all off-chip trials' events with a single
-        ``np.nonzero`` pass and hands each trial's ``(rounds, ancillas)``
-        slice here, skipping per-trial matrix validation, ``SpaceTimeEvent``
-        construction, and coordinate-set assembly.  Events must arrive in
-        row-major ``(round, ancilla)`` order — the order ``np.nonzero``
-        produces — so that equal-weight ties break exactly as they do in
-        :meth:`decode`; the returned uint8 bitmap (``code.data_index`` column
-        order) is then bit-identical to the per-trial path.
+    def decode_batch_packed(
+        self, detections: np.ndarray, trials: int
+    ) -> PackedBatchDecodeResult:
+        """Native packed decode: every trial with events is one window of one call.
+
+        Trials without events are skipped (their correction is empty), and
+        the rest are read sparsely from the planes
+        (:func:`repro.bitplane.event_windows`) in ``np.nonzero`` order, so
+        the result is byte-identical to the base class's per-trial
+        :meth:`decode` loop, including its all-zero round counts.
         """
-        ancillas = np.asarray(ancillas, dtype=np.int64)
-        if ancillas.size == 0:
-            return np.zeros(self._code.num_data_qubits, dtype=np.uint8)
-        pairs, boundary_matches = self._match_indices(
-            ancillas, np.asarray(rounds, dtype=np.int64)
+        planes = self._as_packed_detection_batch(detections, trials)
+        corrections = np.zeros(
+            (self._code.num_data_qubits, planes.shape[2]), dtype=np.uint64
         )
-        return self._assemble_bitmap(ancillas, pairs, boundary_matches)
+        window_trials, rounds, ancillas, bounds = bitplane.event_windows(planes)
+        if window_trials.size:
+            bitplane.scatter_xor_trial_bits(
+                corrections,
+                window_trials,
+                self.decode_event_windows(rounds, ancillas, bounds),
+            )
+        return PackedBatchDecodeResult(
+            corrections=corrections,
+            trials=trials,
+            onchip_rounds=np.zeros(trials, dtype=np.int64),
+            total_rounds=np.zeros(trials, dtype=np.int64),
+        )
 
-    def _assemble_bitmap(
-        self,
-        ancillas: np.ndarray,
-        pairs: list[tuple[int, int]],
-        boundary_matches: list[int],
+    def decode_event_windows(
+        self, rounds: np.ndarray, ancillas: np.ndarray, bounds: np.ndarray
     ) -> np.ndarray:
-        """XOR the matched chains' correction paths into a data-qubit bitmap."""
-        bitmap = np.zeros(self._code.num_data_qubits, dtype=np.uint8)
-        data_index = self._code.data_index
-        for i, j in pairs:
-            for qubit in self._graph.spatial_path(int(ancillas[i]), int(ancillas[j])):
-                bitmap[data_index[qubit]] ^= 1
-        for i in boundary_matches:
-            for qubit in self._graph.boundary_path(int(ancillas[i])):
-                bitmap[data_index[qubit]] ^= 1
-        return bitmap
+        """Decode many event windows in one call (see :class:`Decoder`).
 
-    # ------------------------------------------------------------------
-    #: Largest event count routed to the exact subset-DP solver; beyond it the
-    #: O(2^n n) DP loses to blossom's polynomial scaling.
-    _SMALL_CASE_LIMIT = 8
+        Windows are grouped by event count: those of at most
+        :data:`ENUMERATION_MAX_EVENTS` events are solved together per count
+        by enumeration, larger ones one by one by blossom, and every
+        window's chains are XOR-ed from the packed path table.  Each
+        window's correction depends on its own events only, so a batch
+        decodes exactly as its windows would one call each.
+        """
+        rounds = np.asarray(rounds, dtype=np.int64)
+        ancillas = np.asarray(ancillas, dtype=np.int64)
+        bounds = np.asarray(bounds, dtype=np.int64)
+        counts = np.diff(bounds)
+        paths = self._graph.packed_path_words
+        words = np.zeros((counts.size, paths.shape[2]), dtype=np.uint64)
+        # Distinct nonzero event counts, ascending (np.unique would import
+        # numpy.ma on first use, a peak-RSS cost for nothing).
+        for count in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+            windows = np.flatnonzero(counts == count)
+            if count <= ENUMERATION_MAX_EVENTS:
+                words[windows] = self._enumerate_windows(
+                    rounds, ancillas, bounds[windows], count
+                )
+                continue
+            for window in windows.tolist():
+                events = slice(bounds[window], bounds[window + 1])
+                window_ancillas = ancillas[events]
+                pairs, boundary_matches = self._match_large(
+                    window_ancillas, rounds[events]
+                )
+                ends = np.append(window_ancillas, paths.shape[0] - 1)
+                left = [i for i, _ in pairs] + boundary_matches
+                right = [j for _, j in pairs] + [count] * len(boundary_matches)
+                words[window] = np.bitwise_xor.reduce(
+                    paths[ends[left], ends[right]], axis=0
+                )
+        return self._graph.unpack_paths(words)
 
-    def _match_small(
+    def _enumerate_windows(
         self,
-        distance: list[list[int]],
-        boundary_distance: list[int],
-    ) -> tuple[list[tuple[int, int]], list[int]]:
-        return match_events_small(distance, boundary_distance)
+        rounds: np.ndarray,
+        ancillas: np.ndarray,
+        starts: np.ndarray,
+        count: int,
+    ) -> np.ndarray:
+        """Packed corrections of windows of ``count`` events each, by enumeration."""
+        incidence, left, right, heads, tails = _assignment_table(count)
+        slots = starts[:, None] + np.arange(count)
+        window_ancillas, window_rounds = ancillas[slots], rounds[slots]
+        costs = np.concatenate(
+            [
+                self._graph.boundary_distance_array[window_ancillas],
+                self._graph.spatial_distance_matrix[
+                    window_ancillas[:, heads], window_ancillas[:, tails]
+                ]
+                + np.abs(window_rounds[:, heads] - window_rounds[:, tails]),
+            ],
+            axis=1,
+        )
+        # einsum's own int32 loop: exact, faster here than an int64 matmul,
+        # and unlike a float matmul it never starts BLAS (whose buffers show
+        # in peak RSS).  Costs are sums of at most 8 chain lengths.
+        totals = np.einsum("wt,tm->wm", costs.astype(np.int32), incidence)
+        choice = np.argmin(totals, axis=1)
+        paths = self._graph.packed_path_words
+        ends = np.concatenate(
+            [
+                window_ancillas,
+                np.full((starts.size, 1), paths.shape[0] - 1, dtype=np.int64),
+            ],
+            axis=1,
+        )
+        windows = np.arange(starts.size)[:, None]
+        chains = paths[ends[windows, left[choice]], ends[windows, right[choice]]]
+        return np.bitwise_xor.reduce(chains, axis=1)
 
-    def _match_indices(
+    def _match_large(
         self, ancillas: np.ndarray, rounds: np.ndarray
     ) -> tuple[list[tuple[int, int]], list[int]]:
-        """Solve the event/boundary matching problem on flat event-index arrays.
-
-        Both decode entry points (per-trial :meth:`decode` and the batched
-        :meth:`decode_events_bitmap`) funnel through here, which is what
-        guarantees their bit-identity on equal-weight ties.
-        """
-        num = int(ancillas.size)
-        # All pairwise space-time distances in two vectorised gathers.
+        """Blossom's ``(pairs, boundary)`` event-index assignment for one window."""
         distance = self._graph.spatial_distance_matrix[
             np.ix_(ancillas, ancillas)
         ] + np.abs(rounds[:, None] - rounds[None, :])
-        boundary_distance = self._graph.boundary_distance_array[ancillas]
-
-        if num <= self._SMALL_CASE_LIMIT:
-            return self._match_small(distance.tolist(), boundary_distance.tolist())
-        return blossom.match_events(distance, boundary_distance)
-
-    def _match(
-        self, events: list[SpaceTimeEvent]
-    ) -> tuple[list[tuple[SpaceTimeEvent, SpaceTimeEvent]], list[SpaceTimeEvent]]:
-        """Object-level wrapper around :meth:`_match_indices`."""
-        num = len(events)
-        ancillas = np.fromiter(
-            (event.ancilla_index for event in events), dtype=np.int64, count=num
-        )
-        rounds = np.fromiter(
-            (event.round for event in events), dtype=np.int64, count=num
-        )
-        pairs, boundary_matches = self._match_indices(ancillas, rounds)
-        return (
-            [(events[i], events[j]) for i, j in pairs],
-            [events[i] for i in boundary_matches],
+        return blossom.match_events(
+            distance, self._graph.boundary_distance_array[ancillas]
         )
 
 
-__all__ = [
-    "MWPMDecoder",
-    "SUBSET_DP_MAX_EVENTS",
-    "match_events_small",
-]
+__all__ = ["ENUMERATION_MAX_EVENTS", "MWPMDecoder"]

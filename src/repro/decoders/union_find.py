@@ -94,11 +94,11 @@ class ClusteringDecoder(Decoder):
     def decode_events_bitmap(self, rounds: np.ndarray, ancillas: np.ndarray) -> np.ndarray:
         """Decode one trial's detection events given as flat index arrays.
 
-        Off-chip-tier entry point (see
-        :meth:`repro.clique.cascade.DecoderCascade._offchip_bitmap`), with no
+        The per-window hook behind the off-chip tier's
+        :meth:`~repro.decoders.base.Decoder.decode_event_windows`, with no
         event objects on the hot path: cluster growth and greedy resolution
-        run on plain int lists plus the matching graph's dense
-        distance/path-bitmap arrays.  Events must arrive in row-major
+        run on plain int lists plus the matching graph's dense distance
+        arrays and packed path table.  Events must arrive in row-major
         ``(round, ancilla)`` order — the order ``np.nonzero`` produces — and
         scan orders match :meth:`decode`'s object-level path statement for
         statement, so the returned uint8 bitmap is bit-identical to the
@@ -108,10 +108,11 @@ class ClusteringDecoder(Decoder):
         count = len(ancilla_list)
         if count == 0:
             return np.zeros(self._code.num_data_qubits, dtype=np.uint8)
-        boundary_paths = self._graph.boundary_path_bitmaps
+        paths = self._graph.packed_path_words
+        boundary = paths.shape[0] - 1
         if count == 1:
             # A lone event always grows to the boundary and resolves there.
-            return boundary_paths[ancilla_list[0]].copy()
+            return self._graph.unpack_paths(paths[ancilla_list[0], boundary])
         round_list = np.asarray(rounds, dtype=np.int64).tolist()
         spatial_rows = self._spatial_distance_rows
         pair_distance = [
@@ -126,26 +127,31 @@ class ClusteringDecoder(Decoder):
         boundary_distance = [self._boundary_distance_list[a] for a in ancilla_list]
         clusters, _ = self._grow_clusters_core(pair_distance, boundary_distance)
 
-        bitmap = np.zeros(self._code.num_data_qubits, dtype=np.uint8)
-        spatial_paths = self._graph.spatial_path_bitmaps
+        left: list[int] = []
+        right: list[int] = []
         for members in clusters:
             # Mirrors _resolve_cluster: boundary-match the first
             # closest-to-boundary event of an odd cluster, then greedily pair
             # the rest (pop the last, scan remaining in order for the first
-            # nearest partner) — XORing precomputed chain bitmaps instead of
-            # building coordinate sets.
+            # nearest partner) — collecting chain ends whose precomputed
+            # packed paths are XOR-ed at the end, instead of building
+            # coordinate sets.
             remaining = list(members)
             if len(remaining) % 2 == 1:
                 closest = min(remaining, key=lambda i: boundary_distance[i])
                 remaining.remove(closest)
-                bitmap ^= boundary_paths[ancilla_list[closest]]
+                left.append(ancilla_list[closest])
+                right.append(boundary)
             while remaining:
                 event = remaining.pop()
                 row = pair_distance[event]
                 partner = min(remaining, key=lambda other: row[other])
                 remaining.remove(partner)
-                bitmap ^= spatial_paths[ancilla_list[event], ancilla_list[partner]]
-        return bitmap
+                left.append(ancilla_list[event])
+                right.append(ancilla_list[partner])
+        return self._graph.unpack_paths(
+            np.bitwise_xor.reduce(paths[left, right], axis=0)
+        )
 
     # ------------------------------------------------------------------
     def _grow_clusters(

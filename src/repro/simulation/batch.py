@@ -16,7 +16,8 @@ itself, 64 trials per machine word on the uint64 bitplanes of
 3. the decoder's :meth:`~repro.decoders.base.Decoder.decode_batch_packed`
    hook triages the whole batch — for the Clique cascade, trials whose rounds
    are all trivial are corrected by word-wise table lookups and only the
-   rare complex minority pays a per-trial off-chip decode;
+   rare complex minority's windows go to the off-chip tier, all in one
+   call;
 4. logical failures are popcounts of the XOR-reduced logical-support planes.
 
 The engine is **bit-identical** to the loop engine under a fixed seed: both

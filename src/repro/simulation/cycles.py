@@ -85,7 +85,13 @@ def simulate_signature_distribution(
 
     The distribution is estimated for a single error species (X and Z planes
     are statistically identical under the paper's symmetric noise model).
+    A non-positive ``num_cycles`` or ``batch_size`` is a
+    :class:`~repro.exceptions.ConfigurationError`.
     """
+    if num_cycles <= 0:
+        raise ConfigurationError(f"num_cycles must be positive, got {num_cycles}")
+    if batch_size <= 0:
+        raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
     generator = make_rng(rng)
     remaining = num_cycles
     all_zeros = local_ones = complex_ = 0

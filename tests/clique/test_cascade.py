@@ -52,6 +52,27 @@ class _OtherSpeciesFinalTier:
         return DecoderCascade(code, stype, tiers=("clique", MWPMDecoder(code, other)))
 
 
+class _WindowRecordingMWPM(MWPMDecoder):
+    """MWPM tier that records every event window it is handed, per call."""
+
+    def __init__(self, code, stype):
+        super().__init__(code, stype)
+        self.calls = []
+
+    def decode_event_windows(self, rounds, ancillas, bounds):
+        self.calls.append(
+            [
+                (rounds[start:end].tolist(), ancillas[start:end].tolist())
+                for start, end in zip(bounds[:-1], bounds[1:])
+            ]
+        )
+        return super().decode_event_windows(rounds, ancillas, bounds)
+
+    @property
+    def windows(self):
+        return [window for call in self.calls for window in call]
+
+
 def _decode_packed(cascade, batch):
     """Run an unpacked ``(trials, rounds, ancillas)`` batch through the
     production packed path; corrections come back unpacked."""
@@ -255,10 +276,15 @@ class TestBatchedCascadeBitIdentity:
             _assert_packed_matches_decode_history(cascade, batch)
 
     def test_offchip_tier_without_bitmap_hook_still_matches(self, code_d5):
-        # An off-chip tier that only implements decode() exercises the
-        # per-trial detection-mask path of _offchip_bitmap.
-        class PlainMWPM(MWPMDecoder):
-            decode_events_bitmap = None  # hide the batched hook
+        # An off-chip tier that only implements decode() exercises the base
+        # decode_event_windows' per-window detection-mask path.
+        class PlainMWPM(Decoder):
+            def __init__(self, code, stype):
+                super().__init__(code, stype)
+                self._inner = MWPMDecoder(code, stype)
+
+            def decode(self, detections):
+                return self._inner.decode(detections)
 
         via_plain = DecoderCascade(
             code_d5, StabilizerType.X, tiers=("clique", PlainMWPM(code_d5, StabilizerType.X))
@@ -316,57 +342,46 @@ class TestBatchedCascadeBitIdentity:
         # The triage counts stand in for the off-chip tier's own traffic:
         # every complex round ships at least one visible event, so the
         # distinct event rounds the off-chip tier receives are exactly the
-        # rounds counted off-chip, and it is called once per off-chip trial.
-        class RecordingMWPM(MWPMDecoder):
-            def __init__(self, code, stype):
-                super().__init__(code, stype)
-                self.shipped_rounds = []
-
-            def decode_events_bitmap(self, rounds, ancillas):
-                self.shipped_rounds.append(np.unique(rounds).tolist())
-                return super().decode_events_bitmap(rounds, ancillas)
-
-        recorder = RecordingMWPM(code_d5, StabilizerType.X)
+        # rounds counted off-chip, and it sees one window per off-chip trial
+        # (all of a batch's windows in one call).
+        recorder = _WindowRecordingMWPM(code_d5, StabilizerType.X)
         cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", recorder))
         rng = np.random.default_rng(53)
         for density in (0.05, 0.15, 0.3):
             batch = (rng.random((40, 6, _width(code_d5))) < density).astype(np.uint8)
-            recorder.shipped_rounds.clear()
+            recorder.calls.clear()
             result, _ = _decode_packed(cascade, batch)
-            assert result.tier_trials[1] == len(recorder.shipped_rounds)
-            assert result.tier_rounds[1] == sum(map(len, recorder.shipped_rounds))
+            assert len(recorder.calls) == 1
+            shipped_rounds = [np.unique(rounds).tolist() for rounds, _ in recorder.windows]
+            assert result.tier_trials[1] == len(shipped_rounds)
+            assert result.tier_rounds[1] == sum(map(len, shipped_rounds))
             for trial in range(batch.shape[0]):
-                recorder.shipped_rounds.clear()
+                recorder.calls.clear()
                 reference = cascade.decode_history(batch[trial])
+                shipped_rounds = [
+                    np.unique(rounds).tolist() for rounds, _ in recorder.windows
+                ]
                 expected = [list(reference.offchip_rounds)] if reference.offchip_rounds else []
-                assert recorder.shipped_rounds == expected
+                assert shipped_rounds == expected
 
     @pytest.mark.parametrize("trials", [64, 150])
     def test_offchip_tier_sees_the_per_trial_events_in_order(self, code_d5, trials):
         # The packed path reads off-chip events sparsely from the packed
-        # planes; each off-chip trial must reach the tier with exactly the
-        # (round, ancilla) event list, in the same order, that decode_history
-        # ships for it — the order fixes the matcher's tie-breaks.
-        class RecordingMWPM(MWPMDecoder):
-            def __init__(self, code, stype):
-                super().__init__(code, stype)
-                self.calls = []
-
-            def decode_events_bitmap(self, rounds, ancillas):
-                self.calls.append((rounds.tolist(), ancillas.tolist()))
-                return super().decode_events_bitmap(rounds, ancillas)
-
-        recorder = RecordingMWPM(code_d5, StabilizerType.X)
+        # planes (bitplane.event_windows); each off-chip trial's window must
+        # reach the tier with exactly the (round, ancilla) event list, in the
+        # same order, that decode_history ships for it — the order fixes the
+        # matcher's tie-breaks.
+        recorder = _WindowRecordingMWPM(code_d5, StabilizerType.X)
         cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", recorder))
         rng = np.random.default_rng(59)
         batch = (rng.random((trials, 6, _width(code_d5))) < 0.12).astype(np.uint8)
         _decode_packed(cascade, batch)
-        packed_calls = list(recorder.calls)
+        packed_windows = recorder.windows
         recorder.calls.clear()
         for trial in range(trials):
             cascade.decode_history(batch[trial])
-        assert len(packed_calls) > 1
-        assert packed_calls == recorder.calls
+        assert len(packed_windows) > 1
+        assert packed_windows == recorder.windows
 
 
 #: Frozen seeded outputs — trials=300, p=2e-2, seed=1234, rounds=distance;

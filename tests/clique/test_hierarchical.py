@@ -108,9 +108,9 @@ class TestOffChipPath:
 
 class TestConfiguration:
     def test_custom_final_tier_is_used(self, code_d5):
-        # The cascade routes decoder-instance final tiers through the batched
-        # decode_events_bitmap hook when they provide one (falling back to
-        # matrix-level decode() otherwise), so record both entry points.
+        # The cascade hands decoder-instance final tiers their off-chip
+        # window through the decode_event_windows entry point, so record
+        # every entry point.
         calls = []
 
         class RecordingMWPM(MWPMDecoder):
@@ -122,13 +122,17 @@ class TestConfiguration:
                 calls.append(("decode_events_bitmap", rounds.copy()))
                 return super().decode_events_bitmap(rounds, ancillas)
 
+            def decode_event_windows(self, rounds, ancillas, bounds):
+                calls.append(("decode_event_windows", bounds.tolist()))
+                return super().decode_event_windows(rounds, ancillas, bounds)
+
         final = RecordingMWPM(code_d5, StabilizerType.X)
         decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", final))
         detections = np.zeros((2, _width(code_d5)), dtype=np.uint8)
         detections[0] = _complex_round_signature(code_d5)
         decoder.decode_history(detections)
-        assert len(calls) == 1
-        assert calls[0][0] == "decode_events_bitmap"
+        num_events = int(detections[0].sum())
+        assert calls == [("decode_event_windows", [0, num_events])]
 
     def test_final_tier_not_called_when_everything_is_trivial(self, code_d5):
         calls = []
@@ -141,6 +145,10 @@ class TestConfiguration:
             def decode_events_bitmap(self, rounds, ancillas):
                 calls.append(rounds.copy())
                 return super().decode_events_bitmap(rounds, ancillas)
+
+            def decode_event_windows(self, rounds, ancillas, bounds):
+                calls.append(bounds.copy())
+                return super().decode_event_windows(rounds, ancillas, bounds)
 
         decoder = DecoderCascade(
             code_d5,

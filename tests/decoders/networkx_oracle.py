@@ -67,17 +67,16 @@ def networkx_total_cost(distance: list[list[int]], boundary: list[int]) -> int:
 
 
 class NetworkxMWPMDecoder(MWPMDecoder):
-    """:class:`MWPMDecoder` with the networkx matcher past the subset-DP limit.
+    """:class:`MWPMDecoder` with the networkx matcher in place of blossom.
 
-    Event sets small enough for the exact subset-DP still go there, exactly
-    as in the production decoder; only the general matcher is swapped.
+    Windows small enough for the exact enumeration still go there, exactly
+    as in the production decoder; only the matcher for larger windows is
+    swapped.
     """
 
-    def _match_indices(
+    def _match_large(
         self, ancillas: np.ndarray, rounds: np.ndarray
     ) -> tuple[list[tuple[int, int]], list[int]]:
-        if ancillas.size <= self._SMALL_CASE_LIMIT:
-            return super()._match_indices(ancillas, rounds)
         graph = self.matching_graph
         distance = graph.spatial_distance_matrix[np.ix_(ancillas, ancillas)] + np.abs(
             rounds[:, None] - rounds[None, :]

@@ -3,7 +3,8 @@
 The matcher must agree on *total* assignment cost with both independent
 oracles on the same instances:
 
-* the exact subset-DP (``match_events_small``) for small event sets, and
+* the exact subset-DP oracle (``subset_dp_oracle.match_events_small``) for
+  small event sets, and
 * networkx's ``max_weight_matching`` on the auxiliary graph (explicit
   boundary copies + zero-weight clique), through the test-side oracle in
   ``networkx_oracle.py``, when networkx is available.
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from networkx_oracle import networkx_total_cost
+from subset_dp_oracle import match_events_small
+
 from repro.decoders.blossom import match_events, max_weight_matching
-from repro.decoders.mwpm import match_events_small
 
 
 def _total_cost(distance, boundary, pairs, boundary_matches):

@@ -7,9 +7,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 from lookup_oracle import LookupDecoder
+from subset_dp_oracle import match_events_small
 
-from repro.decoders.mwpm import SUBSET_DP_MAX_EVENTS, MWPMDecoder, match_events_small
-from repro.exceptions import ConfigurationError, SyndromeShapeError
+from repro.decoders.mwpm import ENUMERATION_MAX_EVENTS, MWPMDecoder
+from repro.exceptions import SyndromeShapeError
 from repro.noise.events import errors_to_vector, vector_to_errors
 from repro.types import Coord, StabilizerType
 
@@ -119,49 +120,36 @@ class TestSpaceTimeDecoding:
 
 class TestSmallCaseSolver:
     def test_subset_dp_matches_blossom_weight(self, mwpm_d5, code_d5, rng):
-        # The exact small-case DP must find the same minimum total distance as
-        # the blossom auxiliary-graph path for every event count it handles.
-        import numpy as np
-
-        from repro.decoders.matching_graph import SpaceTimeEvent
-
+        # The subset-DP oracle (which the small-window enumeration matches
+        # assignment for assignment) must find the same minimum total
+        # distance as blossom for every event count the enumeration handles.
         graph = mwpm_d5.matching_graph
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
 
-        def total_weight(pairs, boundary_matches):
-            return sum(
-                graph.event_distance(a, b) for a, b in pairs
-            ) + sum(graph.event_boundary_distance(e) for e in boundary_matches)
+        def total_weight(distance, boundary, pairs, boundary_matches):
+            return sum(distance[i][j] for i, j in pairs) + sum(
+                boundary[i] for i in boundary_matches
+            )
 
         for _ in range(60):
-            num = int(rng.integers(1, MWPMDecoder._SMALL_CASE_LIMIT + 1))
-            cells = rng.choice(5 * width, size=num, replace=False)
-            events = sorted(
-                SpaceTimeEvent(round=int(c // width), ancilla_index=int(c % width))
-                for c in cells
-            )
-            ancilla = np.array([e.ancilla_index for e in events])
-            rounds = np.array([e.round for e in events])
+            num = int(rng.integers(1, ENUMERATION_MAX_EVENTS + 1))
+            cells = np.sort(rng.choice(5 * width, size=num, replace=False))
+            ancilla = cells % width
+            rounds = cells // width
             distance = (
                 graph.spatial_distance_matrix[np.ix_(ancilla, ancilla)]
                 + np.abs(rounds[:, None] - rounds[None, :])
             ).tolist()
             boundary = graph.boundary_distance_array[ancilla].tolist()
-            dp_pairs, dp_boundary = mwpm_d5._match_small(distance, boundary)
             dp_weight = total_weight(
-                [(events[i], events[j]) for i, j in dp_pairs],
-                [events[i] for i in dp_boundary],
+                distance, boundary, *match_events_small(distance, boundary)
             )
-
-            limit = MWPMDecoder._SMALL_CASE_LIMIT
-            MWPMDecoder._SMALL_CASE_LIMIT = 0
-            try:
-                blossom_weight = total_weight(*mwpm_d5._match(events))
-            finally:
-                MWPMDecoder._SMALL_CASE_LIMIT = limit
+            blossom_weight = total_weight(
+                distance, boundary, *mwpm_d5._match_large(ancilla, rounds)
+            )
             assert dp_weight == blossom_weight
 
-    def test_all_zero_distance_tie_breaks_deterministically(self, mwpm_d5):
+    def test_all_zero_distance_tie_breaks_deterministically(self):
         # Pathological degenerate input: every pair and boundary assignment
         # ties at zero weight.  The DP must pick one canonical assignment
         # (everything to the boundary) so sharded and unsharded runs can
@@ -169,20 +157,11 @@ class TestSmallCaseSolver:
         for num in (1, 2, 3, 5):
             distance = [[0] * num for _ in range(num)]
             boundary = [0] * num
-            pairs, boundary_matches = mwpm_d5._match_small(distance, boundary)
+            pairs, boundary_matches = match_events_small(distance, boundary)
             assert pairs == []
             assert sorted(boundary_matches) == list(range(num))
             # Repeated calls agree exactly.
-            assert (pairs, boundary_matches) == mwpm_d5._match_small(distance, boundary)
-
-    def test_subset_dp_rejects_over_cap_event_counts(self):
-        # The DP tables are O(2^n): a mid-30s event count would attempt a
-        # multi-GB allocation, so the solver must refuse loudly instead.
-        num = SUBSET_DP_MAX_EVENTS + 1
-        distance = [[0] * num for _ in range(num)]
-        boundary = [0] * num
-        with pytest.raises(ConfigurationError, match="SUBSET_DP_MAX_EVENTS"):
-            match_events_small(distance, boundary)
+            assert (pairs, boundary_matches) == match_events_small(distance, boundary)
 
 
 class TestNetworkxOracle:
@@ -213,11 +192,11 @@ class TestNetworkxOracle:
             rounds, ancillas = np.nonzero(detections)
             ancillas = ancillas.astype(np.int64)
             rounds = rounds.astype(np.int64)
-            if rounds.size <= MWPMDecoder._SMALL_CASE_LIMIT:
+            if rounds.size <= ENUMERATION_MAX_EVENTS:
                 continue
             checked_large += 1
-            ours = blossom_decoder._match_indices(ancillas, rounds)
-            theirs = oracle._match_indices(ancillas, rounds)
+            ours = blossom_decoder._match_large(ancillas, rounds)
+            theirs = oracle._match_large(ancillas, rounds)
             assert total_weight(ancillas, rounds, *ours) == total_weight(
                 ancillas, rounds, *theirs
             )
@@ -271,7 +250,7 @@ class TestEventBitmapPath:
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
         data_index = code_d5.data_index
         # Densities chosen so event counts land both under and over the
-        # subset-DP limit, covering the DP and blossom branches.
+        # enumeration limit, covering the enumeration and blossom branches.
         for density in (0.05, 0.25):
             detections = (rng.random((5, width)) < density).astype(np.uint8)
             rounds, ancillas = np.nonzero(detections)

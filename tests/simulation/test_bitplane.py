@@ -93,6 +93,27 @@ class TestTrialAccessors:
         expected[ids] ^= delta
         assert np.array_equal(bitplane.unpack_trials(packed, trials), expected)
 
+    @given(
+        shape=SHAPES,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        density=st.sampled_from([0.0, 0.02, 0.37]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_event_windows_are_the_per_trial_nonzero_events(self, shape, seed, density):
+        bits = (np.random.default_rng(seed).random(shape) < density).astype(np.uint8)
+        bits[::4] = 0  # empty trials get no window
+        trials, rounds, ancillas, bounds = bitplane.event_windows(
+            bitplane.pack_trials(bits)
+        )
+        busy = [t for t in range(shape[0]) if bits[t].any()]
+        assert trials.tolist() == busy
+        assert bounds[0] == 0 and bounds[-1] == rounds.size == ancillas.size
+        for index, trial in enumerate(busy):
+            window = slice(bounds[index], bounds[index + 1])
+            expected_rounds, expected_ancillas = np.nonzero(bits[trial])
+            assert rounds[window].tolist() == expected_rounds.tolist()
+            assert ancillas[window].tolist() == expected_ancillas.tolist()
+
     def test_scatter_requires_contiguous_uint64(self):
         packed = bitplane.pack_trials(_random_bits((70, 4), 0))
         with pytest.raises(ValueError):

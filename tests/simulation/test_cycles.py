@@ -36,6 +36,21 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             sample_cycle_signatures(code_d5, StabilizerType.X, PhenomenologicalNoise(0.01), 0, rng)
 
+    @pytest.mark.parametrize("cycles", [0, -5])
+    def test_distribution_rejects_nonpositive_cycles(self, code_d5, cycles):
+        # Zero cycles used to return an all-zero distribution (fig04 printed
+        # rows of 0%), and negative ones failed later with an unrelated message.
+        with pytest.raises(ConfigurationError, match="num_cycles must be positive"):
+            simulate_signature_distribution(
+                code_d5, PhenomenologicalNoise(0.01), cycles, rng=1
+            )
+
+    def test_distribution_rejects_nonpositive_batch_size(self, code_d5):
+        with pytest.raises(ConfigurationError, match="batch_size must be positive"):
+            simulate_signature_distribution(
+                code_d5, PhenomenologicalNoise(0.01), 100, rng=1, batch_size=0
+            )
+
     def test_touch_counts_bound_signatures(self, code_d5, rng):
         noise = PhenomenologicalNoise(0.05)
         signatures, _, touches = sample_cycle_signatures(

@@ -103,6 +103,13 @@ class TestCommands:
         assert exit_code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cycles", ["0", "-5"])
+    def test_fig04_nonpositive_cycles_fail_cleanly(self, cycles, capsys):
+        assert main(["run", "fig04", "--param", f"cycles={cycles}"]) == 1
+        captured = capsys.readouterr()
+        assert "num_cycles must be positive" in captured.err
+        assert captured.out == ""
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
