@@ -75,6 +75,7 @@ from repro.faults import (
     FaultInjector,
     FaultPolicy,
     FaultReport,
+    drop_idle_pool,
     pool_construction_count,
 )
 from repro.noise.models import PhenomenologicalNoise
@@ -537,6 +538,9 @@ def test_engine_and_fallback_throughput_bench_record():
     )
 
     def _scheduler_run(workers):
+        # A cold sweep: the gate below counts the pools one sweep builds, so
+        # an idle pool left by an earlier lane must not serve it.
+        drop_idle_pool()
         pools_before = pool_construction_count()
         start = time.perf_counter()
         result = run_experiment(

@@ -222,12 +222,10 @@ class DecoderCascade(Decoder):
                     matrix & ~consumed & 1, round_index, transient
                 )
                 consumed |= partner_mask
-                consumed[round_index] |= transient | sticky
                 locations.append(DecodeLocation.ON_CHIP)
             else:
                 # The whole round's (unconsumed) events go off-chip.
                 offchip_mask[round_index] = visible
-                consumed[round_index] |= visible
                 locations.append(DecodeLocation.OFF_CHIP)
                 offchip_rounds.append(round_index)
 
@@ -321,9 +319,6 @@ class DecoderCascade(Decoder):
             # visible signature for the off-chip tier.
             offchip_planes[round_index] = visible & complex_word
             offchip_words[round_index] = complex_word
-
-            # Both branches consume everything visible this round.
-            consumed[round_index] |= visible
 
         # Per-trial off-chip round counts (real trials only — padding bits
         # are zero in every complex word by the trivial default above).

@@ -17,6 +17,7 @@ from repro.faults.executor import (
     SKIPPED,
     DegradedExecutionWarning,
     ShardExecutor,
+    drop_idle_pool,
     pool_construction_count,
 )
 from repro.faults.injector import (
@@ -45,6 +46,7 @@ __all__ = [
     "ShardExecutor",
     "ShardFault",
     "SkippedShard",
+    "drop_idle_pool",
     "parse_fault_plan",
     "pool_construction_count",
 ]

@@ -24,16 +24,32 @@ one executor — with the recovery ladder of
   ``engine_degraded`` in the :class:`~repro.faults.FaultReport` instead of
   silently swallowing the environment problem.
 
-At most ``workers`` shards are in flight at once, so a shard's timeout clock
-only ever runs while a worker is actually executing it (a shard queued behind
-a full pool is not "hung").  Results come back in task order; shards dropped
-by ``on_exhausted="skip"`` yield the :data:`SKIPPED` sentinel and their
-provenance is recorded on the report.  ``FaultPolicy(max_retries=0)`` is
-fail-fast: the first failure exhausts the shard.
+With a ``shard_timeout`` armed, at most ``workers`` shards are in flight at
+once, so a shard's timeout clock (stamped at submit) only ever runs while a
+worker is actually executing it (a shard queued behind a full pool is not
+"hung").  Without one, up to ``2 * workers`` are in flight, so a worker that
+finishes a shard finds the next one already queued instead of waiting for
+the parent to merge and resubmit.  Results come back in task order; shards
+dropped by ``on_exhausted="skip"`` yield the :data:`SKIPPED` sentinel and
+their provenance is recorded on the report.  ``FaultPolicy(max_retries=0)``
+is fail-fast: the first failure exhausts the shard.
+
+A process keeps at most one pool between runs.  Forking a pool, shipping its
+first shards and joining it costs far more than a small sweep's shard
+compute, and each fresh worker rebuilds its per-process decode tables, so an
+executor takes the idle pool when its worker count matches and returns it
+when its run ends cleanly.  A run that raised, timed out a shard or broke its
+pool leaves nothing behind: its pool is shut down, and the next run builds a
+fresh one.  :func:`drop_idle_pool` shuts the idle pool down (it runs at
+interpreter exit), and every worker exits by itself once its parent process
+is gone, so an idle pool never outlives its process.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
+import threading
 import time
 import warnings
 from collections import deque
@@ -79,6 +95,82 @@ _POOL_CONSTRUCTIONS = 0
 def pool_construction_count() -> int:
     """How many process pools have been constructed in this process so far."""
     return _POOL_CONSTRUCTIONS
+
+
+#: The process's idle pool between runs, as ``(workers, pool)``, or ``None``.
+_IDLE_POOL: "tuple[int, Any] | None" = None
+_IDLE_LOCK = threading.Lock()
+
+#: How often a pool worker checks that its parent process is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _take_idle_pool(workers: int):
+    """The idle pool if it has ``workers`` workers and is healthy, else ``None``.
+
+    An idle pool of another size is shut down: a process keeps one pool.
+    """
+    global _IDLE_POOL
+    with _IDLE_LOCK:
+        idle, _IDLE_POOL = _IDLE_POOL, None
+    if idle is None:
+        return None
+    size, pool = idle
+    if size == workers and not getattr(pool, "_broken", False):
+        return pool
+    pool.shutdown(wait=True, cancel_futures=True)
+    return None
+
+
+def _park_pool(workers: int, pool) -> None:
+    """Keep ``pool`` as the process's idle pool, shutting down any other."""
+    global _IDLE_POOL
+    with _IDLE_LOCK:
+        displaced, _IDLE_POOL = _IDLE_POOL, (workers, pool)
+    if displaced is not None:
+        displaced[1].shutdown(wait=True, cancel_futures=True)
+
+
+def drop_idle_pool() -> None:
+    """Shut down the process's idle pool, if there is one.
+
+    Registered with :mod:`atexit`, so the pool's workers are joined before
+    interpreter teardown; the next pooled run builds a fresh pool.
+    """
+    global _IDLE_POOL
+    with _IDLE_LOCK:
+        idle, _IDLE_POOL = _IDLE_POOL, None
+    if idle is not None:
+        idle[1].shutdown(wait=True, cancel_futures=True)
+
+
+def _forget_idle_pool() -> None:
+    """In a forked child: the parent's idle pool is not this process's."""
+    global _IDLE_POOL, _IDLE_LOCK
+    _IDLE_POOL = None
+    _IDLE_LOCK = threading.Lock()
+
+
+atexit.register(drop_idle_pool)
+os.register_at_fork(after_in_child=_forget_idle_pool)
+
+
+def _watch_parent() -> None:
+    """Pool initializer: end this worker as soon as its parent is gone.
+
+    A worker blocks on its task queue, whose pipe it holds both ends of, so
+    a parent killed without shutting the pool down would leave it waiting
+    forever.  A daemon thread polls the parent pid instead: an orphan is
+    re-parented, so its ``getppid()`` changes.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _task_parts(task: tuple) -> tuple:
@@ -131,7 +223,10 @@ class ShardExecutor:
     """Run shard tasks under a :class:`~repro.faults.FaultPolicy`.
 
     Use as a context manager; one executor may serve several
-    :meth:`run_dynamic` calls and keeps its pool warm across them.
+    :meth:`run_dynamic` calls and keeps its pool warm across them.  The pool
+    is the process's idle pool when one of the same size is waiting, and
+    :meth:`close` returns it to that slot unless a run raised, timed out a
+    shard or broke the pool; then it is shut down.
     ``injector=None`` picks up the ambient ``REPRO_FAULT_PLAN`` injector
     (test mode); pass an explicit injector to scope a chaos plan to one run.
     """
@@ -149,6 +244,7 @@ class ShardExecutor:
         self._pool = None
         self._pool_unavailable = False
         self._sequential_only = False
+        self._reusable = True  # False once a run raised or a pool was killed
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "ShardExecutor":
@@ -159,7 +255,11 @@ class ShardExecutor:
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
-        if pool is not None:
+        if pool is None:
+            return
+        if self._reusable:
+            _park_pool(self.workers, pool)
+        else:
             pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
@@ -169,10 +269,16 @@ class ShardExecutor:
             return self._pool
         if self.workers == 1 or self._pool_unavailable or self._sequential_only:
             return None
+        self._pool = _take_idle_pool(self.workers)
+        if self._pool is not None:
+            return self._pool
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_watch_parent,
+            )
             global _POOL_CONSTRUCTIONS
             _POOL_CONSTRUCTIONS += 1
         except (ImportError, NotImplementedError, OSError, PermissionError) as error:
@@ -196,6 +302,7 @@ class ShardExecutor:
 
     def _kill_pool(self) -> None:
         """Tear down a pool whose workers may be hung or already dead."""
+        self._reusable = False
         pool, self._pool = self._pool, None
         if pool is None:
             return
@@ -246,7 +353,11 @@ class ShardExecutor:
                 self._run_sequential(tasks[index], states[index], results)
                 finish(index)
             return results
-        self._run_pooled(tasks, states, results, queue, finish)
+        try:
+            self._run_pooled(tasks, states, results, queue, finish)
+        except BaseException:
+            self._reusable = False  # shards may still be running on it
+            raise
         return results
 
     # ------------------------------------------------------------------
@@ -323,6 +434,9 @@ class ShardExecutor:
         # retry has been charged, which a zero-retry policy never does.
         track_deadlines = self.policy.shard_timeout is not None
         track_backoff = self.policy.max_retries > 0
+        # Deadlines are stamped at submit, so with a timeout armed only as
+        # many shards as there are workers may be in flight.
+        in_flight = self.workers if track_deadlines else 2 * self.workers
 
         def submit(index: int) -> None:
             kernel, shard_trials, seed, shard_index, point_index = _task_parts(
@@ -413,7 +527,7 @@ class ShardExecutor:
             now = time.monotonic()
             submit_broke_pool = False
             for index in [i for i in queue if states[i].not_before <= now]:
-                if len(pending) >= self.workers:
+                if len(pending) >= in_flight:
                     break
                 queue.remove(index)
                 try:
@@ -501,5 +615,6 @@ __all__ = [
     "SKIPPED",
     "DegradedExecutionWarning",
     "ShardExecutor",
+    "drop_idle_pool",
     "pool_construction_count",
 ]

@@ -51,11 +51,16 @@ DEFAULT_SHARD_CYCLES = 5_000
 #: Work (cycles x distance**2, summed over a run's points) below which a
 #: coverage run with ``workers=None`` stays in-process instead of starting
 #: a pool of ``os.cpu_count()`` workers.  A shard costs ~15 ns per
-#: cycle x distance**2 and starting a pool and shipping shards costs about
-#: 70 ms (2-vCPU x86 host), so below ~1e7 (~150 ms of kernel time) one
-#: worker finishes first: fig16 at its default 20k cycles (7.4e6) ran in
-#: 1.01 s in-process vs 1.12 s on a pool, fig11's default grid (1.4e8) in
-#: 2.0 s vs 1.35 s.
+#: cycle x distance**2.  The threshold was set when every run forked its own
+#: pool (about 70 ms with shipping, 2-vCPU x86 host): below ~1e7 (~150 ms of
+#: kernel time) one worker finished first, fig16 at its default 20k cycles
+#: (7.4e6) in 1.01 s in-process vs 1.12 s on a pool, fig11's default grid
+#: (1.4e8) in 2.0 s vs 1.35 s.  A process now keeps its pool warm between
+#: runs, which makes a repeated pooled run cheaper, but the value stays on
+#: purpose: it decides which runs fork a pool at all, so a one-shot run such
+#: as fig16's default stays in-process, and for ``chunk_cycles="auto"`` runs
+#: it sets the resolved shard size through :func:`coverage_workers`, hence
+#: the store keys.
 POOL_MIN_WORK = 10_000_000
 
 

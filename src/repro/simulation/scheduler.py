@@ -15,6 +15,12 @@ lone :func:`memory_point`, every ``simulate_clique_coverage`` call) is
 simply a one-point sweep, and every ``fig14_fallbacks`` row is a one-point
 sweep run in-process.
 
+The pool itself outlives the sweep.  The executor takes the process's idle
+pool when its worker count matches and hands it back when the sweep ends
+cleanly, so consecutive sweeps in one process reuse the same forked
+workers, and their per-process decode tables, instead of forking and
+joining a pool each (see :mod:`repro.faults.executor`).
+
 Determinism holds **by construction**.  Each shard is a pure function of
 ``(point_seed, shard_index, chunk_trials)`` under the shard layer's seeding
 contract; the scheduler only decides *when* shards execute, never which
@@ -31,7 +37,7 @@ run.
 Fault tolerance is the executor's recovery ladder: retries, timeouts, pool
 respawns, and degradation are per-shard concerns of the shared
 :class:`~repro.faults.ShardExecutor`, whose respawn/degrade budgets span the
-sweep (there is a single pool).  Tasks are dispatched tagged
+sweep (one executor serves it).  Tasks are dispatched tagged
 ``(point_index, shard_index)``, so chaos plans can pin a fault to one point
 of a sweep via the ``point <p>`` qualifier (see :mod:`repro.faults.injector`)
 and skipped-shard provenance stays attributable per point.  Each point is
@@ -153,7 +159,7 @@ class _PointDriver:
 
 @dataclass
 class SweepScheduler:
-    """Run many sweep points on one persistent :class:`ShardExecutor` pool.
+    """Run many sweep points on one :class:`ShardExecutor` pool.
 
     Attributes:
         workers: process count; defaults to ``os.cpu_count()``.  ``1`` runs

@@ -6,8 +6,21 @@ import numpy as np
 import pytest
 
 from repro.codes.rotated_surface import RotatedSurfaceCode
+from repro.faults import drop_idle_pool
 from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
 from repro.types import StabilizerType
+
+
+@pytest.fixture(autouse=True)
+def _no_idle_pool_between_tests():
+    """Each test starts without an idle shard pool.
+
+    Pooled runs keep their pool for the next run in the process; dropping it
+    after every test keeps pool counts, monkeypatched pool classes and
+    forked-worker state local to the test that made them.
+    """
+    yield
+    drop_idle_pool()
 
 
 @pytest.fixture(scope="session")

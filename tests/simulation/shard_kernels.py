@@ -12,6 +12,7 @@ Wilson waves (cover ``min_trials``, then double, clamped to ``max_trials``).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.noise.rng import shard_rng
@@ -31,6 +32,18 @@ class BernoulliKernel:
 
     def __call__(self, n_trials, rng):
         return (int((rng.random(n_trials) < self.rate).sum()), n_trials)
+
+
+@dataclass(frozen=True)
+class SleepyKernel(BernoulliKernel):
+    """:class:`BernoulliKernel` that first sleeps ``seconds`` per shard, so a
+    test can count shards in flight before any of them finishes."""
+
+    seconds: float = 0.2
+
+    def __call__(self, n_trials, rng):
+        time.sleep(self.seconds)
+        return super().__call__(n_trials, rng)
 
 
 def bernoulli_successes(counts):

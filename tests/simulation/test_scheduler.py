@@ -5,10 +5,10 @@ changes *when* shards execute — never which shards exist, which RNG streams
 they draw, or the order partials merge — so every scheduled point equals the
 manual per-shard ``kernel(size, shard_rng(seed, i))`` merge (wave by wave
 for adaptive points) exactly, at any worker count, checkpoints included.
-Plus the satellite contracts: one pool per sweep (not per point), a pool
-capped at the shard count for fixed-budget sweeps, ``chunk="auto"``
-resolution, the executor's dynamic task feed, and the point-qualified
-fault-plan grammar.
+Plus the satellite contracts: one pool per process (not per point or per
+sweep) while runs end cleanly, a pool capped at the shard count for
+fixed-budget sweeps, the in-flight cap, ``chunk="auto"`` resolution, the
+executor's dynamic task feed, and the point-qualified fault-plan grammar.
 """
 
 from __future__ import annotations
@@ -18,15 +18,18 @@ import concurrent.futures
 import pytest
 
 from repro.codes.rotated_surface import get_code
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ShardRetriesExhaustedError
 from repro.experiments.fig14 import _mwpm_factory
 from repro.faults import (
     FaultInjector,
     FaultPolicy,
+    FaultReport,
     ShardExecutor,
+    drop_idle_pool,
     parse_fault_plan,
     pool_construction_count,
 )
+from repro.faults import executor as executor_module
 from repro.noise.models import PhenomenologicalNoise
 from repro.noise.rng import shard_rng
 from repro.simulation import (
@@ -40,6 +43,7 @@ from repro.simulation import (
 )
 from shard_kernels import (
     BernoulliKernel,
+    SleepyKernel,
     adaptive_oracle,
     bernoulli_successes,
     shard_oracle,
@@ -172,16 +176,126 @@ class TestSchedulerPoolReuse:
         SweepScheduler(workers=2).run(points)
         assert pool_construction_count() - before == 1
 
-    def test_separate_scheduler_runs_build_one_pool_each(self):
+    def test_separate_scheduler_runs_share_one_pool(self):
         before = pool_construction_count()
         for i in range(3):
             SweepScheduler(workers=2).run([fixed_point("p", 0.2, 120, i, 30)])
-        assert pool_construction_count() - before == 3
+        assert pool_construction_count() - before == 1
 
     def test_sequential_path_builds_no_pool(self):
         before = pool_construction_count()
         SweepScheduler(workers=1).run([fixed_point("p", 0.2, 120, 7, 30)])
         assert pool_construction_count() - before == 0
+
+
+def idle_pool():
+    """The process's idle pool, ``(workers, pool)``, or ``None``."""
+    return executor_module._IDLE_POOL
+
+
+def cold_rows(points):
+    """Rows of a sweep run on a freshly built pool."""
+    drop_idle_pool()
+    return {k: v.value for k, v in SweepScheduler(workers=2).run(points).items()}
+
+
+class TestIdlePoolLifecycle:
+    def test_clean_run_leaves_its_pool_idle(self):
+        assert idle_pool() is None
+        SweepScheduler(workers=2).run([fixed_point("p", 0.2, 120, 1, 30)])
+        assert idle_pool()[0] == 2
+
+    def test_drop_idle_pool_joins_its_workers(self):
+        SweepScheduler(workers=2).run([fixed_point("p", 0.2, 120, 1, 30)])
+        processes = list(idle_pool()[1]._processes.values())
+        drop_idle_pool()
+        assert idle_pool() is None
+        assert not any(process.is_alive() for process in processes)
+
+    def test_other_worker_count_replaces_the_idle_pool(self):
+        before = pool_construction_count()
+        SweepScheduler(workers=2).run([fixed_point("p", 0.2, 120, 1, 30)])
+        two = idle_pool()[1]
+        workers_of_two = list(two._processes.values())
+        SweepScheduler(workers=3).run([fixed_point("p", 0.2, 120, 1, 30)])
+        assert idle_pool()[0] == 3
+        assert pool_construction_count() - before == 2
+        # The two-worker pool was shut down and joined, not leaked.
+        assert two._shutdown_thread
+        assert not any(process.is_alive() for process in workers_of_two)
+        SweepScheduler(workers=3).run([fixed_point("p", 0.2, 120, 2, 30)])
+        assert pool_construction_count() - before == 2
+
+    def test_broken_pool_is_not_reused(self):
+        points = [fixed_point(str(i), 0.25, 120, 60 + i, 30) for i in range(2)]
+        report = FaultReport()
+        SweepScheduler(
+            workers=2,
+            faults=FaultPolicy(max_retries=2, backoff_base=0.0),
+            fault_report=report,
+            fault_injector=FaultInjector.from_text("shard 0 attempt 0 kill"),
+        ).run(points)
+        assert report.pool_respawns >= 1
+        assert idle_pool() is None
+        before = pool_construction_count()
+        rows = {k: v.value for k, v in SweepScheduler(workers=2).run(points).items()}
+        assert pool_construction_count() - before == 1
+        assert rows == cold_rows(points)
+
+    def test_exhausted_sweep_is_not_reused(self):
+        points = [fixed_point(str(i), 0.25, 120, 70 + i, 30) for i in range(2)]
+        SweepScheduler(workers=2).run(points)
+        with pytest.raises(ShardRetriesExhaustedError):
+            SweepScheduler(
+                workers=2,
+                faults=FaultPolicy(max_retries=0),
+                fault_injector=FaultInjector.from_text("shard 1 attempts 0-9 raise"),
+            ).run(points)
+        assert idle_pool() is None
+        before = pool_construction_count()
+        rows = {k: v.value for k, v in SweepScheduler(workers=2).run(points).items()}
+        assert pool_construction_count() - before == 1
+        assert rows == cold_rows(points)
+
+
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
+    """Process pool that records the most futures it ever had unfinished."""
+
+    peak = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._live = []
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self._live = [f for f in self._live if not f.done()] + [future]
+        CountingPool.peak = max(CountingPool.peak, len(self._live))
+        return future
+
+
+class TestInFlightCap:
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        CountingPool.peak = 0
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        return CountingPool
+
+    @pytest.mark.parametrize(
+        "shard_timeout, cap", [(None, 4), (30.0, 2)], ids=["no-timeout", "timeout"]
+    )
+    def test_in_flight_shards(self, counting, shard_timeout, cap):
+        # Shards sleep, so none finishes before the first refill: the peak is
+        # exactly the cap.  A deadline is stamped at submit, so an armed
+        # timeout keeps the cap at one shard per worker.
+        kernel = SleepyKernel(0.3, seconds=0.2)
+        tasks = [(kernel, 10, 5, index) for index in range(8)]
+        policy = FaultPolicy(max_retries=0, shard_timeout=shard_timeout)
+        with ShardExecutor(workers=2, policy=policy) as executor:
+            results = executor.run_dynamic(tasks)
+        assert counting.peak == cap
+        plain = BernoulliKernel(0.3)
+        assert results == [plain(10, shard_rng(5, index)) for index in range(8)]
 
 
 class RecordingPool(concurrent.futures.ProcessPoolExecutor):
