@@ -150,10 +150,29 @@ def event_windows(
     with ``trials x rounds x ancillas``.
     """
     rounds, ancillas, words = np.nonzero(planes)
+    return _word_event_windows(planes[rounds, ancillas, words], rounds, ancillas, words)
+
+
+def column_event_windows(
+    columns: np.ndarray, rounds: np.ndarray, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`event_windows` of planes known only on a few ``(round, word)`` columns.
+
+    ``columns`` is ``(k, ancillas)`` uint64: column ``i`` holds every
+    ancilla's word ``words[i]`` of round ``rounds[i]``, and the planes are
+    zero everywhere else.  The result is what :func:`event_windows` returns
+    on the full planes, read from the given columns only.
+    """
+    column, ancillas = np.nonzero(columns)
+    return _word_event_windows(
+        columns[column, ancillas], rounds[column], ancillas, words[column]
+    )
+
+
+def _word_event_windows(values, rounds, ancillas, words):
+    """Event windows of nonzero plane words ``values`` at ``(round, ancilla, word)``."""
     word_bits = np.unpackbits(
-        planes[rounds, ancillas, words].view(np.uint8).reshape(-1, _WORD_BYTES),
-        axis=1,
-        bitorder="little",
+        values.view(np.uint8).reshape(-1, _WORD_BYTES), axis=1, bitorder="little"
     )
     event, bit = np.nonzero(word_bits)
     trials = words[event] * WORD_BITS + bit
@@ -168,8 +187,12 @@ class PackedParityCheck:
     """XOR-parity syndrome extraction over packed bitplanes.
 
     Precomputes each stabilizer's data-qubit support once so that syndromes
-    for ``(rounds, num_data, words)`` accumulated-error planes cost one gather
-    plus an XOR-reduce — no matmul, no widening past uint64.
+    for ``(rounds, num_data, words)`` error planes cost one gather and one
+    XOR per support slot — no matmul, no widening past uint64, and no padded
+    copy of the input.  Rows shorter than their group's width repeat one of
+    their columns an even number of times (``x ^ x = 0``); rows are grouped
+    by weight parity so that every row's padding is even (a surface code's
+    weight-2 and weight-4 stabilizers form one group).
     """
 
     def __init__(self, parity_check: np.ndarray) -> None:
@@ -179,40 +202,79 @@ class PackedParityCheck:
         num_ancillas, num_data = matrix.shape
         rows, columns = np.nonzero(matrix & 1)  # row-major: supports in order
         weights = np.bincount(rows, minlength=num_ancillas)
-        width = int(weights.max(initial=0)) or 1
-        slots = np.arange(rows.size) - np.repeat(np.cumsum(weights) - weights, weights)
-        # Rows padded with the sentinel index ``num_data``, which addresses an
-        # always-zero plane appended at syndrome time (XOR identity).
-        self._support = np.full((num_ancillas, width), num_data, dtype=np.int64)
-        self._support[rows, slots] = columns
-        # Instances are shared per process (get_packed_parity_check).
-        self._support.flags.writeable = False
+        starts = np.cumsum(weights) - weights
+        entry_slots = np.arange(rows.size) - starts[rows]
+        first_column = np.zeros(num_ancillas, dtype=np.int64)
+        first_column[weights > 0] = columns[starts[weights > 0]]
+        # ``(rows, slots)`` per weight parity: ``rows`` is None when the
+        # group is every row in order, and ``slots`` holds one contiguous
+        # ancilla -> data-qubit column vector per support slot.
+        self._groups: list[tuple[np.ndarray | None, tuple[np.ndarray, ...]]] = []
+        for parity in (0, 1):
+            members = np.flatnonzero(weights % 2 == parity)
+            width = int(weights[members].max(initial=0))
+            if not width:
+                continue  # no rows, or only all-zero rows: syndrome 0
+            # Slot j of a row reads its j-th support column; the slots past
+            # its weight (an even number of them) all read its first column,
+            # or column 0 for an all-zero row.
+            support = np.repeat(first_column[members, None], width, axis=1)
+            entries = np.flatnonzero(weights[rows] % 2 == parity)
+            support[np.searchsorted(members, rows[entries]), entry_slots[entries]] = (
+                columns[entries]
+            )
+            slots = tuple(np.ascontiguousarray(column) for column in support.T)
+            # Instances are shared per process (get_packed_parity_check).
+            for table in (members, *slots):
+                table.flags.writeable = False
+            self._groups.append(
+                (None if members.size == num_ancillas else members, slots)
+            )
+        self._num_ancillas = num_ancillas
         self._num_data = num_data
 
     @property
     def num_ancillas(self) -> int:
-        return self._support.shape[0]
+        return self._num_ancillas
 
-    def syndromes(self, accumulated: np.ndarray) -> np.ndarray:
-        """Packed syndromes for packed accumulated-error planes.
+    def syndromes(self, planes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Packed syndromes ``H · planes`` of packed error planes.
 
         Args:
-            accumulated: ``(rounds, num_data, words)`` uint64 planes.
+            planes: ``(rounds, num_data, words)`` uint64 planes — accumulated
+                errors for the syndromes themselves, or one round's fresh
+                errors each for their per-round change (the map is linear).
+            out: optional C-contiguous ``(rounds, num_ancillas, words)``
+                uint64 array to write the syndromes into.
 
         Returns:
             ``(rounds, num_ancillas, words)`` uint64 planes, bit-for-bit equal
-            to packing ``accumulated_bits @ H.T % 2``.
+            to packing ``plane_bits @ H.T % 2``.
         """
-        rounds, num_data, words = accumulated.shape
+        rounds, num_data, words = planes.shape
         if num_data != self._num_data:
             raise ValueError(
                 f"expected {self._num_data} data-qubit planes, got {num_data}"
             )
-        padded = np.concatenate(
-            [accumulated, np.zeros((rounds, 1, words), dtype=np.uint64)], axis=1
-        )
-        gathered = padded[:, self._support]  # (rounds, ancillas, width, words)
-        return np.bitwise_xor.reduce(gathered, axis=2)
+        shape = (rounds, self._num_ancillas, words)
+        if out is None:
+            out = np.empty(shape, dtype=np.uint64)
+        if len(self._groups) != 1 or self._groups[0][0] is not None:
+            out[...] = 0  # some rows are written per group, or not at all
+        for members, slots in self._groups:
+            target = out if members is None else np.empty(
+                (rounds, members.size, words), dtype=np.uint64
+            )
+            scratch = np.empty_like(target)
+            # ``mode="clip"`` (the columns are in range anyway) lets ``take``
+            # write straight into ``out``; the default mode buffers it.
+            np.take(planes, slots[0], axis=1, out=target, mode="clip")
+            for columns in slots[1:]:
+                np.take(planes, columns, axis=1, out=scratch, mode="clip")
+                np.bitwise_xor(target, scratch, out=target)
+            if members is not None:
+                out[:, members] = target
+        return out
 
 
 @lru_cache(maxsize=64)
@@ -228,6 +290,7 @@ def get_packed_parity_check(distance: int, stype: StabilizerType) -> PackedParit
 __all__ = [
     "WORD_BITS",
     "PackedParityCheck",
+    "column_event_windows",
     "event_windows",
     "get_packed_parity_check",
     "num_words",

@@ -24,10 +24,11 @@ Two decode paths share one off-chip entry point,
 :meth:`DecoderCascade.decode_history`, the reference oracle, hands it one
 window, and the production :meth:`DecoderCascade.decode_batch_packed`, which
 triages 64 trials per machine word, hands it every off-chip window of the
-batch in one call.  The batched path reads the windows sparsely from the
-packed off-chip planes (:func:`repro.bitplane.event_windows`: only their
-nonzero words are unpacked), so the off-chip tier can solve them together —
-MWPM solves all its small windows in a few array operations per event count.
+batch in one call.  The batched path reads the windows sparsely, from only
+the ``(round, word)`` columns whose complex word is nonzero
+(:func:`repro.bitplane.column_event_windows`), so the off-chip tier can
+solve them together — MWPM solves all its small windows in a few array
+operations per event count.
 
 The default ``tiers=("clique", "mwpm")`` is the paper's design; its seeded
 outputs are pinned in ``tests/clique/test_cascade.py``.
@@ -277,61 +278,66 @@ class DecoderCascade(Decoder):
         are never sticky, complex, or counted.
         """
         planes = self._as_packed_detection_batch(detections, trials)
-        num_rounds = planes.shape[0]
-        words = planes.shape[2]
+        num_rounds, num_ancillas, words = planes.shape
         window = self._filter.rounds
-        consumed = np.zeros_like(planes)
-        offchip_planes = np.zeros_like(planes)
-        offchip_words = np.zeros((num_rounds, words), dtype=np.uint64)
-        corrections = np.zeros(
-            (self._code.num_data_qubits, words), dtype=np.uint64
-        )
+        clique = self._clique
+        # ``live[r]``: round r's events not yet consumed as a transient's
+        # partner, so the round's visible events once the loop reaches it
+        # (no round changes an earlier one).  ``sticky``: the current
+        # round's sticky events.  The extra last ancilla row of both stays
+        # zero: it is the sentinel the Clique gathers read for missing
+        # leaves.
+        live = np.zeros((num_rounds, num_ancillas + 1, words), dtype=np.uint64)
+        live[:, :num_ancillas] = planes
+        sticky = np.empty((num_ancillas + 1, words), dtype=np.uint64)
+        transient = np.empty_like(sticky)
+        no_repeats = np.zeros_like(sticky)
+        complex_words = np.empty((num_rounds, words), dtype=np.uint64)
+        terms = clique.correction_terms_packed(words)
 
         for round_index in range(num_rounds):
-            window_end = min(round_index + window, num_rounds)
-            masked = (
-                planes[round_index:window_end] & ~consumed[round_index:window_end]
-            )
-            visible = masked[0]
-            if masked.shape[0] > 1:
-                repeats = np.bitwise_or.reduce(masked[1:], axis=0)
+            visible = live[round_index]
+            partners = live[round_index + 1 : round_index + window]
+            if len(partners) > 1:
+                repeats = np.bitwise_or.reduce(partners, axis=0)
             else:
-                repeats = np.zeros_like(visible)
-            sticky = visible & ~repeats
-            transient = visible & repeats
-            complex_word = self._clique.complex_any_packed(sticky)
-            trivial_word = ~complex_word
+                repeats = partners[0] if len(partners) else no_repeats
+            np.bitwise_and(visible, repeats, out=transient)
+            np.bitwise_xor(visible, transient, out=sticky)
+            # On-chip branch: the trivial trials' sticky events are
+            # corrected, and each of their transient events consumes its
+            # first future partner flip.  Complex trials keep the round's
+            # visible events for the off-chip tier.
+            complex_word = clique.triage_round_packed(sticky, terms)
+            complex_words[round_index] = complex_word
+            if not len(partners):
+                continue
+            transient &= ~complex_word
+            for partner in partners[:-1]:
+                hit = partner & transient
+                partner ^= hit
+                transient ^= hit
+            # What is left repeats in the last partner round, by definition.
+            partners[-1] ^= transient
 
-            # On-chip branch: XOR-across-rounds corrections, and each
-            # transient event consumes its first future partner flip.
-            corrections ^= self._clique.correction_planes_packed(
-                sticky & trivial_word
-            )
-            remaining = transient & trivial_word
-            for offset in range(1, window_end - round_index):
-                if not remaining.any():
-                    break
-                hit = remaining & masked[offset]
-                consumed[round_index + offset] |= hit
-                remaining &= ~hit
-
-            # Off-chip branch: complex trials queue the round's whole
-            # visible signature for the off-chip tier.
-            offchip_planes[round_index] = visible & complex_word
-            offchip_words[round_index] = complex_word
-
+        corrections = clique.correction_planes_from_terms(terms)
         # Per-trial off-chip round counts (real trials only — padding bits
-        # are zero in every complex word by the trivial default above).
+        # are never sticky, so never complex).
         offchip_round_counts = (
-            bitplane.unpack_trials(offchip_words, trials)
+            bitplane.unpack_trials(complex_words, trials)
             .sum(axis=1, dtype=np.int64)
         )
-        # One call decodes every off-chip window of the batch.  Every complex
-        # round ships at least one visible event, so the windows' trials are
-        # exactly the off-chip trials, and the off-chip tier's trials and
-        # rounds are the triage's own counts.
-        window_trials, rounds, ancillas, bounds = bitplane.event_windows(
-            offchip_planes
+        # One call decodes every off-chip window of the batch: a complex
+        # round queues its whole visible signature, read only from the
+        # (round, word) columns whose complex word is nonzero.  Every
+        # complex round ships at least one visible event, so the windows'
+        # trials are exactly the off-chip trials, and the off-chip tier's
+        # trials and rounds are the triage's own counts.
+        column_rounds, column_words = np.nonzero(complex_words)
+        columns = live[column_rounds, :num_ancillas, column_words]
+        columns &= complex_words[column_rounds, column_words, None]
+        window_trials, rounds, ancillas, bounds = bitplane.column_event_windows(
+            columns, column_rounds, column_words
         )
         if window_trials.size:
             bitplane.scatter_xor_trial_bits(

@@ -122,10 +122,14 @@ class CliqueDecoder(Decoder):
         self._boundary_qubits = boundary_table[1]
         self._has_boundary = np.zeros(num, dtype=bool)
         self._has_boundary[self._boundary_cliques] = True
+        # Row order of the packed correction terms (triage_round_packed):
+        # the pair terms, then the boundary terms.
+        self._term_qubits = np.concatenate([self._pair_qubits, self._boundary_qubits])
         # Decoders are shared per process (get_clique_decoder): freeze them.
         for table in (
             self._leaves, self._has_boundary, self._pairs, self._pair_qubits,
             self._boundary_cliques, self._boundary_leaves, self._boundary_qubits,
+            self._term_qubits,
         ):
             table.flags.writeable = False
 
@@ -217,39 +221,75 @@ class CliqueDecoder(Decoder):
             :meth:`is_trivial_batch`.  Padding trials (all-zero planes) come
             back 0, i.e. trivial.
         """
-        padded = self._padded_planes(signatures)
+        return self._complex_word(self._padded_planes(signatures))[0]
+
+    def _complex_word(self, padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(complex word, boundary cliques' any-leaf planes)`` of padded planes.
+
+        ``padded`` is ``(num_ancillas + 1, words)`` with the zero sentinel
+        as its last row (read, never written).
+        """
         # active & even-leaf-count (XOR-parity 0), and on boundary cliques
         # also some leaf set (the lone-boundary escape needs OR 0).
-        complex_planes = signatures & ~np.bitwise_xor.reduce(
-            padded[self._leaves], axis=0
-        )
-        complex_planes[self._boundary_cliques] &= np.bitwise_or.reduce(
-            padded[self._boundary_leaves], axis=0
-        )
-        return np.bitwise_or.reduce(complex_planes, axis=0)
+        complex_planes = np.bitwise_xor.reduce(padded[self._leaves], axis=0)
+        np.invert(complex_planes, out=complex_planes)
+        complex_planes &= padded[:-1]
+        any_leaf = np.bitwise_or.reduce(padded[self._boundary_leaves], axis=0)
+        complex_planes[self._boundary_cliques] &= any_leaf
+        return np.bitwise_or.reduce(complex_planes, axis=0), any_leaf
 
     def correction_planes_packed(self, signatures: np.ndarray) -> np.ndarray:
         """Packed correction assembly for trivial packed signatures.
 
         Args:
-            signatures: uint64 planes ``(num_ancillas, words)``; every trial
-                whose bits are set must already be trivial per
-                :meth:`complex_any_packed` (complex trials produce garbage,
-                never an error) — callers mask with the trivial word vector.
+            signatures: uint64 planes ``(num_ancillas, words)``; complex
+                trials (per :meth:`complex_any_packed`) get no correction.
 
         Returns:
             uint64 correction planes of shape ``(num_data_qubits, words)``,
             bit-identical to packing :meth:`correction_bitmap`'s rows.
         """
-        padded = self._padded_planes(signatures)
-        planes = np.zeros(
-            (self._code.num_data_qubits, signatures.shape[-1]), dtype=np.uint64
-        )
+        terms = self.correction_terms_packed(signatures.shape[-1])
+        self.triage_round_packed(self._padded_planes(signatures), terms)
+        return self.correction_planes_from_terms(terms)
+
+    def correction_terms_packed(self, words: int) -> np.ndarray:
+        """A zeroed accumulator for :meth:`triage_round_packed`: one row per
+        correction term (each pair-form term, then each boundary term)."""
+        return np.zeros((self._term_qubits.size, words), dtype=np.uint64)
+
+    def triage_round_packed(self, padded: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Triage one round of packed signatures and accumulate its corrections.
+
+        Args:
+            padded: ``(num_ancillas + 1, words)`` uint64 signature planes
+                whose last row is the zero sentinel (read, never written).
+            terms: a :meth:`correction_terms_packed` accumulator; the trivial
+                trials' correction terms are XOR-ed into it.
+
+        Returns:
+            ``(words,)`` uint64: the round's complex word, as
+            :meth:`complex_any_packed`.  Complex trials add no terms.
+        """
+        complex_word, any_leaf = self._complex_word(padded)
+        trivial_word = ~complex_word
         first, second = self._pairs
-        planes[self._pair_qubits] = signatures[first] & signatures[second]
-        planes[self._boundary_qubits] = signatures[
-            self._boundary_cliques
-        ] & ~np.bitwise_or.reduce(padded[self._boundary_leaves], axis=0)
+        pair_terms = padded[first]
+        pair_terms &= padded[second]
+        pair_terms &= trivial_word
+        terms[: first.size] ^= pair_terms
+        np.invert(any_leaf, out=any_leaf)  # the lone-boundary case: no leaf set
+        any_leaf &= padded[self._boundary_cliques]
+        any_leaf &= trivial_word
+        terms[first.size :] ^= any_leaf
+        return complex_word
+
+    def correction_planes_from_terms(self, terms: np.ndarray) -> np.ndarray:
+        """``(num_data_qubits, words)`` correction planes of accumulated terms."""
+        planes = np.zeros(
+            (self._code.num_data_qubits, terms.shape[-1]), dtype=np.uint64
+        )
+        planes[self._term_qubits] = terms
         return planes
 
     # ------------------------------------------------------------------

@@ -106,9 +106,12 @@ _PARENT_POLL_S = 0.5
 
 
 def _take_idle_pool(workers: int):
-    """The idle pool if it has ``workers`` workers and is healthy, else ``None``.
+    """The idle pool as ``(size, pool)`` if it is healthy and has at least
+    ``workers`` workers, else ``None``.
 
-    An idle pool of another size is shut down: a process keeps one pool.
+    A broken or smaller idle pool is shut down: a process keeps one pool.  A
+    larger one serves a run that needs fewer workers (a fixed-budget sweep
+    with fewer shards than workers, say) without forking anew.
     """
     global _IDLE_POOL
     with _IDLE_LOCK:
@@ -116,8 +119,8 @@ def _take_idle_pool(workers: int):
     if idle is None:
         return None
     size, pool = idle
-    if size == workers and not getattr(pool, "_broken", False):
-        return pool
+    if size >= workers and not getattr(pool, "_broken", False):
+        return idle
     pool.shutdown(wait=True, cancel_futures=True)
     return None
 
@@ -224,7 +227,8 @@ class ShardExecutor:
 
     Use as a context manager; one executor may serve several
     :meth:`run_dynamic` calls and keeps its pool warm across them.  The pool
-    is the process's idle pool when one of the same size is waiting, and
+    is the process's idle pool when one with at least ``workers`` workers is
+    waiting (the run's in-flight limit still follows ``workers``), and
     :meth:`close` returns it to that slot unless a run raised, timed out a
     shard or broke the pool; then it is shut down.
     ``injector=None`` picks up the ambient ``REPRO_FAULT_PLAN`` injector
@@ -242,6 +246,7 @@ class ShardExecutor:
         if self.injector is None:
             self.injector = FaultInjector.from_env()
         self._pool = None
+        self._pool_size = self.workers
         self._pool_unavailable = False
         self._sequential_only = False
         self._reusable = True  # False once a run raised or a pool was killed
@@ -258,7 +263,7 @@ class ShardExecutor:
         if pool is None:
             return
         if self._reusable:
-            _park_pool(self.workers, pool)
+            _park_pool(self._pool_size, pool)
         else:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -269,9 +274,11 @@ class ShardExecutor:
             return self._pool
         if self.workers == 1 or self._pool_unavailable or self._sequential_only:
             return None
-        self._pool = _take_idle_pool(self.workers)
-        if self._pool is not None:
+        idle = _take_idle_pool(self.workers)
+        if idle is not None:
+            self._pool_size, self._pool = idle
             return self._pool
+        self._pool_size = self.workers
         try:
             from concurrent.futures import ProcessPoolExecutor
 

@@ -7,11 +7,10 @@ and flips every syndrome measurement with the same probability ``p``.  A
 and for the lookup-table decoder the tests use as an oracle.
 
 Memory-experiment histories are drawn by an exact *sparse* sampler, one
-64-trial tile (one uint64 word of trials) at a time: per field, an error
-count ``k ~ Binomial(M, p)`` over the tile's ``M`` entries, then a uniform
-``k``-subset of the entries.  At the paper's common-case rates this costs a
-few RNG draws per error rather than one uniform per entry.  See
-:meth:`NoiseModel.sample_error_tiles`.
+2048-trial block at a time: per field, the positions of the set entries of
+the block's ``M`` Bernoulli(``p``) entries are walked with geometric gaps
+(:func:`sample_positions`).  The draws and the memory follow the number of
+errors, not ``M``.  See :meth:`NoiseModel.sample_error_blocks`.
 """
 
 from __future__ import annotations
@@ -30,13 +29,14 @@ from repro.noise.events import CycleErrors, vector_to_errors
 from repro.noise.rng import make_rng
 from repro.types import StabilizerType
 
-#: Trials per tile of the sparse history sampler
-#: (:meth:`NoiseModel.sample_error_tiles`): exactly one packed uint64 word of
-#: trials, so a tile's errors land in one word column of the bitplanes and
-#: any word-aligned chunking of a run draws the same tiles.
-PACKED_SAMPLE_TILE = bitplane.WORD_BITS
+#: Trials per block of the sparse history sampler
+#: (:meth:`NoiseModel.sample_error_blocks`): 32 packed uint64 words of
+#: trials.  A block's errors land in its own word columns of the bitplanes,
+#: so any chunking of a run into whole blocks draws the same blocks.
+PACKED_SAMPLE_BLOCK = 2048
 
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
+_MAX_POSITION = np.iinfo(np.int64).max
 
 
 def _validate_probability(name: str, value: float) -> float:
@@ -53,25 +53,43 @@ def _validate_probability(name: str, value: float) -> float:
 def sample_positions(size: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted int64 positions of the set entries of ``size`` i.i.d. Bernoulli(``p``) bits.
 
-    Draws the count ``k ~ Binomial(size, p)``, then a uniform ``k``-subset of
-    ``range(size)`` with ``rng.choice(size, k, replace=False)``; conditioned
-    on its size a Bernoulli field's support is a uniform subset, so the
-    result is exactly distributed as ``flatnonzero(rng.random(size) < p)``.
-    ``p == 0`` and ``p == 1`` draw nothing (no entry set, every entry set),
-    and neither does a zero count.
+    The gaps between consecutive set entries of a Bernoulli field are i.i.d.
+    ``Geometric(p)``, so the positions are the cumulative sums of
+    ``rng.geometric(p, n)`` gaps, minus one, cut at ``size``: exactly
+    distributed as ``flatnonzero(rng.random(size) < p)``, in memory that
+    follows the number of set entries.  ``n`` covers the mean count plus
+    four standard deviations; when the gaps fall short of the field's end,
+    more are drawn.  A gap past the field's end is clipped to it before the
+    sum (numpy returns ``2**63 - 1`` gaps at vanishing ``p``), and at most as
+    many gaps are summed at once as cannot overflow int64.  ``p == 0`` and
+    ``p == 1`` draw nothing (no entry set, every entry set), nor does an
+    empty field.
     """
     if p == 0.0 or size == 0:
         return _NO_POSITIONS
     if p == 1.0:
         return np.arange(size, dtype=np.int64)
-    count = int(rng.binomial(size, p))
-    if count == 0:
-        return _NO_POSITIONS
-    return np.sort(rng.choice(size, count, replace=False))
+    parts = []
+    last = -1  # the last position drawn so far
+    while True:
+        room = size - last  # a gap of ``room`` lands just past the field
+        mean = room * p
+        count = int(mean + 4.0 * math.sqrt(mean * (1.0 - p))) + 16
+        count = min(count, (_MAX_POSITION - last) // room)
+        positions = rng.geometric(p, count)
+        np.minimum(positions, room, out=positions)
+        np.cumsum(positions, out=positions)
+        positions += last
+        inside = int(np.searchsorted(positions, size))
+        parts.append(positions[:inside])
+        if inside < count:
+            break
+        last = int(positions[-1])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def uses_tile_sampler(noise: "NoiseModel") -> bool:
-    """Whether ``noise`` draws memory histories through the sparse tile sampler.
+def uses_block_sampler(noise: "NoiseModel") -> bool:
+    """Whether ``noise`` draws memory histories through the sparse block sampler.
 
     False when a subclass overrides :meth:`NoiseModel.sample_data_vector`,
     :meth:`NoiseModel.sample_measurement_vector` or
@@ -86,27 +104,21 @@ def uses_tile_sampler(noise: "NoiseModel") -> bool:
     )
 
 
-def _set_tile_bits(
-    planes: np.ndarray,
-    tile_sizes: list[int],
-    tile_positions: list[np.ndarray],
+def _set_block_bits(
+    planes: np.ndarray, block: int, first_word: int, positions: np.ndarray
 ) -> None:
-    """OR each tile's ``(round, qubit, trial)`` positions into the bitplanes.
+    """OR one block's ``(round, qubit, trial)`` positions into the bitplanes.
 
-    Tile ``w``'s position ``plane * tile + trial`` (``plane`` flattening
-    ``(round, qubit)``) becomes bit ``trial`` of word ``w`` of
+    The block of ``block`` trials starts at word ``first_word``: its position
+    ``plane * block + trial`` (``plane`` flattening ``(round, qubit)``)
+    becomes bit ``trial % 64`` of word ``first_word + trial // 64`` of
     ``planes[plane]``, written through the little-order byte view like every
-    indexed bitplane access.  All tiles are scattered in one unbuffered
-    ``bitwise_or.at``.
+    indexed bitplane access, in one unbuffered ``bitwise_or.at``.
     """
-    counts = [positions.size for positions in tile_positions]
-    if not sum(counts):
+    if not positions.size:
         return
-    positions = np.concatenate(tile_positions)
-    tiles = np.repeat(np.asarray(tile_sizes, dtype=np.int64), counts)
-    words = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    plane, trial = np.divmod(positions, tiles)
-    bit = (plane * planes.shape[-1] + words) * bitplane.WORD_BITS + trial
+    plane, trial = np.divmod(positions, block)
+    bit = (plane * planes.shape[-1] + first_word) * bitplane.WORD_BITS + trial
     np.bitwise_or.at(
         planes.reshape(-1).view(np.uint8),
         bit >> 3,
@@ -179,7 +191,7 @@ class NoiseModel(abc.ABC):
             < self.measurement_error_rate
         ).astype(np.uint8)
 
-    def sample_error_tiles(
+    def sample_error_blocks(
         self,
         code: RotatedSurfaceCode,
         stype: StabilizerType,
@@ -187,26 +199,26 @@ class NoiseModel(abc.ABC):
         rounds: int,
         rng: np.random.Generator,
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(tile_trials, data_positions, flip_positions)`` per 64-trial tile.
+        """Yield ``(block_trials, data_positions, flip_positions)`` per 2048-trial block.
 
         The memory engines' one history stream.  Trials are taken
-        :data:`PACKED_SAMPLE_TILE` at a time (the last tile may be ragged);
-        per tile the data field is drawn, then the flip field, each by
-        :func:`sample_positions` over ``tile_trials * rounds * qubits``
-        entries.  A position indexes the tile's C-order
-        ``(rounds, qubits, tile_trials)`` array, so the trial is its fastest
-        axis.  Any chunking of a run along word boundaries draws the same
-        tiles, hence the same errors.
+        :data:`PACKED_SAMPLE_BLOCK` at a time (the last block may be
+        ragged); per block the data field is drawn, then the flip field, each
+        by :func:`sample_positions` over ``block_trials * rounds * qubits``
+        entries.  A position indexes the block's C-order
+        ``(rounds, qubits, block_trials)`` array, so the trial is its fastest
+        axis.  Any chunking of a run into whole blocks draws the same
+        blocks, hence the same errors.
         """
         data_size = rounds * code.num_data_qubits
         flip_size = rounds * code.num_ancillas_of_type(stype)
-        for start in range(0, trials, PACKED_SAMPLE_TILE):
-            tile = min(PACKED_SAMPLE_TILE, trials - start)
-            data = sample_positions(tile * data_size, self.data_error_rate, rng)
+        for start in range(0, trials, PACKED_SAMPLE_BLOCK):
+            block = min(PACKED_SAMPLE_BLOCK, trials - start)
+            data = sample_positions(block * data_size, self.data_error_rate, rng)
             flips = sample_positions(
-                tile * flip_size, self.measurement_error_rate, rng
+                block * flip_size, self.measurement_error_rate, rng
             )
-            yield tile, data, flips
+            yield block, data, flips
 
     def sample_history(
         self,
@@ -250,7 +262,7 @@ class NoiseModel(abc.ABC):
                         self.sample_measurement_vector(code, stype, rng)
                     )
             return data_errors, measurement_flips
-        data_planes, flip_planes = self._sample_tiles_packed(
+        data_planes, flip_planes = self._sample_blocks_packed(
             code, stype, trials, rounds, rng
         )
         return (
@@ -270,18 +282,19 @@ class NoiseModel(abc.ABC):
 
         Returns ``(data_planes, flip_planes)`` with shapes
         ``(rounds, num_data_qubits, words)`` and ``(rounds, num_ancillas,
-        words)`` where ``words = ceil(trials / 64)``.  Tile ``w`` of
-        :meth:`sample_error_tiles` fills word column ``w``: a position
-        ``(round, qubit, trial)`` sets bit ``trial`` of
-        ``planes[round, qubit, w]``.  Bits of the ragged last word past
-        ``trials`` stay zero.  Nothing is drawn per entry: the draws cost a
-        fixed amount per tile plus a little per error.
+        words)`` where ``words = ceil(trials / 64)``.  Block ``b`` of
+        :meth:`sample_error_blocks` fills the 32 word columns from
+        ``32 * b``: a position ``(round, qubit, trial)`` sets bit
+        ``trial % 64`` of ``planes[round, qubit, 32 * b + trial // 64]``.
+        Bits of the ragged last word past ``trials`` stay zero.  Nothing is
+        drawn per entry: the draws cost a fixed amount per block plus a
+        little per error.
 
         Subclasses that override a sampling hook (see
-        :func:`uses_tile_sampler`) fall back to :meth:`sample_history` +
+        :func:`uses_block_sampler`) fall back to :meth:`sample_history` +
         pack, so custom physics keeps its own dense stream.
         """
-        if not uses_tile_sampler(self):
+        if not uses_block_sampler(self):
             data_errors, measurement_flips = self.sample_history(
                 code, stype, trials, rounds, rng
             )
@@ -289,19 +302,20 @@ class NoiseModel(abc.ABC):
                 bitplane.pack_trials(data_errors),
                 bitplane.pack_trials(measurement_flips),
             )
-        return self._sample_tiles_packed(code, stype, trials, rounds, rng)
+        return self._sample_blocks_packed(code, stype, trials, rounds, rng)
 
-    def _sample_tiles_packed(self, code, stype, trials, rounds, rng):
-        """The tile sampler's bitplanes (no subclass-override dispatch)."""
+    def _sample_blocks_packed(self, code, stype, trials, rounds, rng):
+        """The block sampler's bitplanes (no subclass-override dispatch)."""
         words = bitplane.num_words(trials)
         data_planes = np.zeros((rounds, code.num_data_qubits, words), dtype=np.uint64)
         flip_planes = np.zeros(
             (rounds, code.num_ancillas_of_type(stype), words), dtype=np.uint64
         )
-        tiles = list(self.sample_error_tiles(code, stype, trials, rounds, rng))
-        tile_sizes = [tile for tile, _, _ in tiles]
-        _set_tile_bits(data_planes, tile_sizes, [data for _, data, _ in tiles])
-        _set_tile_bits(flip_planes, tile_sizes, [flips for _, _, flips in tiles])
+        blocks = self.sample_error_blocks(code, stype, trials, rounds, rng)
+        for index, (block, data, flips) in enumerate(blocks):
+            first_word = index * (PACKED_SAMPLE_BLOCK // bitplane.WORD_BITS)
+            _set_block_bits(data_planes, block, first_word, data)
+            _set_block_bits(flip_planes, block, first_word, flips)
         return data_planes, flip_planes
 
     def sample_cycle(
@@ -378,10 +392,10 @@ class CodeCapacityNoise(NoiseModel):
 
 
 __all__ = [
-    "PACKED_SAMPLE_TILE",
+    "PACKED_SAMPLE_BLOCK",
     "NoiseModel",
     "PhenomenologicalNoise",
     "CodeCapacityNoise",
     "sample_positions",
-    "uses_tile_sampler",
+    "uses_block_sampler",
 ]

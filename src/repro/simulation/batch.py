@@ -7,22 +7,28 @@ itself, 64 trials per machine word on the uint64 bitplanes of
 :mod:`repro.bitplane`:
 
 1. all trial error histories are sampled straight into packed planes by the
-   sparse tile sampler
+   sparse block sampler
    (:meth:`repro.noise.models.NoiseModel.sample_history_packed`): per
-   64-trial tile, an exact error count and a uniform subset of positions,
-   OR-ed in as bits, so the cost follows the number of errors rather than
-   the number of (trial, round, qubit) entries;
-2. true syndromes are XOR-parities over precomputed stabilizer supports;
+   2048-trial block, the positions of the errors are walked with geometric
+   gaps and OR-ed in as bits, so the cost follows the number of errors
+   rather than the number of (trial, round, qubit) entries;
+2. detection events come straight from each round's fresh errors: with
+   ``e[r]`` round ``r``'s data errors and ``f[r]`` its measurement flips,
+   ``det[r] = H·e[r] ⊕ f[r] ⊕ f[r−1]`` (``f[−1] = 0``) and the final,
+   perfectly read round gives ``det[R] = f[R−1]`` — the same bits as
+   differencing the observed syndromes of the accumulated errors, without
+   accumulating them;
 3. the decoder's :meth:`~repro.decoders.base.Decoder.decode_batch_packed`
    hook triages the whole batch — for the Clique cascade, trials whose rounds
    are all trivial are corrected by word-wise table lookups and only the
    rare complex minority's windows go to the off-chip tier, all in one
    call;
-4. logical failures are popcounts of the XOR-reduced logical-support planes.
+4. logical failures are popcounts of the XOR-reduced logical-support planes
+   of the residual, the XOR of every round's errors and the correction.
 
 The engine is **bit-identical** to the loop engine under a fixed seed: both
-draw the same tiles of :meth:`NoiseModel.sample_error_tiles` (the loop
-scatters each tile's positions into per-trial vectors instead of bits),
+draw the same blocks of :meth:`NoiseModel.sample_error_blocks` (the loop
+scatters each block's positions into per-trial vectors instead of bits),
 every kernel is an exact GF(2) counterpart of the loop's arithmetic, and
 ``decode_batch_packed`` implementations are required to match per-trial
 decoding exactly.  The loop engine therefore remains the correctness oracle
@@ -30,11 +36,11 @@ decoding exactly.  The loop engine therefore remains the correctness oracle
 trial counts.
 
 Seeding contract: ``loop`` and ``batch`` consume one root stream
-(``make_rng(seed)``) tile by tile in the same order, which is what makes
-them bit-identical.  Chunks here are whole tiles (``chunk_trials`` is
-rounded up to a multiple of 64), so chunking only slices that single stream
-at tile boundaries and never reseeds: ``chunk_trials`` does not affect
-results.  Scheduled runs (:func:`repro.simulation.scheduler.memory_point`
+(``make_rng(seed)``) block by block in the same order, which is what makes
+them bit-identical.  Chunks here are whole blocks (``chunk_trials`` is
+rounded up to a multiple of 2048), so chunking only slices that single
+stream at block boundaries and never reseeds: ``chunk_trials`` does not
+affect results.  Scheduled runs (:func:`repro.simulation.scheduler.memory_point`
 on the shard layer of :mod:`repro.simulation.shard`) instead give every
 shard an independent child stream derived from
 ``(seed, shard_index)`` — deterministic for a fixed ``(seed, chunk_trials)``
@@ -52,15 +58,15 @@ from repro import bitplane
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder
 from repro.exceptions import ConfigurationError
-from repro.noise.models import PACKED_SAMPLE_TILE, NoiseModel
+from repro.noise.models import PACKED_SAMPLE_BLOCK, NoiseModel
 from repro.noise.rng import make_rng
 from repro.types import StabilizerType
 
-#: Trials decoded per vectorised chunk.  Bounds peak memory (the packed
-#: history is ``chunk * rounds * (data + ancilla)`` bits, plus the decoder's
-#: per-chunk planes) while keeping the per-chunk numpy fixed costs
-#: negligible.  A multiple of :data:`~repro.noise.models.PACKED_SAMPLE_TILE`.
-DEFAULT_CHUNK_TRIALS = 2048
+#: Trials decoded per vectorised chunk: one sampling block.  Bounds peak
+#: memory (the packed history is ``chunk * rounds * (data + ancilla)`` bits,
+#: plus the decoder's per-chunk planes) while keeping the per-chunk numpy
+#: fixed costs small.
+DEFAULT_CHUNK_TRIALS = PACKED_SAMPLE_BLOCK
 
 
 def logical_support_bitmap(code: RotatedSurfaceCode, stype: StabilizerType) -> np.ndarray:
@@ -88,8 +94,8 @@ def run_memory_experiment_batch(
     Same contract and bit-identical results under the same seed; see the
     module docstring for how the speedup is obtained.  ``chunk_trials`` caps
     how many trials are vectorised at once; it is rounded up to a whole
-    number of 64-trial sampling tiles, so chunk boundaries never split a tile
-    and the chunk size never changes a result.
+    number of 2048-trial sampling blocks, so chunk boundaries never split a
+    block and the chunk size never changes a result.
     """
     # Imported lazily: memory.py re-exports this engine behind its
     # ``engine="batch"`` switch, so a module-level import would be circular.
@@ -103,7 +109,7 @@ def run_memory_experiment_batch(
         raise ConfigurationError(f"rounds must be positive, got {rounds}")
     if chunk_trials <= 0:
         raise ConfigurationError(f"chunk_trials must be positive, got {chunk_trials}")
-    chunk_trials = -(-chunk_trials // PACKED_SAMPLE_TILE) * PACKED_SAMPLE_TILE
+    chunk_trials = -(-chunk_trials // PACKED_SAMPLE_BLOCK) * PACKED_SAMPLE_BLOCK
 
     generator = make_rng(rng)
     decoder = decoder_factory(code, stype)
@@ -146,40 +152,62 @@ def run_memory_experiment_batch(
     )
 
 
+def detection_planes(
+    packed_check: bitplane.PackedParityCheck,
+    data_planes: np.ndarray,
+    flip_planes: np.ndarray,
+) -> np.ndarray:
+    """Packed detection events of a memory history with a perfect final round.
+
+    Args:
+        packed_check: the stabilizers' packed parity check ``H``.
+        data_planes: ``(rounds, num_data, words)`` fresh data errors ``e``.
+        flip_planes: ``(rounds, num_ancillas, words)`` measurement flips ``f``.
+
+    Returns:
+        ``(rounds + 1, num_ancillas, words)`` uint64 planes
+        ``det[r] = H·e[r] ⊕ f[r] ⊕ f[r−1]`` (``f[−1] = 0``) and
+        ``det[rounds] = f[rounds − 1]``: bit for bit the differences of the
+        observed syndromes ``H·(e[0] ⊕ … ⊕ e[r]) ⊕ f[r]`` followed by the
+        perfectly read ``H·(e[0] ⊕ … ⊕ e[rounds − 1])``, with round 0
+        differenced against the all-zero reference frame.
+    """
+    rounds = data_planes.shape[0]
+    detections = np.empty((rounds + 1,) + flip_planes.shape[1:], dtype=np.uint64)
+    packed_check.syndromes(data_planes, out=detections[:rounds])
+    detections[:rounds] ^= flip_planes
+    detections[1:rounds] ^= flip_planes[:-1]
+    detections[rounds] = flip_planes[-1]
+    return detections
+
+
 def _run_packed_chunk(
     code, noise, decoder, packed_check, logical_planes,
     chunk, rounds, stype, generator,
 ):
     """One chunk through the uint64 bitplane pipeline.
 
-    XOR-accumulate along rounds, XOR-parity syndromes, observed syndromes
-    with measurement flips plus the final perfectly-read round, difference
-    syndromes as detection events (round 0 against the all-zero reference
-    frame), packed decode, and a popcount of the XOR-reduced logical-support
-    planes for the failure count.  The tail mask guards the ragged last word
-    against decoders that do not keep padding bits zero.
+    Detection events from each round's fresh errors (module docstring, step
+    2), packed decode, and a popcount of the XOR-reduced logical-support
+    planes of the residual for the failure count.  The tail mask guards the
+    ragged last word against decoders that do not keep padding bits zero.
     """
     data_planes, flip_planes = noise.sample_history_packed(
         code, stype, chunk, rounds, generator
     )
 
-    accumulated = np.bitwise_xor.accumulate(data_planes, axis=0)
-    true_syndromes = packed_check.syndromes(accumulated)
-    observed = np.concatenate(
-        [true_syndromes ^ flip_planes, true_syndromes[-1:]], axis=0
-    )
-    detections = observed.copy()
-    detections[1:] ^= observed[:-1]
-
+    detections = detection_planes(packed_check, data_planes, flip_planes)
     packed_result = decoder.decode_batch_packed(detections, chunk)
-    residual = accumulated[-1] ^ packed_result.corrections
-    failure_words = np.bitwise_xor.reduce(residual[logical_planes], axis=0)
+    residual = np.bitwise_xor.reduce(data_planes[:, logical_planes], axis=0)
+    residual ^= packed_result.corrections[logical_planes]
+    failure_words = np.bitwise_xor.reduce(residual, axis=0)
     failures = bitplane.popcount(failure_words & bitplane.trial_mask_words(chunk))
     return packed_result, failures
 
 
 __all__ = [
     "DEFAULT_CHUNK_TRIALS",
+    "detection_planes",
     "logical_support_bitmap",
     "run_memory_experiment_batch",
 ]

@@ -25,9 +25,9 @@ argument of :func:`run_memory_experiment`:
   :mod:`repro.simulation.batch`, bit-identical to the loop under a fixed
   seed.
 
-Both engines draw one noise stream: the 64-trial tiles of
-:meth:`~repro.noise.models.NoiseModel.sample_error_tiles`.  The batch engine
-ORs each tile's error positions into bitplanes; the loop scatters them into
+Both engines draw one noise stream: the 2048-trial blocks of
+:meth:`~repro.noise.models.NoiseModel.sample_error_blocks`.  The batch engine
+ORs each block's error positions into bitplanes; the loop scatters them into
 per-trial ``(rounds, qubits)`` arrays (:func:`trial_error_histories`) and
 runs :func:`run_memory_trial` on each trial.
 
@@ -49,7 +49,7 @@ from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder
 from repro.exceptions import ConfigurationError
 from repro.noise.events import vector_to_errors
-from repro.noise.models import NoiseModel, uses_tile_sampler
+from repro.noise.models import NoiseModel, uses_block_sampler
 from repro.noise.rng import make_rng
 from repro.simulation.monte_carlo import wilson_interval
 from repro.syndrome.history import SyndromeHistory
@@ -147,27 +147,27 @@ def trial_error_histories(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield each trial's ``(data_errors, flips)``, shapes ``(rounds, qubits)``.
 
-    The loop engine's draw: the tiles of
-    :meth:`~repro.noise.models.NoiseModel.sample_error_tiles`, each
+    The loop engine's draw: the blocks of
+    :meth:`~repro.noise.models.NoiseModel.sample_error_blocks`, each
     position ``(round, qubit, trial)`` scattered into trial ``trial``'s
     arrays.  A noise model that overrides a sampling hook (see
-    :func:`~repro.noise.models.uses_tile_sampler`) draws one trial at a time
+    :func:`~repro.noise.models.uses_block_sampler`) draws one trial at a time
     through its own :meth:`~repro.noise.models.NoiseModel.sample_history`.
     """
-    if not uses_tile_sampler(noise):
+    if not uses_block_sampler(noise):
         for _ in range(trials):
             data_errors, flips = noise.sample_history(code, stype, 1, rounds, rng)
             yield data_errors[0], flips[0]
         return
     num_data = code.num_data_qubits
     num_ancillas = code.num_ancillas_of_type(stype)
-    for tile, data, flips in noise.sample_error_tiles(code, stype, trials, rounds, rng):
-        data_errors = np.zeros((tile, rounds, num_data), dtype=np.uint8)
-        round_index, qubit, trial = np.unravel_index(data, (rounds, num_data, tile))
+    for block, data, flips in noise.sample_error_blocks(code, stype, trials, rounds, rng):
+        data_errors = np.zeros((block, rounds, num_data), dtype=np.uint8)
+        round_index, qubit, trial = np.unravel_index(data, (rounds, num_data, block))
         data_errors[trial, round_index, qubit] = 1
-        measurement_flips = np.zeros((tile, rounds, num_ancillas), dtype=np.uint8)
+        measurement_flips = np.zeros((block, rounds, num_ancillas), dtype=np.uint8)
         round_index, ancilla, trial = np.unravel_index(
-            flips, (rounds, num_ancillas, tile)
+            flips, (rounds, num_ancillas, block)
         )
         measurement_flips[trial, round_index, ancilla] = 1
         yield from zip(data_errors, measurement_flips)

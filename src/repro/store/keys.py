@@ -33,7 +33,14 @@ from typing import Any, Mapping
 #: error distribution is unchanged but the RNG stream is new, so every seeded
 #: memory count moved.  Coverage results did not move; their keys change
 #: with the salt only.
-CODE_VERSION_SALT = "repro-results-v3"
+#:
+#: v4: the sparse sampler draws one field per 2048-trial block instead of
+#: per 64-trial tile, and walks each field's error positions with geometric
+#: gaps instead of a binomial count and a uniform subset.  The error
+#: distribution is unchanged but the RNG stream is new, so every seeded
+#: memory count moved again.  Coverage results did not move; their keys
+#: change with the salt only.
+CODE_VERSION_SALT = "repro-results-v4"
 
 #: The central store-key exclusion list: runner keywords that are
 #: *deliberately* absent from the resolved point configs that

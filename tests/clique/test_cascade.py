@@ -24,7 +24,7 @@ from repro.experiments.fig14 import compare_fallbacks
 from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.memory import run_memory_experiment
 from repro.simulation.scheduler import SweepScheduler, memory_point
-from repro.types import StabilizerType
+from repro.types import DecodeLocation, StabilizerType
 
 UF_TIERS = ("clique", "union_find")
 
@@ -261,11 +261,19 @@ class TestBatchedCascadeBitIdentity:
     per-trial decode_history reference — including the on-/off-chip trial
     and round counts."""
 
+    @pytest.mark.parametrize("measurement_rounds", [1, 2, 3])
     @pytest.mark.parametrize("distance", [5, 7])
     @pytest.mark.parametrize("final", ["mwpm", "union_find"])
-    def test_decode_batch_matches_decode_history(self, distance, final):
+    def test_decode_batch_matches_decode_history(
+        self, distance, final, measurement_rounds
+    ):
         code = get_code(distance)
-        cascade = DecoderCascade(code, StabilizerType.X, tiers=("clique", final))
+        cascade = DecoderCascade(
+            code,
+            StabilizerType.X,
+            tiers=("clique", final),
+            measurement_rounds=measurement_rounds,
+        )
         rng = np.random.default_rng(29)
         # Densities straddle the triage point so plenty of trials go
         # off-chip.
@@ -274,6 +282,37 @@ class TestBatchedCascadeBitIdentity:
                 np.uint8
             )
             _assert_packed_matches_decode_history(cascade, batch)
+
+    def test_consumed_partner_flips_a_later_decision(self, code_d5):
+        # Three consecutive events on bulk ancilla a (rounds 0-2), and a
+        # data error on the qubit a shares with bulk neighbour b at round 2.
+        # Round 0's transient event consumes a's round-1 event, so a's
+        # round-2 event stays visible and pairs with b's: round 2 is
+        # trivial and corrects the shared qubit.  Without the round-0 event,
+        # a's round-1 transient consumes that round-2 event instead and b is
+        # left alone, so round 2 goes off-chip.
+        clique = get_clique_decoder(5, StabilizerType.X)
+        bulk = {c.ancilla_index for c in clique.cliques if not c.boundary_qubits}
+        a, slot = next(
+            (c.ancilla_index, slot)
+            for c in clique.cliques
+            if c.ancilla_index in bulk
+            for slot, leaf in enumerate(c.neighbor_indices)
+            if leaf in bulk
+        )
+        b = clique.cliques[a].neighbor_indices[slot]
+        shared = clique.cliques[a].shared_qubits[slot]
+        triple = np.zeros((6, _width(code_d5)), dtype=np.uint8)
+        triple[[0, 1, 2, 2], [a, a, a, b]] = 1
+        pair = triple.copy()
+        pair[0, a] = 0
+        cascade = DecoderCascade(code_d5, StabilizerType.X)
+        with_triple = cascade.decode_history(triple)
+        with_pair = cascade.decode_history(pair)
+        assert with_triple.round_locations[2] is DecodeLocation.ON_CHIP
+        assert shared in with_triple.onchip_correction
+        assert with_pair.round_locations[2] is DecodeLocation.OFF_CHIP
+        _assert_packed_matches_decode_history(cascade, np.stack([triple, pair]))
 
     def test_offchip_tier_without_bitmap_hook_still_matches(self, code_d5):
         # An off-chip tier that only implements decode() exercises the base
@@ -387,23 +426,24 @@ class TestBatchedCascadeBitIdentity:
 #: Frozen seeded outputs — trials=300, p=2e-2, seed=1234, rounds=distance;
 #: sharded at workers=1 with the default chunk.  The cascade reproduced the
 #: original two-tier hierarchy's counts bit for bit on the dense-uniform
-#: noise stream; these are re-taken on the sparse tile sampler's stream
-#: (``CODE_VERSION_SALT`` v3), where loop and batch agreed with each other.
+#: noise stream; these are re-taken on each new noise stream since, most
+#: recently the 2048-trial block sampler's (``CODE_VERSION_SALT`` v4), where
+#: loop and batch agree with each other.
 PRE_REFACTOR_SEEDED = {
     # (fallback, distance, engine): (logical_failures, onchip_rounds,
     #                                total_rounds, tier_trials, tier_rounds)
-    ("mwpm", 3, "loop"): (12, 1198, 1200, (298, 2), (1198, 2)),
-    ("mwpm", 3, "batch"): (12, 1198, 1200, (298, 2), (1198, 2)),
+    ("mwpm", 3, "loop"): (13, 1198, 1200, (298, 2), (1198, 2)),
+    ("mwpm", 3, "batch"): (13, 1198, 1200, (298, 2), (1198, 2)),
     ("mwpm", 3, "sharded"): (16, 1199, 1200, (299, 1), (1199, 1)),
-    ("mwpm", 5, "loop"): (23, 1648, 1800, (185, 115), (1648, 152)),
-    ("mwpm", 5, "batch"): (23, 1648, 1800, (185, 115), (1648, 152)),
-    ("mwpm", 5, "sharded"): (22, 1654, 1800, (195, 105), (1654, 146)),
-    ("union_find", 3, "loop"): (12, 1198, 1200, (298, 2), (1198, 2)),
-    ("union_find", 3, "batch"): (12, 1198, 1200, (298, 2), (1198, 2)),
+    ("mwpm", 5, "loop"): (12, 1654, 1800, (192, 108), (1654, 146)),
+    ("mwpm", 5, "batch"): (12, 1654, 1800, (192, 108), (1654, 146)),
+    ("mwpm", 5, "sharded"): (25, 1663, 1800, (199, 101), (1663, 137)),
+    ("union_find", 3, "loop"): (13, 1198, 1200, (298, 2), (1198, 2)),
+    ("union_find", 3, "batch"): (13, 1198, 1200, (298, 2), (1198, 2)),
     ("union_find", 3, "sharded"): (16, 1199, 1200, (299, 1), (1199, 1)),
-    ("union_find", 5, "loop"): (30, 1648, 1800, (185, 115), (1648, 152)),
-    ("union_find", 5, "batch"): (30, 1648, 1800, (185, 115), (1648, 152)),
-    ("union_find", 5, "sharded"): (25, 1654, 1800, (195, 105), (1654, 146)),
+    ("union_find", 5, "loop"): (16, 1654, 1800, (192, 108), (1654, 146)),
+    ("union_find", 5, "batch"): (16, 1654, 1800, (192, 108), (1654, 146)),
+    ("union_find", 5, "sharded"): (25, 1663, 1800, (199, 101), (1663, 137)),
 }
 
 
@@ -440,13 +480,13 @@ class TestPreRefactorEquivalence:
 
 #: Frozen ``compare_fallbacks()`` rows at its defaults (600 trials,
 #: p=1e-2, d in {5, 7}), every row a 500-trial-shard scheduler run, re-taken
-#: on the sparse tile sampler's noise stream (``CODE_VERSION_SALT`` v3).
+#: on the 2048-trial block sampler's noise stream (``CODE_VERSION_SALT`` v4).
 #: ``trials_per_sec`` is wall-clock and excluded.
 FROZEN_FALLBACK_ROWS = [
-    (5, "clique,mwpm", 0.01, 0.021643835138254512, 0.9794444444444445, 0.1033, 0.1233),
-    (5, "clique,union_find", 0.011666666666666667, 0.023884309997529277, 0.9794444444444445, 0.1033, 0.1233),
-    (7, "clique,mwpm", 0.0, 0.006361933328210577, 0.9452083333333333, 0.3033, 0.4383),
-    (7, "clique,union_find", 0.008333333333333333, 0.01935801642616759, 0.9452083333333333, 0.3033, 0.4383),
+    (5, "clique,mwpm", 0.015, 0.028259922540006213, 0.98, 0.1, 0.12),
+    (5, "clique,union_find", 0.011666666666666667, 0.023884309997529277, 0.98, 0.1, 0.12),
+    (7, "clique,mwpm", 0.0033333333333333335, 0.012071609567610156, 0.93625, 0.3217, 0.51),
+    (7, "clique,union_find", 0.013333333333333334, 0.026087675694560088, 0.93625, 0.3217, 0.51),
 ]
 
 

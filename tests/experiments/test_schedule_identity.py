@@ -22,8 +22,9 @@ from repro.store import ResultStore
 
 # Frozen at commit 406f930 (the last commit with both dispatch paths), where
 # every case below produced these rows and bytes under both schedules at
-# workers 1 and 4.  Re-taken for ``CODE_VERSION_SALT`` v3: the fig14 rows
-# and bytes moved with the sparse tile sampler's noise stream; the fig11
+# workers 1 and 4.  Re-taken for ``CODE_VERSION_SALT`` v3 and again for v4:
+# each time the fig14 rows and bytes moved with the memory noise stream (v3
+# the 64-trial tile sampler, v4 the 2048-trial block sampler); the fig11
 # rows and stored records did not move, only their keys (hence the bytes).
 FIG14_FIXED_ROWS = [
     {
@@ -32,11 +33,11 @@ FIG14_FIXED_ROWS = [
         "trials": 60,
         "baseline_trials": 60,
         "clique_trials": 60,
-        "baseline_logical_error_rate": 0.016666666666666666,
-        "clique_logical_error_rate": 0.03333333333333333,
-        "baseline_ci_high": 0.08855338226779479,
-        "clique_ci_high": 0.11363987528925378,
-        "onchip_round_fraction": 0.9958333333333333,
+        "baseline_logical_error_rate": 0.0,
+        "clique_logical_error_rate": 0.016666666666666666,
+        "baseline_ci_high": 0.060173930477932895,
+        "clique_ci_high": 0.08855338226779479,
+        "onchip_round_fraction": 1.0,
     },
     {
         "code_distance": 5,
@@ -45,13 +46,13 @@ FIG14_FIXED_ROWS = [
         "baseline_trials": 60,
         "clique_trials": 60,
         "baseline_logical_error_rate": 0.0,
-        "clique_logical_error_rate": 0.03333333333333333,
+        "clique_logical_error_rate": 0.0,
         "baseline_ci_high": 0.060173930477932895,
-        "clique_ci_high": 0.11363987528925378,
-        "onchip_round_fraction": 0.9611111111111111,
+        "clique_ci_high": 0.060173930477932895,
+        "onchip_round_fraction": 0.9722222222222222,
     },
 ]
-FIG14_FIXED_SHA256 = "c35ece28d0d8771bb5545d5a52807fa08ce8d6fd1af668e100b30c4e571069f3"
+FIG14_FIXED_SHA256 = "d2f7082161297b17848ed424a24cf1f9b6a5105dba983dcfa0de7734c4e88a1f"
 
 FIG14_ADAPTIVE_ROWS = [
     {
@@ -76,10 +77,10 @@ FIG14_ADAPTIVE_ROWS = [
         "clique_logical_error_rate": 0.0,
         "baseline_ci_high": 0.1611301254949332,
         "clique_ci_high": 0.1611301254949332,
-        "onchip_round_fraction": 0.9833333333333333,
+        "onchip_round_fraction": 0.9916666666666667,
     },
 ]
-FIG14_ADAPTIVE_SHA256 = "1ff4cb76ca2a5cd82fe58e24df9d6f221ce5ebcc1f8ec0f1bfa19f547775216c"
+FIG14_ADAPTIVE_SHA256 = "c25f6d27824c6f198cbc486db251ec8518bbbddc7e8f73182354a001098e36e9"
 
 FIG11_FIXED_ROWS = [
     {
@@ -119,7 +120,7 @@ FIG11_FIXED_ROWS = [
         "offchip_fraction": 0.013333333333333308,
     },
 ]
-FIG11_FIXED_SHA256 = "d1a3248e50551ad77ccf9a8a23ecdb837b3822d05dbb9ef23a624cc8aa002f0d"
+FIG11_FIXED_SHA256 = "a64e2b7ae302124fb2c2fac20a82d900aac103220191a178413047f1e57c0bcd"
 
 FIG11_ADAPTIVE_ROWS = [
     {
@@ -159,7 +160,7 @@ FIG11_ADAPTIVE_ROWS = [
         "offchip_fraction": 0.02200000000000002,
     },
 ]
-FIG11_ADAPTIVE_SHA256 = "3cfd392f09ff908f7a7734ef9ec197d2860ed8c6601328df0d69b58662d61c8a"
+FIG11_ADAPTIVE_SHA256 = "c10f90aac37f2fc5d4cc870af8fe4700d4280faf72742cb6c26d297d6eca9eb7"
 
 FIG14_PINS = {
     False: (FIG14_FIXED_ROWS, FIG14_FIXED_SHA256),

@@ -154,25 +154,26 @@ class TestFig14KilledSweepResume:
 #: explicit ``engine="sharded", workers=1`` call at the last commit that
 #: still had the ``engine`` knob (``workers=1`` fixes the line order, which
 #: on a pool follows completion order), and re-taken for
-#: ``CODE_VERSION_SALT`` v3 (new salt, sparse tile sampler stream).  A two-tier cascade keys its off-chip tier
+#: ``CODE_VERSION_SALT`` v3 and v4 (new salt, new memory noise stream).  A two-tier cascade keys its off-chip tier
 #: under the historical ``"fallback"`` entry.
-TWO_TIER_UF_KEY = "915e60f11924e9c22a19a4deb2bd5119bbcff6fc2046c4cfdff836c31d0a65d2"
+TWO_TIER_UF_KEY = "7e105e0f4f789fcfaa16d1275b5dadbae60c0f7299d325313551c5e2ea7bbee6"
 TWO_TIER_UF_STORE_SHA256 = (
-    "502b159e34add7507c1a0370e9bf9275e3ef95eca2fb7edcaaeb25cfc9ea7670"
+    "d4330f037caa3d8665586ad4359db477f16d38fc800c25f5ae62dc27a8330ba7"
 )
 
 #: A default fig14 call's keys and store bytes, frozen from the same call
 #: with an explicit ``engine="sharded"`` at that commit (dropping the knob
-#: moved no key and no stored number), re-taken for ``CODE_VERSION_SALT`` v3.
+#: moved no key and no stored number), re-taken for ``CODE_VERSION_SALT`` v3
+#: and v4.
 DEFAULT_FIG14_PARAMS = dict(
     trials=600, distances=(3,), error_rates=(3e-2,), seed=5, workers=1
 )
 DEFAULT_FIG14_KEYS = [
-    "29db9c45110d56f46ca7e7bcc65851f80b9c69c4ce9de29d54a5a5a2b003e9b1",
-    "8da7184947fcb92affbb189ba1511544491f599f13ca836cba6193cb3237fb64",
+    "bc0d5203baebb9c10bc9190238be6a8b0171237f30d64db747c6a54f575a8584",
+    "c4bf2237a22ce3c8415b9f231f4b4195da40c8c5898b8fe6a1d38e132dec4545",
 ]
 DEFAULT_FIG14_STORE_SHA256 = (
-    "671c5a1c46144fa9dd1d9891fc8212709b60c4d6881e75e398683a8b87b18abc"
+    "10e265e262f1396aa8181ffcd536eb40271f165360e46ef79f6aaf3dcc393153"
 )
 
 
@@ -216,8 +217,8 @@ class TestDefaultFig14KeyPin:
         result = run_experiment("fig14", store=str(store_dir), **DEFAULT_FIG14_PARAMS)
         assert [line["key"] for line in _store_lines(store_dir)] == DEFAULT_FIG14_KEYS
         assert _store_sha256(store_dir) == DEFAULT_FIG14_STORE_SHA256
-        assert result.rows[0]["baseline_logical_error_rate"] == 0.10166666666666667
-        assert result.rows[0]["clique_logical_error_rate"] == 0.1
+        assert result.rows[0]["baseline_logical_error_rate"] == 0.075
+        assert result.rows[0]["clique_logical_error_rate"] == 0.07666666666666666
 
 
 class TestFig11WarmRerun:

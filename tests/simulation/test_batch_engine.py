@@ -19,7 +19,11 @@ from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
 from repro.exceptions import ConfigurationError
 from repro.noise.models import PhenomenologicalNoise
-from repro.simulation.batch import logical_support_bitmap, run_memory_experiment_batch
+from repro.simulation.batch import (
+    detection_planes,
+    logical_support_bitmap,
+    run_memory_experiment_batch,
+)
 from repro.simulation.memory import run_memory_experiment, trial_error_histories
 from repro.types import StabilizerType
 
@@ -158,10 +162,54 @@ class TestCorrectionBitmap:
             assert np.array_equal(row, expected)
 
 
+class TestDetectionIdentity:
+    """``det[r] = H·e[r] ⊕ f[r] ⊕ f[r−1]`` and ``det[R] = f[R−1]`` must equal
+    the differenced observed syndromes of the accumulated errors."""
+
+    @staticmethod
+    def _by_accumulation(packed_check, data_planes, flip_planes):
+        accumulated = np.bitwise_xor.accumulate(data_planes, axis=0)
+        true_syndromes = packed_check.syndromes(accumulated)
+        observed = np.concatenate(
+            [true_syndromes ^ flip_planes, true_syndromes[-1:]], axis=0
+        )
+        detections = observed.copy()
+        detections[1:] ^= observed[:-1]
+        return detections
+
+    @pytest.mark.parametrize("rounds", [1, 2, 5])
+    @pytest.mark.parametrize("trials", [1, 63, 65, 130])
+    @pytest.mark.parametrize("distance", [3, 5])
+    def test_fresh_error_identity_equals_the_accumulate_construction(
+        self, distance, trials, rounds
+    ):
+        code = get_code(distance)
+        stype = StabilizerType.Z if distance == 5 else StabilizerType.X
+        rng = np.random.default_rng(distance * 1000 + trials * 10 + rounds)
+        data = (rng.random((trials, rounds, code.num_data_qubits)) < 0.2).astype(np.uint8)
+        flips = (
+            rng.random((trials, rounds, code.num_ancillas_of_type(stype))) < 0.2
+        ).astype(np.uint8)
+        data_planes, flip_planes = bitplane.pack_trials(data), bitplane.pack_trials(flips)
+        check = bitplane.get_packed_parity_check(distance, stype)
+        detections = detection_planes(check, data_planes, flip_planes)
+        assert detections.shape == (rounds + 1,) + flip_planes.shape[1:]
+        assert np.array_equal(
+            detections, self._by_accumulation(check, data_planes, flip_planes)
+        )
+        # The residual is the XOR of every round's fresh errors.
+        assert np.array_equal(
+            np.bitwise_xor.reduce(data_planes, axis=0),
+            np.bitwise_xor.accumulate(data_planes, axis=0)[-1],
+        )
+        padding = ~bitplane.trial_mask_words(trials)
+        assert not (detections & padding).any()
+
+
 class TestBatchedNoiseSampling:
     def test_sample_history_is_stream_compatible_with_loop(self, code_d3):
         # sample_history, the packed sampler and the loop engine's per-trial
-        # scatter are one stream: the same 64-trial tiles, the same errors.
+        # scatter are one stream: the same 2048-trial blocks, the same errors.
         noise = PhenomenologicalNoise(0.05, 0.02)
         data, flips = noise.sample_history(
             code_d3, StabilizerType.X, 70, 3, np.random.default_rng(77)

@@ -114,6 +114,30 @@ class TestTrialAccessors:
             assert rounds[window].tolist() == expected_rounds.tolist()
             assert ancillas[window].tolist() == expected_ancillas.tolist()
 
+    @given(
+        trials=st.integers(min_value=1, max_value=300),
+        rounds=st.integers(min_value=1, max_value=5),
+        ancillas=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_column_event_windows_read_only_the_given_columns(
+        self, trials, rounds, ancillas, seed
+    ):
+        rng = np.random.default_rng(seed)
+        planes = bitplane.pack_trials(
+            (rng.random((trials, rounds, ancillas)) < 0.3).astype(np.uint8)
+        )
+        # Keep a random subset of (round, word) columns; zero the rest.
+        keep = rng.random(planes.shape[::2]) < 0.5
+        planes *= keep[:, None, :]
+        column_rounds, column_words = np.nonzero(keep)
+        columns = planes[column_rounds, :, column_words]
+        expected = bitplane.event_windows(planes)
+        got = bitplane.column_event_windows(columns, column_rounds, column_words)
+        for left, right in zip(got, expected):
+            assert left.tolist() == right.tolist()
+
     def test_scatter_requires_contiguous_uint64(self):
         packed = bitplane.pack_trials(_random_bits((70, 4), 0))
         with pytest.raises(ValueError):
@@ -165,14 +189,25 @@ class TestPackedParityCheck:
     )
     @settings(max_examples=40, deadline=None)
     def test_support_table_lists_each_row_in_order(self, num_data, num_ancillas, seed):
+        # Each row's slots list its support columns in order, then repeat
+        # one column an even number of times (x ^ x = 0: no zero plane).
         rng = np.random.default_rng(seed)
         matrix = (rng.random((num_ancillas, num_data)) < 0.4).astype(np.uint8)
-        support = bitplane.PackedParityCheck(matrix)._support
-        assert not support.flags.writeable
-        for row, padded in zip(matrix, support):
+        slots_of = {}
+        for members, slots in bitplane.PackedParityCheck(matrix)._groups:
+            assert not any(slot.flags.writeable for slot in slots)
+            rows = range(num_ancillas) if members is None else members
+            slots_of.update(zip(rows, np.stack(slots, axis=1)))
+        for index, row in enumerate(matrix):
             columns = np.flatnonzero(row)
+            if index not in slots_of:
+                assert columns.size == 0
+                continue
+            padded = slots_of[index]
             assert np.array_equal(padded[: columns.size], columns)
-            assert np.all(padded[columns.size :] == num_data)
+            repeats = padded[columns.size :]
+            assert repeats.size % 2 == 0
+            assert np.all(repeats == (columns[0] if columns.size else 0))
 
     def test_code_checks_are_cached_per_distance_and_type(self):
         check = bitplane.get_packed_parity_check(5, StabilizerType.X)

@@ -237,7 +237,8 @@ class TestResolveCoverageConfig:
         # did, so stores written before the unsharded path was deleted still
         # serve the same numbers.  Hash computed from that earlier code's
         # explicit chunk_cycles=DEFAULT_SHARD_CYCLES config, re-taken when
-        # CODE_VERSION_SALT went to v3 (the config itself did not change).
+        # CODE_VERSION_SALT went to v3 and to v4 (the config itself did not
+        # change).
         from repro.simulation.coverage import DEFAULT_SHARD_CYCLES
         from repro.store.keys import result_key
 
@@ -246,7 +247,7 @@ class TestResolveCoverageConfig:
         assert default["sharded"] is True
         assert (
             result_key("fig11", default, 5)
-            == "82b0bac9a8fe84d76aac7bc47f70b49f51474e35499f273b4fb70826db183fac"
+            == "3d03556cf8892ab62dfe8dde53c11b3821dc86b29b1924d8ec8f9baf2f1294c8"
         )
 
     def test_chunk_cycles_is_stream_determining(self):

@@ -182,6 +182,19 @@ class TestSchedulerPoolReuse:
             SweepScheduler(workers=2).run([fixed_point("p", 0.2, 120, i, 30)])
         assert pool_construction_count() - before == 1
 
+    def test_smaller_runs_take_a_larger_idle_pool(self):
+        # A fixed-budget run's pool is capped at its shard count, so runs
+        # of 8, 2, 8, 2 and 8 shards ask for 4, 2, 4, 2 and 4 workers; the
+        # four-worker pool built first serves them all.
+        shards = [8, 2, 8, 2, 8]
+        points = [fixed_point("p", 0.2, 30 * n, n, 30) for n in shards]
+        before = pool_construction_count()
+        rows = [SweepScheduler(workers=4).run([point])["p"] for point in points]
+        assert pool_construction_count() - before == 1
+        assert idle_pool()[0] == 4
+        serial = [SweepScheduler(workers=1).run([point])["p"] for point in points]
+        assert [row.value for row in rows] == [row.value for row in serial]
+
     def test_sequential_path_builds_no_pool(self):
         before = pool_construction_count()
         SweepScheduler(workers=1).run([fixed_point("p", 0.2, 120, 7, 30)])
