@@ -29,10 +29,36 @@ small-window enumeration's first-minimum order does.
 The matching core is the classic Galil / van Rantwijk O(n^3) blossom
 algorithm specialised to this workload: maximum weight (no max-cardinality
 phase), strictly positive integer weights, plain-list scaffolding with numpy
-only at the edges (profit-matrix construction and positive-edge extraction).
-Iteration order over vertices and edges is fixed by the row-major
-``np.nonzero`` extraction, so results are deterministic for a given input —
-a requirement of the repo-wide seeded-bit-identity contract.
+only at the edges (profit and positive-edge extraction over the upper
+triangle of pairs).  Iteration order over vertices and edges is fixed by the
+row-major pair order, so results are deterministic for a given input — a
+requirement of the repo-wide seeded-bit-identity contract.
+
+**Greedy tight-edge pass.**  The textbook algorithm augments by one edge
+per *stage*, and every stage relabels all single vertices and rescans their
+edges.  On deep-history windows about half the stages augment along one
+edge that was already tight between two single vertices when the stage
+began, and still pay that full relabel and rescan.  So the first stage, and
+every stage after one that took a dual step (delta type 2, 3 or 4), opens
+by walking the edges in order and matching each tight edge whose two ends
+are both single and trivial (not inside a non-trivial blossom).  This keeps
+every invariant the algorithm relies on:
+
+* matched edges are tight (the new ones have zero slack);
+* all single vertices share one dual, the minimum vertex dual — the pass
+  only removes vertices from that set, and every dual is left as it was;
+* blossoms and their duals are untouched, since only trivial vertices are
+  matched.
+
+The duals therefore remain a feasible certificate, the later stages run as
+before, and the result is still a maximum-weight matching.  Because the
+single vertices all hold the same dual ``u``, the candidates are exactly the
+edges of weight ``u``, so the pass only looks at those.  On the windows of
+the ``mem-deep`` point (d=11, p=1e-2, 22 rounds; median 25 events, 81
+positive-profit edges) it halves the stages, from 12.9 to 6.4 per window,
+for 5.9 dual steps either way.  Equal-weight ties may resolve differently
+from the stage-per-augmentation order, which is why the result-store salt
+moved with it.
 
 References: Galil, "Efficient algorithms for finding maximum matching in
 graphs" (ACM Computing Surveys, 1986); van Rantwijk's ``mwmatching``, the
@@ -43,7 +69,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["match_events", "max_weight_matching"]
+__all__ = ["match_event_pairs", "match_events", "max_weight_matching"]
 
 
 def match_events(
@@ -55,8 +81,7 @@ def match_events(
     ``distance`` is the ``(n, n)`` pairwise space-time distance table,
     ``boundary_distance`` the per-event boundary distances, and the result is
     ``(pairs, boundary)`` as event indices into the caller's arrays.  It
-    scales to hundreds of events (O(n^3)); :class:`repro.decoders.mwpm.MWPMDecoder`
-    uses it for windows past its small-window enumeration.
+    scales to hundreds of events (O(n^3)).
 
     Equal-weight solutions may differ from the enumeration's and the
     networkx oracle's — all agree on the *total* distance (asserted by the
@@ -65,23 +90,38 @@ def match_events(
     """
     boundary = np.asarray(boundary_distance, dtype=np.int64)
     num = int(boundary.size)
-    if num == 0:
-        return [], []
-    if num == 1:
-        return [], [0]
+    heads, tails = np.triu_indices(num, k=1)
     dist = np.asarray(distance, dtype=np.int64).reshape(num, num)
+    return match_event_pairs(boundary, heads, tails, dist[heads, tails])
+
+
+def match_event_pairs(
+    boundary: np.ndarray,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    pair_distance: np.ndarray,
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """:func:`match_events` from the upper triangle of the distance table.
+
+    ``heads``, ``tails`` are ``np.triu_indices(n, k=1)`` and
+    ``pair_distance`` the distances of those pairs, so only the ``n(n-1)/2``
+    pairs are ever built.  :class:`repro.decoders.mwpm.MWPMDecoder` calls
+    this for windows past its small-window enumeration.
+    """
+    num = int(boundary.size)
     # Pairing i-j beats sending both to the boundary only when the profit is
     # strictly positive; ties resolve to the boundary (as in the small-window
-    # enumeration), so non-positive edges are dropped entirely.
-    profit = boundary[:, None] + boundary[None, :] - dist
-    heads, tails = np.nonzero(np.triu(profit > 0, k=1))
-    if heads.size == 0:
+    # enumeration), so non-positive edges are dropped entirely.  The kept
+    # edges stay in row-major (i < j) order.
+    profit = boundary[heads] + boundary[tails] - pair_distance
+    kept = np.flatnonzero(profit > 0)
+    if kept.size == 0:
         return [], list(range(num))
     mate = max_weight_matching(
         num,
-        heads.tolist(),
-        tails.tolist(),
-        profit[heads, tails].tolist(),
+        heads[kept].tolist(),
+        tails[kept].tolist(),
+        profit[kept].tolist(),
     )
     pairs = [(i, mate[i]) for i in range(num) if mate[i] > i]
     boundary_matches = [i for i in range(num) if mate[i] < 0]
@@ -106,24 +146,39 @@ def max_weight_matching(
     each *stage* grows a forest of alternating trees from the free vertices
     (S/T labels), shrinking odd cycles into blossoms, until an augmenting
     path of tight edges appears; between scans the duals move by the largest
-    step that keeps the solution feasible (delta types 1-4).  With integer
-    weights every dual and slack stays integral, so all arithmetic below is
-    exact.
+    step that keeps the solution feasible (delta types 1-4).  The first
+    stage, and each stage after a dual step, first matches every tight edge
+    between two single trivial vertices in edge order (the greedy pass of
+    the module docstring): single vertices keep one shared, minimal dual and
+    no blossom changes, so optimality is kept while about half the stages
+    are saved.  With integer weights every dual and slack stays integral, so
+    all arithmetic below is exact; slacks are computed inline from parallel
+    head/tail/doubled-weight lists.
     """
     nedge = len(edge_weights)
     if num_vertices == 0 or nedge == 0:
         return [-1] * num_vertices
-    edges = list(zip(edge_heads, edge_tails, edge_weights))
+    # Parallel edge lists; weights are kept doubled, the unit duals and
+    # slacks are measured in (see the delta steps below).
+    ehead = list(edge_heads)
+    etail = list(edge_tails)
+    ew2 = [2 * wt for wt in edge_weights]
     maxweight = max(edge_weights)
 
-    # Edge endpoint p (0 <= p < 2*nedge) denotes vertex edges[p // 2][p % 2];
-    # p ^ 1 is the opposite end of the same edge.
-    endpoint = [edges[p // 2][p % 2] for p in range(2 * nedge)]
+    # Edge endpoint p (0 <= p < 2*nedge) denotes vertex ehead[p // 2] for
+    # even p and etail[p // 2] for odd p; p ^ 1 is the opposite end.
+    endpoint = [0] * (2 * nedge)
+    endpoint[0::2] = ehead
+    endpoint[1::2] = etail
     # neighbend[v] lists the *remote* endpoints of edges incident to v.
     neighbend: list[list[int]] = [[] for _ in range(num_vertices)]
-    for k, (i, j, _) in enumerate(edges):
-        neighbend[i].append(2 * k + 1)
-        neighbend[j].append(2 * k)
+    # weightedges[wt] lists the edges of weight wt in edge order: the only
+    # candidates for the greedy pass while the single vertices' dual is wt.
+    weightedges: dict[int, list[int]] = {}
+    for k in range(nedge):
+        neighbend[ehead[k]].append(2 * k + 1)
+        neighbend[etail[k]].append(2 * k)
+        weightedges.setdefault(edge_weights[k], []).append(k)
 
     # mate[v] is the remote endpoint of v's matched edge (-1 while single);
     # converted to a plain vertex index on return.
@@ -147,14 +202,12 @@ def max_weight_matching(
 
     # Duals: vertices start at maxweight (so every edge has non-negative
     # slack), blossoms at zero.  All values stay integral for integer input.
+    # The slack of edge k is dualvar[ehead[k]] + dualvar[etail[k]] - ew2[k],
+    # written out inline wherever it is needed.
     dualvar = [maxweight] * num_vertices + [0] * num_vertices
 
     allowedge = [False] * nedge
     queue: list[int] = []
-
-    def slack(k: int) -> int:
-        (i, j, wt) = edges[k]
-        return dualvar[i] + dualvar[j] - 2 * wt
 
     def blossom_leaves(b: int):
         if b < num_vertices:
@@ -173,7 +226,10 @@ def max_weight_matching(
         bestedge[w] = bestedge[b] = -1
         if t == 1:
             # b became an S-blossom: scan all its vertices.
-            queue.extend(blossom_leaves(b))
+            if b < num_vertices:
+                queue.append(b)
+            else:
+                queue.extend(blossom_leaves(b))
         else:
             # b became a T-blossom: its matched base extends the tree as S.
             base = blossombase[b]
@@ -205,7 +261,8 @@ def max_weight_matching(
 
     def add_blossom(base: int, k: int) -> None:
         """Shrink the odd cycle through edge k and base into a new S-blossom."""
-        (v, w, _) = edges[k]
+        v = ehead[k]
+        w = etail[k]
         bb = inblossom[base]
         bv = inblossom[v]
         bw = inblossom[w]
@@ -241,8 +298,10 @@ def max_weight_matching(
                 # Former T-vertex turned S by absorption; scan it too.
                 queue.append(leaf)
             inblossom[leaf] = b
-        # Merge the sub-blossoms' least-slack edge lists (delta3 bookkeeping).
+        # Merge the sub-blossoms' least-slack edge lists (delta3 bookkeeping):
+        # per neighbouring S-blossom, the least-slack edge and its slack.
         bestedgeto = [-1] * (2 * num_vertices)
+        bestslackto = [0] * (2 * num_vertices)
         for bv in path:
             if blossombestedges[bv] is None:
                 nblists = [
@@ -253,26 +312,30 @@ def max_weight_matching(
                 nblists = [blossombestedges[bv]]
             for nblist in nblists:
                 for edge in nblist:
-                    (i, j, _) = edges[edge]
-                    if inblossom[j] == b:
-                        i, j = j, i
+                    i = ehead[edge]
+                    j = etail[edge]
                     bj = inblossom[j]
-                    if (
-                        bj != b
-                        and label[bj] == 1
-                        and (
-                            bestedgeto[bj] == -1
-                            or slack(edge) < slack(bestedgeto[bj])
-                        )
-                    ):
-                        bestedgeto[bj] = edge
+                    if bj == b:
+                        bj = inblossom[i]
+                    if bj != b and label[bj] == 1:
+                        kslack = dualvar[i] + dualvar[j] - ew2[edge]
+                        if bestedgeto[bj] == -1 or kslack < bestslackto[bj]:
+                            bestedgeto[bj] = edge
+                            bestslackto[bj] = kslack
             blossombestedges[bv] = None
             bestedge[bv] = -1
-        blossombestedges[b] = [edge for edge in bestedgeto if edge != -1]
-        bestedge[b] = -1
-        for edge in blossombestedges[b]:
-            if bestedge[b] == -1 or slack(edge) < slack(bestedge[b]):
-                bestedge[b] = edge
+        # The blossom's own least-slack edge: the first minimum in bj order.
+        bestedges = []
+        best = -1
+        bestslack = 0
+        for bj, edge in enumerate(bestedgeto):
+            if edge != -1:
+                bestedges.append(edge)
+                if best == -1 or bestslackto[bj] < bestslack:
+                    best = edge
+                    bestslack = bestslackto[bj]
+        blossombestedges[b] = bestedges
+        bestedge[b] = best
 
     def expand_blossom(b: int, endstage: bool) -> None:
         """Expand blossom b, promoting its children to top level."""
@@ -374,8 +437,7 @@ def max_weight_matching(
 
     def augment_matching(k: int) -> None:
         """Flip matched/unmatched along the augmenting path through edge k."""
-        (v, w, _) = edges[k]
-        for (s, p) in ((v, 2 * k + 1), (w, 2 * k)):
+        for (s, p) in ((ehead[k], 2 * k + 1), (etail[k], 2 * k)):
             while True:
                 bs = inblossom[s]
                 if bs >= num_vertices:
@@ -392,13 +454,33 @@ def max_weight_matching(
                 mate[j] = labelend[bt]
                 p = labelend[bt] ^ 1
 
+    # The first stage, and each stage after one that moved the duals, opens
+    # with a greedy pass (see the module docstring).
+    greedy = True
     for _ in range(num_vertices):
-        # Each stage either augments the matching by one edge or proves no
+        # Each stage augments the matching by at least one edge or proves no
         # augmenting path exists at the current duals (then the run is done).
+        if greedy:
+            # Match every tight edge between two single trivial vertices, in
+            # edge order.  Single vertices all hold the minimum vertex dual
+            # u, so such an edge has weight u; no blossom is touched, and the
+            # duals stay optimal for the larger matching.
+            greedy = False
+            for k in weightedges.get(min(dualvar[:num_vertices]), ()):
+                i = ehead[k]
+                j = etail[k]
+                if (
+                    mate[i] == -1
+                    and mate[j] == -1
+                    and inblossom[i] == i
+                    and inblossom[j] == j
+                    and dualvar[i] + dualvar[j] == ew2[k]
+                ):
+                    mate[i] = 2 * k + 1
+                    mate[j] = 2 * k
         label[:] = [0] * (2 * num_vertices)
         bestedge[:] = [-1] * (2 * num_vertices)
-        for b in range(num_vertices, 2 * num_vertices):
-            blossombestedges[b] = None
+        blossombestedges[num_vertices:] = [None] * num_vertices
         allowedge[:] = [False] * nedge
         del queue[:]
 
@@ -410,24 +492,28 @@ def max_weight_matching(
         while True:
             while queue and not augmented:
                 v = queue.pop()
+                bv = inblossom[v]
+                dualv = dualvar[v]  # constant while v is scanned
                 for p in neighbend[v]:
-                    k = p // 2
+                    k = p >> 1
                     w = endpoint[p]
-                    if inblossom[v] == inblossom[w]:
+                    bw = inblossom[w]
+                    if bv == bw:
                         continue  # intra-blossom edge
                     if not allowedge[k]:
-                        kslack = slack(k)
+                        kslack = dualv + dualvar[w] - ew2[k]
                         if kslack <= 0:
                             allowedge[k] = True
                     if allowedge[k]:
-                        if label[inblossom[w]] == 0:
+                        if label[bw] == 0:
                             # w free: grow the tree (w becomes T).
                             assign_label(w, 2, p ^ 1)
-                        elif label[inblossom[w]] == 1:
+                        elif label[bw] == 1:
                             # S-S edge: blossom or augmenting path.
                             base = scan_blossom(v, w)
                             if base >= 0:
                                 add_blossom(base, k)
+                                bv = inblossom[v]
                             else:
                                 augment_matching(k)
                                 augmented = True
@@ -437,12 +523,17 @@ def max_weight_matching(
                             # reached yet; record for expansion relabeling.
                             label[w] = 2
                             labelend[w] = p ^ 1
-                    elif label[inblossom[w]] == 1:
-                        b = inblossom[v]
-                        if bestedge[b] == -1 or kslack < slack(bestedge[b]):
-                            bestedge[b] = k
+                    elif label[bw] == 1:
+                        best = bestedge[bv]
+                        if best == -1 or kslack < (
+                            dualvar[ehead[best]] + dualvar[etail[best]] - ew2[best]
+                        ):
+                            bestedge[bv] = k
                     elif label[w] == 0:
-                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
+                        best = bestedge[w]
+                        if best == -1 or kslack < (
+                            dualvar[ehead[best]] + dualvar[etail[best]] - ew2[best]
+                        ):
                             bestedge[w] = k
             if augmented:
                 break
@@ -456,20 +547,22 @@ def max_weight_matching(
             deltablossom = -1
             # delta2: make an S-to-free edge tight.
             for v in range(num_vertices):
-                if label[inblossom[v]] == 0 and bestedge[v] != -1:
-                    d = slack(bestedge[v])
+                best = bestedge[v]
+                if best != -1 and label[inblossom[v]] == 0:
+                    d = dualvar[ehead[best]] + dualvar[etail[best]] - ew2[best]
                     if d < delta:
                         delta = d
                         deltatype = 2
-                        deltaedge = bestedge[v]
+                        deltaedge = best
             # delta3: make an S-to-S edge tight (half its slack).
             for b in range(2 * num_vertices):
-                if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
-                    d = slack(bestedge[b]) // 2
+                best = bestedge[b]
+                if best != -1 and blossomparent[b] == -1 and label[b] == 1:
+                    d = (dualvar[ehead[best]] + dualvar[etail[best]] - ew2[best]) // 2
                     if d < delta:
                         delta = d
                         deltatype = 3
-                        deltaedge = bestedge[b]
+                        deltaedge = best
             # delta4: drive a T-blossom's dual to zero (then expand it).
             for b in range(num_vertices, 2 * num_vertices):
                 if (
@@ -497,16 +590,14 @@ def max_weight_matching(
 
             if deltatype == 1:
                 break  # optimum reached
+            greedy = True
             if deltatype == 2:
                 allowedge[deltaedge] = True
-                (i, j, _) = edges[deltaedge]
-                if label[inblossom[i]] == 0:
-                    i = j
-                queue.append(i)
+                i = ehead[deltaedge]
+                queue.append(etail[deltaedge] if label[inblossom[i]] == 0 else i)
             elif deltatype == 3:
                 allowedge[deltaedge] = True
-                (i, _, _) = edges[deltaedge]
-                queue.append(i)
+                queue.append(ehead[deltaedge])
             else:
                 expand_blossom(deltablossom, False)
 

@@ -18,6 +18,11 @@ detection events as flat ``(round, ancilla)`` arrays, many windows per call
 * Larger windows go one by one to the in-tree O(n^3) blossom matcher
   (:mod:`repro.decoders.blossom`), which handles the boundary *implicitly*
   through a profit transformation instead of a ``2n``-node auxiliary graph.
+  Only the ``n(n-1)/2`` event pairs are built (no dense ``n x n`` table),
+  and the matcher matches every already-tight pair of single events after
+  each dual step, which halves its stages on deep-history windows.  Its
+  equal-weight tie-breaks are pinned on seeded runs
+  (``tests/decoders/test_blossom.py::TestLargeWindowPin``).
 
 Corrections are XORs of precomputed chain paths kept as packed words
 (:attr:`~repro.decoders.matching_graph.MatchingGraph.packed_path_words`).
@@ -197,18 +202,21 @@ class MWPMDecoder(Decoder):
                     rounds, ancillas, bounds[windows], count
                 )
                 continue
+            boundary_row = paths.shape[0] - 1
             for window in windows.tolist():
                 events = slice(bounds[window], bounds[window + 1])
                 window_ancillas = ancillas[events]
                 pairs, boundary_matches = self._match_large(
                     window_ancillas, rounds[events]
                 )
-                ends = np.append(window_ancillas, paths.shape[0] - 1)
-                left = [i for i, _ in pairs] + boundary_matches
-                right = [j for _, j in pairs] + [count] * len(boundary_matches)
-                words[window] = np.bitwise_xor.reduce(
-                    paths[ends[left], ends[right]], axis=0
+                ends = window_ancillas.tolist()
+                left = [ends[i] for i, _ in pairs] + [
+                    ends[i] for i in boundary_matches
+                ]
+                right = [ends[j] for _, j in pairs] + [boundary_row] * len(
+                    boundary_matches
                 )
+                words[window] = np.bitwise_xor.reduce(paths[left, right], axis=0)
         return self._graph.unpack_paths(words)
 
     def _enumerate_windows(
@@ -253,11 +261,18 @@ class MWPMDecoder(Decoder):
         self, ancillas: np.ndarray, rounds: np.ndarray
     ) -> tuple[list[tuple[int, int]], list[int]]:
         """Blossom's ``(pairs, boundary)`` event-index assignment for one window."""
-        distance = self._graph.spatial_distance_matrix[
-            np.ix_(ancillas, ancillas)
-        ] + np.abs(rounds[:, None] - rounds[None, :])
-        return blossom.match_events(
-            distance, self._graph.boundary_distance_array[ancillas]
+        # Every event pair i < j in row-major order, the matcher's edge order
+        # (np.triu_indices, at a third of its cost).  Not cached per event
+        # count: a table per window size seen costs more peak memory than
+        # rebuilding it.
+        events = np.arange(ancillas.size)
+        heads, tails = np.nonzero(events[:, None] < events[None, :])
+        return blossom.match_event_pairs(
+            self._graph.boundary_distance_array[ancillas],
+            heads,
+            tails,
+            self._graph.spatial_distance_matrix[ancillas[heads], ancillas[tails]]
+            + np.abs(rounds[heads] - rounds[tails]),
         )
 
 

@@ -8,10 +8,13 @@ boundary.  Neutral clusters are then resolved locally — events are paired
 greedily inside their own cluster (or matched to the boundary) and the
 corresponding shortest-chain corrections are applied.
 
-The decoder always produces a correction whose residual syndrome is zero;
-its accuracy sits between the Clique decoder and MWPM, which makes it a
-cheaper off-chip alternative to MWPM behind the Clique tier
-(``tiers="clique,union_find"``).
+The decoder always produces a correction whose residual syndrome is zero,
+but greedy in-cluster pairing gives up fault distance: on its own it is
+less accurate than both MWPM and the Clique+MWPM cascade.  Logical failures (MWPM / union-find / Clique+MWPM, 20,000 seeded
+phenomenological-noise trials on the ``repro-results-v3`` noise stream) were
+107 / 474 / 235 at d=5, p=1e-2 and 5 / 48 / 14 at d=7, p=5e-3.  It is
+offered as a cheaper off-chip tier behind Clique
+(``tiers="clique,union_find"``), not as a more accurate one.
 """
 
 from __future__ import annotations

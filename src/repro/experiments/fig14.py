@@ -346,9 +346,10 @@ def run(
             }
         )
     notes = (
-        "Paper observation: Clique+MWPM tracks the MWPM baseline almost exactly\n"
-        "at d=3/5/7 and is marginally worse at d=9/11 because the primary design\n"
-        "only uses two measurement rounds for persistence filtering.\n"
+        "Measured: Clique+MWPM fails 2.2x as often as the MWPM baseline at d=5,\n"
+        "p=1e-2 (235 vs 107 of 20k trials) and 3.3x at d=7, p=1e-2 (49 vs 15 of\n"
+        "10k): the persistence filter reads two data errors that share an\n"
+        "ancilla as one measurement error, which costs fault distance.\n"
         f"(scale={scale}, tiers={','.join(cascade_tiers)}"
         + (f", adaptive: Wilson width <= {target_ci_width})" if adaptive else ")")
     )
@@ -376,7 +377,10 @@ def compare_fallbacks(
     """Accuracy/throughput of the hierarchy's off-chip decoders side by side.
 
     One row per (distance, cascade spec): the union-find clustering decoder
-    scales near-linearly where blossom is cubic, at some accuracy cost.
+    scales near-linearly where blossom is cubic, but costs accuracy: flat
+    MWPM / union-find / Clique+MWPM logical failures were measured at
+    107 / 474 / 235 (d=5, p=1e-2) and 5 / 48 / 14 (d=7, p=5e-3) over
+    20,000 seeded phenomenological-noise trials.
     Each row is one :func:`~repro.simulation.memory_point` run in-process
     on a one-worker :class:`~repro.simulation.SweepScheduler`, and the
     wall-clock throughput is measured around that whole run, so it reflects

@@ -40,7 +40,13 @@ from typing import Any, Mapping
 #: distribution is unchanged but the RNG stream is new, so every seeded
 #: memory count moved again.  Coverage results did not move; their keys
 #: change with the salt only.
-CODE_VERSION_SALT = "repro-results-v4"
+#:
+#: v5: blossom matches already-tight free pairs after each dual step;
+#: equal-weight tie-breaks moved for windows > 8 events.  Matching costs are
+#: unchanged (the matcher is still exact), but seeded memory counts can move
+#: wherever a tie-break flips a logical outcome.  Coverage results did not
+#: move; their keys change with the salt only.
+CODE_VERSION_SALT = "repro-results-v5"
 
 #: The central store-key exclusion list: runner keywords that are
 #: *deliberately* absent from the resolved point configs that

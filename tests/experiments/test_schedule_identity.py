@@ -26,6 +26,8 @@ from repro.store import ResultStore
 # each time the fig14 rows and bytes moved with the memory noise stream (v3
 # the 64-trial tile sampler, v4 the 2048-trial block sampler); the fig11
 # rows and stored records did not move, only their keys (hence the bytes).
+# Re-taken for v5 (blossom tie-breaks on windows past 8 events): no row or
+# stored number moved, only the keys (hence both figures' bytes).
 FIG14_FIXED_ROWS = [
     {
         "code_distance": 3,
@@ -52,7 +54,7 @@ FIG14_FIXED_ROWS = [
         "onchip_round_fraction": 0.9722222222222222,
     },
 ]
-FIG14_FIXED_SHA256 = "d2f7082161297b17848ed424a24cf1f9b6a5105dba983dcfa0de7734c4e88a1f"
+FIG14_FIXED_SHA256 = "f549fbcbae99a566f0695a5cbb0bc4f61dac01bb351dfbfcbe65270dade2f3a4"
 
 FIG14_ADAPTIVE_ROWS = [
     {
@@ -80,7 +82,7 @@ FIG14_ADAPTIVE_ROWS = [
         "onchip_round_fraction": 0.9916666666666667,
     },
 ]
-FIG14_ADAPTIVE_SHA256 = "c25f6d27824c6f198cbc486db251ec8518bbbddc7e8f73182354a001098e36e9"
+FIG14_ADAPTIVE_SHA256 = "91d63673a6364a87f479031cecc7ad770bfbd840a2d572727fd9f6945ea60737"
 
 FIG11_FIXED_ROWS = [
     {
@@ -120,7 +122,7 @@ FIG11_FIXED_ROWS = [
         "offchip_fraction": 0.013333333333333308,
     },
 ]
-FIG11_FIXED_SHA256 = "a64e2b7ae302124fb2c2fac20a82d900aac103220191a178413047f1e57c0bcd"
+FIG11_FIXED_SHA256 = "a2d6ab3b9c108f9875d537aa7232d9b7a275e4d0c78864cac658dd8bb55df75d"
 
 FIG11_ADAPTIVE_ROWS = [
     {
@@ -160,7 +162,7 @@ FIG11_ADAPTIVE_ROWS = [
         "offchip_fraction": 0.02200000000000002,
     },
 ]
-FIG11_ADAPTIVE_SHA256 = "c10f90aac37f2fc5d4cc870af8fe4700d4280faf72742cb6c26d297d6eca9eb7"
+FIG11_ADAPTIVE_SHA256 = "bbadb598fae423bb2ffd35345d09f5d139901d6a17b01cb14f60b59008baea79"
 
 FIG14_PINS = {
     False: (FIG14_FIXED_ROWS, FIG14_FIXED_SHA256),

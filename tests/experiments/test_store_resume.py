@@ -154,26 +154,27 @@ class TestFig14KilledSweepResume:
 #: explicit ``engine="sharded", workers=1`` call at the last commit that
 #: still had the ``engine`` knob (``workers=1`` fixes the line order, which
 #: on a pool follows completion order), and re-taken for
-#: ``CODE_VERSION_SALT`` v3 and v4 (new salt, new memory noise stream).  A two-tier cascade keys its off-chip tier
-#: under the historical ``"fallback"`` entry.
-TWO_TIER_UF_KEY = "7e105e0f4f789fcfaa16d1275b5dadbae60c0f7299d325313551c5e2ea7bbee6"
+#: ``CODE_VERSION_SALT`` v3 and v4 (new salt, new memory noise stream), and
+#: for v5 (new salt only: the stored numbers did not move).  A two-tier
+#: cascade keys its off-chip tier under the historical ``"fallback"`` entry.
+TWO_TIER_UF_KEY = "9085df345e171bb702e5fffdc1feb11a79a48f729e63fe2de10ec877d78620e0"
 TWO_TIER_UF_STORE_SHA256 = (
-    "d4330f037caa3d8665586ad4359db477f16d38fc800c25f5ae62dc27a8330ba7"
+    "0e1c7c9acda98bce23f9b029ff52231355aaf446d6c51c8d08bfa0dd3c73a4e4"
 )
 
 #: A default fig14 call's keys and store bytes, frozen from the same call
 #: with an explicit ``engine="sharded"`` at that commit (dropping the knob
 #: moved no key and no stored number), re-taken for ``CODE_VERSION_SALT`` v3
-#: and v4.
+#: and v4, and for v5 (keys only: the stored numbers did not move).
 DEFAULT_FIG14_PARAMS = dict(
     trials=600, distances=(3,), error_rates=(3e-2,), seed=5, workers=1
 )
 DEFAULT_FIG14_KEYS = [
-    "bc0d5203baebb9c10bc9190238be6a8b0171237f30d64db747c6a54f575a8584",
-    "c4bf2237a22ce3c8415b9f231f4b4195da40c8c5898b8fe6a1d38e132dec4545",
+    "488e0c0a7722fa4a01a4585dba7b28c40376cc03cc4a97105eb1398d2658faac",
+    "3fa873d39a5c5e975877a83bea5d7fb470368a82e9e00f7fc53498c9f4454a66",
 ]
 DEFAULT_FIG14_STORE_SHA256 = (
-    "10e265e262f1396aa8181ffcd536eb40271f165360e46ef79f6aaf3dcc393153"
+    "a00c7a3cea7c85bc9f71e265ee7a6507ba57baf739f6c91b310e53499ca2af24"
 )
 
 

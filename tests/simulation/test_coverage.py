@@ -237,7 +237,7 @@ class TestResolveCoverageConfig:
         # did, so stores written before the unsharded path was deleted still
         # serve the same numbers.  Hash computed from that earlier code's
         # explicit chunk_cycles=DEFAULT_SHARD_CYCLES config, re-taken when
-        # CODE_VERSION_SALT went to v3 and to v4 (the config itself did not
+        # CODE_VERSION_SALT went to v3, v4 and v5 (the config itself did not
         # change).
         from repro.simulation.coverage import DEFAULT_SHARD_CYCLES
         from repro.store.keys import result_key
@@ -247,7 +247,7 @@ class TestResolveCoverageConfig:
         assert default["sharded"] is True
         assert (
             result_key("fig11", default, 5)
-            == "3d03556cf8892ab62dfe8dde53c11b3821dc86b29b1924d8ec8f9baf2f1294c8"
+            == "0cdd6ab279d44505f5ed7a44b5d0d95e97b59c4b8ce523042dbef255c9142743"
         )
 
     def test_chunk_cycles_is_stream_determining(self):
