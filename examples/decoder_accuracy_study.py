@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Scenario: compare decoder accuracy (the Fig. 14 workload, laptop-sized).
 
-Runs memory experiments for the MWPM baseline, the Clique+MWPM hierarchy and
-the clustering decoder across a small grid of physical error rates, printing
-logical error rates with confidence intervals and the fraction of rounds the
-hierarchy kept on-chip.
+Runs memory experiments for the MWPM baseline and the Clique+MWPM hierarchy
+across a small grid of physical error rates, printing logical error rates
+with confidence intervals and the fraction of rounds the hierarchy kept
+on-chip.
 
 Run with:  python examples/decoder_accuracy_study.py
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 
 from repro import (
-    ClusteringDecoder,
     DecoderCascade,
     MWPMDecoder,
     PhenomenologicalNoise,
@@ -32,7 +31,6 @@ TRIALS = int(os.environ.get("REPRO_EXAMPLE_TRIALS", "800"))
 DECODERS = {
     "MWPM (baseline)": lambda code, stype: MWPMDecoder(code, stype),
     "Clique + MWPM": lambda code, stype: DecoderCascade(code, stype, tiers="clique,mwpm"),
-    "Clustering": lambda code, stype: ClusteringDecoder(code, stype),
 }
 
 

@@ -34,7 +34,6 @@ from repro.codes import (
     required_code_distance,
 )
 from repro.decoders import (
-    ClusteringDecoder,
     DecodeResult,
     Decoder,
     MWPMDecoder,
@@ -72,7 +71,6 @@ __all__ = [
     "Decoder",
     "DecodeResult",
     "MWPMDecoder",
-    "ClusteringDecoder",
     "CliqueDecoder",
     "CliqueDecision",
     "PersistenceFilter",

@@ -3,10 +3,9 @@
 The repo's correctness rests on contracts that used to be enforced only
 dynamically (or by review): the seeding discipline, the store-key resolution
 contract, lazy imports of heavy optional dependencies, the hot-path dtype
-discipline, picklability of sharded kernels, and the cascade tier protocol.
-This package verifies them *statically* — a single ``ast`` pass per file
-plus two cross-referencing project rules — so whole bug classes fail lint
-before a kernel ever runs.
+discipline, and picklability of sharded kernels.  This package verifies
+them *statically* — a single ``ast`` pass per file plus a cross-referencing
+project rule — so whole bug classes fail lint before a kernel ever runs.
 
 Rules (see ``repro-qec lint --list-rules`` and README -> "Static analysis"):
 
@@ -18,7 +17,6 @@ IMP001    heavy optional deps (networkx, scipy, matplotlib) never top-level
 DTY001    hot-path numpy allocations carry an explicit dtype
 KEY001    runner keywords resolve into the store key or ``KEY_EXCLUDED``
 PKL001    sharded kernels are picklable (no lambdas/local functions)
-TIER001   ``TIER_DECODERS`` classes define the tier-contract methods
 ========  ============================================================
 
 Suppress a deliberate exception on its own line with

@@ -4,11 +4,11 @@
 Every rule in :mod:`repro.analysis` encodes a contract the repo already
 relies on at runtime — the seeding discipline, the store-key resolution
 contract, the lazy-import rule for heavy optional dependencies, the dtype
-discipline of the hot path, and the cascade tier protocol.  The *scope* of
-each contract (which packages count as kernel code, which modules are heavy,
-which runner keywords must be key-classified, where the tier registry lives)
-is declared here, once, so the static checks and their dynamic counterparts
-(e.g. ``tests/test_dependency_hygiene.py``) cannot drift apart.
+discipline of the hot path, and the picklability of sharded kernels.  The
+*scope* of each contract (which packages count as kernel code, which modules
+are heavy, which runner keywords must be key-classified) is declared here,
+once, so the static checks and their dynamic counterparts (e.g.
+``tests/test_dependency_hygiene.py``) cannot drift apart.
 """
 
 from __future__ import annotations
@@ -141,18 +141,6 @@ KEY_CONTRACTS: tuple[KeyContract, ...] = (
 #: Where the central exclusion list lives: ``(module path, constant name)``.
 KEY_EXCLUDED_LOCATION: tuple[str, str] = ("repro/store/keys.py", "KEY_EXCLUDED")
 
-#: Where the cascade tier registry lives: ``(module path, constant name)``.
-TIER_REGISTRY_LOCATION: tuple[str, str] = (
-    "repro/decoders/registry.py",
-    "TIER_DECODERS",
-)
-
-#: Methods a registered tier decoder must define somewhere in its in-tree
-#: class hierarchy (abstract declarations do not count): ``decode`` is the
-#: per-trial fallback every decoder needs, ``decode_events_bitmap`` the
-#: per-window off-chip hook behind ``Decoder.decode_event_windows`` (TIER001).
-TIER_REQUIRED_METHODS: tuple[str, ...] = ("decode", "decode_events_bitmap")
-
 
 def in_kernel_scope(rel_path: str) -> bool:
     """Whether a package-relative module path is kernel code."""
@@ -176,8 +164,6 @@ __all__ = [
     "NP_RANDOM_ALLOWED",
     "RNG_MODULE",
     "SHARDED_KERNEL_ARGS",
-    "TIER_REGISTRY_LOCATION",
-    "TIER_REQUIRED_METHODS",
     "WALLCLOCK_CALLS",
     "in_kernel_scope",
     "is_rng_module",

@@ -55,7 +55,7 @@ class Rule:
     * ``finish(ctx)`` — called once after the module walk (for rules that
       accumulate per-module state, e.g. PKL001's nested-def table);
     * ``check_project(project)`` — called once per lint invocation with the
-      full :class:`Project` (cross-file rules: KEY001, TIER001);
+      full :class:`Project` (cross-file rules: KEY001);
     * ``applies_to(module)`` — path scoping (e.g. kernel packages only).
     """
 
@@ -154,20 +154,6 @@ class ModuleContext:
         )
 
 
-def build_import_context(module: ParsedModule) -> ModuleContext:
-    """A :class:`ModuleContext` with only the import alias tables populated.
-
-    Cross-file rules use this to resolve dotted names in modules they load
-    outside the main walk (e.g. mapping a class name in ``TIER_DECODERS``
-    back to the module that defines it).
-    """
-    ctx = ModuleContext(module)
-    for node in ast.walk(module.tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            ctx.record_import(node)
-    return ctx
-
-
 def _is_type_checking_test(test: ast.AST) -> bool:
     if isinstance(test, ast.Name):
         return test.id == "TYPE_CHECKING"
@@ -224,7 +210,6 @@ def all_rules() -> dict[str, type[Rule]]:
     from repro.analysis.rules_imports import LazyHeavyImportRule
     from repro.analysis.rules_keys import StoreKeyClassificationRule
     from repro.analysis.rules_pickle import PicklableKernelRule
-    from repro.analysis.rules_tiers import TierContractRule
 
     rules = (
         GlobalRngRule,
@@ -234,7 +219,6 @@ def all_rules() -> dict[str, type[Rule]]:
         ExplicitDtypeRule,
         StoreKeyClassificationRule,
         PicklableKernelRule,
-        TierContractRule,
     )
     return {rule.id: rule for rule in rules}
 

@@ -2,9 +2,9 @@
 
 The linter never imports the code it checks — everything is ``ast``-parsed
 text.  Module-local rules only need one file at a time; the cross-referencing
-rules (KEY001, TIER001) additionally need to *read* sibling modules named by
-the contract manifests (a key-resolution function lives in a different file
-than the runner whose keywords it classifies).  :class:`Project` provides
+rule (KEY001) additionally needs to *read* sibling modules named by the
+contract manifests (a key-resolution function lives in a different file than
+the runner whose keywords it classifies).  :class:`Project` provides
 that: it indexes the linted files by package-relative path and lazily loads
 referenced modules from the same package root on disk.
 """
@@ -158,16 +158,6 @@ class Project:
                 loaded = None
         self._loaded[path] = loaded
         return loaded
-
-    def load_dotted(self, dotted: str, anchor: ParsedModule) -> ParsedModule | None:
-        """Load a dotted module name (``repro.decoders.mwpm``) as a file.
-
-        Tries ``a/b/c.py`` then the package form ``a/b/c/__init__.py``.
-        """
-        base = dotted.replace(".", "/")
-        return self.load(f"{base}.py", anchor) or self.load(
-            f"{base}/__init__.py", anchor
-        )
 
 
 __all__ = ["ParsedModule", "PRAGMA_RE", "Project", "split_root"]

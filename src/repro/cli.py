@@ -10,9 +10,6 @@ Examples:
     repro-qec run fig14 --scale paper --workers 8
     repro-qec fig11 --workers 4 --chunk-cycles auto
     repro-qec fig14 --scale paper --adaptive --target-ci-width 0.02
-    repro-qec run fig14 --tiers clique,union_find
-    repro-qec run fig14_fallbacks --param trials=300
-    repro-qec fig14_fallbacks --tiers clique,union_find --param distances=9,
     repro-qec fig14 --scale paper --store results/   # resume on re-run
     repro-qec fig14 --scale paper --store results/ --force
     repro-qec fig14 --scale paper --max-retries 4 --shard-timeout 300
@@ -30,11 +27,10 @@ in-process worker for a small run and the CPU count for a large one).
 ``--target-ci-width`` switches coverage points to Wilson-converged adaptive
 sampling, and ``--adaptive`` does the same for fig14's logical-error-rate
 points (budget-capped by the scale's trial budgets).  ``--scale paper``
-extends fig14 to the paper's d=3–11 grid with per-distance trial budgets;
-``--tiers`` picks the hierarchy's off-chip decoder: ``clique,mwpm`` (the
-paper's design, the default) or ``clique,union_find`` — see README.md →
-"Decoder cascades".  ``--store DIR`` persists every sweep point of the
-fig11/fig12/fig14/fig16 sweeps as it completes and makes re-runs resume
+extends fig14 to the paper's d=3–11 grid with per-distance trial budgets.
+fig14 always decodes through the paper's Clique+MWPM hierarchy; see
+README.md → "Decoder cascades".  ``--store DIR`` persists every sweep point
+of the fig11/fig12/fig14/fig16 sweeps as it completes and makes re-runs resume
 (``--resume``, the default) or recompute (``--force``); ``store compact
 DIR`` garbage-collects a long-lived store directory; see README.md →
 "Results and resume".  ``--max-retries`` / ``--shard-timeout`` tune fig14's
@@ -43,10 +39,10 @@ bit-identically, so neither flag ever changes results); see README.md →
 "Fault tolerance".  Sweeps drive every pending point's shards through one
 persistent worker pool; see README.md → "Sweep scheduling".  ``lint``
 statically enforces the repo's contract rules (seeding/determinism, store
-keys, lazy heavy imports, dtype discipline, sharded-kernel picklability,
-tier protocol) with ``ruff``-style findings, ``--select/--ignore``, a
-``# repro: allow[RULE]`` pragma, and exit codes 0/1/2; see README.md →
-"Static analysis".
+keys, lazy heavy imports, dtype discipline, sharded-kernel picklability)
+with ``ruff``-style findings, ``--select/--ignore``, a ``# repro:
+allow[RULE]`` pragma, and exit codes 0/1/2; see README.md → "Static
+analysis".
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ def _parse_scalar(text: str) -> object:
     (``int("1_0") == 10``), which on a command line is far more likely a typo
     than intent — numeric-looking tokens containing ``_`` are rejected with a
     clear error rather than silently parsed (non-numeric strings like
-    ``union_find`` pass through untouched).
+    ``fig_14`` pass through untouched).
     """
     lowered = text.lower()
     if lowered in ("true", "false"):
@@ -220,16 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--tiers",
-        default=None,
-        metavar="clique,DECODER",
-        help=(
-            "two-tier decoder-cascade spec for fig14/fig14_fallbacks: "
-            "'clique' then one off-chip decoder (default 'clique,mwpm'; "
-            "'clique,union_find' for the union-find off-chip decoder)"
-        ),
-    )
-    run_parser.add_argument(
         "--scale",
         choices=("laptop", "paper"),
         default=None,
@@ -270,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "statically check contract rules (determinism, store keys, "
-            "import hygiene, dtypes, tier protocol) over source paths"
+            "import hygiene, dtypes, picklability) over source paths"
         ),
     )
     lint_parser.add_argument(
@@ -378,7 +364,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         params = dict(args.param)
         for flag in (
             "workers",
-            "tiers",
             "scale",
             "chunk_cycles",
             "target_ci_width",

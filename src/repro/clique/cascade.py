@@ -7,17 +7,19 @@ Tier contract
   measurement-persistence filtering and triage, applies purely local
   corrections for trivial rounds, and accumulates the complex rounds'
   detection events into the trial's *off-chip window*.
-* Tier 1 is one off-chip decoder — a registered name
-  (:data:`repro.decoders.registry.TIER_DECODERS`: ``mwpm``, ``union_find``)
-  or a ready :class:`~repro.decoders.base.Decoder` — that resolves the whole
-  window through :meth:`~repro.decoders.base.Decoder.decode_event_windows`.
+* Tier 1 is one off-chip decoder that resolves the whole window through
+  :meth:`~repro.decoders.base.Decoder.decode_event_windows`.  By name it is
+  always ``"mwpm"``, the paper's MWPM baseline; any other off-chip decoder
+  enters as a ready :class:`~repro.decoders.base.Decoder` instance.
 
-A ready-made tier must be built for the cascade's own code distance and
-stabilizer type; a mismatch is a :class:`~repro.exceptions.ConfigurationError`
-at construction.  Section 8.1 of the paper sketches deeper hierarchies; a
-union-find middle tier was measured slower than this two-tier design at every
-paper-relevant point without cutting off-chip traffic (README.md → "Why two
-tiers"), so any other tier count is rejected.
+So a cascade is spelled ``"clique,mwpm"``, ``("clique", "mwpm")`` or
+``("clique", <Decoder>)``; every other spelling is a
+:class:`~repro.exceptions.ConfigurationError` at construction.  A ready-made
+tier must be built for the cascade's own code distance and stabilizer type,
+or construction fails too.  Section 8.1 of the paper sketches deeper
+hierarchies; a union-find middle tier was measured slower than this two-tier
+design at every paper-relevant point without cutting off-chip traffic
+(README.md → "Why two tiers"), so any other tier count is rejected.
 
 Two decode paths share one off-chip entry point,
 :meth:`~repro.decoders.base.Decoder.decode_event_windows`: per-trial
@@ -46,13 +48,14 @@ from repro.clique.decoder import CliqueDecoder, get_clique_decoder
 from repro.clique.measurement_filter import PersistenceFilter
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.decoders.base import Decoder, DecodeResult, PackedBatchDecodeResult
-from repro.decoders.registry import (
-    CLIQUE_TIER,
-    resolve_tier_name,
-    resolve_tier_spec,
-)
+from repro.decoders.mwpm import MWPMDecoder
 from repro.exceptions import ConfigurationError
 from repro.types import Coord, DecodeLocation, StabilizerType
+
+#: Name of the on-chip front-end tier.
+CLIQUE_TIER = "clique"
+#: Name of the one off-chip tier a cascade builds itself.
+MWPM_TIER = "mwpm"
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,8 @@ class CascadeResult:
         round_locations: per measurement round, whether it was resolved
             on-chip or had to go off-chip.
         offchip_rounds: indices of the rounds sent off-chip.
-        tier_names: the cascade's tier names (``("clique", <off-chip>)``).
+        tier_names: the cascade's tier names (``("clique", "mwpm")``, or
+            ``("clique", <name>)`` for a ready non-MWPM off-chip tier).
     """
 
     correction: frozenset[Coord]
@@ -98,13 +102,10 @@ class DecoderCascade(Decoder):
     Args:
         code: the surface code instance.
         stype: stabilizer type to decode.
-        tiers: the tier spec — a comma-separated string (``"clique,mwpm"``),
-            parsed by :func:`repro.decoders.registry.resolve_tier_spec`, or a
-            pair whose first entry is ``"clique"`` (or a ready
-            :class:`CliqueDecoder`) and whose second is a registered decoder
-            name (:data:`repro.decoders.registry.TIER_DECODERS`) or a ready
-            :class:`~repro.decoders.base.Decoder`.  Instances must be built
-            for this cascade's ``code`` distance and ``stype``.
+        tiers: ``"clique,mwpm"``, ``("clique", "mwpm")`` or ``("clique",
+            <Decoder>)``: the on-chip Clique tier, then the off-chip tier,
+            MWPM by name or a ready :class:`~repro.decoders.base.Decoder`
+            built for this cascade's ``code`` distance and ``stype``.
         measurement_rounds: window size of the Clique persistence filter
             (2 in the paper's primary design).
     """
@@ -113,46 +114,36 @@ class DecoderCascade(Decoder):
         self,
         code: RotatedSurfaceCode,
         stype: StabilizerType,
-        tiers: str | Sequence["str | Decoder"] = (CLIQUE_TIER, "mwpm"),
+        tiers: str | Sequence["str | Decoder"] = (CLIQUE_TIER, MWPM_TIER),
         measurement_rounds: int = 2,
     ) -> None:
         super().__init__(code, stype)
         self._filter = PersistenceFilter(measurement_rounds)
-        tiers = tiers if isinstance(tiers, str) else tuple(tiers)
-        if isinstance(tiers, str) or all(isinstance(tier, str) for tier in tiers):
-            tiers = resolve_tier_spec(tiers)
-        if len(tiers) != 2:
+        spec = tuple(tiers.split(",")) if isinstance(tiers, str) else tuple(tiers)
+        offchip = spec[1] if len(spec) == 2 and spec[0] == CLIQUE_TIER else None
+        # A CliqueDecoder is a Decoder too, but decodes single rounds only.
+        ready = isinstance(offchip, Decoder) and not isinstance(offchip, CliqueDecoder)
+        if not (offchip == MWPM_TIER or ready):
             raise ConfigurationError(
-                f"a cascade has exactly two tiers, the on-chip {CLIQUE_TIER!r} "
-                f"tier and one off-chip decoder; got {len(tiers)}"
+                f"a cascade has exactly two tiers: the first cascade tier is "
+                f"{CLIQUE_TIER!r} and the off-chip cascade tier is {MWPM_TIER!r} "
+                f"or a ready multi-round Decoder, as 'clique,mwpm', ('clique', "
+                f"'mwpm') or ('clique', <Decoder>); got {tiers!r}"
             )
-        front, offchip = tiers
-        if isinstance(front, CliqueDecoder):
-            self._check_tier_target(front, CLIQUE_TIER, 0)
-            self._clique = front
-        elif front == CLIQUE_TIER:
-            self._clique = get_clique_decoder(code.distance, stype)
+        if ready:
+            self._check_offchip_target(offchip)
         else:
-            raise ConfigurationError(
-                f"the first cascade tier must be {CLIQUE_TIER!r} (or a "
-                f"CliqueDecoder instance), got {front!r}"
-            )
-        if isinstance(offchip, str):
-            self._offchip = resolve_tier_name(offchip)(code, stype)
-            offchip_name = offchip
-        elif isinstance(offchip, Decoder):
-            self._check_tier_target(offchip, offchip.name, 1)
-            self._offchip = offchip
-            offchip_name = offchip.name
-        else:
-            raise ConfigurationError(
-                f"the off-chip cascade tier must be a registered decoder name "
-                f"or a Decoder instance, got {offchip!r}"
-            )
-        self._tier_names = (CLIQUE_TIER, offchip_name)
+            offchip = MWPMDecoder(code, stype)
+        self._clique = get_clique_decoder(code.distance, stype)
+        self._offchip = offchip
+        # A ready MWPM tier is the same tier as the one named "mwpm".
+        self._tier_names = (
+            CLIQUE_TIER,
+            MWPM_TIER if isinstance(offchip, MWPMDecoder) else offchip.name,
+        )
 
-    def _check_tier_target(self, tier: Decoder, name: str, position: int) -> None:
-        """Reject a ready-made tier built for another code or stabilizer type.
+    def _check_offchip_target(self, tier: Decoder) -> None:
+        """Reject a ready off-chip tier built for another code or stabilizer type.
 
         Such a tier would silently decode the wrong species (a Z tier in an
         X cascade) or index past its tables (another distance), so it fails
@@ -163,7 +154,7 @@ class DecoderCascade(Decoder):
             or tier.stabilizer_type is not self._stype
         ):
             raise ConfigurationError(
-                f"cascade tier {name!r} at position {position} was built for "
+                f"cascade tier {tier.name!r} at position 1 was built for "
                 f"distance {tier.code.distance}, {tier.stabilizer_type.name} "
                 f"stabilizers; this cascade decodes distance "
                 f"{self._code.distance}, {self._stype.name} stabilizers"
@@ -376,4 +367,4 @@ class DecoderCascade(Decoder):
         )
 
 
-__all__ = ["CascadeResult", "DecoderCascade"]
+__all__ = ["CLIQUE_TIER", "MWPM_TIER", "CascadeResult", "DecoderCascade"]

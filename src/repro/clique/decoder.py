@@ -340,7 +340,7 @@ class CliqueDecoder(Decoder):
         Multi-round histories are the responsibility of
         :class:`repro.clique.cascade.DecoderCascade`, which combines this
         decoder with the measurement-persistence filter and the off-chip
-        tiers.
+        tier.
         """
         matrix = self._as_detection_matrix(detections)
         if matrix.shape[0] != 1:

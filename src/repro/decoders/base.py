@@ -88,8 +88,8 @@ class Decoder(abc.ABC):
     :meth:`decode_event_windows` call.  The default implementation decodes
     the windows one by one through the per-window hook
     ``decode_events_bitmap(rounds, ancillas) -> uint8 bitmap`` when the
-    decoder has one (the registered tiers must, TIER001), and through
-    :meth:`decode` on the window's detection mask otherwise; a decoder that
+    decoder has one, and through :meth:`decode` on the window's detection
+    mask otherwise (slower, but exact); a decoder that
     can solve many windows together (:class:`~repro.decoders.mwpm.MWPMDecoder`)
     overrides it.  Events always arrive in row-major ``(round, ancilla)``
     order within a window (the order ``np.nonzero`` produces, which fixes
@@ -202,8 +202,8 @@ class Decoder(abc.ABC):
         The base implementation unpacks, runs :meth:`decode` trial by trial,
         and re-packs the corrections — semantics, including RNG-free
         tie-breaks, are therefore exactly per-trial :meth:`decode`'s.  It
-        serves decoders without a native packed path (union-find, custom
-        decoders); per-trial round counts come from the
+        serves decoders without a native packed path (custom decoders, such
+        as a ready off-chip tier); per-trial round counts come from the
         ``num_rounds``/``num_offchip_rounds`` metadata when a decoder
         reports them, else stay zero.  Decoders with a native packed path
         (:class:`repro.clique.cascade.DecoderCascade`,

@@ -18,25 +18,15 @@ figures use too).
 Wilson-converged trial allocation: each (point, decoder) run stops as soon
 as its logical-error-rate confidence interval is at most
 ``target_ci_width`` wide, with the scale's fixed budget as the cap.
-
-``compare_fallbacks`` (registry id ``fig14_fallbacks``) adds the off-chip
-cost/accuracy trade-off rows: the same workload decoded through both
-cascade specs (Clique+MWPM and Clique+union-find by default), with the
-off-chip trial fraction and bandwidth alongside the logical error rates and
-throughput.  ``tiers=`` (the CLI's ``--tiers``) restricts the comparison to
-one cascade spec plus the Clique+MWPM reference.
 """
 
 from __future__ import annotations
 
 import functools
-import time
-from dataclasses import dataclass
 
-from repro.clique.cascade import DecoderCascade
+from repro.clique.cascade import MWPM_TIER, DecoderCascade
 from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
 from repro.decoders.mwpm import MWPMDecoder
-from repro.decoders.registry import resolve_tier_spec
 from repro.exceptions import ConfigurationError
 from repro.experiments.base import (
     ExperimentResult,
@@ -73,25 +63,17 @@ def _mwpm_factory(code: RotatedSurfaceCode, stype: StabilizerType) -> MWPMDecode
     return MWPMDecoder(code, stype)
 
 
-#: Display labels for cascade tier names (``clique,union_find`` renders as
-#: ``Clique+UF``).
-_TIER_LABELS = {"clique": "Clique", "mwpm": "MWPM", "union_find": "UF"}
+def _cascade_factory(
+    code: RotatedSurfaceCode, stype: StabilizerType
+) -> DecoderCascade:
+    """Clique+MWPM cascade factory (module-level, so workers can pickle it)."""
+    return DecoderCascade(code, stype)
 
 
-def _cascade_label(tier_names: tuple[str, ...]) -> str:
-    return "+".join(_TIER_LABELS.get(name, name) for name in tier_names)
-
-
-@dataclass(frozen=True)
-class _CascadeFactory:
-    """Picklable cascade factory carrying the resolved tier spec."""
-
-    tiers: tuple[str, ...] = ("clique", "mwpm")
-
-    def __call__(
-        self, code: RotatedSurfaceCode, stype: StabilizerType
-    ) -> DecoderCascade:
-        return DecoderCascade(code, stype, tiers=self.tiers)
+#: Display labels of the two decoders of every point; each is the point's
+#: ``"decoder"`` store-key entry.
+BASELINE_LABEL = "MWPM"
+CASCADE_LABEL = "Clique+MWPM"
 
 
 def _resolve_scale(
@@ -124,7 +106,6 @@ def _memory_point_config(
     rounds: int | None,
     trials: int,
     decoder: str,
-    tiers: tuple[str, ...] | None,
     stop: WilsonStoppingRule | None,
     chunk_trials: int | None = None,
 ) -> dict[str, object]:
@@ -141,11 +122,10 @@ def _memory_point_config(
     that this function and that list jointly cover the full
     ``memory_point`` signature.
 
-    The cascade participates in the key through its off-chip tier name,
-    under the historical ``"fallback"`` entry (so stores populated before
-    the ``tiers`` spec became the only spelling stay warm — the numbers are
-    bit-identical, and ``tests/experiments/test_store_resume.py`` pins one
-    such key).
+    The cascade point keeps its off-chip tier name under the historical
+    ``"fallback"`` entry, now a constant ``"mwpm"`` (``None`` for the
+    baseline), so stores written when the off-chip tier was selectable stay
+    warm; ``tests/experiments/test_store_resume.py`` pins the default keys.
     """
     return {
         "kind": "memory",
@@ -160,7 +140,7 @@ def _memory_point_config(
             chunk_trials if chunk_trials is not None else DEFAULT_SHARD_TRIALS
         ),
         "decoder": decoder,
-        "fallback": tiers[1] if tiers is not None else None,
+        "fallback": MWPM_TIER if decoder == CASCADE_LABEL else None,
         "stype": StabilizerType.X.value,
         "adaptive": None
         if stop is None
@@ -180,7 +160,6 @@ def run(
     error_rates: tuple[float, ...] = DEFAULT_ERROR_RATES,
     rounds: int | None = None,
     scale: str = "laptop",
-    tiers: str | tuple[str, ...] = ("clique", "mwpm"),
     workers: int | None = None,
     chunk_trials: "int | str | None" = None,
     adaptive: bool = False,
@@ -191,7 +170,7 @@ def run(
     max_retries: int | None = None,
     shard_timeout: float | None = None,
 ) -> ExperimentResult:
-    """Reproduce the Fig. 14 comparison (baseline vs the Clique cascade).
+    """Reproduce the Fig. 14 comparison (MWPM baseline vs Clique+MWPM).
 
     Args:
         trials: flat per-point trial budget; ``None`` (default) picks the
@@ -203,10 +182,6 @@ def run(
         rounds: noisy rounds per trial (defaults to the code distance).
         scale: ``"laptop"`` (seconds, d<=7) or ``"paper"`` (d=3-11 with
             per-distance budgets — the Fig. 14 divergence regime).
-        tiers: the cascade spec — ``"clique"`` and one off-chip decoder,
-            as a comma-separated string or name pair; the default is the
-            paper's Clique+MWPM design, ``"clique,union_find"`` swaps the
-            off-chip decoder.  Bad specs fail eagerly, before any sweep work.
         workers: worker processes (default ``os.cpu_count()``, capped at
             the sweep's shard count; ``1`` runs every shard in-process);
             results never depend on it.
@@ -253,8 +228,6 @@ def run(
         adaptive = True
     elif adaptive:
         target_ci_width = 0.02
-    cascade_tiers = resolve_tier_spec(tiers)
-    hierarchy_name = _cascade_label(cascade_tiers)
     # Deliberately absent from _memory_point_config: fault recovery replays
     # shard streams bit-identically, so the policy (like workers) never
     # affects the stored counts.
@@ -285,14 +258,13 @@ def run(
                 else chunk_trials
             )
 
-            def _decoder_run(decoder_label, factory, decoder_tiers=None):
+            def _decoder_run(decoder_label, factory):
                 config = _memory_point_config(
                     distance,
                     error_rate,
                     rounds,
                     point_trials,
                     decoder_label,
-                    decoder_tiers,
                     stop,
                     point_chunk,
                 )
@@ -316,12 +288,8 @@ def run(
                 )
                 return point_id
 
-            baseline = _decoder_run("MWPM", _mwpm_factory)
-            hierarchical = _decoder_run(
-                hierarchy_name,
-                _CascadeFactory(cascade_tiers),
-                cascade_tiers,
-            )
+            baseline = _decoder_run(BASELINE_LABEL, _mwpm_factory)
+            hierarchical = _decoder_run(CASCADE_LABEL, _cascade_factory)
             grid.append((distance, error_rate, point_trials, baseline, hierarchical))
     results = schedule_sweep(
         cache, requests, SweepScheduler(workers=workers, faults=faults)
@@ -350,103 +318,12 @@ def run(
         "p=1e-2 (235 vs 107 of 20k trials) and 3.3x at d=7, p=1e-2 (49 vs 15 of\n"
         "10k): the persistence filter reads two data errors that share an\n"
         "ancilla as one measurement error, which costs fault distance.\n"
-        f"(scale={scale}, tiers={','.join(cascade_tiers)}"
+        f"(scale={scale}"
         + (f", adaptive: Wilson width <= {target_ci_width})" if adaptive else ")")
     )
     return ExperimentResult(
         experiment_id="fig14",
-        title=f"Logical error rate: MWPM baseline vs {hierarchy_name}",
-        rows=rows,
-        notes=notes,
-    )
-
-
-#: Cascade specs compared by default in ``fig14_fallbacks``: the paper's
-#: Clique+MWPM hierarchy and its union-find off-chip alternative.
-DEFAULT_FALLBACK_SPECS = (("clique", "mwpm"), ("clique", "union_find"))
-
-
-def compare_fallbacks(
-    trials: int = 600,
-    seed: int = 2026,
-    distances: tuple[int, ...] = (5, 7),
-    error_rate: float = 1e-2,
-    rounds: int | None = None,
-    tiers: str | tuple[str, ...] | None = None,
-) -> ExperimentResult:
-    """Accuracy/throughput of the hierarchy's off-chip decoders side by side.
-
-    One row per (distance, cascade spec): the union-find clustering decoder
-    scales near-linearly where blossom is cubic, but costs accuracy: flat
-    MWPM / union-find / Clique+MWPM logical failures were measured at
-    107 / 474 / 235 (d=5, p=1e-2) and 5 / 48 / 14 (d=7, p=5e-3) over
-    20,000 seeded phenomenological-noise trials.
-    Each row is one :func:`~repro.simulation.memory_point` run in-process
-    on a one-worker :class:`~repro.simulation.SweepScheduler`, and the
-    wall-clock throughput is measured around that whole run, so it reflects
-    the off-chip decoder's real share of the decoding pipeline rather than
-    worker-pool start-up.  The triage columns — the fraction of trials that
-    left the chip (``offchip_trial_fraction``) and the off-chip bandwidth
-    in detection rounds per trial (``offchip_rounds_per_trial``) — depend
-    only on the Clique tier, so they match across specs at each distance.
-
-    ``tiers`` (the CLI's ``--tiers``) compares one cascade spec against the
-    Clique+MWPM reference (``"clique,mwpm"`` alone runs just that
-    reference).
-    """
-    if tiers is not None:
-        spec = resolve_tier_spec(tiers)
-        specs = [("clique", "mwpm"), spec] if spec != ("clique", "mwpm") else [spec]
-    else:
-        specs = [resolve_tier_spec(spec) for spec in DEFAULT_FALLBACK_SPECS]
-    rows = []
-    for distance_index, distance in enumerate(distances):
-        code = get_code(distance)
-        noise = PhenomenologicalNoise(error_rate)
-        base_seed = point_seed(seed, distance_index)
-        for spec in specs:
-            label = _cascade_label(spec)
-            point = memory_point(
-                label,
-                code,
-                noise,
-                _CascadeFactory(spec),
-                trials=trials,
-                seed=base_seed,
-                rounds=rounds,
-                decoder_name=label,
-            )
-            start = time.perf_counter()
-            result = SweepScheduler(workers=1).run([point])[label]
-            elapsed = time.perf_counter() - start
-            rows.append(
-                {
-                    "code_distance": distance,
-                    "physical_error_rate": error_rate,
-                    "tiers": ",".join(spec),
-                    "trials": trials,
-                    "logical_error_rate": result.logical_error_rate,
-                    "ci_high": result.confidence_interval[1],
-                    "onchip_round_fraction": result.onchip_round_fraction,
-                    "offchip_trial_fraction": round(
-                        result.offchip_trial_fraction, 4
-                    ),
-                    "offchip_rounds_per_trial": round(
-                        result.offchip_rounds_per_trial, 4
-                    ),
-                    "trials_per_sec": round(trials / elapsed, 1),
-                }
-            )
-    notes = (
-        "Same seed per distance, so every cascade decodes identical error\n"
-        "histories; any logical-error-rate gap is purely the off-chip\n"
-        "decoder's accuracy.  offchip_trial_fraction is the share of trials\n"
-        "that left the chip; offchip_rounds_per_trial the off-chip bandwidth\n"
-        "in detection rounds."
-    )
-    return ExperimentResult(
-        experiment_id="fig14_fallbacks",
-        title="Off-chip decoder trade-off: MWPM vs union-find",
+        title=f"Logical error rate: MWPM baseline vs {CASCADE_LABEL}",
         rows=rows,
         notes=notes,
     )
@@ -454,10 +331,10 @@ def compare_fallbacks(
 
 __all__ = [
     "run",
-    "compare_fallbacks",
+    "BASELINE_LABEL",
+    "CASCADE_LABEL",
     "DEFAULT_DISTANCES",
     "DEFAULT_ERROR_RATES",
-    "DEFAULT_FALLBACK_SPECS",
     "PAPER_DISTANCES",
     "PAPER_TRIAL_BUDGETS",
 ]

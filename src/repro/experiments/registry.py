@@ -26,7 +26,6 @@ _REGISTRY: dict[str, Callable[..., ExperimentResult]] = {
     "fig12": fig12.run,
     "fig13": fig13.run,
     "fig14": fig14.run,
-    "fig14_fallbacks": fig14.compare_fallbacks,
     "fig15": fig15.run,
     "fig16": fig16.run,
     "table1": table1.run,

@@ -12,8 +12,7 @@ blossom tail, say) never leaves the other workers idle.  Every figure
 sweep runs its uncached points here through
 :func:`repro.experiments.base.schedule_sweep`; a single sharded run (a
 lone :func:`memory_point`, every ``simulate_clique_coverage`` call) is
-simply a one-point sweep, and every ``fig14_fallbacks`` row is a one-point
-sweep run in-process.
+simply a one-point sweep.
 
 The pool itself outlives the sweep.  The executor takes the process's idle
 pool when its worker count matches and hands it back when the sweep ends

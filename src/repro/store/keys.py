@@ -72,7 +72,7 @@ CODE_VERSION_SALT = "repro-results-v5"
 KEY_EXCLUDED: dict[str, str] = {
     "code": "enters the key as its resolved 'distance' entry",
     "noise": "enters the key as the noise class name plus its error rates",
-    "decoder_factory": "enters the key as the resolved decoder/fallback/tiers",
+    "decoder_factory": "enters the key as its 'decoder' label and 'fallback' tier",
     "decoder_name": "display label only; never touches the numbers",
     "rng": "enters the key separately as result_key's seed argument",
     "seed": "enters the key separately as result_key's seed argument",

@@ -1,7 +1,7 @@
 """Shared fixtures for the linter test suite.
 
 ``scratch_tree`` copies the contract-bearing slice of the real package into
-a temp directory, so cross-file rules (KEY001, TIER001) can be exercised —
+a temp directory, so the cross-file rule (KEY001) can be exercised —
 and deliberately broken — without touching the working tree.
 """
 
@@ -14,21 +14,16 @@ import pytest
 #: The real package the scratch tree is copied from.
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: Files the cross-file contracts reference (runners, resolvers, the
-#: exclusion list, the tier registry, and the decoder class hierarchy the
-#: TIER001 base walk follows).
+#: Files the cross-file contract references (runners, resolvers and the
+#: exclusion list).
 _COPIED = (
     "simulation/scheduler.py",
     "simulation/coverage.py",
     "experiments/fig14.py",
     "store/keys.py",
-    "decoders/base.py",
-    "decoders/registry.py",
-    "decoders/mwpm.py",
-    "decoders/union_find.py",
 )
 
-_PACKAGES = ("", "simulation", "experiments", "store", "decoders")
+_PACKAGES = ("", "simulation", "experiments", "store")
 
 
 @pytest.fixture

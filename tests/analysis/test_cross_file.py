@@ -1,4 +1,4 @@
-"""Cross-file rules (KEY001, TIER001) on a scratch copy of the real tree.
+"""The cross-file rule (KEY001) on a scratch copy of the real tree.
 
 The acceptance contract of KEY001 is regression-shaped: adding a fake
 result-affecting keyword to a runner signature must fail lint until the
@@ -34,20 +34,6 @@ def line_of(path: Path, needle: str) -> int:
     ]
     assert len(matches) == 1, f"{needle!r} matched lines {matches} in {path}"
     return matches[0]
-
-#: A decoder that satisfies only half the tier contract: ``decode`` is
-#: concrete but the cascade's batched ``decode_events_bitmap`` hook is not.
-LOOKUP_DECODER = '''\
-"""Test-only tier decoder missing the batched cascade hook."""
-
-from repro.decoders.base import Decoder
-
-
-class LookupDecoder(Decoder):
-    def decode(self, detections):
-        raise NotImplementedError
-'''
-
 
 def inject_fake_kwarg(scratch_tree):
     # memory_point is the one scheduler adapter with a decoder_name keyword.
@@ -175,44 +161,3 @@ class TestKey001:
         assert [f.rule for f in findings] == ["KEY001"]
         assert "simulate_clique_coverage" in findings[0].message
 
-
-class TestTier001:
-    def test_the_real_registry_satisfies_the_contract(self, scratch_tree):
-        assert lint_paths([scratch_tree / "decoders/registry.py"]) == []
-
-    def test_registered_class_missing_the_batch_hook_fails_lint(self, scratch_tree):
-        (scratch_tree / "decoders/lookup.py").write_text(
-            LOOKUP_DECODER, encoding="utf-8"
-        )
-        registry = scratch_tree / "decoders/registry.py"
-        edit(
-            registry,
-            "from repro.decoders.mwpm import MWPMDecoder\n",
-            "from repro.decoders.lookup import LookupDecoder\n"
-            "from repro.decoders.mwpm import MWPMDecoder\n",
-        )
-        edit(
-            registry,
-            '    "union_find": ClusteringDecoder,\n',
-            '    "union_find": ClusteringDecoder,\n    "lookup": LookupDecoder,\n',
-        )
-        findings = lint_paths([registry])
-        assert [(f.rule, f.line) for f in findings] == [
-            ("TIER001", line_of(registry, '"lookup": LookupDecoder'))
-        ]
-        assert "decode_events_bitmap" in findings[0].message
-        assert "'lookup'" in findings[0].message
-
-    def test_unresolvable_registration_is_an_explicit_finding(self, scratch_tree):
-        # A class the linter cannot trace to an in-tree module (here: defined
-        # behind a local name with no import binding) is reported, not
-        # silently trusted.
-        registry = scratch_tree / "decoders/registry.py"
-        edit(
-            registry,
-            '    "union_find": ClusteringDecoder,\n',
-            '    "union_find": ClusteringDecoder,\n    "mystery": MysteryDecoder,\n',
-        )
-        findings = lint_paths([registry])
-        assert [f.rule for f in findings] == ["TIER001"]
-        assert "cannot statically resolve" in findings[0].message

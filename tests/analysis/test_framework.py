@@ -88,7 +88,7 @@ class TestSuppressionPragmas:
 
 
 class TestRuleSelection:
-    def test_registry_has_the_eight_contract_rules(self):
+    def test_registry_has_the_seven_contract_rules(self):
         assert sorted(all_rules()) == [
             "DET001",
             "DET002",
@@ -97,7 +97,6 @@ class TestRuleSelection:
             "IMP001",
             "KEY001",
             "PKL001",
-            "TIER001",
         ]
 
     def test_select_narrows_to_the_named_rules(self):

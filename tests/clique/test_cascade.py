@@ -1,6 +1,6 @@
 """Tests for the two-tier decoder cascade (Clique -> one off-chip decoder).
 
-Covers the tier-spec grammar and construction validation, the bit-identity
+Covers the three tier spellings and construction validation, the bit-identity
 of the packed batch cascade path against the per-trial ``decode_history``
 reference, and — the load-bearing guarantee — the cascade's seeded outputs
 on all three Monte-Carlo engines, pinned against frozen values.
@@ -17,16 +17,15 @@ from repro.clique.decoder import CliqueDecoder, get_clique_decoder
 from repro.codes.rotated_surface import get_code
 from repro.decoders.base import Decoder
 from repro.decoders.mwpm import MWPMDecoder
-from repro.decoders.registry import resolve_tier_spec, tier_decoder_names
-from repro.decoders.union_find import ClusteringDecoder
 from repro.exceptions import ConfigurationError
-from repro.experiments.fig14 import compare_fallbacks
 from repro.noise.models import PhenomenologicalNoise
 from repro.simulation.memory import run_memory_experiment
 from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.types import DecodeLocation, StabilizerType
 
-UF_TIERS = ("clique", "union_find")
+from offchip_tiers import READY_TIERS, ReadyTierCascade
+
+TIERS = ("clique", "mwpm")
 
 
 def _width(code):
@@ -81,86 +80,115 @@ def _decode_packed(cascade, batch):
     return result, bitplane.unpack_trials(result.corrections, trials)
 
 
-class TestTierSpecResolution:
-    def test_comma_string_and_tuple_agree(self):
-        assert resolve_tier_spec("clique,union_find") == UF_TIERS
-        assert resolve_tier_spec(UF_TIERS) == UF_TIERS
+#: The three spellings of the one named cascade, each as a factory of its
+#: ``tiers`` argument (the third builds a ready MWPM tier).
+_SPELLINGS = {
+    "string": lambda code, stype: "clique,mwpm",
+    "names": lambda code, stype: ("clique", "mwpm"),
+    "instance": lambda code, stype: ("clique", MWPMDecoder(code, stype)),
+}
 
-    def test_whitespace_is_tolerated(self):
-        assert resolve_tier_spec("clique, union_find ") == UF_TIERS
 
-    def test_unknown_tier_lists_valid_names(self):
+class TestTierSpellings:
+    """The cascade takes exactly three spellings of its tiers, and they are
+    one decoder: identical seeded results and tier names."""
+
+    @pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
+    def test_each_spelling_is_the_clique_mwpm_cascade(self, code_d5, spelling):
+        tiers = _SPELLINGS[spelling](code_d5, StabilizerType.X)
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=tiers)
+        assert cascade.tier_names == ("clique", "mwpm")
+        assert cascade.name == "Cascade[clique,mwpm]"
+        assert isinstance(cascade.offchip, MWPMDecoder)
+
+    def test_spellings_give_bit_identical_seeded_batches(self, code_d5):
+        results = {
+            spelling: run_memory_experiment(
+                code_d5,
+                PhenomenologicalNoise(2e-2),
+                lambda code, stype, make=make: DecoderCascade(
+                    code, stype, tiers=make(code, stype)
+                ),
+                trials=300,
+                rng=1234,
+                engine="batch",
+            )
+            for spelling, make in _SPELLINGS.items()
+        }
+        first = results["string"]
+        assert first.tier_names == ("clique", "mwpm")
+        assert first.tier_trials[1] > 0
+        for result in results.values():
+            assert result == first
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "clique,union_find",
+            "clique",
+            "clique,mwpm,mwpm",
+            "mwpm,clique",
+            "clique,,mwpm",
+            ("clique", "union_find"),
+            ("clique", "mwpm", "mwpm"),
+            ("clique", 3),
+            (),
+        ],
+        ids=repr,
+    )
+    def test_every_other_spelling_is_rejected(self, code_d5, spec):
+        with pytest.raises(ConfigurationError, match="exactly two tiers"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=spec)
+
+    def test_unknown_tier_lists_valid_names(self, code_d5):
+        # The error names both tiers, the accepted spellings and what it got.
         with pytest.raises(ConfigurationError) as excinfo:
-            resolve_tier_spec("clique,blossom")
+            DecoderCascade(code_d5, StabilizerType.X, tiers="clique,blossom")
         message = str(excinfo.value)
-        for name in tier_decoder_names():
+        for name in ("'clique'", "'mwpm'", "'clique,mwpm'", "('clique', <Decoder>)"):
             assert name in message
-
-    def test_must_start_with_clique(self):
-        with pytest.raises(ConfigurationError, match="clique"):
-            resolve_tier_spec("union_find,mwpm")
-
-    def test_needs_an_offchip_tier(self):
-        with pytest.raises(ConfigurationError, match="exactly two tiers"):
-            resolve_tier_spec("clique")
-
-    def test_three_tiers_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="exactly two tiers"):
-            resolve_tier_spec("clique,union_find,mwpm")
-
-
-@pytest.mark.parametrize(
-    "spec",
-    ["clique,,mwpm", "clique", "mwpm,clique", "clique,union_find,mwpm"],
-    ids=["malformed", "no-offchip-tier", "clique-not-first", "three-tiers"],
-)
-def test_registry_and_cascade_reject_bad_specs_alike(code_d5, spec):
-    # One grammar: the cascade parses string specs through the registry, so
-    # both entry points reject a bad spec with the same message.
-    with pytest.raises(ConfigurationError) as from_registry:
-        resolve_tier_spec(spec)
-    with pytest.raises(ConfigurationError) as from_cascade:
-        DecoderCascade(code_d5, StabilizerType.X, tiers=spec)
-    assert str(from_cascade.value) == str(from_registry.value)
+        assert message.endswith("got 'clique,blossom'")
 
 
 class TestConstruction:
     def test_string_spec_builds_two_tiers(self, code_d5):
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers="clique,union_find")
-        assert cascade.tier_names == UF_TIERS
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers="clique,mwpm")
+        assert cascade.tier_names == TIERS
         assert cascade.num_tiers == 2
-        assert isinstance(cascade.offchip, ClusteringDecoder)
+        assert isinstance(cascade.offchip, MWPMDecoder)
 
     def test_instance_offchip_tier_is_accepted(self, code_d5):
         final = MWPMDecoder(code_d5, StabilizerType.X)
         cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", final))
         assert cascade.offchip is final
-        assert cascade.tier_names == ("clique", "MWPMDecoder")
+        assert cascade.tier_names == TIERS
         assert cascade.num_tiers == 2
 
     def test_three_tiers_with_instances_are_rejected(self, code_d5):
-        middle = ClusteringDecoder(code_d5, StabilizerType.X)
+        middle = MWPMDecoder(code_d5, StabilizerType.X)
         with pytest.raises(ConfigurationError, match="exactly two tiers"):
             DecoderCascade(
                 code_d5, StabilizerType.X, tiers=("clique", middle, "mwpm")
             )
 
     def test_non_decoder_offchip_tier_is_rejected(self, code_d5):
-        front = CliqueDecoder(code_d5, StabilizerType.X)
         with pytest.raises(ConfigurationError, match="off-chip cascade tier"):
-            DecoderCascade(code_d5, StabilizerType.X, tiers=(front, 3))
-
-    def test_clique_instance_front_tier(self, code_d5):
-        front = CliqueDecoder(code_d5, StabilizerType.X)
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=(front, "mwpm"))
-        assert cascade.clique is front
+            DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", 3))
+        # A Clique decoder decodes one round, not an off-chip window.
+        clique = CliqueDecoder(code_d5, StabilizerType.X)
+        with pytest.raises(ConfigurationError, match="off-chip cascade tier"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", clique))
 
     def test_bad_front_tier_is_rejected(self, code_d5):
         with pytest.raises(ConfigurationError, match="first cascade tier"):
-            DecoderCascade(code_d5, StabilizerType.X, tiers=("mwpm", "union_find"))
+            DecoderCascade(code_d5, StabilizerType.X, tiers=("mwpm", "mwpm"))
         final = MWPMDecoder(code_d5, StabilizerType.X)
         with pytest.raises(ConfigurationError, match="first cascade tier"):
             DecoderCascade(code_d5, StabilizerType.X, tiers=("mwpm", final))
+        # The on-chip tier is always the cached Clique decoder, by name.
+        front = CliqueDecoder(code_d5, StabilizerType.X)
+        with pytest.raises(ConfigurationError, match="first cascade tier"):
+            DecoderCascade(code_d5, StabilizerType.X, tiers=(front, "mwpm"))
 
     @pytest.mark.parametrize("rounds", [0, 2.5, True])
     def test_bad_measurement_rounds_are_rejected_at_construction(self, code_d5, rounds):
@@ -195,16 +223,6 @@ class TestTierTargetValidation:
         with pytest.raises(ConfigurationError, match="distance 7"):
             DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", wrong))
 
-    def test_clique_front_of_another_distance_is_rejected(self, code_d5, code_d7):
-        wrong = CliqueDecoder(code_d7, StabilizerType.X)
-        with pytest.raises(ConfigurationError, match="'clique' at position 0"):
-            DecoderCascade(code_d5, StabilizerType.X, tiers=(wrong, "mwpm"))
-
-    def test_clique_front_of_the_other_stabilizer_type_is_rejected(self, code_d5):
-        wrong = CliqueDecoder(code_d5, StabilizerType.Z)
-        with pytest.raises(ConfigurationError, match="Z stabilizers"):
-            DecoderCascade(code_d5, StabilizerType.X, tiers=(wrong, "mwpm"))
-
     @pytest.mark.parametrize("engine", ["loop", "batch", "sharded"])
     def test_mismatched_tier_fails_before_any_trial_runs(self, code_d5, engine):
         # The reported failure mode: a Z-type final tier in an X cascade used
@@ -223,11 +241,7 @@ class TestTierTargetValidation:
         # built on a separately constructed code of the same distance fits.
         other = type(code_d5)(5)
         final = MWPMDecoder(other, StabilizerType.Z)
-        cascade = DecoderCascade(
-            code_d5,
-            StabilizerType.Z,
-            tiers=(CliqueDecoder(other, StabilizerType.Z), final),
-        )
+        cascade = DecoderCascade(code_d5, StabilizerType.Z, tiers=("clique", final))
         assert cascade.offchip is final
 
 
@@ -263,15 +277,18 @@ class TestBatchedCascadeBitIdentity:
 
     @pytest.mark.parametrize("measurement_rounds", [1, 2, 3])
     @pytest.mark.parametrize("distance", [5, 7])
-    @pytest.mark.parametrize("final", ["mwpm", "union_find"])
+    @pytest.mark.parametrize("final", ["mwpm", *READY_TIERS])
     def test_decode_batch_matches_decode_history(
         self, distance, final, measurement_rounds
     ):
+        # The named MWPM tier solves a batch's windows together; the ready
+        # tiers reach each window through the base per-window loop.
         code = get_code(distance)
+        offchip = final if final == "mwpm" else READY_TIERS[final](code, StabilizerType.X)
         cascade = DecoderCascade(
             code,
             StabilizerType.X,
-            tiers=("clique", final),
+            tiers=("clique", offchip),
             measurement_rounds=measurement_rounds,
         )
         rng = np.random.default_rng(29)
@@ -314,35 +331,36 @@ class TestBatchedCascadeBitIdentity:
         assert with_pair.round_locations[2] is DecodeLocation.OFF_CHIP
         _assert_packed_matches_decode_history(cascade, np.stack([triple, pair]))
 
+    @staticmethod
+    def _assert_ready_tier_decodes_like_mwpm(code, tier_class):
+        via_ready = ReadyTierCascade(tier_class)(code, StabilizerType.X)
+        # A ready tier that is not MWPM reports its own name.
+        assert via_ready.tier_names == ("clique", tier_class.__name__)
+        via_mwpm = DecoderCascade(code, StabilizerType.X, tiers=("clique", "mwpm"))
+        rng = np.random.default_rng(31)
+        batch = (rng.random((30, 6, _width(code))) < 0.15).astype(np.uint8)
+        _assert_packed_matches_decode_history(via_ready, batch)
+        ready, ready_corrections = _decode_packed(via_ready, batch)
+        mwpm, mwpm_corrections = _decode_packed(via_mwpm, batch)
+        assert np.array_equal(ready_corrections, mwpm_corrections)
+        assert np.array_equal(ready.onchip_rounds, mwpm.onchip_rounds)
+        assert np.array_equal(ready.tier_trials, mwpm.tier_trials)
+
     def test_offchip_tier_without_bitmap_hook_still_matches(self, code_d5):
         # An off-chip tier that only implements decode() exercises the base
         # decode_event_windows' per-window detection-mask path.
-        class PlainMWPM(Decoder):
-            def __init__(self, code, stype):
-                super().__init__(code, stype)
-                self._inner = MWPMDecoder(code, stype)
+        self._assert_ready_tier_decodes_like_mwpm(code_d5, READY_TIERS["decode-only"])
 
-            def decode(self, detections):
-                return self._inner.decode(detections)
-
-        via_plain = DecoderCascade(
-            code_d5, StabilizerType.X, tiers=("clique", PlainMWPM(code_d5, StabilizerType.X))
-        )
-        via_bitmap = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "mwpm"))
-        rng = np.random.default_rng(31)
-        batch = (rng.random((30, 6, _width(code_d5))) < 0.15).astype(np.uint8)
-        _assert_packed_matches_decode_history(via_plain, batch)
-        plain, plain_corrections = _decode_packed(via_plain, batch)
-        bitmap, bitmap_corrections = _decode_packed(via_bitmap, batch)
-        assert np.array_equal(plain_corrections, bitmap_corrections)
-        assert np.array_equal(plain.onchip_rounds, bitmap.onchip_rounds)
-        assert np.array_equal(plain.tier_trials, bitmap.tier_trials)
+    def test_offchip_tier_with_only_the_bitmap_hook_still_matches(self, code_d5):
+        # A tier with decode_events_bitmap but no decode_event_windows of its
+        # own takes the base loop's per-window hook path.
+        self._assert_ready_tier_decodes_like_mwpm(code_d5, READY_TIERS["bitmap-hook"])
 
     def test_generic_packed_fallback_matches_decode_history(self, code_d5):
         # The base per-trial loop over decode(), run on a cascade, reads the
         # round split from decode()'s metadata; it must report the same
         # corrections as the native packed path and decode_history's split.
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=UF_TIERS)
+        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=TIERS)
         rng = np.random.default_rng(47)
         batch = (rng.random((20, 6, _width(code_d5))) < 0.15).astype(np.uint8)
         trials = batch.shape[0]
@@ -360,9 +378,19 @@ class TestBatchedCascadeBitIdentity:
             )
             assert result.total_rounds[trial] == reference.num_rounds
 
-    @pytest.mark.parametrize("tiers", [("clique", "mwpm"), UF_TIERS])
+    @pytest.mark.parametrize(
+        "tiers",
+        [
+            lambda code, stype: TIERS,
+            lambda code, stype: ("clique", READY_TIERS["bitmap-hook"](code, stype)),
+        ],
+        ids=["mwpm", "bitmap-hook"],
+    )
     def test_tier_counts_are_the_triage_counts(self, code_d5, tiers):
-        cascade = DecoderCascade(code_d5, StabilizerType.X, tiers=tiers)
+        # The counts come from triage, whichever off-chip tier is behind it.
+        cascade = DecoderCascade(
+            code_d5, StabilizerType.X, tiers=tiers(code_d5, StabilizerType.X)
+        )
         rng = np.random.default_rng(43)
         batch = (rng.random((40, 6, _width(code_d5))) < 0.15).astype(np.uint8)
         result, _ = _decode_packed(cascade, batch)
@@ -438,32 +466,29 @@ PRE_REFACTOR_SEEDED = {
     ("mwpm", 5, "loop"): (12, 1654, 1800, (192, 108), (1654, 146)),
     ("mwpm", 5, "batch"): (12, 1654, 1800, (192, 108), (1654, 146)),
     ("mwpm", 5, "sharded"): (25, 1663, 1800, (199, 101), (1663, 137)),
-    ("union_find", 3, "loop"): (13, 1198, 1200, (298, 2), (1198, 2)),
-    ("union_find", 3, "batch"): (13, 1198, 1200, (298, 2), (1198, 2)),
-    ("union_find", 3, "sharded"): (16, 1199, 1200, (299, 1), (1199, 1)),
-    ("union_find", 5, "loop"): (16, 1654, 1800, (192, 108), (1654, 146)),
-    ("union_find", 5, "batch"): (16, 1654, 1800, (192, 108), (1654, 146)),
-    ("union_find", 5, "sharded"): (25, 1663, 1800, (199, 101), (1663, 137)),
 }
 
 
 class TestPreRefactorEquivalence:
     """``DecoderCascade(("clique", f))`` must be bit-identical to the
     pre-refactor two-tier hierarchy under fixed seeds on the loop, batch,
-    and sharded engines."""
+    and sharded engines.  A ready tier that solves each window as MWPM does,
+    through either branch of the base per-window loop, must reproduce the
+    same frozen MWPM outputs."""
 
     @pytest.mark.parametrize("distance", [3, 5])
-    @pytest.mark.parametrize("fallback", ["mwpm", "union_find"])
+    @pytest.mark.parametrize("fallback", ["mwpm", *READY_TIERS])
     @pytest.mark.parametrize("engine", ["loop", "batch", "sharded"])
     def test_two_tier_cascade_reproduces_frozen_outputs(
         self, distance, fallback, engine
     ):
-        expected = PRE_REFACTOR_SEEDED[(fallback, distance, engine)]
-        args = (
-            get_code(distance),
-            PhenomenologicalNoise(2e-2),
-            _CascadeFactory(("clique", fallback)),
+        expected = PRE_REFACTOR_SEEDED[("mwpm", distance, engine)]
+        factory = (
+            _CascadeFactory(TIERS)
+            if fallback == "mwpm"
+            else ReadyTierCascade(READY_TIERS[fallback])
         )
+        args = (get_code(distance), PhenomenologicalNoise(2e-2), factory)
         if engine == "sharded":
             point = memory_point("p", *args, trials=300, seed=1234)
             result = SweepScheduler(workers=1).run([point])["p"]
@@ -478,58 +503,28 @@ class TestPreRefactorEquivalence:
         ) == expected
 
 
-#: Frozen ``compare_fallbacks()`` rows at its defaults (600 trials,
-#: p=1e-2, d in {5, 7}), every row a 500-trial-shard scheduler run, re-taken
-#: on the 2048-trial block sampler's noise stream (``CODE_VERSION_SALT`` v4).
-#: ``trials_per_sec`` is wall-clock and excluded.
-FROZEN_FALLBACK_ROWS = [
-    (5, "clique,mwpm", 0.015, 0.028259922540006213, 0.98, 0.1, 0.12),
-    (5, "clique,union_find", 0.011666666666666667, 0.023884309997529277, 0.98, 0.1, 0.12),
-    (7, "clique,mwpm", 0.0033333333333333335, 0.012071609567610156, 0.93625, 0.3217, 0.51),
-    (7, "clique,union_find", 0.013333333333333334, 0.026087675694560088, 0.93625, 0.3217, 0.51),
-]
-
-
-def test_compare_fallbacks_reproduces_frozen_rows():
-    rows = compare_fallbacks().rows
-    assert [
-        (
-            row["code_distance"],
-            row["tiers"],
-            row["logical_error_rate"],
-            row["ci_high"],
-            row["onchip_round_fraction"],
-            row["offchip_trial_fraction"],
-            row["offchip_rounds_per_trial"],
-        )
-        for row in rows
-    ] == FROZEN_FALLBACK_ROWS
-    assert all(row["physical_error_rate"] == 1e-2 for row in rows)
-    assert all(row["trials"] == 600 for row in rows)
-
-
 class TestCascadeAcrossEngines:
-    """Both off-chip decoders ride every engine with consistent tier stats
-    (the default Clique+MWPM cascade is covered by the frozen pins above)."""
+    """The cascade rides every engine with consistent tier stats (its seeded
+    counts are covered by the frozen pins above)."""
 
     def test_loop_and_batch_agree_including_tier_stats(self, code_d5):
         kwargs = dict(trials=200, rng=7)
         loop = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(UF_TIERS),
+            _CascadeFactory(TIERS),
             engine="loop",
             **kwargs,
         )
         batch = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(UF_TIERS),
+            _CascadeFactory(TIERS),
             engine="batch",
             **kwargs,
         )
         assert loop == batch
-        assert loop.tier_names == UF_TIERS
+        assert loop.tier_names == TIERS
         assert sum(loop.tier_trials) == loop.trials
         assert loop.tier_rounds == (
             loop.onchip_rounds,
@@ -538,7 +533,7 @@ class TestCascadeAcrossEngines:
 
     def test_sharded_worker_count_never_changes_tier_stats(self, code_d5):
         point = memory_point(
-            "p", code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(UF_TIERS),
+            "p", code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(TIERS),
             trials=400, seed=11,
         )
         one = SweepScheduler(workers=1).run([point])["p"]
@@ -550,7 +545,7 @@ class TestCascadeAcrossEngines:
         result = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(UF_TIERS),
+            _CascadeFactory(TIERS),
             trials=300,
             rng=13,
         )
@@ -581,11 +576,11 @@ class TestCascadeResultStoreRoundTrip:
         result = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(UF_TIERS),
+            _CascadeFactory(TIERS),
             trials=100,
             rng=3,
         )
-        assert result.tier_names == UF_TIERS
+        assert result.tier_names == TIERS
         restored = from_dict(to_dict(result))
         assert restored == result
         assert restored.tier_trials == result.tier_trials

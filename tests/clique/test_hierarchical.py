@@ -1,7 +1,7 @@
 """Tests for the paper's two-tier hierarchy: Clique on-chip + MWPM off-chip.
 
 The hierarchy is the default :class:`~repro.clique.cascade.DecoderCascade`
-(``tiers=("clique", "mwpm")``); the tier-spec grammar, construction checks
+(``tiers=("clique", "mwpm")``); the tier spellings, construction checks
 and frozen seeded pins are covered in ``test_cascade.py``.
 """
 
@@ -215,12 +215,13 @@ class TestNamedOffchipTiers:
         assert decoder.tier_names == ("clique", "mwpm")
         assert isinstance(decoder.offchip, MWPMDecoder)
 
-    def test_union_find_is_selectable_by_name(self, code_d5):
-        from repro.decoders.union_find import ClusteringDecoder
+    def test_ready_decoder_is_selectable_as_offchip_tier(self, code_d5):
+        from offchip_tiers import BitmapHookMWPM
 
-        decoder = DecoderCascade(code_d5, StabilizerType.X, tiers="clique,union_find")
-        assert decoder.tier_names == ("clique", "union_find")
-        assert isinstance(decoder.offchip, ClusteringDecoder)
+        final = BitmapHookMWPM(code_d5, StabilizerType.X)
+        decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", final))
+        assert decoder.tier_names == ("clique", "BitmapHookMWPM")
+        assert decoder.offchip is final
 
     def test_unknown_name_is_rejected(self, code_d5):
         from repro.exceptions import ConfigurationError

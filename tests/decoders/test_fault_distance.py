@@ -15,6 +15,10 @@ data errors that share an ancilla, in consecutive rounds, fire that ancilla
 twice, and the two-round persistence filter takes the pair for a
 measurement error.  Its failing pair count is pinned below as a known gap,
 not a target; the bound on fig14 is not loosened for it.
+
+A new off-chip decoder enters the cascade as a ready ``Decoder`` tier; the
+ready-tier tests run the same enumeration through that slot, here with MWPM
+behind each branch of the base per-window loop (``offchip_tiers.py``).
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
 from repro.simulation.batch import logical_support_bitmap, _run_packed_chunk
 from repro.types import StabilizerType
+
+from offchip_tiers import READY_TIERS, ReadyTierCascade
 
 #: Failing d=5 weight-2 fault pairs of the Clique+MWPM cascade (X
 #: stabilizers): every one is two data errors in consecutive rounds.
@@ -120,3 +126,23 @@ def test_cascade_d5_weight2_known_gap():
     example = [(("data", 0, 1), ("data", 1, 2))]
     assert _count_failures(cascade, code, StabilizerType.X, example) == 1
     assert _count_failures(MWPMDecoder(code, StabilizerType.X), code, StabilizerType.X, example) == 0
+
+
+@pytest.mark.parametrize("distance", [3, 5])
+@pytest.mark.parametrize("tier", sorted(READY_TIERS))
+def test_ready_tier_cascade_corrects_every_single_fault(tier, distance):
+    code = get_code(distance)
+    cascade = ReadyTierCascade(READY_TIERS[tier])(code, StabilizerType.X)
+    fault_sets = _fault_sets(code, StabilizerType.X, 1)
+    assert _count_failures(cascade, code, StabilizerType.X, fault_sets) == 0
+
+
+@pytest.mark.parametrize("tier", sorted(READY_TIERS))
+def test_ready_tier_cascade_has_the_named_cascades_d5_weight2_gap(tier):
+    # The gap is the on-chip filter's, so an exact ready tier leaves it as is.
+    code = get_code(5)
+    cascade = ReadyTierCascade(READY_TIERS[tier])(code, StabilizerType.X)
+    fault_sets = _fault_sets(code, StabilizerType.X, 2)
+    assert _count_failures(cascade, code, StabilizerType.X, fault_sets) == (
+        CASCADE_D5_WEIGHT2_FAILURES
+    )

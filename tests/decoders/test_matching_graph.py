@@ -113,12 +113,10 @@ class TestCaching:
         )
 
     def test_decoders_share_the_cached_graph(self):
-        # One constructor: every MWPM and clustering decoder of a (distance,
-        # stype) reads the cached graph instead of building its own.
+        # One constructor: every MWPM decoder of a (distance, stype) reads
+        # the cached graph instead of building its own.
         from repro.codes.rotated_surface import RotatedSurfaceCode
         from repro.decoders.mwpm import MWPMDecoder
-        from repro.decoders.union_find import ClusteringDecoder
 
         cached = get_matching_graph(5, StabilizerType.Z)
         assert MWPMDecoder(RotatedSurfaceCode(5), StabilizerType.Z).matching_graph is cached
-        assert ClusteringDecoder(RotatedSurfaceCode(5), StabilizerType.Z)._graph is cached

@@ -50,28 +50,3 @@ def test_paper_budgets_cover_every_paper_distance():
     budgets = [fig14.PAPER_TRIAL_BUDGETS[d] for d in fig14.PAPER_DISTANCES]
     assert budgets == sorted(budgets, reverse=True)
 
-
-def test_union_find_row_at_paper_depth():
-    # At d=9 the union-find off-chip decoder must run end-to-end on the
-    # sweep scheduler beside the MWPM reference, with identical triage.
-    result = fig14.compare_fallbacks(
-        trials=400,
-        distances=(9,),
-        error_rate=1e-2,
-        tiers="clique,union_find",
-        seed=2026,
-    )
-    by_tiers = {row["tiers"]: row for row in result.rows}
-    assert set(by_tiers) == {"clique,mwpm", "clique,union_find"}
-    mwpm = by_tiers["clique,mwpm"]
-    union_find = by_tiers["clique,union_find"]
-    # Same seed => identical error histories => identical Clique triage.
-    for column in (
-        "onchip_round_fraction",
-        "offchip_trial_fraction",
-        "offchip_rounds_per_trial",
-    ):
-        assert union_find[column] == mwpm[column]
-    assert mwpm["offchip_trial_fraction"] > 0.0
-    for row in result.rows:
-        assert 0.0 <= row["logical_error_rate"] <= 1.0

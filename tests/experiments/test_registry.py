@@ -15,7 +15,6 @@ EXPECTED_IDS = {
     "fig12",
     "fig13",
     "fig14",
-    "fig14_fallbacks",
     "fig15",
     "fig16",
     "table1",

@@ -93,58 +93,22 @@ class TestFig14:
             error_rate=2e-2,
             rounds=None,
             trials=100,
-            decoder="hierarchical",
             stop=None,
         )
-        # Cascades key their off-chip tier under the historical "fallback"
-        # entry, with no topology entries beside it, so warm stores keep
-        # hitting; distinct off-chip decoders key distinctly.
-        mwpm = fig14._memory_point_config(**common, tiers=("clique", "mwpm"))
-        union_find = fig14._memory_point_config(
-            **common, tiers=("clique", "union_find")
-        )
-        assert mwpm["fallback"] == "mwpm"
-        assert union_find["fallback"] == "union_find"
-        assert mwpm.keys() == union_find.keys()
-        assert "tiers" not in mwpm
-        assert fig14._memory_point_config(**common, tiers=None)["fallback"] is None
+        # The cascade point keeps its off-chip tier under the historical
+        # "fallback" entry, now a constant, so warm stores keep hitting.
+        cascade = fig14._memory_point_config(**common, decoder=fig14.CASCADE_LABEL)
+        baseline = fig14._memory_point_config(**common, decoder=fig14.BASELINE_LABEL)
+        assert cascade["decoder"] == "Clique+MWPM"
+        assert cascade["fallback"] == "mwpm"
+        assert baseline["decoder"] == "MWPM"
+        assert baseline["fallback"] is None
+        assert cascade.keys() == baseline.keys()
+        assert "tiers" not in cascade
 
-
-class TestFig14Cascades:
-    """``tiers`` is the one cascade spelling of fig14 and fig14_fallbacks."""
-
-    def test_default_tiers_equal_the_explicit_two_tier_spec(self):
-        kwargs = dict(trials=30, distances=(3,), error_rates=(2e-2,), seed=3)
-        default = fig14.run(**kwargs)
-        explicit = fig14.run(tiers="clique,mwpm", **kwargs)
-        assert default.rows == explicit.rows
-        assert default.notes == explicit.notes
-
-    def test_two_tier_point_config_keys_the_offchip_tier_as_fallback(self):
-        config = fig14._memory_point_config(
-            distance=5,
-            error_rate=2e-2,
-            rounds=None,
-            trials=100,
-            decoder="Clique+UF",
-            tiers=("clique", "union_find"),
-            stop=None,
-        )
-        assert config["fallback"] == "union_find"
-        assert "tiers" not in config
-
-    def test_compare_fallbacks_runs_a_spec_beside_the_mwpm_reference(self):
-        result = fig14.compare_fallbacks(
-            trials=40, distances=(3,), tiers="clique,union_find"
-        )
-        assert [row["tiers"] for row in result.rows] == [
-            "clique,mwpm",
-            "clique,union_find",
-        ]
-
-    def test_compare_fallbacks_reference_spec_runs_alone(self):
-        result = fig14.compare_fallbacks(trials=40, distances=(3,), tiers="clique,mwpm")
-        assert [row["tiers"] for row in result.rows] == ["clique,mwpm"]
+    def test_tiers_is_no_longer_a_keyword(self):
+        with pytest.raises(TypeError, match="tiers"):
+            fig14.run(trials=30, distances=(3,), tiers="clique,mwpm")
 
 
 class TestFig15:

@@ -149,23 +149,13 @@ class TestFig14KilledSweepResume:
         assert len(scheduled) == FIG14_POINTS
 
 
-#: The store key and the whole ``results.jsonl`` of a one-point fig14 sweep
-#: through the two-tier Clique+union-find cascade, first frozen from the
-#: explicit ``engine="sharded", workers=1`` call at the last commit that
-#: still had the ``engine`` knob (``workers=1`` fixes the line order, which
-#: on a pool follows completion order), and re-taken for
-#: ``CODE_VERSION_SALT`` v3 and v4 (new salt, new memory noise stream), and
-#: for v5 (new salt only: the stored numbers did not move).  A two-tier
-#: cascade keys its off-chip tier under the historical ``"fallback"`` entry.
-TWO_TIER_UF_KEY = "9085df345e171bb702e5fffdc1feb11a79a48f729e63fe2de10ec877d78620e0"
-TWO_TIER_UF_STORE_SHA256 = (
-    "0e1c7c9acda98bce23f9b029ff52231355aaf446d6c51c8d08bfa0dd3c73a4e4"
-)
-
 #: A default fig14 call's keys and store bytes, frozen from the same call
-#: with an explicit ``engine="sharded"`` at that commit (dropping the knob
-#: moved no key and no stored number), re-taken for ``CODE_VERSION_SALT`` v3
-#: and v4, and for v5 (keys only: the stored numbers did not move).
+#: with an explicit ``engine="sharded"`` at the last commit that still had
+#: the ``engine`` knob (dropping the knob moved no key and no stored
+#: number), re-taken for ``CODE_VERSION_SALT`` v3 and v4, and for v5 (keys
+#: only: the stored numbers did not move).  The cascade point keys as
+#: ``"decoder": "Clique+MWPM"``, ``"fallback": "mwpm"``; both entries stayed
+#: when the off-chip tier stopped being selectable, so these did not move.
 DEFAULT_FIG14_PARAMS = dict(
     trials=600, distances=(3,), error_rates=(3e-2,), seed=5, workers=1
 )
@@ -189,27 +179,6 @@ def _store_sha256(store_dir):
     import hashlib
 
     return hashlib.sha256((store_dir / "results.jsonl").read_bytes()).hexdigest()
-
-
-class TestTwoTierKeyPin:
-    def test_two_tier_cascade_point_keeps_its_frozen_key(self, tmp_path):
-        store_dir = tmp_path / "store"
-        run_experiment(
-            "fig14",
-            store=str(store_dir),
-            tiers=("clique", "union_find"),
-            trials=200,
-            distances=(5,),
-            error_rates=(0.01,),
-            workers=1,
-        )
-        cascade_lines = [
-            line
-            for line in _store_lines(store_dir)
-            if line["record"]["decoder_name"] == "Clique+UF"
-        ]
-        assert [line["key"] for line in cascade_lines] == [TWO_TIER_UF_KEY]
-        assert _store_sha256(store_dir) == TWO_TIER_UF_STORE_SHA256
 
 
 class TestDefaultFig14KeyPin:

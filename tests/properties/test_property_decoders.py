@@ -1,13 +1,13 @@
-"""Property-based tests for the off-chip decoders."""
+"""Property-based tests for the off-chip decoder and the Clique+MWPM cascade."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.clique.cascade import DecoderCascade
 from repro.codes.rotated_surface import get_code
 from repro.decoders.mwpm import MWPMDecoder
-from repro.decoders.union_find import ClusteringDecoder
 from repro.types import StabilizerType
 
 TYPES = st.sampled_from([StabilizerType.X, StabilizerType.Z])
@@ -74,26 +74,27 @@ class TestMWPMProperties:
         assert decoder.decode(history).correction == single
 
 
-class TestClusteringProperties:
+class TestCascadeProperties:
     @given(config=error_configuration(), stype=TYPES)
     @settings(max_examples=50, deadline=None)
     def test_correction_always_cancels_the_syndrome(self, config, stype):
+        # Trivial rounds are corrected on-chip, complex ones by MWPM; either
+        # way a one-round syndrome is cleared.
         code, error = config
-        decoder = ClusteringDecoder(code, stype)
+        decoder = DecoderCascade(code, stype)
         syndrome = code.syndrome_of(error, stype)
         correction = decoder.decode(syndrome).correction
         residual = error ^ correction
         assert not code.syndrome_of(residual, stype).any()
 
-    @given(config=error_configuration(), stype=TYPES)
+    @given(distance=st.sampled_from([3, 5]), stype=TYPES, data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_agrees_with_mwpm_on_single_errors(self, config, stype):
-        code, error = config
-        if len(error) != 1:
-            return
-        syndrome = code.syndrome_of(error, stype)
-        clustering = ClusteringDecoder(code, stype).decode(syndrome).correction
+    def test_agrees_with_mwpm_on_single_errors(self, distance, stype, data):
+        code = get_code(distance)
+        qubit = data.draw(st.sampled_from(code.data_qubits))
+        syndrome = code.syndrome_of({qubit}, stype)
+        cascade = DecoderCascade(code, stype).decode(syndrome).correction
         mwpm = MWPMDecoder(code, stype).decode(syndrome).correction
-        residual = clustering ^ mwpm
+        residual = cascade ^ mwpm
         assert not code.syndrome_of(residual, stype).any()
         assert not code.is_logical_error(residual, stype)

@@ -25,7 +25,7 @@ from repro.clique import decoder as clique_decoder
 from repro.clique.decoder import CliqueDecoder, get_clique_decoder
 from repro.codes.rotated_surface import RotatedSurfaceCode, get_code
 from repro.experiments import run_experiment
-from repro.experiments.fig14 import _CascadeFactory
+from repro.experiments.fig14 import _cascade_factory
 from repro.hardware.estimates import clique_overheads, compare_with_nisqplus
 from repro.hardware.synthesis import synthesize_clique_decoder
 from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
@@ -245,7 +245,7 @@ class TestShardPayloads:
 
     def test_memory_kernel_payload_is_small(self):
         kernel = MemoryKernel(
-            get_code(21), PhenomenologicalNoise(1e-3), _CascadeFactory(), 21, X
+            get_code(21), PhenomenologicalNoise(1e-3), _cascade_factory, 21, X
         )
         payload = pickle.dumps(kernel)
         assert len(payload) < 2048

@@ -3,9 +3,9 @@
 The bit-packed batch engine promises *bit-identity* with the per-trial
 ``engine="loop"`` oracle under a fixed seed — not statistical agreement.
 These tests pin that promise across engines (batch, and sharded against
-per-shard loop runs), decoder shapes (Clique+MWPM and Clique+union-find
-cascades, flat MWPM through the base ``decode_batch_packed`` fallback),
-ragged trial
+per-shard loop runs), decoder shapes (the Clique+MWPM cascade, a cascade
+whose ready off-chip tier takes the base per-window loop, flat MWPM, and a
+flat decoder through the base ``decode_batch_packed`` fallback), ragged trial
 counts, chunking choices, and noise-model subclasses.  The allocation tests
 pin one canonical dtype per pipeline stage and a bounded per-chunk working
 set.
@@ -30,6 +30,8 @@ from repro.simulation.memory import run_memory_experiment, trial_error_histories
 from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.simulation.shard import plan_shards
 from repro.types import StabilizerType
+
+from offchip_tiers import READY_TIERS, ReadyTierCascade
 
 
 def _hierarchical(code, stype):
@@ -66,8 +68,8 @@ class TestPackedEquivalence:
     @pytest.mark.parametrize("error_rate", [5e-3, 2e-2])
     @pytest.mark.parametrize(
         "factory",
-        [_hierarchical, _CascadeFactory(("clique", "union_find")), _mwpm],
-        ids=["clique-mwpm", "clique-union-find", "flat-mwpm"],
+        [_hierarchical, ReadyTierCascade(READY_TIERS["bitmap-hook"]), _mwpm],
+        ids=["clique-mwpm", "clique-bitmap-hook", "flat-mwpm"],
     )
     def test_packed_matches_loop(self, distance, trials, error_rate, factory):
         code = get_code(distance)
@@ -103,9 +105,8 @@ class TestPackedEquivalence:
 
     @pytest.mark.parametrize(
         "factory",
-        [_CascadeFactory(("clique", "mwpm")),
-         _CascadeFactory(("clique", "union_find"))],
-        ids=["clique-mwpm", "clique-union-find"],
+        [_CascadeFactory(("clique", "mwpm")), ReadyTierCascade(READY_TIERS["bitmap-hook"])],
+        ids=["clique-mwpm", "clique-bitmap-hook"],
     )
     def test_sharded_engine_matches_per_shard_loop_runs(self, factory):
         # Each shard rides the packed batch engine on its own
@@ -183,14 +184,15 @@ class TestPackedEquivalence:
 
 class TestDecodeBatchPacked:
     @pytest.mark.parametrize(
-        "tiers", [("clique", "mwpm"), ("clique", "union_find")],
-        ids=["clique-mwpm", "clique-union-find"],
+        "factory",
+        [_CascadeFactory(("clique", "mwpm")), ReadyTierCascade(READY_TIERS["bitmap-hook"])],
+        ids=["clique-mwpm", "clique-bitmap-hook"],
     )
     @pytest.mark.parametrize("density", [0.03, 0.15])
     def test_cascade_packed_decode_matches_decode_history(
-        self, code_d5, tiers, density
+        self, code_d5, factory, density
     ):
-        decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=tiers)
+        decoder = factory(code_d5, StabilizerType.X)
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
         rng = np.random.default_rng(11)
         trials = 70  # ragged last word
@@ -231,10 +233,10 @@ class TestDecodeBatchPacked:
                 bitmap[data_index[qubit]] ^= 1
             assert np.array_equal(corrections[trial], bitmap)
 
-    def test_base_fallback_matches_per_trial_union_find(self, code_d5):
-        from repro.decoders.union_find import ClusteringDecoder
-
-        decoder = ClusteringDecoder(code_d5, StabilizerType.X)
+    def test_base_fallback_matches_per_trial_decode(self, code_d5):
+        # A flat decoder with neither a packed path nor window hooks of its
+        # own rides the base class's per-trial loop.
+        decoder = READY_TIERS["decode-only"](code_d5, StabilizerType.X)
         width = code_d5.num_ancillas_of_type(StabilizerType.X)
         data_index = code_d5.data_index
         rng = np.random.default_rng(5)
@@ -247,6 +249,7 @@ class TestDecodeBatchPacked:
             for qubit in decoder.decode(batch[trial]).correction:
                 bitmap[data_index[qubit]] ^= 1
             assert np.array_equal(corrections[trial], bitmap)
+        assert not packed.total_rounds.any()
 
     def test_packed_corrections_keep_padding_bits_zero(self, code_d5):
         decoder = DecoderCascade(code_d5, StabilizerType.X, tiers=("clique", "mwpm"))

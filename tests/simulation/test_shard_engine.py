@@ -27,6 +27,7 @@ from repro.simulation.scheduler import SweepScheduler, memory_point
 from repro.simulation.shard import plan_shards
 from repro.types import StabilizerType
 
+from offchip_tiers import READY_TIERS, ReadyTierCascade
 from shard_kernels import BernoulliKernel, run_point, shard_oracle
 
 
@@ -34,10 +35,6 @@ from shard_kernels import BernoulliKernel, run_point, shard_oracle
 # (picklable) callables.
 def _hierarchical(code, stype):
     return DecoderCascade(code, stype, tiers=("clique", "mwpm"))
-
-
-def _hierarchical_uf(code, stype):
-    return DecoderCascade(code, stype, tiers=("clique", "union_find"))
 
 
 class TestGenericRunner:
@@ -214,15 +211,20 @@ class TestShardedDeterminism:
         assert first.logical_failures == second.logical_failures
         assert first.onchip_rounds == second.onchip_rounds
 
-    def test_union_find_fallback_shards_identically(self, code_d3):
+    def test_ready_offchip_tier_shards_identically(self, code_d3):
+        # A ready off-chip tier travels to forked workers inside the cascade
+        # factory and decodes there exactly as in the parent process.
         noise = PhenomenologicalNoise(2e-2)
+        factory = ReadyTierCascade(READY_TIERS["bitmap-hook"])
         point = memory_point(
-            "p", code_d3, noise, _hierarchical_uf, trials=600, seed=11, chunk_trials=200
+            "p", code_d3, noise, factory, trials=600, seed=11, chunk_trials=200
         )
         single = SweepScheduler(workers=1).run([point])["p"]
         pooled = SweepScheduler(workers=2).run([point])["p"]
+        assert single.tier_names == ("clique", "BitmapHookMWPM")
         assert single.logical_failures == pooled.logical_failures
         assert single.onchip_rounds == pooled.onchip_rounds
+        assert single.tier_trials == pooled.tier_trials
 
 
 class TestShardedValidation:

@@ -7,8 +7,6 @@ import argparse
 import pytest
 
 from repro.cli import _parse_param, _parse_scalar, build_parser, main
-from repro.decoders.registry import resolve_tier_spec
-from repro.exceptions import ConfigurationError
 from repro.experiments.registry import available_experiments
 
 
@@ -239,85 +237,27 @@ class TestStoreCli:
 
 class TestCascadeTiersCli:
     FIG14_ARGS = [
-        "fig14_fallbacks",
+        "fig14",
         "--param",
-        "trials=60",
+        "trials=40",
         "--param",
-        "distances=5,",
+        "distances=3,",
+        "--param",
+        "error_rates=2e-2,",
     ]
 
-    def test_tiers_spec_compares_against_the_mwpm_reference(self, capsys):
-        assert main(self.FIG14_ARGS + ["--tiers", "clique,union_find"]) == 0
+    def test_fig14_runs_the_clique_mwpm_hierarchy(self, capsys):
+        assert main(self.FIG14_ARGS) == 0
         out = capsys.readouterr().out
-        assert "clique,union_find" in out
-        assert "clique,mwpm" in out
-        assert "offchip_trial_fraction" in out
-        assert "offchip_rounds_per_trial" in out
+        assert "MWPM baseline vs Clique+MWPM" in out
 
-    @pytest.mark.parametrize("experiment", ["fig14", "fig14_fallbacks"])
-    def test_three_tier_spec_is_a_clean_error(self, experiment, capsys):
-        assert main([experiment, "--tiers", "clique,union_find,mwpm"]) == 1
+    def test_tiers_param_is_a_clean_error(self, capsys):
+        # fig14 has one cascade, so it takes no tier spec at all.
+        assert main(self.FIG14_ARGS + ["--param", "tiers=clique,mwpm"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "exactly two tiers" in err
+        assert "tiers" in err
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "spec",
-        ["clique,,mwpm", "clique", "mwpm,clique", "clique,union_find,mwpm"],
-        ids=["malformed", "no-offchip-tier", "clique-not-first", "three-tiers"],
-    )
-    def test_bad_tier_spec_reports_the_registry_error(self, spec, capsys):
-        # One grammar: --tiers goes through resolve_tier_spec, so the CLI
-        # reports exactly the registry's message for every bad spec.
-        with pytest.raises(ConfigurationError) as from_registry:
-            resolve_tier_spec(spec)
-        assert main(["fig14", "--tiers", spec]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert str(from_registry.value) in err
-
-    def test_unknown_tier_name_lists_valid_decoders(self, capsys):
-        # The satellite fix: a typo'd tier must produce the registry's clean
-        # error naming the valid decoders, not a KeyError traceback.
-        assert main(self.FIG14_ARGS + ["--tiers", "clique,blossom"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "mwpm" in err and "union_find" in err
-        assert "Traceback" not in err
-
-    def test_unknown_two_tier_name_on_fig14_lists_valid_decoders(self, capsys):
-        assert main(["fig14", "--tiers", "clique,blossom"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "mwpm" in err and "union_find" in err
-
-    def test_unknown_tier_via_param_lists_valid_decoders(self, capsys):
-        assert main(self.FIG14_ARGS + ["--param", "tiers=clique,blossom"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "mwpm" in err and "union_find" in err
-
-    def test_two_tier_spec_swaps_the_offchip_decoder(self, capsys):
-        assert (
-            main(
-                [
-                    "fig14",
-                    "--tiers",
-                    "clique,union_find",
-                    "--param",
-                    "trials=40",
-                    "--param",
-                    "distances=3,",
-                    "--param",
-                    "error_rates=2e-2,",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "MWPM baseline vs Clique+UF" in out
-        assert "tiers=clique,union_find)" in out
 
     @pytest.mark.parametrize(
         "flags",
@@ -326,14 +266,15 @@ class TestCascadeTiersCli:
             ["--no-packed"],
             ["--escalation-cluster-size", "4"],
             ["--engine", "batch"],
+            ["--tiers", "clique,mwpm"],
         ],
-        ids=["fallback", "no-packed", "escalation-cluster-size", "engine"],
+        ids=["fallback", "no-packed", "escalation-cluster-size", "engine", "tiers"],
     )
     def test_retired_flags_are_argparse_errors(self, flags, capsys):
-        # --tiers is the one cascade spelling, the packed kernels are the
-        # only batch path, cascades have two tiers (no escalation knob), and
-        # every fig14 point runs on the sweep scheduler (no engine choice):
-        # the retired flags no longer parse.
+        # The cascade is always Clique+MWPM (no fallback or tier choice), the
+        # packed kernels are the only batch path, cascades have two tiers
+        # (no escalation knob), and every fig14 point runs on the sweep
+        # scheduler (no engine choice): the retired flags no longer parse.
         with pytest.raises(SystemExit) as excinfo:
             main(self.FIG14_ARGS + flags)
         assert excinfo.value.code == 2
