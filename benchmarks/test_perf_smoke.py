@@ -7,8 +7,6 @@ tracked across PRs:
 * ``engines`` — d=5, p=1e-2, 1000 trials on all three engines (loop / batch /
   sharded), asserting the batch engine's >= 5x advantage over the loop and
   the sharded engine's bit-determinism across worker counts;
-* ``fallbacks`` — the same workload through the ``clique,mwpm`` cascade,
-  one entry per off-chip tier (MWPM is the only one);
 * ``paper_workload`` — d=7, p=1e-2, 4000 trials, batch vs sharded: the
   sharded engine must be >= 3x faster on a multi-core runner (>= 4 CPUs) and
   must not regress below the batch engine at ``workers=1``;
@@ -88,8 +86,9 @@ from repro.types import StabilizerType
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_memory.json"
 
 #: v12: no ``cascade`` section, and the blossom lane's end-to-end runs time
-#: the Clique+MWPM cascade only.
-SCHEMA_VERSION = 12
+#: the Clique+MWPM cascade only.  v13: no ``fallbacks`` section (its one
+#: Clique+MWPM entry timed the ``engines`` batch run's workload again).
+SCHEMA_VERSION = 13
 DISTANCE = 5
 ERROR_RATE = 1e-2
 TRIALS = 1_000
@@ -164,30 +163,18 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-class _Cascade:
-    """Picklable cascade factory (sharded workers rebuild the decoder per
-    shard); the default is the paper's two-tier Clique+MWPM hierarchy."""
-
-    def __init__(self, tiers=("clique", "mwpm")) -> None:
-        self.tiers = tuple(tiers)
-
-    def __call__(self, code, stype):
-        return DecoderCascade(code, stype, tiers=self.tiers)
-
-
 def _time_run(distance: int, trials: int, engine: str, **kwargs) -> dict:
     code = get_code(distance)
     noise = PhenomenologicalNoise(ERROR_RATE)
-    factory = kwargs.pop("factory", None) or _Cascade()
     start = time.perf_counter()
     if engine == "sharded":
         # The record keeps its historical "sharded" label: a one-point
         # scheduler run.
-        point = memory_point("p", code, noise, factory, trials=trials, seed=SEED)
+        point = memory_point("p", code, noise, DecoderCascade, trials=trials, seed=SEED)
         result = SweepScheduler(**kwargs).run([point])["p"]
     else:
         result = run_memory_experiment(
-            code, noise, factory, trials=trials, rng=SEED, engine=engine, **kwargs
+            code, noise, DecoderCascade, trials=trials, rng=SEED, engine=engine, **kwargs
         )
     elapsed = time.perf_counter() - start
     run = {
@@ -202,14 +189,14 @@ def _time_run(distance: int, trials: int, engine: str, **kwargs) -> dict:
     return run
 
 
-def test_engine_and_fallback_throughput_bench_record():
+def test_engine_throughput_bench_record():
     # Warm-up outside the timers: lattice/matching-graph construction is
     # shared one-time cost, not engine throughput.
     for distance in (DISTANCE, PAPER_DISTANCE):
         run_memory_experiment(
             get_code(distance),
             PhenomenologicalNoise(ERROR_RATE),
-            _Cascade(),
+            DecoderCascade,
             trials=10,
             rng=1,
         )
@@ -221,15 +208,6 @@ def test_engine_and_fallback_throughput_bench_record():
     batch_run = _time_run(DISTANCE, TRIALS, "batch")
     sharded_run = _time_run(DISTANCE, TRIALS, "sharded")
     batch_speedup = batch_run["trials_per_sec"] / loop_run["trials_per_sec"]
-
-    # --- fallbacks: the off-chip tier through the batch engine ------------
-    fallback_runs = []
-    for fallback in ("mwpm",):
-        run = _time_run(
-            DISTANCE, TRIALS, "batch", factory=_Cascade(("clique", fallback))
-        )
-        run["fallback"] = fallback
-        fallback_runs.append(run)
 
     # --- paper workload: d=7, 4000 trials, batch vs sharded ---------------
     paper_batch = _time_run(PAPER_DISTANCE, PAPER_TRIALS, "batch")
@@ -273,7 +251,7 @@ def test_engine_and_fallback_throughput_bench_record():
             "p",
             get_code(DISTANCE),
             PhenomenologicalNoise(ERROR_RATE),
-            _Cascade(),
+            DecoderCascade,
             trials=fixed_budget,
             seed=SEED,
             stop=stop,
@@ -308,12 +286,12 @@ def test_engine_and_fallback_throughput_bench_record():
         for _ in range(PACKED_TIMING_REPEATS):
             start = time.perf_counter()
             result = run_memory_experiment(
-                code, noise, _Cascade(), trials=trials, rng=SEED, engine="batch"
+                code, noise, DecoderCascade, trials=trials, rng=SEED, engine="batch"
             )
             elapsed = min(elapsed, time.perf_counter() - start)
         tracemalloc.start()
         run_memory_experiment(
-            code, noise, _Cascade(), trials=trials, rng=SEED, engine="batch"
+            code, noise, DecoderCascade, trials=trials, rng=SEED, engine="batch"
         )
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -329,7 +307,7 @@ def test_engine_and_fallback_throughput_bench_record():
         run_memory_experiment(  # warm-up: per-distance decoder tables
             get_code(distance),
             PhenomenologicalNoise(PACKED_ERROR_RATE),
-            _Cascade(),
+            DecoderCascade,
             trials=64,
             rng=1,
         )
@@ -385,7 +363,7 @@ def test_engine_and_fallback_throughput_bench_record():
             result = run_memory_experiment(
                 get_code(distance),
                 PhenomenologicalNoise(ERROR_RATE),
-                _Cascade(),
+                DecoderCascade,
                 trials=blossom_trials,
                 rounds=deep_rounds,
                 rng=SEED,
@@ -426,7 +404,7 @@ def test_engine_and_fallback_throughput_bench_record():
             "p",
             get_code(DISTANCE),
             PhenomenologicalNoise(ERROR_RATE),
-            _Cascade(),
+            DecoderCascade,
             trials=FAULTS_TRIALS,
             seed=SEED,
         )
@@ -533,7 +511,7 @@ def test_engine_and_fallback_throughput_bench_record():
 
     # --- scheduler: one persistent pool per sweep (schema v10) ------------
     run_memory_experiment(  # warm-up: d=3 decoder tables for the workers=1 side
-        get_code(3), PhenomenologicalNoise(ERROR_RATE), _Cascade(),
+        get_code(3), PhenomenologicalNoise(ERROR_RATE), DecoderCascade,
         trials=10, rng=1,
     )
 
@@ -605,7 +583,6 @@ def test_engine_and_fallback_throughput_bench_record():
             "seed": SEED,
         },
         "engines": [loop_run, batch_run, sharded_run],
-        "fallbacks": fallback_runs,
         "paper_workload": {
             "distance": PAPER_DISTANCE,
             "error_rate": ERROR_RATE,
@@ -643,11 +620,6 @@ def test_engine_and_fallback_throughput_bench_record():
     assert batch_run["onchip_round_fraction"] == loop_run["onchip_round_fraction"]
     sharded_repeat = _time_run(DISTANCE, TRIALS, "sharded", workers=1)
     assert sharded_repeat["logical_failures"] == sharded_run["logical_failures"]
-
-    # Every fallback leg decodes the batch run's seeded histories through
-    # the same engine; the on-chip fraction is triage-side and must match.
-    for run in fallback_runs:
-        assert run["onchip_round_fraction"] == batch_run["onchip_round_fraction"]
 
     # The sharded coverage counts never depend on the worker count.
     assert coverage_counts[0] == coverage_counts[1]

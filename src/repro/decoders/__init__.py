@@ -8,14 +8,13 @@ joins a :class:`~repro.clique.cascade.DecoderCascade` as a ready
 
 from repro.decoders.base import Decoder, DecodeResult
 from repro.decoders.blossom import match_events
-from repro.decoders.matching_graph import MatchingGraph, SpaceTimeEvent
+from repro.decoders.matching_graph import MatchingGraph
 from repro.decoders.mwpm import MWPMDecoder
 
 __all__ = [
     "Decoder",
     "DecodeResult",
     "MatchingGraph",
-    "SpaceTimeEvent",
     "MWPMDecoder",
     "match_events",
 ]

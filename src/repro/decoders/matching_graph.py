@@ -17,7 +17,6 @@ path) to.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,14 +26,6 @@ from repro.types import Coord, StabilizerType
 
 #: Sentinel node index representing the lattice boundary in the spatial graph.
 BOUNDARY = -1
-
-
-@dataclass(frozen=True, order=True)
-class SpaceTimeEvent:
-    """A detection event located at (round, ancilla index)."""
-
-    round: int
-    ancilla_index: int
 
 
 class MatchingGraph:
@@ -228,30 +219,6 @@ class MatchingGraph:
         """Data qubits along one shortest chain from an ancilla to the boundary."""
         return self._boundary_path[ancilla]
 
-    def event_distance(self, event_a: SpaceTimeEvent, event_b: SpaceTimeEvent) -> int:
-        """Space-time distance between two detection events."""
-        return self.spatial_distance(event_a.ancilla_index, event_b.ancilla_index) + abs(
-            event_a.round - event_b.round
-        )
-
-    def event_boundary_distance(self, event: SpaceTimeEvent) -> int:
-        """Space-time distance from an event to the boundary (purely spatial)."""
-        return self.boundary_distance(event.ancilla_index)
-
-    def correction_between(
-        self, event_a: SpaceTimeEvent, event_b: SpaceTimeEvent
-    ) -> frozenset[Coord]:
-        """Data-qubit correction for matching two events to each other.
-
-        The temporal component of the match corresponds to measurement errors
-        and therefore contributes no data-qubit correction.
-        """
-        return self.spatial_path(event_a.ancilla_index, event_b.ancilla_index)
-
-    def correction_to_boundary(self, event: SpaceTimeEvent) -> frozenset[Coord]:
-        """Data-qubit correction for matching an event to the boundary."""
-        return self.boundary_path(event.ancilla_index)
-
 
 @lru_cache(maxsize=64)
 def get_matching_graph(distance: int, stype: StabilizerType) -> MatchingGraph:
@@ -261,4 +228,4 @@ def get_matching_graph(distance: int, stype: StabilizerType) -> MatchingGraph:
     return MatchingGraph(get_code(distance), stype)
 
 
-__all__ = ["BOUNDARY", "SpaceTimeEvent", "MatchingGraph", "get_matching_graph"]
+__all__ = ["BOUNDARY", "MatchingGraph", "get_matching_graph"]

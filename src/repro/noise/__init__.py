@@ -7,7 +7,7 @@ errors are decoded independently so a single binary error species is
 simulated at a time.
 """
 
-from repro.noise.events import CycleErrors, errors_to_vector, vector_to_errors
+from repro.noise.events import vector_to_errors
 from repro.noise.models import (
     CodeCapacityNoise,
     NoiseModel,
@@ -16,8 +16,6 @@ from repro.noise.models import (
 from repro.noise.rng import make_rng, point_seed, spawn_rngs
 
 __all__ = [
-    "CycleErrors",
-    "errors_to_vector",
     "vector_to_errors",
     "NoiseModel",
     "PhenomenologicalNoise",

@@ -1,52 +1,17 @@
-"""Error-event containers and conversions between coordinate and vector form.
+"""Conversion from binary error vectors to coordinate sets.
 
-Two representations are used in the library:
-
-* *coordinate sets* (``frozenset[Coord]``) — convenient for the Clique
-  decoder, whose reasoning is local and geometric;
-* *binary numpy vectors* indexed by the code's ``data_index`` /
-  ``ancilla_index`` orderings — convenient for syndrome linear algebra and
-  for fast Monte-Carlo sampling.
+The library samples and decodes errors as binary numpy vectors indexed by
+the code's ``data_index`` / ``ancilla_index`` orderings;
+:func:`vector_to_errors` turns one back into the coordinate set
+(``frozenset[Coord]``) that decoder corrections and the code's
+coordinate-level checks use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.types import Coord
-
-
-@dataclass(frozen=True)
-class CycleErrors:
-    """Errors injected during a single decode cycle for one error species.
-
-    Attributes:
-        data_errors: data qubits that suffered a new error this cycle.
-        measurement_errors: ancillas whose syndrome measurement was flipped
-            this cycle.
-    """
-
-    data_errors: frozenset[Coord] = field(default_factory=frozenset)
-    measurement_errors: frozenset[Coord] = field(default_factory=frozenset)
-
-    @property
-    def is_error_free(self) -> bool:
-        """True when the cycle injected no error of either kind."""
-        return not self.data_errors and not self.measurement_errors
-
-    @property
-    def num_errors(self) -> int:
-        return len(self.data_errors) + len(self.measurement_errors)
-
-
-def errors_to_vector(errors: frozenset[Coord] | set[Coord], index: dict[Coord, int]) -> np.ndarray:
-    """Convert a coordinate set into a binary vector following ``index``."""
-    vector = np.zeros(len(index), dtype=np.uint8)
-    for coord in errors:
-        vector[index[coord]] = 1
-    return vector
 
 
 def vector_to_errors(vector: np.ndarray, ordering: tuple[Coord, ...]) -> frozenset[Coord]:
@@ -62,4 +27,4 @@ def vector_to_errors(vector: np.ndarray, ordering: tuple[Coord, ...]) -> frozens
     return frozenset(coord for coord, bit in zip(ordering, vector) if bit)
 
 
-__all__ = ["CycleErrors", "errors_to_vector", "vector_to_errors"]
+__all__ = ["vector_to_errors"]

@@ -25,8 +25,6 @@ import numpy as np
 from repro import bitplane
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.exceptions import InvalidProbabilityError
-from repro.noise.events import CycleErrors, vector_to_errors
-from repro.noise.rng import make_rng
 from repro.types import StabilizerType
 
 #: Trials per block of the sparse history sampler
@@ -178,19 +176,6 @@ class NoiseModel(abc.ABC):
             rng.random((num_samples, code.num_data_qubits)) < self.data_error_rate
         ).astype(np.uint8)
 
-    def sample_measurement_matrix(
-        self,
-        code: RotatedSurfaceCode,
-        stype: StabilizerType,
-        num_samples: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Binary matrix of measurement flips, shape ``(num_samples, num_ancillas)``."""
-        return (
-            rng.random((num_samples, code.num_ancillas_of_type(stype)))
-            < self.measurement_error_rate
-        ).astype(np.uint8)
-
     def sample_error_blocks(
         self,
         code: RotatedSurfaceCode,
@@ -317,22 +302,6 @@ class NoiseModel(abc.ABC):
             _set_block_bits(data_planes, block, first_word, data)
             _set_block_bits(flip_planes, block, first_word, flips)
         return data_planes, flip_planes
-
-    def sample_cycle(
-        self,
-        code: RotatedSurfaceCode,
-        stype: StabilizerType,
-        rng: np.random.Generator | int | None = None,
-    ) -> CycleErrors:
-        """Sample one cycle of errors and return them in coordinate form."""
-        generator = make_rng(rng)
-        data_vector = self.sample_data_vector(code, generator)
-        meas_vector = self.sample_measurement_vector(code, stype, generator)
-        ancilla_coords = tuple(a.coord for a in code.ancillas(stype))
-        return CycleErrors(
-            data_errors=vector_to_errors(data_vector, code.data_qubits),
-            measurement_errors=vector_to_errors(meas_vector, ancilla_coords),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -6,10 +6,7 @@ from repro.simulation.coverage import (
     CoverageResult,
     simulate_clique_coverage,
 )
-from repro.simulation.cycles import (
-    sample_cycle_signatures,
-    simulate_signature_distribution,
-)
+from repro.simulation.cycles import simulate_signature_distribution
 from repro.simulation.memory import MemoryExperimentResult, run_memory_experiment
 from repro.simulation.monte_carlo import (
     WilsonStoppingRule,
@@ -34,7 +31,6 @@ __all__ = [
     "coverage_point",
     "memory_point",
     "resolve_auto_chunk",
-    "sample_cycle_signatures",
     "simulate_signature_distribution",
     "SignatureDistribution",
     "CoverageKernel",

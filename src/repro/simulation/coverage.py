@@ -38,6 +38,7 @@ from repro.clique.measurement_filter import check_measurement_rounds
 from repro.codes.rotated_surface import RotatedSurfaceCode
 from repro.exceptions import ConfigurationError
 from repro.noise.models import NoiseModel
+from repro.simulation.cycles import sample_cycle_planes
 from repro.simulation.monte_carlo import until_wilson, wilson_interval
 from repro.simulation.scheduler import SweepPoint, SweepScheduler, coverage_point
 from repro.simulation.shard import AUTO_CHUNK, _resolve_workers, resolve_auto_chunk
@@ -127,14 +128,11 @@ def sample_complex_words(
     """Sample ``cycles`` independent decode cycles and triage them, packed.
 
     The coverage body behind :class:`CoverageKernel`, hence every coverage
-    run.  Fresh data errors come
-    from ``NoiseModel.sample_data_matrix`` (so subclasses overriding the
-    batched data sampler are honoured), then one ``(cycles, ancillas)``
-    uniform draw marks the persistence-filtered measurement flips (rate
-    ``p ** measurement_rounds``).  These two draws, in this order, are part
-    of the seeded-output contract.  Both are packed trials-major
-    (:mod:`repro.bitplane`); signatures are XOR-parity syndromes XOR the
-    flips, and the Clique decision runs word-wise.
+    run.  The cycles come from
+    :func:`~repro.simulation.cycles.sample_cycle_planes`, Fig. 4's
+    draw-and-pack step, with the persistence-filtered flip rate
+    ``q ** measurement_rounds``; signatures are XOR-parity syndromes XOR
+    the flips, and the Clique decision runs word-wise.
 
     Args:
         clique: Clique decoder of the code and stabilizer type to sample.
@@ -147,15 +145,15 @@ def sample_complex_words(
         off-chip, bit ``t`` of ``active_words`` iff its signature is not all
         zeros.  Padding bits are 0 in both.
     """
-    code = clique.code
-    data_errors = noise.sample_data_matrix(code, cycles, generator)
-    persistent_flips = (
-        generator.random((cycles, packed_check.num_ancillas))
-        < noise.measurement_error_rate**measurement_rounds
+    data_planes, flip_planes = sample_cycle_planes(
+        clique.code,
+        clique.stabilizer_type,
+        noise,
+        noise.measurement_error_rate**measurement_rounds,
+        cycles,
+        generator,
     )
-    signatures = packed_check.syndromes(
-        bitplane.pack_trials(data_errors)[np.newaxis]
-    )[0] ^ bitplane.pack_trials(persistent_flips)
+    signatures = packed_check.syndromes(data_planes[np.newaxis])[0] ^ flip_planes
     return (
         clique.complex_any_packed(signatures),
         np.bitwise_or.reduce(signatures, axis=0),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import bitplane
 from repro.bandwidth.traffic import (
     ancilla_flip_probability,
     expected_nonzero_syndrome_bits,
@@ -12,7 +13,7 @@ from repro.bandwidth.traffic import (
 )
 from repro.exceptions import ConfigurationError, InvalidProbabilityError
 from repro.noise.models import PhenomenologicalNoise
-from repro.simulation.cycles import sample_cycle_signatures
+from repro.simulation.cycles import sample_cycle_planes
 from repro.types import StabilizerType
 
 
@@ -64,8 +65,10 @@ class TestExpectedNonzeroBits:
         total = 0.0
         cycles = 20_000
         for stype in StabilizerType:
-            signatures, _ = sample_cycle_signatures(code_d5, stype, noise, cycles, rng)
-            total += signatures.sum() / cycles
+            data, flips = sample_cycle_planes(code_d5, stype, noise, p, cycles, rng)
+            check = bitplane.get_packed_parity_check(5, stype)
+            signatures = check.syndromes(data[np.newaxis])[0] ^ flips
+            total += bitplane.popcount(signatures) / cycles
         assert analytic == pytest.approx(total, rel=0.1)
 
     def test_scales_with_distance(self):

@@ -32,16 +32,6 @@ def _width(code):
     return code.num_ancillas_of_type(StabilizerType.X)
 
 
-class _CascadeFactory:
-    """Picklable factory for sharded-engine tests."""
-
-    def __init__(self, tiers):
-        self.tiers = tuple(tiers)
-
-    def __call__(self, code, stype):
-        return DecoderCascade(code, stype, tiers=self.tiers)
-
-
 class _OtherSpeciesFinalTier:
     """Picklable factory of a cascade whose final tier decodes the *other*
     stabilizer type — the misconfiguration construction must reject."""
@@ -484,7 +474,7 @@ class TestPreRefactorEquivalence:
     ):
         expected = PRE_REFACTOR_SEEDED[("mwpm", distance, engine)]
         factory = (
-            _CascadeFactory(TIERS)
+            DecoderCascade
             if fallback == "mwpm"
             else ReadyTierCascade(READY_TIERS[fallback])
         )
@@ -512,14 +502,14 @@ class TestCascadeAcrossEngines:
         loop = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(TIERS),
+            DecoderCascade,
             engine="loop",
             **kwargs,
         )
         batch = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(TIERS),
+            DecoderCascade,
             engine="batch",
             **kwargs,
         )
@@ -533,7 +523,7 @@ class TestCascadeAcrossEngines:
 
     def test_sharded_worker_count_never_changes_tier_stats(self, code_d5):
         point = memory_point(
-            "p", code_d5, PhenomenologicalNoise(2e-2), _CascadeFactory(TIERS),
+            "p", code_d5, PhenomenologicalNoise(2e-2), DecoderCascade,
             trials=400, seed=11,
         )
         one = SweepScheduler(workers=1).run([point])["p"]
@@ -545,7 +535,7 @@ class TestCascadeAcrossEngines:
         result = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(TIERS),
+            DecoderCascade,
             trials=300,
             rng=13,
         )
@@ -576,7 +566,7 @@ class TestCascadeResultStoreRoundTrip:
         result = run_memory_experiment(
             code_d5,
             PhenomenologicalNoise(2e-2),
-            _CascadeFactory(TIERS),
+            DecoderCascade,
             trials=100,
             rng=3,
         )

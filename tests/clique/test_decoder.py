@@ -9,7 +9,6 @@ from repro import bitplane
 from repro.clique.cliques import build_cliques
 from repro.clique.decoder import CliqueDecoder, clique_rule, get_clique_decoder
 from repro.codes.rotated_surface import get_code
-from repro.noise.events import errors_to_vector
 from repro.types import Coord, StabilizerType
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.decoders.matching_graph import MatchingGraph, SpaceTimeEvent, get_matching_graph
+from repro.decoders.matching_graph import MatchingGraph, get_matching_graph
 from repro.types import StabilizerType
 
 
@@ -77,28 +77,6 @@ class TestPathsProduceCorrectSyndromes:
         graph = MatchingGraph(code_d7, StabilizerType.X)
         for index in range(graph.num_ancillas):
             assert 1 <= graph.boundary_distance(index) <= code_d7.distance
-
-
-class TestSpaceTimeMetric:
-    def test_event_distance_adds_time_separation(self, graph_d5):
-        near = SpaceTimeEvent(round=0, ancilla_index=0)
-        far = SpaceTimeEvent(round=3, ancilla_index=0)
-        assert graph_d5.event_distance(near, far) == 3
-
-    def test_event_distance_combines_space_and_time(self, graph_d5):
-        a = SpaceTimeEvent(round=1, ancilla_index=0)
-        b = SpaceTimeEvent(round=4, ancilla_index=5)
-        expected = graph_d5.spatial_distance(0, 5) + 3
-        assert graph_d5.event_distance(a, b) == expected
-
-    def test_boundary_distance_is_purely_spatial(self, graph_d5):
-        event = SpaceTimeEvent(round=7, ancilla_index=2)
-        assert graph_d5.event_boundary_distance(event) == graph_d5.boundary_distance(2)
-
-    def test_correction_between_same_ancilla_events_is_empty(self, graph_d5):
-        a = SpaceTimeEvent(round=0, ancilla_index=3)
-        b = SpaceTimeEvent(round=2, ancilla_index=3)
-        assert graph_d5.correction_between(a, b) == frozenset()
 
 
 class TestCaching:

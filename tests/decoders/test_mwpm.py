@@ -11,7 +11,7 @@ from subset_dp_oracle import match_events_small
 
 from repro.decoders.mwpm import ENUMERATION_MAX_EVENTS, MWPMDecoder
 from repro.exceptions import SyndromeShapeError
-from repro.noise.events import errors_to_vector, vector_to_errors
+from repro.noise.events import vector_to_errors
 from repro.types import Coord, StabilizerType
 
 
@@ -112,7 +112,8 @@ class TestSpaceTimeDecoding:
                 history.record(((parity @ accumulated) % 2) ^ flips)
             history.record((parity @ accumulated) % 2)
             result = decoder.decode(history.detection_matrix())
-            correction = errors_to_vector(result.correction, code_d5.data_index)
+            correction = np.zeros_like(accumulated)
+            correction[[code_d5.data_index[q] for q in result.correction]] = 1
             residual = accumulated ^ correction
             residual_set = vector_to_errors(residual, code_d5.data_qubits)
             assert not code_d5.syndrome_of(residual_set, StabilizerType.X).any()

@@ -4,23 +4,30 @@ from __future__ import annotations
 
 import pytest
 
+from repro.codes import PAPER_OPERATING_POINTS
 from repro.experiments import fig04, fig09, fig11, fig12, fig13, fig14, fig15, fig16, headline, table1
+
+
+def _fig04_points(max_distance):
+    return tuple(p for p in PAPER_OPERATING_POINTS if p.code_distance <= max_distance)
 
 
 class TestFig04:
     def test_rows_cover_requested_points(self):
-        result = fig04.run(cycles=2000, max_distance=9)
-        assert all(row["code_distance"] <= 9 for row in result.rows)
-        assert "Skipped" in result.notes
+        points = _fig04_points(9)
+        result = fig04.run(cycles=2000, points=points)
+        assert [row["operating_point"] for row in result.rows] == [
+            point.label() for point in points
+        ]
 
     def test_fractions_sum_to_100(self):
-        result = fig04.run(cycles=2000, max_distance=9)
+        result = fig04.run(cycles=2000, points=_fig04_points(9))
         for row in result.rows:
             total = row["all_zeros_pct"] + row["local_ones_pct"] + row["complex_pct"]
             assert total == pytest.approx(100.0)
 
     def test_trivial_fraction_dominates_at_practical_points(self):
-        result = fig04.run(cycles=4000, max_distance=25)
+        result = fig04.run(cycles=4000, points=_fig04_points(25))
         assert all(row["trivial_pct"] > 85.0 for row in result.rows)
 
 

@@ -1,50 +1,26 @@
-"""Tests for error-event containers and vector conversions."""
+"""Tests for the vector-to-coordinates conversion."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.noise.events import CycleErrors, errors_to_vector, vector_to_errors
-from repro.types import Coord
+from repro.noise.events import vector_to_errors
 
 
-class TestCycleErrors:
-    def test_default_is_error_free(self):
-        assert CycleErrors().is_error_free
-        assert CycleErrors().num_errors == 0
-
-    def test_counts_both_species(self):
-        errors = CycleErrors(
-            data_errors=frozenset({Coord(0, 0), Coord(2, 2)}),
-            measurement_errors=frozenset({Coord(1, 1)}),
-        )
-        assert errors.num_errors == 3
-        assert not errors.is_error_free
-
-    def test_frozen(self):
-        errors = CycleErrors()
-        with pytest.raises(AttributeError):
-            errors.data_errors = frozenset()
-
-
-class TestVectorConversions:
-    def test_round_trip(self, code_d3):
-        index = code_d3.data_index
+class TestVectorToErrors:
+    def test_set_entries_become_coordinates(self, code_d3):
         ordering = code_d3.data_qubits
-        errors = frozenset({ordering[0], ordering[4], ordering[8]})
-        vector = errors_to_vector(errors, index)
-        assert vector.sum() == 3
-        assert vector_to_errors(vector, ordering) == errors
+        vector = np.zeros(len(ordering), dtype=np.uint8)
+        vector[[0, 4, 8]] = 1
+        assert vector_to_errors(vector, ordering) == frozenset(
+            {ordering[0], ordering[4], ordering[8]}
+        )
 
-    def test_empty_set_gives_zero_vector(self, code_d3):
-        vector = errors_to_vector(frozenset(), code_d3.data_index)
-        assert not vector.any()
+    def test_zero_vector_gives_empty_set(self, code_d3):
+        vector = np.zeros(code_d3.num_data_qubits, dtype=np.uint8)
+        assert vector_to_errors(vector, code_d3.data_qubits) == frozenset()
 
-    def test_vector_to_errors_rejects_length_mismatch(self, code_d3):
+    def test_rejects_length_mismatch(self, code_d3):
         with pytest.raises(ValueError):
             vector_to_errors(np.zeros(3, dtype=np.uint8), code_d3.data_qubits)
-
-    def test_vector_dtype_is_uint8(self, code_d3):
-        vector = errors_to_vector({code_d3.data_qubits[0]}, code_d3.data_index)
-        assert vector.dtype == np.uint8

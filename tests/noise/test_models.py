@@ -94,18 +94,6 @@ class TestSampling:
         )
         assert samples.mean() == pytest.approx(0.2, abs=0.02)
 
-    def test_sample_cycle_returns_coordinates(self, code_d3):
-        noise = PhenomenologicalNoise(0.5)
-        cycle = noise.sample_cycle(code_d3, StabilizerType.X, rng=3)
-        assert all(coord.is_data for coord in cycle.data_errors)
-        assert all(coord.is_ancilla for coord in cycle.measurement_errors)
-
-    def test_sample_cycle_reproducible_with_seed(self, code_d3):
-        noise = PhenomenologicalNoise(0.3)
-        assert noise.sample_cycle(code_d3, StabilizerType.Z, rng=9) == noise.sample_cycle(
-            code_d3, StabilizerType.Z, rng=9
-        )
-
     def test_code_capacity_never_flips_measurements(self, code_d3, rng):
         noise = CodeCapacityNoise(0.5)
         assert not noise.sample_measurement_vector(code_d3, StabilizerType.X, rng).any()

@@ -8,9 +8,9 @@ The paper buckets each decode cycle's error signature into three classes:
 * **Complex** - at least one chain of two or more interacting errors exists,
   so a global decoder is needed.
 
-The production path (:func:`repro.simulation.cycles.classify_cycles`)
-classifies a whole batch of cycles from touch-count matrices.  This module
-keeps the readable one-cycle formulation over coordinate sets, which
+The production path (:func:`repro.simulation.cycles.classify_cycle_planes`)
+classifies a whole batch of cycles at once on packed bitplanes.  This
+module keeps the readable one-cycle formulation over coordinate sets, which
 ``test_signature_oracle.py`` checks it against cycle by cycle.
 """
 

@@ -247,20 +247,12 @@ class TestBatchedNoiseSampling:
         assert batch.logical_failures == loop.logical_failures
         assert batch.onchip_rounds == loop.onchip_rounds
 
-    def test_matrix_samplers_match_vector_samplers(self, code_d3):
+    def test_data_matrix_sampler_matches_vector_sampler(self, code_d3):
         noise = PhenomenologicalNoise(0.1)
         matrix = noise.sample_data_matrix(code_d3, 5, np.random.default_rng(8))
         loop_rng = np.random.default_rng(8)
         for row in matrix:
             assert np.array_equal(row, noise.sample_data_vector(code_d3, loop_rng))
-        matrix = noise.sample_measurement_matrix(
-            code_d3, StabilizerType.X, 5, np.random.default_rng(9)
-        )
-        loop_rng = np.random.default_rng(9)
-        for row in matrix:
-            assert np.array_equal(
-                row, noise.sample_measurement_vector(code_d3, StabilizerType.X, loop_rng)
-            )
 
 
 class TestLogicalSupportBitmap:

@@ -1,40 +1,60 @@
-"""Tests for the batched per-cycle signature sampler (Fig. 4 workload)."""
+"""Tests for the packed per-cycle signature sampler (Fig. 4 workload)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import bitplane
 from repro.codes import PAPER_OPERATING_POINTS
 from repro.codes.rotated_surface import get_code
 from repro.exceptions import ConfigurationError
 from repro.noise.models import CodeCapacityNoise, PhenomenologicalNoise
 from repro.simulation.cycles import (
-    classify_cycles,
-    sample_cycle_signatures,
+    classify_cycle_planes,
+    sample_cycle_planes,
     simulate_signature_distribution,
 )
 from repro.types import StabilizerType
 
 
+def _dense_draws(code, stype, noise, flip_rate, cycles, seed):
+    """The two draws of ``sample_cycle_planes`` as one dense call each."""
+    rng = np.random.default_rng(seed)
+    data = noise.sample_data_matrix(code, cycles, rng)
+    flips = rng.random((cycles, code.num_ancillas_of_type(stype))) < flip_rate
+    return data, flips
+
+
 class TestSampling:
     def test_shapes(self, code_d5, rng):
         noise = PhenomenologicalNoise(0.01)
-        signatures, flips = sample_cycle_signatures(
-            code_d5, StabilizerType.X, noise, 100, rng
+        data, flips = sample_cycle_planes(
+            code_d5, StabilizerType.X, noise, 0.01, 100, rng
         )
-        width = code_d5.num_ancillas_of_type(StabilizerType.X)
-        assert signatures.shape == (100, width)
-        assert flips.shape == (100, width)
+        assert data.shape == (code_d5.num_data_qubits, 2)
+        assert flips.shape == (code_d5.num_ancillas_of_type(StabilizerType.X), 2)
+        assert data.dtype == flips.dtype == np.uint64
 
-    def test_zero_noise_gives_all_zero_signatures(self, code_d5, rng):
+    def test_zero_noise_gives_empty_planes(self, code_d5, rng):
         noise = PhenomenologicalNoise(0.0)
-        signatures, _ = sample_cycle_signatures(code_d5, StabilizerType.X, noise, 50, rng)
-        assert not signatures.any()
+        data, flips = sample_cycle_planes(code_d5, StabilizerType.X, noise, 0.0, 50, rng)
+        assert not data.any() and not flips.any()
 
-    def test_rejects_nonpositive_cycles(self, code_d5, rng):
-        with pytest.raises(ConfigurationError):
-            sample_cycle_signatures(code_d5, StabilizerType.X, PhenomenologicalNoise(0.01), 0, rng)
+    @pytest.mark.parametrize(
+        "distance,cycles", [(3, 1), (5, 63), (21, 2500), (21, 5000), (81, 200)]
+    )
+    def test_row_blocks_equal_one_dense_draw(self, distance, cycles, stype):
+        # d=21 crosses row blocks (the last one ragged); d=81 draws one
+        # word of rows per block.
+        code = get_code(distance)
+        noise = PhenomenologicalNoise(0.05)
+        planes = sample_cycle_planes(
+            code, stype, noise, 0.02, cycles, np.random.default_rng(distance)
+        )
+        dense = _dense_draws(code, stype, noise, 0.02, cycles, distance)
+        for packed, bits in zip(planes, dense):
+            assert np.array_equal(packed, bitplane.pack_trials(bits))
 
     @pytest.mark.parametrize("cycles", [0, -5])
     def test_distribution_rejects_nonpositive_cycles(self, code_d5, cycles):
@@ -51,42 +71,44 @@ class TestSampling:
                 code_d5, PhenomenologicalNoise(0.01), 100, rng=1, batch_size=0
             )
 
-    def test_touch_counts_bound_signatures(self, code_d5, rng):
-        noise = PhenomenologicalNoise(0.05)
-        signatures, _, touches = sample_cycle_signatures(
-            code_d5, StabilizerType.X, noise, 200, rng, return_touch_counts=True
-        )
-        # A signature bit can only be set where at least one event touched.
-        assert not (signatures.astype(bool) & (touches == 0)).any()
-        # And signature parity must match touch-count parity.
-        assert np.array_equal(signatures, (touches % 2).astype(np.uint8))
-
     def test_reproducible_with_seed(self, code_d3):
         noise = PhenomenologicalNoise(0.02)
-        first, _ = sample_cycle_signatures(code_d3, StabilizerType.X, noise, 50, 123)
-        second, _ = sample_cycle_signatures(code_d3, StabilizerType.X, noise, 50, 123)
-        assert np.array_equal(first, second)
+        first, second = (
+            sample_cycle_planes(
+                code_d3, StabilizerType.X, noise, 0.02, 50, np.random.default_rng(123)
+            )
+            for _ in range(2)
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 class TestClassification:
-    def test_partition_covers_every_cycle(self, code_d5, rng):
+    @pytest.mark.parametrize("cycles", [1, 64, 500, 1025])
+    def test_partition_covers_every_cycle(self, code_d5, cycles):
         noise = PhenomenologicalNoise(0.02)
-        signatures, _, touches = sample_cycle_signatures(
-            code_d5, StabilizerType.X, noise, 500, rng, return_touch_counts=True
+        planes = sample_cycle_planes(
+            code_d5, StabilizerType.X, noise, 0.02, cycles, np.random.default_rng(3)
         )
-        zeros, locals_, complex_ = classify_cycles(signatures, touches)
-        combined = zeros.astype(int) + locals_.astype(int) + complex_.astype(int)
-        assert (combined == 1).all()
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            classify_cycles(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 4)))
+        zeros, locals_, complex_ = classify_cycle_planes(
+            code_d5, StabilizerType.X, *planes, cycles
+        )
+        assert not (zeros & locals_).any()
+        assert not (zeros & complex_).any()
+        assert not (locals_ & complex_).any()
+        assert np.array_equal(
+            zeros | locals_ | complex_, bitplane.trial_mask_words(cycles)
+        )
 
     def test_quiet_cycles_are_all_zeros(self, code_d3):
-        signatures = np.zeros((4, code_d3.num_ancillas_of_type(StabilizerType.X)), dtype=np.uint8)
-        touches = np.zeros_like(signatures, dtype=np.int64)
-        zeros, locals_, complex_ = classify_cycles(signatures, touches)
-        assert zeros.all()
+        words = bitplane.num_words(4)
+        data = np.zeros((code_d3.num_data_qubits, words), dtype=np.uint64)
+        flips = np.zeros(
+            (code_d3.num_ancillas_of_type(StabilizerType.X), words), dtype=np.uint64
+        )
+        zeros, locals_, complex_ = classify_cycle_planes(
+            code_d3, StabilizerType.X, data, flips, 4
+        )
+        assert np.array_equal(zeros, bitplane.trial_mask_words(4))
         assert not locals_.any()
         assert not complex_.any()
 

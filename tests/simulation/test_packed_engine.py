@@ -42,16 +42,6 @@ def _mwpm(code, stype):
     return MWPMDecoder(code, stype)
 
 
-class _CascadeFactory:
-    """Picklable cascade factory (sharded-engine tests fork workers)."""
-
-    def __init__(self, tiers):
-        self.tiers = tuple(tiers)
-
-    def __call__(self, code, stype):
-        return DecoderCascade(code, stype, tiers=self.tiers)
-
-
 def _assert_results_identical(left, right):
     assert left.logical_failures == right.logical_failures
     assert left.onchip_rounds == right.onchip_rounds
@@ -105,7 +95,7 @@ class TestPackedEquivalence:
 
     @pytest.mark.parametrize(
         "factory",
-        [_CascadeFactory(("clique", "mwpm")), ReadyTierCascade(READY_TIERS["bitmap-hook"])],
+        [_hierarchical, ReadyTierCascade(READY_TIERS["bitmap-hook"])],
         ids=["clique-mwpm", "clique-bitmap-hook"],
     )
     def test_sharded_engine_matches_per_shard_loop_runs(self, factory):
@@ -185,7 +175,7 @@ class TestPackedEquivalence:
 class TestDecodeBatchPacked:
     @pytest.mark.parametrize(
         "factory",
-        [_CascadeFactory(("clique", "mwpm")), ReadyTierCascade(READY_TIERS["bitmap-hook"])],
+        [_hierarchical, ReadyTierCascade(READY_TIERS["bitmap-hook"])],
         ids=["clique-mwpm", "clique-bitmap-hook"],
     )
     @pytest.mark.parametrize("density", [0.03, 0.15])

@@ -2,10 +2,12 @@
 
 ``signature_oracle.classify_error_configuration`` labels one cycle from its
 injected error sets.  The first class pins that oracle's rules; the second
-replays ``sample_cycle_signatures``' two draws (data field, then
-measurement flips) from the same seed and checks, cycle by cycle, that the
-batched :func:`repro.simulation.cycles.classify_cycles` gives the oracle's
-label.
+replays :func:`repro.simulation.cycles.sample_cycle_planes`' two draws (data
+field, then measurement flips) densely from the same seed and checks, cycle
+by cycle, that the packed
+:func:`repro.simulation.cycles.classify_cycle_planes` gives the oracle's
+label; the third hand-builds cycles on the weight-2 boundary stabilizers,
+whose padded support slots must not count as touches.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 from signature_oracle import classify_error_configuration
 
+from repro import bitplane
 from repro.codes.rotated_surface import get_code
 from repro.noise.models import PhenomenologicalNoise
-from repro.simulation.cycles import classify_cycles, sample_cycle_signatures
+from repro.simulation.cycles import classify_cycle_planes, sample_cycle_planes
 from repro.types import Coord, SignatureClass, StabilizerType
 
 
@@ -89,34 +92,70 @@ class TestClassifyErrorConfiguration:
 ORACLE_CYCLES = 400
 
 
-class TestClassifyCyclesMatchesOracle:
+def _packed_labels(code, stype, data, flips):
+    """Per-cycle labels of the packed classifier on dense ``(cycles, *)`` draws."""
+    cycles = len(data)
+    classes = classify_cycle_planes(
+        code, stype, bitplane.pack_trials(data), bitplane.pack_trials(flips), cycles
+    )
+    hits = bitplane.unpack_trials(np.stack(classes)[:, np.newaxis], cycles)[:, :, 0]
+    labels = (SignatureClass.ALL_ZEROS, SignatureClass.LOCAL_ONES, SignatureClass.COMPLEX)
+    assert (hits.sum(axis=1) == 1).all()
+    return [labels[index] for index in hits.argmax(axis=1)]
+
+
+def _oracle_label(code, stype, data_row, flip_row):
+    ancillas = [ancilla.coord for ancilla in code.ancillas(stype)]
+    return classify_error_configuration(
+        code,
+        stype,
+        {code.data_qubits[i] for i in np.flatnonzero(data_row)},
+        {ancillas[i] for i in np.flatnonzero(flip_row)},
+    )
+
+
+class TestPackedClassifierMatchesOracle:
     @pytest.mark.parametrize("error_rate", [1e-3, 1e-2, 5e-2])
     @pytest.mark.parametrize("distance", [3, 5, 7])
     def test_every_cycle_gets_the_oracle_label(self, distance, stype, error_rate):
         code = get_code(distance)
         noise = PhenomenologicalNoise(error_rate)
         seed = 1000 * distance + int(stype is StabilizerType.Z)
-        signatures, _flips, touches = sample_cycle_signatures(
-            code, stype, noise, ORACLE_CYCLES, seed, return_touch_counts=True
+        planes = sample_cycle_planes(
+            code, stype, noise, error_rate, ORACLE_CYCLES, np.random.default_rng(seed)
         )
-        all_zeros, local_ones, complex_ = classify_cycles(signatures, touches)
 
         generator = np.random.default_rng(seed)
         data = noise.sample_data_matrix(code, ORACLE_CYCLES, generator)
-        flips = noise.sample_measurement_matrix(code, stype, ORACLE_CYCLES, generator)
-        ancillas = [ancilla.coord for ancilla in code.ancillas(stype)]
+        flips = generator.random((ORACLE_CYCLES, len(code.ancillas(stype)))) < error_rate
+        assert np.array_equal(planes[0], bitplane.pack_trials(data))
+        assert np.array_equal(planes[1], bitplane.pack_trials(flips))
+        labels = _packed_labels(code, stype, data, flips)
         for cycle in range(ORACLE_CYCLES):
-            expected = classify_error_configuration(
-                code,
-                stype,
-                {code.data_qubits[i] for i in np.flatnonzero(data[cycle])},
-                {ancillas[i] for i in np.flatnonzero(flips[cycle])},
-            )
-            labels = {
-                SignatureClass.ALL_ZEROS: all_zeros[cycle],
-                SignatureClass.LOCAL_ONES: local_ones[cycle],
-                SignatureClass.COMPLEX: complex_[cycle],
-            }
-            assert [cls for cls, hit in labels.items() if hit] == [expected], (
-                f"cycle {cycle}"
-            )
+            expected = _oracle_label(code, stype, data[cycle], flips[cycle])
+            assert labels[cycle] is expected, f"cycle {cycle}"
+
+
+class TestWeightTwoBoundaryStabilizers:
+    """The packed parity check pads a weight-2 row by repeating a support
+    column; the touch counter must read the two real qubits only."""
+
+    @pytest.mark.parametrize("distance", [3, 5])
+    def test_one_error_is_local_and_two_are_complex(self, distance, stype):
+        code = get_code(distance)
+        boundary = [ancilla for ancilla in code.ancillas(stype) if ancilla.weight == 2]
+        assert boundary
+        data = []
+        for ancilla in boundary:
+            support = [code.data_index[qubit] for qubit in ancilla.data_qubits]
+            for columns in ([support[0]], [support[1]], support):
+                row = np.zeros(code.num_data_qubits, dtype=np.uint8)
+                row[columns] = 1
+                data.append(row)
+        data = np.array(data)
+        flips = np.zeros((len(data), len(code.ancillas(stype))), dtype=np.uint8)
+        expected = [SignatureClass.LOCAL_ONES, SignatureClass.LOCAL_ONES, SignatureClass.COMPLEX]
+        assert _packed_labels(code, stype, data, flips) == expected * len(boundary)
+        assert [
+            _oracle_label(code, stype, d, f) for d, f in zip(data, flips)
+        ] == expected * len(boundary)
